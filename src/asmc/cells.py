@@ -88,11 +88,7 @@ def _require_one_minus(a: AsmMatrix) -> None:
 def box_sum(a: AsmMatrix, top: int, bottom: int, left: int, right: int) -> int:
     """Sum of entries in rows top..bottom, columns left..right (1-based,
     inclusive; empty ranges sum to 0)."""
-    return sum(
-        a.rows[i][j]
-        for i in range(top - 1, bottom)
-        for j in range(left - 1, right)
-    )
+    return sum(sum(row[left - 1 : right]) for row in a.rows[top - 1 : bottom])
 
 
 def geometry(a: AsmMatrix) -> CellGeometry:
@@ -121,24 +117,19 @@ def geometry(a: AsmMatrix) -> CellGeometry:
     )
 
 
-def sign_class(a: AsmMatrix) -> SignClass:
-    """Neutral, positive or negative, by the side of the lowest enclosed
-    row's 1."""
-    g = geometry(a)
+# The readers below take the geometry of ``a`` so that a caller holding it
+# does not scan the matrix again; each public function scans once.
+
+
+def _sign_class(a: AsmMatrix, g: CellGeometry) -> SignClass:
     if not g.enclosed_rows:
         return SignClass.NEUTRAL
     lowest = a.rows[g.enclosed_rows[-1] - 1]
     return SignClass.POSITIVE if lowest.index(1) + 1 > g.opening_col else SignClass.NEGATIVE
 
 
-def cell_sums(a: AsmMatrix) -> CellSums:
-    """Sums (ell, c, x) of a non-negative one-minus ASM.
-
-    Raises :class:`NegativeClass` on negative matrices; reflect first.
-    """
-    g = geometry(a)
-    if sign_class(a) is SignClass.NEGATIVE:
-        raise NegativeClass("cell sums are defined on non-negative matrices; reflect first")
+def _cell_sums(a: AsmMatrix, g: CellGeometry) -> CellSums:
+    """Cell sums of a matrix already known to be non-negative."""
     n = a.n
     ell = box_sum(a, g.opening_row + 1, n, g.leading_col + 1, g.opening_col - 1)
     c = box_sum(a, g.closing_row + 1, n, g.opening_col + 1, g.closing_col - 1)
@@ -146,25 +137,22 @@ def cell_sums(a: AsmMatrix) -> CellSums:
     return CellSums(ell=ell, c=c, x=x)
 
 
-def charged_sum(a: AsmMatrix) -> int:
-    """Sum of the charged cell (enclosed rows x right side)."""
-    g = geometry(a)
+def _charged_sum(a: AsmMatrix, g: CellGeometry) -> int:
     if not g.enclosed_rows:
         return 0
     return box_sum(a, g.enclosed_rows[0], g.enclosed_rows[-1], g.opening_col + 1, a.n)
 
 
-def charges(a: AsmMatrix) -> ChargeParams:
-    """The charge triple (E, B, J) together with the cell sums behind it."""
-    cls = sign_class(a)
+def _charges(a: AsmMatrix, g: CellGeometry) -> ChargeParams:
+    cls = _sign_class(a, g)
     if cls is SignClass.NEGATIVE:
         mirror = charges(reflect(a))
         return ChargeParams(
             ell=mirror.ell, c=mirror.c, x=mirror.x,
             e=-mirror.e, b=-mirror.b, j=mirror.j,
         )
-    sums = cell_sums(a)
-    e = charged_sum(a) if cls is SignClass.POSITIVE else 0
+    sums = _cell_sums(a, g)
+    e = _charged_sum(a, g) if cls is SignClass.POSITIVE else 0
     return ChargeParams(
         ell=sums.ell,
         c=sums.c,
@@ -173,3 +161,30 @@ def charges(a: AsmMatrix) -> ChargeParams:
         b=sums.c - sums.ell,
         j=sums.c + sums.ell + abs(e) + 1,
     )
+
+
+def sign_class(a: AsmMatrix) -> SignClass:
+    """Neutral, positive or negative, by the side of the lowest enclosed
+    row's 1."""
+    return _sign_class(a, geometry(a))
+
+
+def cell_sums(a: AsmMatrix) -> CellSums:
+    """Sums (ell, c, x) of a non-negative one-minus ASM.
+
+    Raises :class:`NegativeClass` on negative matrices; reflect first.
+    """
+    g = geometry(a)
+    if _sign_class(a, g) is SignClass.NEGATIVE:
+        raise NegativeClass("cell sums are defined on non-negative matrices; reflect first")
+    return _cell_sums(a, g)
+
+
+def charged_sum(a: AsmMatrix) -> int:
+    """Sum of the charged cell (enclosed rows x right side)."""
+    return _charged_sum(a, geometry(a))
+
+
+def charges(a: AsmMatrix) -> ChargeParams:
+    """The charge triple (E, B, J) together with the cell sums behind it."""
+    return _charges(a, geometry(a))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import SignClass, charges, geometry, sign_class
+from .cells import CellGeometry, SignClass, _charges, _sign_class, geometry
 from .displacement import Region, _apply_any, h_shift, h_unshift, v_shift, v_unshift
 from .errors import (
     InternalInvariantViolation,
@@ -62,14 +62,14 @@ class DischargeTuple:
 
 def tuple_from_json(obj: dict) -> DischargeTuple:
     from .errors import ParseError
-    from .matrix import matrix_from_json
+    from .matrix import json_int, matrix_from_json
 
     try:
         return DischargeTuple(
-            opening_row=int(obj["k"]),
+            opening_row=json_int(obj["k"], "k"),
             perm=matrix_from_json(obj["P"]),
-            closing_sum=int(obj["c"]),
-            charge=int(obj["E"]),
+            closing_sum=json_int(obj["c"], "c"),
+            charge=json_int(obj["E"], "E"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"discharge tuple JSON needs integer k, c, E and matrix P: {exc}") from exc
@@ -94,15 +94,20 @@ def right_side_sum(perm: AsmMatrix, k: int) -> int:
     return sum(1 for row in perm.rows[k:] if row.index(1) > j)
 
 
-def _require_non_negative(a: AsmMatrix) -> None:
-    if sign_class(a) is SignClass.NEGATIVE:
+def _non_negative_geometry(a: AsmMatrix) -> CellGeometry:
+    """The geometry of ``a``, after checking that ``a`` is not negative."""
+    g = geometry(a)
+    if _sign_class(a, g) is SignClass.NEGATIVE:
         raise NegativeClass("discharging is defined on non-negative matrices; reflect first")
+    return g
 
 
 def partial_discharge(a: AsmMatrix) -> AsmMatrix:
     """Run the four discharge steps; returns a permutation matrix."""
-    _require_non_negative(a)
-    g = geometry(a)
+    return _partial_discharge(a, _non_negative_geometry(a))
+
+
+def _partial_discharge(a: AsmMatrix, g: CellGeometry) -> AsmMatrix:
     n = a.n
     grid = [list(row) for row in a.rows]
 
@@ -111,24 +116,10 @@ def partial_discharge(a: AsmMatrix) -> AsmMatrix:
     grid[g.closing_row - 1][g.closing_col - 1] = 0
 
     # step 2: shift the extended closing cell right
-    grid = [
-        list(r)
-        for r in _apply_any(
-            grid,
-            Region(g.closing_row + 1, n, g.opening_col, g.closing_col),
-            h_shift,
-        )
-    ]
+    grid = _apply_any(grid, Region(g.closing_row + 1, n, g.opening_col, g.closing_col), h_shift)
 
     # step 3: shift the extended neutral cell up
-    grid = [
-        list(r)
-        for r in _apply_any(
-            grid,
-            Region(g.opening_row, g.closing_row, 1, g.opening_col - 1),
-            v_shift,
-        )
-    ]
+    grid = _apply_any(grid, Region(g.opening_row, g.closing_row, 1, g.opening_col - 1), v_shift)
 
     # step 4: lower the 1s of the extended neutral and charged cells
     moves = []
@@ -158,9 +149,9 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
 
     Kept as an independent oracle for the full four-step path.
     """
-    if sign_class(a) is not SignClass.NEUTRAL:
-        raise NegativeClass("shortcut applies to neutral matrices only")
     g = geometry(a)
+    if _sign_class(a, g) is not SignClass.NEUTRAL:
+        raise NegativeClass("shortcut applies to neutral matrices only")
     grid = [list(row) for row in a.rows]
     grid[g.closing_row - 1][g.opening_col - 1] = 0
     grid[g.closing_row - 1][g.closing_col - 1] = 0
@@ -172,13 +163,14 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
 
 def discharge(a: AsmMatrix) -> DischargeTuple:
     """Full discharge: ``(k, partial_discharge(a), c, E)``."""
-    ch = charges(a)  # raises NotOneMinus; sign handled below
-    if sign_class(a) is SignClass.NEGATIVE:
-        raise NegativeClass("discharging is defined on non-negative matrices; reflect first")
-    g = geometry(a)
+    return _discharge(a, _non_negative_geometry(a))
+
+
+def _discharge(a: AsmMatrix, g: CellGeometry) -> DischargeTuple:
+    ch = _charges(a, g)
     return DischargeTuple(
         opening_row=g.opening_row,
-        perm=partial_discharge(a),
+        perm=_partial_discharge(a, g),
         closing_sum=ch.c,
         charge=ch.e,
     )
@@ -243,10 +235,7 @@ def recharge(t: DischargeTuple) -> AsmMatrix:
         grid[q - 2][col - 1] = 1
 
     # reverse step 3: shift the extended neutral cell back down
-    grid = [
-        list(r)
-        for r in _apply_any(grid, Region(k, closing_row, 1, j - 1), v_unshift)
-    ]
+    grid = _apply_any(grid, Region(k, closing_row, 1, j - 1), v_unshift)
 
     # closing column: leftmost column right of j where the below-closing
     # cumulative count reaches c + 1
@@ -261,10 +250,7 @@ def recharge(t: DischargeTuple) -> AsmMatrix:
         raise InternalInvariantViolation("no admissible closing column found")
 
     # reverse step 2, then restore the erased entries
-    grid = [
-        list(r)
-        for r in _apply_any(grid, Region(closing_row + 1, n, j, closing_col), h_unshift)
-    ]
+    grid = _apply_any(grid, Region(closing_row + 1, n, j, closing_col), h_unshift)
     if grid[closing_row - 1][j - 1] or grid[closing_row - 1][closing_col - 1]:
         raise InternalInvariantViolation("closing row positions are not free")
     grid[closing_row - 1][j - 1] = -1

@@ -21,9 +21,11 @@ from .errors import PreconditionFailed
 
 IntGrid = tuple[tuple[int, ...], ...]
 
+_ZERO_ONE = frozenset((0, 1))
+
 
 def _as_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
-    rows = tuple(tuple(int(v) for v in row) for row in grid)
+    rows = tuple(tuple(map(int, row)) for row in grid)
     if not rows or not rows[0]:
         raise PreconditionFailed("matrix must be non-empty")
     if any(len(row) != len(rows[0]) for row in rows):
@@ -33,9 +35,9 @@ def _as_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
 
 def _check_zero_one(rows: IntGrid) -> None:
     for row in rows:
-        for v in row:
-            if v not in (0, 1):
-                raise PreconditionFailed(f"entry {v!r} is not 0 or 1")
+        if not _ZERO_ONE.issuperset(row):
+            v = next(v for v in row if v not in _ZERO_ONE)
+            raise PreconditionFailed(f"entry {v!r} is not 0 or 1")
 
 
 def _displace(slots: list[tuple[int, ...]], empty: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -85,20 +87,16 @@ def h_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
     """
     rows = _as_grid(grid)
     _check_zero_one(rows)
-    m, n = len(rows), len(rows[0])
-    cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
-    new_cols = _displace(cols, (0,) * m)
-    return tuple(tuple(new_cols[j][i] for j in range(n)) for i in range(m))
+    cols = list(zip(*rows))
+    return tuple(zip(*_displace(cols, (0,) * len(rows))))
 
 
 def h_unshift(grid: Sequence[Sequence[int]]) -> IntGrid:
     """Inverse of :func:`h_shift` (last column nonzero, column 1 zero)."""
     rows = _as_grid(grid)
     _check_zero_one(rows)
-    m, n = len(rows), len(rows[0])
-    cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
-    new_cols = _displace_inverse(cols, (0,) * m)
-    return tuple(tuple(new_cols[j][i] for j in range(n)) for i in range(m))
+    cols = list(zip(*rows))
+    return tuple(zip(*_displace_inverse(cols, (0,) * len(rows))))
 
 
 def v_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
@@ -166,25 +164,28 @@ def apply_in_region(
     func = _PRIMITIVES.get(f) if isinstance(f, str) else f if f in (h_shift, v_shift) else None
     if func is None:
         raise PreconditionFailed("only h_shift and v_shift may be applied in a region")
-    return _apply_any(host, region, func)
+    return tuple(tuple(row) for row in _apply_any(host, region, func))
 
 
 def _apply_any(
     host: Sequence[Sequence[int]],
     region: Region,
     func: Callable[[Sequence[Sequence[int]]], IntGrid],
-) -> IntGrid:
+) -> list[list[int]]:
     """Region application without the public primitive restriction
-    (the discharge inverse needs ``h_unshift``/``v_unshift``)."""
-    rows = tuple(tuple(int(v) for v in row) for row in host)
-    region.check_within(len(rows), len(rows[0]) if rows else 0)
+    (the discharge inverse needs ``h_unshift``/``v_unshift``).
+
+    Returns a fresh list-of-lists copy of ``host``; only the window's
+    entries pass through ``func``.
+    """
+    out = [list(row) for row in host]
+    region.check_within(len(out), len(out[0]) if out else 0)
     r0, r1, c0, c1 = region.top - 1, region.bottom, region.left - 1, region.right
-    window = tuple(row[c0:c1] for row in rows[r0:r1])
+    window = [row[c0:c1] for row in out[r0:r1]]
     try:
         shifted = func(window)
     except PreconditionFailed as exc:
         raise PreconditionFailed(f"{exc} (in region {region})") from exc
-    out = [list(row) for row in rows]
-    for i, row in enumerate(shifted):
-        out[r0 + i][c0:c1] = row
-    return tuple(tuple(row) for row in out)
+    for row, new in zip(out[r0:r1], shifted):
+        row[c0:c1] = new
+    return out

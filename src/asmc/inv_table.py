@@ -23,11 +23,12 @@ and the pair is then unique.  Complementing both halves of the encoding
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .cells import geometry
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
-from .matrix import AsmMatrix, perm_one_line, validate_asm
+from .matrix import AsmMatrix, json_int, perm_one_line, validate_asm
 from .neutral import NeutralPair
 
 
@@ -138,10 +139,10 @@ def table_from_text(text: str) -> GenInvTable:
 def table_from_json(obj: dict) -> GenInvTable:
     try:
         return GenInvTable(
-            k=int(obj["k"]),
-            a=tuple(int(v) for v in obj["a"]),
-            b=int(obj["b"]),
-            beta=int(obj["beta"]),
+            k=json_int(obj["k"], "k"),
+            a=tuple(json_int(v, "entry of a") for v in obj["a"]),
+            b=json_int(obj["b"], "b"),
+            beta=json_int(obj["beta"], "beta"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"table JSON needs k, a, b, beta: {exc}") from exc
@@ -182,19 +183,20 @@ def table_valid(t: GenInvTable) -> TableCheck:
 
 
 def gen_table(pair: NeutralPair) -> GenInvTable:
-    """Generalized inversion table of a neutral pair."""
+    """Generalized inversion table of a neutral pair.
+
+    Walks the rows bottom-up, keeping the column sums of the rows below
+    the current one; ``a_i`` is the sum of those left of the row's
+    leftmost 1 (the left 1 on the closing row).
+    """
     m = pair.matrix
     n = m.n
-    g = geometry(m)
-    k = n + 1 - g.opening_row
+    k = n + 1 - geometry(m).opening_row
     a = []
-    for i in range(1, n + 1):
-        q = n + 1 - i
-        row = m.rows[q - 1]
-        ref = g.left_one_col if q == g.closing_row else row.index(1) + 1
-        a.append(
-            sum(m.rows[qq][c] for qq in range(q, n) for c in range(ref - 1))
-        )
+    below = [0] * n
+    for row in reversed(m.rows):
+        a.append(sum(below[: row.index(1)]))
+        below = list(map(add, below, row))
     sums = pair.sums
     table = GenInvTable(k=k, a=tuple(a), b=sums.c, beta=pair.charge + sums.ell)
     check = table_valid(table)

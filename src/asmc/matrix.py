@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -31,6 +32,9 @@ from .errors import (
 )
 
 Grid = tuple[tuple[int, ...], ...]
+
+_ENTRIES = frozenset((-1, 0, 1))
+_INT_ONLY = {int}
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,26 @@ class ClassicalParams:
     i: int
 
 
+def _alternates(rows: Grid, n: int) -> bool:
+    """Whether every row and column prefix sum of a {-1, 0, 1} grid is 0 or
+    1 and every line sums to 1.  Prefix sums only change at nonzero
+    entries, so only those are visited, row by row, keeping the column
+    sums of the rows above."""
+    cols = [0] * n
+    for row in rows:
+        total = 0
+        for j in compress(range(n), row):
+            v = row[j]
+            total += v
+            c = cols[j] + v
+            if not (0 <= total <= 1 and 0 <= c <= 1):
+                return False
+            cols[j] = c
+        if total != 1:
+            return False
+    return cols.count(1) == n
+
+
 def _check_line(values: Sequence[int], axis: str, index: int) -> None:
     """Enforce the alternating law on one row or column."""
     prefix = 0
@@ -95,20 +119,30 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
 
     Raises :class:`NotSquare`, :class:`BadEntry`,
     :class:`AlternationViolation` or :class:`SumViolation` on the first
-    law the grid breaks (columns are checked before rows).
+    law the grid breaks (columns are checked before rows).  Entries must
+    be ``int`` -1, 0 or 1; booleans, floats and strings are bad entries,
+    not converted.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in grid)
+    try:
+        rows = tuple(map(tuple, grid))
+    except TypeError as exc:
+        raise NotSquare(f"expected a square matrix given as rows: {exc}") from exc
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise NotSquare(f"expected a square matrix, got row lengths {[len(r) for r in rows]}")
     for i, row in enumerate(rows, start=1):
-        for j, v in enumerate(row, start=1):
-            if v not in (-1, 0, 1):
-                raise BadEntry(i, j, v)
-    for j in range(n):
-        _check_line([rows[i][j] for i in range(n)], "column", j + 1)
-    for i, row in enumerate(rows, start=1):
-        _check_line(row, "row", i)
+        # the type test comes first: it also keeps unhashable entries away
+        # from the set test
+        if set(map(type, row)) != _INT_ONLY or not _ENTRIES.issuperset(row):
+            j, v = next((j, v) for j, v in enumerate(row, start=1)
+                        if type(v) is not int or v not in _ENTRIES)
+            raise BadEntry(i, j, v)
+    if not _alternates(rows, n):
+        # some line is invalid: walk them one by one to name the first
+        for j, column in enumerate(zip(*rows), start=1):
+            _check_line(column, "column", j)
+        for i, row in enumerate(rows, start=1):
+            _check_line(row, "row", i)
     return AsmMatrix(rows)
 
 
@@ -205,6 +239,14 @@ def matrix_from_json(obj: dict | str) -> AsmMatrix:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ParseError("matrix JSON must be an object with a 'rows' field")
     a = validate_asm(obj["rows"])
-    if "n" in obj and obj["n"] != a.n:
+    if "n" in obj and json_int(obj["n"], "n") != a.n:
         raise ParseError(f"declared n={obj['n']} does not match {a.n} rows")
     return a
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; raises :class:`ParseError` for
+    anything else, booleans and floats included, instead of converting."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value

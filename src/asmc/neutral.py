@@ -15,37 +15,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellSums, SignClass, cell_sums, sign_class
-from .discharge import DischargeTuple, discharge, recharge
+from .cells import CellSums, SignClass, _cell_sums, _sign_class, geometry
+from .discharge import DischargeTuple, _discharge, _partial_discharge, recharge
 from .errors import InvalidPair, NotOneMinus
-from .matrix import AsmMatrix, matrix_from_json, matrix_to_json, reflect
+from .matrix import AsmMatrix, json_int, matrix_from_json, matrix_to_json, reflect
 
 
 @dataclass(frozen=True)
 class NeutralPair:
     """A neutral one-minus ASM with an integer charge in
     ``[-ell(N), c(N)]``.  Invariants are checked eagerly; downstream code
-    may assume them."""
+    may assume them.
+
+    The cell sums of the matrix, computed for the range check, are kept
+    on the instance outside the dataclass fields, so equality and
+    hashing see only ``matrix`` and ``charge``."""
 
     matrix: AsmMatrix
     charge: int
 
     def __post_init__(self):
         try:
-            cls = sign_class(self.matrix)
+            g = geometry(self.matrix)
         except NotOneMinus as exc:
             raise InvalidPair(f"pair matrix must have exactly one -1: {exc}") from exc
+        cls = _sign_class(self.matrix, g)
         if cls is not SignClass.NEUTRAL:
             raise InvalidPair(f"pair matrix must be neutral, got {cls.value}")
-        sums = self.sums
+        sums = _cell_sums(self.matrix, g)
         if not -sums.ell <= self.charge <= sums.c:
             raise InvalidPair(
                 f"charge {self.charge} outside [{-sums.ell}, {sums.c}]"
             )
+        object.__setattr__(self, "_sums", sums)
 
     @property
     def sums(self) -> CellSums:
-        return cell_sums(self.matrix)
+        return self._sums
 
     def to_json(self) -> dict:
         return {"N": matrix_to_json(self.matrix), "E": self.charge}
@@ -55,20 +61,21 @@ def pair_from_json(obj: dict) -> NeutralPair:
     from .errors import ParseError
 
     try:
-        return NeutralPair(matrix=matrix_from_json(obj["N"]), charge=int(obj["E"]))
+        return NeutralPair(matrix=matrix_from_json(obj["N"]), charge=json_int(obj["E"], "E"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"pair JSON needs a matrix N and an integer E: {exc}") from exc
 
 
 def neutralize(a: AsmMatrix) -> NeutralPair:
     """Encode a one-minus ASM as a (neutral matrix, charge) pair."""
-    cls = sign_class(a)  # raises NotOneMinus
+    g = geometry(a)  # raises NotOneMinus
+    cls = _sign_class(a, g)
     if cls is SignClass.NEUTRAL:
         return NeutralPair(a, 0)
     if cls is SignClass.NEGATIVE:
         mirrored = neutralize(reflect(a))
         return NeutralPair(reflect(mirrored.matrix), -mirrored.charge)
-    t = discharge(a)
+    t = _discharge(a, g)
     neutral = recharge(
         DischargeTuple(t.opening_row, t.perm, t.closing_sum + t.charge, 0)
     )
@@ -81,9 +88,11 @@ def restore(pair: NeutralPair) -> AsmMatrix:
         return pair.matrix
     if pair.charge < 0:
         return reflect(restore(NeutralPair(reflect(pair.matrix), -pair.charge)))
-    t = discharge(pair.matrix)
+    # the pair's matrix is neutral: its discharge has charge 0 and closing sum c
+    g = geometry(pair.matrix)
+    perm = _partial_discharge(pair.matrix, g)
     return recharge(
-        DischargeTuple(t.opening_row, t.perm, t.closing_sum - pair.charge, pair.charge)
+        DischargeTuple(g.opening_row, perm, pair.sums.c - pair.charge, pair.charge)
     )
 
 

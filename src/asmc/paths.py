@@ -26,6 +26,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import lt
+
 from .errors import (
     InternalInvariantViolation,
     MalformedConfiguration,
@@ -33,11 +36,13 @@ from .errors import (
     ParseError,
 )
 from .inv_table import GenInvTable, ParamVector, gen_table, pair_from_table, table_valid
+from .matrix import json_int
 from .neutral import NeutralPair
 
 STEP_DELTAS = {"E": (1, 0), "S": (0, -1), "F": (1, 0), "N": (1, 1)}
-LEFT_STEPS = frozenset("ES")
-RIGHT_STEPS = frozenset("FN")
+_DX = {s: d[0] for s, d in STEP_DELTAS.items()}
+_DL = {s: d[1] for s, d in STEP_DELTAS.items()}
+RIGHT_STEPS = "FN"
 
 Vertex = tuple[int, int]
 
@@ -50,13 +55,11 @@ class MixedPath:
     steps: str
 
     def vertices(self) -> tuple[Vertex, ...]:
-        out = [self.start]
         x, level = self.start
-        for s in self.steps:
-            dx, dl = STEP_DELTAS[s]
-            x, level = x + dx, level + dl
-            out.append((x, level))
-        return tuple(out)
+        return tuple(zip(
+            accumulate(map(_DX.__getitem__, self.steps), initial=x),
+            accumulate(map(_DL.__getitem__, self.steps), initial=level),
+        ))
 
     @property
     def end(self) -> Vertex:
@@ -65,10 +68,8 @@ class MixedPath:
     @property
     def left_len(self) -> int:
         """Number of leading Left (E/S) steps."""
-        for idx, s in enumerate(self.steps):
-            if s in RIGHT_STEPS:
-                return idx
-        return len(self.steps)
+        hits = [idx for idx in map(self.steps.find, RIGHT_STEPS) if idx >= 0]
+        return min(hits, default=len(self.steps))
 
     @property
     def junction(self) -> Vertex:
@@ -106,17 +107,18 @@ def config_from_json(obj: dict | str) -> MixedConfiguration:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     try:
-        paths = tuple(
-            MixedPath(start=(int(p["start"][0]), int(p["start"][1])), steps=str(p["steps"]))
-            for p in obj["paths"]
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        paths = []
+        for p in obj["paths"]:
+            x, level = p["start"]
+            paths.append(MixedPath((json_int(x, "start x"), json_int(level, "start level")),
+                                   str(p["steps"])))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"configuration JSON needs paths with start and steps: {exc}") from exc
     for p in paths:
         for s in p.steps:
             if s not in STEP_DELTAS:
                 raise ParseError(f"unknown step {s!r}")
-    return MixedConfiguration(paths)
+    return MixedConfiguration(tuple(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -132,36 +134,39 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
     """
     problems: list[str] = []
     n = cfg.n
+    walks = []  # (vertices, number of Left steps) of each path
     for i, p in enumerate(cfg.paths, start=1):
-        for s in p.steps:
-            if s not in STEP_DELTAS:
-                problems.append(f"path {i}: unknown step {s!r}")
-                return problems
+        if not STEP_DELTAS.keys() >= set(p.steps):
+            s = next(s for s in p.steps if s not in STEP_DELTAS)
+            problems.append(f"path {i}: unknown step {s!r}")
+            return problems
         if p.start != (0, i):
             problems.append(f"path {i} starts at {p.start}, expected (0, {i})")
-        seen_right = False
-        for s in p.steps:
-            if s in RIGHT_STEPS:
-                seen_right = True
-            elif seen_right:
-                problems.append(f"path {i}: Left step {s!r} after a Right step")
-                break
-        for x, level in p.vertices():
-            if not 0 <= x < level <= n:
-                problems.append(f"path {i} leaves the grid at ({x},{level})")
-                break
+        left = p.left_len
+        late = p.steps[left:].lstrip(RIGHT_STEPS)  # starts at the first Left step after a Right one
+        if late:
+            problems.append(f"path {i}: Left step {late[0]!r} after a Right step")
+        verts = p.vertices()
+        xs, levels = zip(*verts)
+        if min(xs) < 0 or max(levels) > n or not all(map(lt, xs, levels)):
+            x, level = next(v for v in verts if not 0 <= v[0] < v[1] <= n)
+            problems.append(f"path {i} leaves the grid at ({x},{level})")
+        walks.append((verts, left))
     if problems:
         return problems
-    sigma = [p.end[1] for p in cfg.paths]
+    ends = [verts[-1] for verts, _ in walks]
+    sigma = [level for _, level in ends]
     if sorted(sigma) != list(range(1, n + 1)):
         problems.append(f"end levels {sigma} are not a permutation of 1..{n}")
-    for i, p in enumerate(cfg.paths, start=1):
-        if p.end != (p.end[1] - 1, p.end[1]):
-            problems.append(f"path {i} ends at {p.end}, not on the diagonal")
+    for i, (x, level) in enumerate(ends, start=1):
+        if x != level - 1:
+            problems.append(f"path {i} ends at {(x, level)}, not on the diagonal")
     for label, vertex_sets in (
-        ("Left", [p.left_vertices() for p in cfg.paths]),
-        ("Right", [p.right_vertices() for p in cfg.paths]),
+        ("Left", [verts[: left + 1] for verts, left in walks]),
+        ("Right", [verts[left:] for verts, left in walks]),
     ):
+        if len(set(chain.from_iterable(vertex_sets))) == sum(map(len, vertex_sets)):
+            continue  # no vertex is shared (a single path never repeats one)
         seen: dict[Vertex, int] = {}
         for i, vs in enumerate(vertex_sets, start=1):
             for v in vs:
@@ -240,6 +245,12 @@ def table_from_config(cfg: MixedConfiguration) -> GenInvTable:
     if n_steps != 1:
         raise NotOneNStep(n_steps)
     _require_valid(cfg)
+    return _table_from_valid_config(cfg)
+
+
+def _table_from_valid_config(cfg: MixedConfiguration) -> GenInvTable:
+    """:func:`table_from_config` on a configuration with one N-step that
+    has already passed :func:`validate_config`."""
     if cfg.step_count("S") != 1:
         raise MalformedConfiguration("expected exactly one S-step")
     k = next(i for i, p in enumerate(cfg.paths, start=1) if "S" in p.steps)
@@ -340,7 +351,7 @@ def dual_config(cfg: MixedConfiguration) -> MixedConfiguration:
             paths.append(MixedPath((0, i), "E" * jx + "F" * (i - 1 - jx)))
         out = MixedConfiguration(tuple(paths))
     elif n_steps == 1:
-        t = table_from_config(cfg)
+        t = _table_from_valid_config(cfg)
         k = t.k
         junctions = {i: cfg.paths[i - 1].junction for i in range(1, n + 1)}
         s_path = cfg.paths[k - 1]

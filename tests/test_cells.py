@@ -1,13 +1,18 @@
 """Cell geometry, sign classes and the charge statistics."""
 
+import sys
+
 import pytest
 
+import asmc
+import asmc.cells
 from asmc import (
     NegativeClass,
     NotOneMinus,
     SignClass,
     cell_sums,
     charges,
+    enumerate_asm,
     geometry,
     reflect,
     sign_class,
@@ -110,3 +115,33 @@ class TestCharges:
             ch = charges(m)
             assert ch.j == ch.c + ch.ell + abs(ch.e) + 1
             assert ch.b == ch.c - ch.ell
+
+
+class TestLandmarkScans:
+    """Average ``geometry`` calls per matrix over all order-7 one-minus
+    matrices: each call reuses the landmarks it has already found."""
+
+    @pytest.mark.parametrize(
+        "name, budget", [("charges", 1.3), ("neutralize", 3.2), ("swap_charges", 5.0)]
+    )
+    def test_scans_per_matrix_at_order_7(self, monkeypatch, name, budget):
+        real = asmc.cells.geometry
+        calls = 0
+
+        def counting(a):
+            nonlocal calls
+            calls += 1
+            return real(a)
+
+        bound = [mod for key, mod in sys.modules.items()
+                 if key.split(".")[0] == "asmc" and getattr(mod, "geometry", None) is real]
+        assert asmc.cells in bound
+        for mod in bound:
+            monkeypatch.setattr(mod, "geometry", counting)
+        fn = getattr(asmc, name)
+        matrices = 0
+        for m in enumerate_asm(7, s=1):
+            fn(m)
+            matrices += 1
+        assert matrices == 29400
+        assert calls / matrices <= budget

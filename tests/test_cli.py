@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import asmc
 from asmc.cli import main
 
 DIAMOND_TEXT = "0 1 0\n1 -1 1\n0 1 0\n"
@@ -206,6 +209,27 @@ class TestExitCodes:
         code, _, err = run_cli(["restore"], "not json", monkeypatch, capsys)
         assert code == 2 and "ParseError" in err
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("validate", {"rows": [[1.7]]}),
+            ("validate", {"rows": [[True]]}),
+            ("validate", {"rows": [["1"]]}),
+            ("from-table", {"k": 3, "a": [0, 0, 1.9], "b": 0, "beta": 0}),
+            ("restore", {"N": {"rows": [[0, 1, 0], [1, -1, 1], [0, 1, 0]]}, "E": 0.0}),
+            ("recharge", {"k": True, "P": {"rows": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}, "c": 0, "E": 0}),
+            ("dual", {"paths": [{"start": [0, 1.0], "steps": ""}]}),
+        ],
+    )
+    def test_non_integer_json_file_exits_two(self, tmp_path, capsys, command, payload):
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(payload))
+        code = main([command, str(src)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
@@ -231,11 +255,15 @@ class TestExitCodes:
 
 
 def test_module_entrypoint_subprocess():
+    # the child imports the same asmc as this process, installed or not
+    src = str(Path(asmc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "asmc.cli", "params"],
         input=DIAMOND_TEXT,
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "r=1"

@@ -131,3 +131,12 @@ class TestRecharge:
 
         t = discharge(charged12)
         assert tuple_from_json(t.to_json()) == t
+
+    @pytest.mark.parametrize("field", ["k", "c", "E"])
+    @pytest.mark.parametrize("value", [True, 1.0, 1.5, "1"])
+    def test_json_non_int_field_rejected(self, charged12, field, value):
+        from asmc import ParseError, tuple_from_json
+
+        obj = {**discharge(charged12).to_json(), field: value}
+        with pytest.raises(ParseError, match=field):
+            tuple_from_json(obj)

@@ -1,6 +1,7 @@
 """Inversion tables, their characterization and table duality."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -10,10 +11,12 @@ from asmc import (
     GenInvTable,
     InvalidTable,
     NeutralPair,
+    cell_sums,
     charges,
     classical_params,
     dual_table,
     gen_table,
+    geometry,
     neutralize,
     pair_from_table,
     perm_from_table,
@@ -57,6 +60,35 @@ class TestPermTables:
             perm_from_table((0, 2, 0))
 
 
+def gen_table_by_definition(pair: NeutralPair) -> GenInvTable:
+    """Reference oracle, cubic: each ``a_i`` summed entry by entry over the
+    rows below row ``n+1-i`` and the columns left of that row's 1 (the
+    left 1 on the closing row)."""
+    m = pair.matrix
+    n = m.n
+    g = geometry(m)
+    a = []
+    for i in range(1, n + 1):
+        q = n + 1 - i
+        ref = g.left_one_col if q == g.closing_row else m.rows[q - 1].index(1) + 1
+        a.append(sum(m.rows[qq][c] for qq in range(q, n) for c in range(ref - 1)))
+    sums = cell_sums(m)
+    return GenInvTable(k=n + 1 - g.opening_row, a=tuple(a), b=sums.c, beta=pair.charge + sums.ell)
+
+
+def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
+    """A valid table of order ``n``: free ``a_i`` in ``[0, i-1]`` (condition
+    2), then the block at k drawn inside conditions 3 and 4."""
+    k = rng.randint(3, n)
+    a = [rng.randint(0, i - 1) for i in range(1, n + 1)]
+    ak = rng.randint(1, k - 2)
+    ak1 = rng.randint(0, ak - 1)
+    b = rng.randint(0, k - 2 - ak)
+    beta = rng.randint(0, ak + b - ak1 - 1)
+    a[k - 1], a[k - 2] = ak, ak1
+    return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
+
+
 class TestGenTable:
     def test_worked_example(self, pair12):
         assert gen_table(pair12) == TABLE12
@@ -66,6 +98,20 @@ class TestGenTable:
         assert gen_table(NeutralPair(diamond, 0)) == GenInvTable(
             k=3, a=(0, 0, 1), b=0, beta=0
         )
+
+    def test_matches_definition_on_every_order_6_pair(self):
+        for m in one_minus(6):
+            pair = neutralize(m)
+            assert gen_table(pair) == gen_table_by_definition(pair)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_definition_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (60, rng.randint(61, 199), 200):
+            t = random_valid_table(rng, n)
+            assert table_valid(t)
+            pair = pair_from_table(t)
+            assert gen_table(pair) == gen_table_by_definition(pair) == t
 
     def test_halves_are_non_negative(self):
         for m in one_minus(5):
@@ -221,6 +267,24 @@ class TestTableFormats:
 
     def test_json_roundtrip(self):
         assert table_from_json(TABLE12.to_json()) == TABLE12
+
+    @pytest.mark.parametrize("field", ["k", "b", "beta"])
+    @pytest.mark.parametrize("value", [True, 1.9, 3.0, "3"])
+    def test_json_non_int_field_rejected(self, field, value):
+        from asmc import ParseError
+
+        obj = {**TABLE12.to_json(), field: value}
+        with pytest.raises(ParseError, match=field):
+            table_from_json(obj)
+
+    @pytest.mark.parametrize("value", [True, 1.9, 2.0, "2"])
+    def test_json_non_int_table_entry_rejected(self, value):
+        from asmc import ParseError
+
+        obj = TABLE12.to_json()
+        obj["a"][2] = value
+        with pytest.raises(ParseError):
+            table_from_json(obj)
 
     def test_malformed_text_rejected(self):
         from asmc import ParseError

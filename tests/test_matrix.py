@@ -74,6 +74,21 @@ class TestValidate:
             validate_asm([[1, 0], [0, 2]])
         assert (info.value.row, info.value.col) == (2, 2)
 
+    @pytest.mark.parametrize("value", [True, False, 1.0, 1.7, "1", None])
+    def test_non_int_entry_rejected_not_converted(self, value):
+        grid = [[0, 1, 0], [1, -1, 1], [0, 1, 0]]
+        grid[2][1] = value
+        with pytest.raises(BadEntry) as info:
+            validate_asm(grid)
+        assert (info.value.row, info.value.col) == (3, 2)
+        assert info.value.value is value
+
+    def test_non_iterable_rows_rejected(self):
+        with pytest.raises(NotSquare):
+            validate_asm(5)
+        with pytest.raises(NotSquare):
+            validate_asm([1, 0])
+
     def test_agrees_with_independent_oracle_exhaustively(self):
         n = 3
         for cells in itertools.product((-1, 0, 1), repeat=n * n):
@@ -170,6 +185,18 @@ class TestFormats:
     def test_json_declared_order_must_match(self):
         with pytest.raises(ParseError):
             matrix_from_json({"n": 4, "rows": list(map(list, DIAMOND_ROWS))})
+
+    def test_json_float_entry_rejected(self):
+        with pytest.raises(BadEntry):
+            matrix_from_json({"rows": [[1.7]]})
+        with pytest.raises(BadEntry):
+            matrix_from_json({"rows": [[True]]})
+
+    def test_json_declared_order_must_be_an_integer(self):
+        with pytest.raises(ParseError):
+            matrix_from_json({"n": 1.0, "rows": [[1]]})
+        with pytest.raises(ParseError):
+            matrix_from_json({"n": True, "rows": [[1]]})
 
     def test_unparseable_text_rejected(self):
         with pytest.raises(ParseError):

@@ -6,6 +6,7 @@ from asmc import (
     InvalidPair,
     NeutralPair,
     NotOneMinus,
+    ParseError,
     cell_sums,
     charges,
     classical_params,
@@ -77,6 +78,17 @@ class TestPairInvariants:
 
     def test_json_roundtrip(self, pair12):
         assert pair_from_json(pair12.to_json()) == pair12
+
+    @pytest.mark.parametrize("value", [True, 3.0, 2.5, "3"])
+    def test_json_non_int_charge_rejected(self, pair12, value):
+        with pytest.raises(ParseError):
+            pair_from_json({**pair12.to_json(), "E": value})
+
+    def test_stored_sums_stay_out_of_equality(self, pair12):
+        twin = NeutralPair(pair12.matrix, pair12.charge)
+        assert twin == pair12 and hash(twin) == hash(pair12)
+        assert twin.sums == cell_sums(pair12.matrix)
+        assert "sums" not in repr(twin)
 
 
 class TestRestore:

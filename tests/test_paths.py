@@ -256,3 +256,10 @@ class TestJson:
             config_from_json({"paths": [{"start": [0, 1], "steps": "Q"}]})
         with pytest.raises(ParseError):
             config_from_json({"paths": "nope"})
+
+    @pytest.mark.parametrize("start", [[0, True], [0.0, 1], [0, 1.5], ["0", 1], [0, 1, 2], [0]])
+    def test_non_int_or_malformed_start_rejected(self, start):
+        from asmc import ParseError
+
+        with pytest.raises(ParseError):
+            config_from_json({"paths": [{"start": start, "steps": ""}]})
