@@ -79,10 +79,18 @@ class ChargeParams:
     j: int  # c + ell + |e| + 1, invariant under reflection
 
 
-def _require_one_minus(a: AsmMatrix) -> None:
-    s = minus_count(a)
-    if s != 1:
-        raise NotOneMinus(s)
+def _closing_row(a: AsmMatrix) -> int:
+    """The 1-based row holding the only -1 of ``a``, found in the same pass
+    that shows there is no other; raises :class:`NotOneMinus` otherwise."""
+    found = 0
+    for i, row in enumerate(a.rows, start=1):
+        if -1 in row:
+            if found or row.count(-1) != 1:
+                raise NotOneMinus(minus_count(a))
+            found = i
+    if not found:
+        raise NotOneMinus(0)
+    return found
 
 
 def box_sum(a: AsmMatrix, top: int, bottom: int, left: int, right: int) -> int:
@@ -93,9 +101,8 @@ def box_sum(a: AsmMatrix, top: int, bottom: int, left: int, right: int) -> int:
 
 def geometry(a: AsmMatrix) -> CellGeometry:
     """Locate the opening/closing landmarks of a one-minus ASM."""
-    _require_one_minus(a)
     n = a.n
-    closing_row = next(i + 1 for i, row in enumerate(a.rows) if -1 in row)
+    closing_row = _closing_row(a)
     opening_col = a.rows[closing_row - 1].index(-1) + 1
     opening_row = next(i + 1 for i in range(n) if a.rows[i][opening_col - 1] == 1)
     closing_line = a.rows[closing_row - 1]

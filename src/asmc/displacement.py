@@ -22,14 +22,21 @@ from .errors import PreconditionFailed
 IntGrid = tuple[tuple[int, ...], ...]
 
 _ZERO_ONE = frozenset((0, 1))
+_INT = frozenset((int,))
 
 
 def _as_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
-    rows = tuple(tuple(map(int, row)) for row in grid)
+    """``grid`` as a tuple of rows; entries must be ``int`` (not ``bool``),
+    and are never converted."""
+    rows = tuple(map(tuple, grid))
     if not rows or not rows[0]:
         raise PreconditionFailed("matrix must be non-empty")
     if any(len(row) != len(rows[0]) for row in rows):
         raise PreconditionFailed("matrix must be rectangular")
+    for row in rows:
+        if set(map(type, row)) != _INT:
+            v = next(v for v in row if type(v) is not int)
+            raise PreconditionFailed(f"entry {v!r} is not an integer")
     return rows
 
 

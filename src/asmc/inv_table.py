@@ -80,9 +80,11 @@ def _place_one(colsum: Sequence[int], target: int) -> int:
 def perm_from_table(a: Sequence[int]) -> AsmMatrix:
     """Permutation matrix with inversion table ``a``; inverse of
     :func:`perm_table`."""
-    a = tuple(int(v) for v in a)
+    a = tuple(a)
     n = len(a)
     for i, v in enumerate(a, start=1):
+        if type(v) is not int:
+            raise InvalidTable(2, f"a_{i}={v!r} is not an integer")
         if not 0 <= v <= i - 1:
             raise InvalidTable(2, f"a_{i}={v} outside [0, {i - 1}]")
     colsum = [0] * n

@@ -5,6 +5,12 @@ Each registered property sweeps all matrices (or derived objects) of one
 order and either passes or produces a concrete counterexample; the report
 collects per-property results with timings.  The registry is the single
 source for both the ``verify`` CLI command and the acceptance tests.
+
+The sweep visits each one-minus matrix once per order.  A property that
+relates the encodings of one matrix is a per-matrix check on a
+:class:`_Record`, whose encodings are computed on first use and shared
+by every check of that matrix; a property of a whole order (a bijection
+onto a counted set, a total) takes the pool and the order.
 """
 
 from __future__ import annotations
@@ -12,12 +18,17 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import comb
 from typing import Callable, Iterable
 
+from . import cells
+from . import inv_table as it
+from . import matrix as mx
 from . import neutral as nz
-from .cells import SignClass, cell_sums, charges, geometry, sign_class
+from . import paths as pt
+from .cells import SignClass, cell_sums, geometry, sign_class
 from .discharge import (
     DischargeTuple,
     _partial_discharge_neutral_shortcut,
@@ -49,9 +60,7 @@ from .matrix import (
 )
 from .neutral import NeutralPair
 from .paths import (
-    config_from_pair,
     config_params,
-    dual_config,
     pair_from_config,
     table_from_config,
     validate_config,
@@ -80,11 +89,73 @@ class _Pool:
         return [m for m in self.ones(n) if sign_class(m) is not SignClass.NEGATIVE]
 
 
+class _Record:
+    """One one-minus matrix with its encodings, each computed on first use.
+
+    Every field calls its operation through the operation's module, and a
+    record is built afresh for each matrix of each sweep, so an operation
+    replaced on its module (a deliberately broken involution) is seen.  A
+    record lives only while the sweep is at its matrix; keeping records
+    would hold every encoding of an order in memory at once.
+    """
+
+    def __init__(self, m: AsmMatrix):
+        self.m = m
+
+    @cached_property
+    def mirror(self) -> _Record:
+        """The record of the vertical reflection."""
+        return _Record(mx.reflect(self.m))
+
+    @cached_property
+    def swapped(self) -> _Record:
+        """The record of the charge swap, called live."""
+        return _Record(nz.swap_charges(self.m))
+
+    @cached_property
+    def cls(self) -> SignClass:
+        return cells.sign_class(self.m)
+
+    @cached_property
+    def ch(self) -> cells.ChargeParams:
+        return cells.charges(self.m)
+
+    @cached_property
+    def params(self) -> mx.ClassicalParams:
+        return mx.classical_params(self.m)
+
+    @cached_property
+    def pair(self) -> NeutralPair:
+        return nz.neutralize(self.m)
+
+    @cached_property
+    def table(self) -> GenInvTable:
+        return it.gen_table(self.pair)
+
+    @cached_property
+    def config(self) -> pt.MixedConfiguration:
+        return pt.config_from_pair(self.pair)
+
+    @cached_property
+    def dual(self) -> pt.MixedConfiguration:
+        """The path dual of the configuration, called live."""
+        return pt.dual_config(self.config)
+
+
+@dataclass(frozen=True)
+class _Each:
+    """A relation checked on every one-minus matrix whose sign class is in
+    ``classes``: ``check`` returns what went wrong, or None."""
+
+    check: Callable[[_Record], str | None]
+    classes: frozenset[SignClass] = frozenset(SignClass)
+
+
 def _cx(m: AsmMatrix, note: str) -> str:
     return f"{note}; matrix rows {m.rows}"
 
 
-# --- property implementations ----------------------------------------------
+# --- whole-order properties -------------------------------------------------
 # Each takes (pool, n) and returns (checked_count, counterexample | None).
 
 
@@ -101,34 +172,6 @@ def _prop_reflect_classical(pool: _Pool, n: int):
         if rp.s != p.s:
             return 0, _cx(m, "reflection changed the -1 count")
     return len(pool.all(n)), None
-
-
-def _prop_reflect_charges(pool: _Pool, n: int):
-    flip = {
-        SignClass.POSITIVE: SignClass.NEGATIVE,
-        SignClass.NEGATIVE: SignClass.POSITIVE,
-        SignClass.NEUTRAL: SignClass.NEUTRAL,
-    }
-    for m in pool.ones(n):
-        rm = reflect(m)
-        if sign_class(rm) is not flip[sign_class(m)]:
-            return 0, _cx(m, "sign class does not mirror under reflection")
-        ch, rch = charges(m), charges(rm)
-        if ch.e + rch.e != 0 or ch.b + rch.b != 0 or ch.j != rch.j:
-            return 0, _cx(m, f"charges {ch} vs reflected {rch} break (anti)invariance")
-    return len(pool.ones(n)), None
-
-
-def _prop_neutral_cell_swap(pool: _Pool, n: int):
-    checked = 0
-    for m in pool.ones(n):
-        if sign_class(m) is not SignClass.NEUTRAL:
-            continue
-        checked += 1
-        sums, rsums = cell_sums(m), cell_sums(reflect(m))
-        if (rsums.ell, rsums.c) != (sums.c, sums.ell):
-            return 0, _cx(m, "reflection does not swap leading and closing sums")
-    return checked, None
 
 
 def _prop_permutation_inversions(pool: _Pool, n: int):
@@ -163,46 +206,6 @@ def _prop_perm_table_roundtrip(pool: _Pool, n: int):
     return checked, None
 
 
-def _prop_discharge_structure(pool: _Pool, n: int):
-    checked = 0
-    for m in pool.non_negative(n):
-        checked += 1
-        p = partial_discharge(m)
-        t = discharge(m)
-        k = t.opening_row
-        if not is_permutation_matrix(p):
-            return 0, _cx(m, "discharge output is not a permutation matrix")
-        if p.rows[:k] != m.rows[:k]:
-            return 0, _cx(m, f"rows 1..{k} changed under discharge")
-        j = p.rows[k - 1].index(1)
-        mm = p.rows[k].index(1)
-        if mm >= j:
-            return 0, _cx(m, "row k+1's 1 is not left of row k's in the output")
-        lead = sum(
-            p.rows[q][c] for q in range(k, n) for c in range(mm + 1, j)
-        )
-        ch = charges(m)
-        if ch.ell != lead:
-            return 0, _cx(m, f"leading sum {ch.ell} != output leading cell {lead}")
-        x_in, x_out = ch.x, right_side_sum(p, k)
-        if not (t.closing_sum + t.charge < x_in == x_out):
-            return 0, _cx(m, f"c+E={t.closing_sum + t.charge}, x={x_in}, x(P)={x_out}")
-        if classical_params(m).i != classical_params(p).i + t.closing_sum + 1 + t.charge:
-            return 0, _cx(m, "inversions do not drop by c + 1 + E")
-    return checked, None
-
-
-def _prop_discharge_neutral_shortcut(pool: _Pool, n: int):
-    checked = 0
-    for m in pool.ones(n):
-        if sign_class(m) is not SignClass.NEUTRAL:
-            continue
-        checked += 1
-        if partial_discharge(m) != _partial_discharge_neutral_shortcut(m):
-            return 0, _cx(m, "four-step and two-step discharge disagree")
-    return checked, None
-
-
 def _iter_valid_tuples(n: int) -> Iterable[DischargeTuple]:
     from itertools import permutations
 
@@ -219,7 +222,12 @@ def _iter_valid_tuples(n: int) -> Iterable[DischargeTuple]:
                     yield DischargeTuple(k, p, c, e)
 
 
+# The image sets below hold the equal member of the expected set where
+# there is one, so each order keeps one copy of its objects, not two.
+
+
 def _prop_discharge_bijection(pool: _Pool, n: int):
+    expected = {t: t for t in _iter_valid_tuples(n)}
     image: dict[DischargeTuple, AsmMatrix] = {}
     for m in pool.non_negative(n):
         t = discharge(m)
@@ -227,140 +235,34 @@ def _prop_discharge_bijection(pool: _Pool, n: int):
             return 0, _cx(m, f"discharge produced invalid tuple: {tuple_valid(t).message}")
         if t in image:
             return 0, _cx(m, f"discharge collides with {image[t].rows}")
-        image[t] = m
+        image[expected.get(t, t)] = m
         if recharge(t) != m:
             return 0, _cx(m, "recharge does not invert discharge")
-    expected = set(_iter_valid_tuples(n))
-    if expected != set(image):
-        missing = expected - set(image)
-        extra = set(image) - expected
+    if expected.keys() != image.keys():
+        missing = expected.keys() - image.keys()
+        extra = image.keys() - expected.keys()
         return 0, f"tuple sets differ: {len(missing)} unreached, {len(extra)} unexpected (n={n})"
     return len(image) + len(expected), None
 
 
-def _prop_neutralize_roundtrip(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        if nz.restore(nz.neutralize(m)) != m:
-            return 0, _cx(m, "restore does not invert neutralize")
-    return len(pool.ones(n)), None
-
-
 def _prop_neutralize_image(pool: _Pool, n: int):
-    image = set()
-    for m in pool.ones(n):
-        p = nz.neutralize(m)
-        if p in image:
-            return 0, _cx(m, "neutralize is not injective")
-        image.add(p)
-    expected = set()
+    expected = {}
     for m in pool.ones(n):
         if sign_class(m) is not SignClass.NEUTRAL:
             continue
         sums = cell_sums(m)
         for e in range(-sums.ell, sums.c + 1):
-            expected.add(NeutralPair(m, e))
-    if image != expected:
-        return 0, f"pair sets differ by {len(image ^ expected)} elements (n={n})"
+            pair = NeutralPair(m, e)
+            expected[pair] = pair
+    image = set()
+    for m in pool.ones(n):
+        p = nz.neutralize(m)
+        if p in image:
+            return 0, _cx(m, "neutralize is not injective")
+        image.add(expected.get(p, p))
+    if image != expected.keys():
+        return 0, f"pair sets differ by {len(image ^ expected.keys())} elements (n={n})"
     return len(image) + len(expected), None
-
-
-def _prop_neutralize_transport(pool: _Pool, n: int):
-    sign_of = {SignClass.POSITIVE: 1, SignClass.NEUTRAL: 0, SignClass.NEGATIVE: -1}
-    for m in pool.ones(n):
-        pair = nz.neutralize(m)
-        pm, pn = classical_params(m), classical_params(pair.matrix)
-        cm, cn = charges(m), charges(pair.matrix)
-        if (pm.r, pm.i) != (pn.r, pn.i):
-            return 0, _cx(m, "neutralizing changed r or i")
-        if pair.charge != cm.e:
-            return 0, _cx(m, f"pair charge {pair.charge} != electric charge {cm.e}")
-        if cn.b != cm.b + cm.e:
-            return 0, _cx(m, f"B(N)={cn.b} != B(A)+E(A)={cm.b + cm.e}")
-        if cn.j != cm.j:
-            return 0, _cx(m, "neutralizing changed J")
-        if (pair.charge > 0) - (pair.charge < 0) != sign_of[sign_class(m)]:
-            return 0, _cx(m, "sign of the charge does not match the class")
-    return len(pool.ones(n)), None
-
-
-def _prop_neutralize_reflect(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        pair = nz.neutralize(m)
-        mirrored = nz.neutralize(reflect(m))
-        if mirrored != NeutralPair(reflect(pair.matrix), -pair.charge):
-            return 0, _cx(m, "neutralize does not commute with reflection")
-    return len(pool.ones(n)), None
-
-
-def _prop_charge_range(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        pair = nz.neutralize(m)
-        sums = cell_sums(pair.matrix)
-        b = charges(m).b
-        if not -sums.ell <= b <= sums.c:
-            return 0, _cx(m, f"B={b} outside [{-sums.ell}, {sums.c}]")
-    return len(pool.ones(n)), None
-
-
-def _prop_charge_flip_involution(pool: _Pool, n: int):
-    checked = 0
-    for m in pool.ones(n):
-        try:
-            pair = nz.neutralize(m)
-            flipped = nz.flip_charge(pair)
-            checked += 1
-            if flipped.matrix != pair.matrix:
-                return 0, _cx(m, "charge flip changed the neutral matrix")
-            if nz.flip_charge(flipped) != pair:
-                return 0, _cx(m, "charge flip is not an involution")
-        except AsmcError as exc:
-            return 0, _cx(m, f"raised {type(exc).__name__}: {exc}")
-    return checked, None
-
-
-def _prop_charge_swap(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        try:
-            swapped = nz.swap_charges(m)
-            cm, cs = charges(m), charges(swapped)
-            if (cs.e, cs.b) != (cm.b, cm.e):
-                return 0, _cx(m, f"swap gave E={cs.e}, B={cs.b}; expected {cm.b}, {cm.e}")
-            if nz.swap_charges(swapped) != m:
-                return 0, _cx(m, "charge swap is not an involution")
-            pm, ps = classical_params(m), classical_params(swapped)
-            if (pm.r, pm.i, cm.j) != (ps.r, ps.i, cs.j):
-                return 0, _cx(m, "charge swap changed r, i or J")
-            k = geometry(m).opening_row
-            if swapped.rows[:k] != m.rows[:k]:
-                return 0, _cx(m, "charge swap changed rows 1..k")
-        except AsmcError as exc:
-            return 0, _cx(m, f"raised {type(exc).__name__}: {exc}")
-    return len(pool.ones(n)), None
-
-
-def _prop_charge_swap_reflect(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        if nz.swap_charges(reflect(m)) != reflect(nz.swap_charges(m)):
-            return 0, _cx(m, "charge swap does not commute with reflection")
-    return len(pool.ones(n)), None
-
-
-def _prop_table_roundtrip(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        pair = nz.neutralize(m)
-        t = gen_table(pair)
-        if not table_valid(t):
-            return 0, _cx(m, f"encoded table fails validity: {table_valid(t).message}")
-        if pair_from_table(t) != pair:
-            return 0, _cx(m, f"table {t.to_text()} does not rebuild the pair")
-        pv = table_params(t)
-        cm, pm = charges(m), classical_params(m)
-        if (pv.r, pv.i, pv.e, pv.b, pv.j) != (pm.r, pm.i, cm.e, cm.b, cm.j):
-            return 0, _cx(m, f"table params {pv} disagree with matrix params")
-        sums = cell_sums(pair.matrix)
-        if sums.ell != t.a[t.k - 1] - 1 - t.a[t.k - 2]:
-            return 0, _cx(m, "leading sum != a_k - 1 - a_{k-1}")
-    return len(pool.ones(n)), None
 
 
 def _iter_valid_tables(n: int) -> Iterable[GenInvTable]:
@@ -375,89 +277,18 @@ def _iter_valid_tables(n: int) -> Iterable[GenInvTable]:
 
 
 def _prop_table_characterization(pool: _Pool, n: int):
-    image = {gen_table(nz.neutralize(m)) for m in pool.ones(n)}
-    expected = set(_iter_valid_tables(n))
-    if image != expected:
-        return 0, f"table sets differ by {len(image ^ expected)} elements (n={n})"
+    expected = {t: t for t in _iter_valid_tables(n)}
+    image = set()
+    for m in pool.ones(n):
+        t = gen_table(nz.neutralize(m))
+        image.add(expected.get(t, t))
+    if image != expected.keys():
+        return 0, f"table sets differ by {len(image ^ expected.keys())} elements (n={n})"
     for t in expected:
         back = gen_table(pair_from_table(t))
         if back != t:
             return 0, f"table {t.to_text()} does not round-trip (got {back.to_text()})"
     return len(image) + len(expected), None
-
-
-def _prop_table_duality(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        t = gen_table(nz.neutralize(m))
-        d = dual_table(t)
-        if dual_table(d) != t:
-            return 0, _cx(m, "table duality is not an involution")
-        if d != gen_table(nz.neutralize(reflect(m))):
-            return 0, _cx(m, "dual table != table of the reflected matrix")
-        if d.a[t.k - 2] + t.a[t.k - 1] + t.b != t.k - 2:
-            return 0, _cx(m, "dual a_{k-1} does not complement a_k + b to k-2")
-        beta_prime = t.b - t.beta + t.a[t.k - 1] - t.a[t.k - 2] - 1
-        if d.beta != beta_prime:
-            return 0, _cx(m, f"dual beta {d.beta} != charge-swap beta {beta_prime}")
-        swapped = GenInvTable(k=t.k, a=t.a, b=t.b, beta=beta_prime)
-        if swapped != gen_table(nz.neutralize(nz.swap_charges(m))):
-            return 0, _cx(m, "replacing beta by beta' is not the charge swap")
-    return len(pool.ones(n)), None
-
-
-def _prop_paths_roundtrip(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        pair = nz.neutralize(m)
-        cfg = config_from_pair(pair)
-        problems = validate_config(cfg)
-        if problems:
-            return 0, _cx(m, f"encoded configuration invalid: {problems[0]}")
-        if cfg.step_count("N") != 1 or cfg.step_count("S") != 1:
-            return 0, _cx(m, "configuration does not have exactly one N and one S")
-        t = gen_table(pair)
-        if "N" not in cfg.paths[t.k - 2].steps or "S" not in cfg.paths[t.k - 1].steps:
-            return 0, _cx(m, "special steps are not in consecutive paths k-1, k")
-        ends = [p.end for p in cfg.paths]
-        expected_ends = [(i - 1, i) for i in range(1, n + 1)]
-        expected_ends[t.k - 2], expected_ends[t.k - 1] = (
-            (t.k - 1, t.k),
-            (t.k - 2, t.k - 1),
-        )
-        if ends != expected_ends:
-            return 0, _cx(m, f"endpoints {ends} break the endpoint law")
-        if pair_from_config(cfg) != pair:
-            return 0, _cx(m, "configuration does not decode to its pair")
-    return len(pool.ones(n)), None
-
-
-def _prop_paths_params(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        cfg = config_from_pair(nz.neutralize(m))
-        pv = config_params(cfg)
-        cm, pm = charges(m), classical_params(m)
-        if (pv.r, pv.i, pv.e, pv.b, pv.j) != (pm.r, pm.i, cm.e, cm.b, cm.j):
-            return 0, _cx(m, f"path params {pv} disagree with matrix params")
-    return len(pool.ones(n)), None
-
-
-def _prop_paths_duality(pool: _Pool, n: int):
-    for m in pool.ones(n):
-        cfg = config_from_pair(nz.neutralize(m))
-        dual = dual_config(cfg)
-        if dual_config(dual) != cfg:
-            return 0, _cx(m, "path duality is not an involution")
-        if dual != config_from_pair(nz.neutralize(reflect(m))):
-            return 0, _cx(m, "dual configuration != configuration of the reflection")
-        if table_from_config(dual) != dual_table(table_from_config(cfg)):
-            return 0, _cx(m, "path duality does not realize table duality")
-        if (dual.step_count("N"), dual.step_count("S")) != (1, 1):
-            return 0, _cx(m, "duality changed the special step counts")
-        junctions = sorted(
-            (level - 1 - x, level) for (x, level) in (p.junction for p in cfg.paths)
-        )
-        if junctions != sorted(p.junction for p in dual.paths):
-            return 0, _cx(m, "junctions do not map by the level mirror")
-    return len(pool.ones(n)), None
 
 
 def _prop_enumeration_totals(pool: _Pool, n: int):
@@ -473,8 +304,8 @@ def _prop_enumeration_totals(pool: _Pool, n: int):
         validate_asm(m.rows)
     if n <= 3:
         naive = set()
-        for cells in product((-1, 0, 1), repeat=n * n):
-            grid = [cells[i * n : (i + 1) * n] for i in range(n)]
+        for entries in product((-1, 0, 1), repeat=n * n):
+            grid = [entries[i * n : (i + 1) * n] for i in range(n)]
             try:
                 naive.add(validate_asm(grid).rows)
             except AsmcError:
@@ -496,29 +327,221 @@ def _prop_distribution_mirror(pool: _Pool, n: int):
     return sum(e_counts.values()) + sum(b_counts.values()), None
 
 
-PROPERTIES: tuple[tuple[str, str, Callable], ...] = (
+# --- per-matrix checks --------------------------------------------------------
+# Each takes a record and returns what went wrong, or None; the sweep adds
+# the matrix rows.
+
+_FLIP = {
+    SignClass.POSITIVE: SignClass.NEGATIVE,
+    SignClass.NEGATIVE: SignClass.POSITIVE,
+    SignClass.NEUTRAL: SignClass.NEUTRAL,
+}
+_SIGN_OF = {SignClass.POSITIVE: 1, SignClass.NEUTRAL: 0, SignClass.NEGATIVE: -1}
+
+
+def _reflect_charges(rec: _Record):
+    if rec.mirror.cls is not _FLIP[rec.cls]:
+        return "sign class does not mirror under reflection"
+    ch, rch = rec.ch, rec.mirror.ch
+    if ch.e + rch.e != 0 or ch.b + rch.b != 0 or ch.j != rch.j:
+        return f"charges {ch} vs reflected {rch} break (anti)invariance"
+
+
+def _neutral_cell_swap(rec: _Record):
+    sums, rsums = rec.ch, rec.mirror.ch
+    if (rsums.ell, rsums.c) != (sums.c, sums.ell):
+        return "reflection does not swap leading and closing sums"
+
+
+def _discharge_structure(rec: _Record):
+    m, n = rec.m, rec.m.n
+    p = partial_discharge(m)
+    t = discharge(m)
+    k = t.opening_row
+    if not is_permutation_matrix(p):
+        return "discharge output is not a permutation matrix"
+    if p.rows[:k] != m.rows[:k]:
+        return f"rows 1..{k} changed under discharge"
+    j = p.rows[k - 1].index(1)
+    mm = p.rows[k].index(1)
+    if mm >= j:
+        return "row k+1's 1 is not left of row k's in the output"
+    lead = sum(p.rows[q][c] for q in range(k, n) for c in range(mm + 1, j))
+    ch = rec.ch
+    if ch.ell != lead:
+        return f"leading sum {ch.ell} != output leading cell {lead}"
+    x_in, x_out = ch.x, right_side_sum(p, k)
+    if not (t.closing_sum + t.charge < x_in == x_out):
+        return f"c+E={t.closing_sum + t.charge}, x={x_in}, x(P)={x_out}"
+    if rec.params.i != classical_params(p).i + t.closing_sum + 1 + t.charge:
+        return "inversions do not drop by c + 1 + E"
+
+
+def _discharge_neutral_shortcut(rec: _Record):
+    if partial_discharge(rec.m) != _partial_discharge_neutral_shortcut(rec.m):
+        return "four-step and two-step discharge disagree"
+
+
+def _neutralize_roundtrip(rec: _Record):
+    if nz.restore(rec.pair) != rec.m:
+        return "restore does not invert neutralize"
+
+
+def _neutralize_transport(rec: _Record):
+    pair, pm, cm = rec.pair, rec.params, rec.ch
+    pn, cn = classical_params(pair.matrix), cells.charges(pair.matrix)
+    if (pm.r, pm.i) != (pn.r, pn.i):
+        return "neutralizing changed r or i"
+    if pair.charge != cm.e:
+        return f"pair charge {pair.charge} != electric charge {cm.e}"
+    if cn.b != cm.b + cm.e:
+        return f"B(N)={cn.b} != B(A)+E(A)={cm.b + cm.e}"
+    if cn.j != cm.j:
+        return "neutralizing changed J"
+    if (pair.charge > 0) - (pair.charge < 0) != _SIGN_OF[rec.cls]:
+        return "sign of the charge does not match the class"
+
+
+def _neutralize_reflect(rec: _Record):
+    pair = rec.pair
+    if rec.mirror.pair != NeutralPair(reflect(pair.matrix), -pair.charge):
+        return "neutralize does not commute with reflection"
+
+
+def _charge_range(rec: _Record):
+    sums = cell_sums(rec.pair.matrix)
+    b = rec.ch.b
+    if not -sums.ell <= b <= sums.c:
+        return f"B={b} outside [{-sums.ell}, {sums.c}]"
+
+
+def _charge_flip_involution(rec: _Record):
+    pair = rec.pair
+    flipped = nz.flip_charge(pair)
+    if flipped.matrix != pair.matrix:
+        return "charge flip changed the neutral matrix"
+    if nz.flip_charge(flipped) != pair:
+        return "charge flip is not an involution"
+
+
+def _charge_swap(rec: _Record):
+    swapped = rec.swapped
+    cm, cs = rec.ch, swapped.ch
+    if (cs.e, cs.b) != (cm.b, cm.e):
+        return f"swap gave E={cs.e}, B={cs.b}; expected {cm.b}, {cm.e}"
+    if swapped.swapped.m != rec.m:
+        return "charge swap is not an involution"
+    pm, ps = rec.params, swapped.params
+    if (pm.r, pm.i, cm.j) != (ps.r, ps.i, cs.j):
+        return "charge swap changed r, i or J"
+    k = geometry(rec.m).opening_row
+    if swapped.m.rows[:k] != rec.m.rows[:k]:
+        return "charge swap changed rows 1..k"
+
+
+def _charge_swap_reflect(rec: _Record):
+    if rec.mirror.swapped.m != rec.swapped.mirror.m:
+        return "charge swap does not commute with reflection"
+
+
+def _table_roundtrip(rec: _Record):
+    pair, t = rec.pair, rec.table
+    if not table_valid(t):
+        return f"encoded table fails validity: {table_valid(t).message}"
+    if pair_from_table(t) != pair:
+        return f"table {t.to_text()} does not rebuild the pair"
+    pv = table_params(t)
+    cm, pm = rec.ch, rec.params
+    if (pv.r, pv.i, pv.e, pv.b, pv.j) != (pm.r, pm.i, cm.e, cm.b, cm.j):
+        return f"table params {pv} disagree with matrix params"
+    if cell_sums(pair.matrix).ell != t.a[t.k - 1] - 1 - t.a[t.k - 2]:
+        return "leading sum != a_k - 1 - a_{k-1}"
+
+
+def _table_duality(rec: _Record):
+    t = rec.table
+    d = dual_table(t)
+    if dual_table(d) != t:
+        return "table duality is not an involution"
+    if d != rec.mirror.table:
+        return "dual table != table of the reflected matrix"
+    if d.a[t.k - 2] + t.a[t.k - 1] + t.b != t.k - 2:
+        return "dual a_{k-1} does not complement a_k + b to k-2"
+    beta_prime = t.b - t.beta + t.a[t.k - 1] - t.a[t.k - 2] - 1
+    if d.beta != beta_prime:
+        return f"dual beta {d.beta} != charge-swap beta {beta_prime}"
+    if GenInvTable(k=t.k, a=t.a, b=t.b, beta=beta_prime) != rec.swapped.table:
+        return "replacing beta by beta' is not the charge swap"
+
+
+def _paths_roundtrip(rec: _Record):
+    cfg, t, n = rec.config, rec.table, rec.m.n
+    problems = validate_config(cfg)
+    if problems:
+        return f"encoded configuration invalid: {problems[0]}"
+    if cfg.step_count("N") != 1 or cfg.step_count("S") != 1:
+        return "configuration does not have exactly one N and one S"
+    if "N" not in cfg.paths[t.k - 2].steps or "S" not in cfg.paths[t.k - 1].steps:
+        return "special steps are not in consecutive paths k-1, k"
+    ends = [p.end for p in cfg.paths]
+    expected_ends = [(i - 1, i) for i in range(1, n + 1)]
+    expected_ends[t.k - 2], expected_ends[t.k - 1] = (t.k - 1, t.k), (t.k - 2, t.k - 1)
+    if ends != expected_ends:
+        return f"endpoints {ends} break the endpoint law"
+    if pair_from_config(cfg) != rec.pair:
+        return "configuration does not decode to its pair"
+
+
+def _paths_params(rec: _Record):
+    pv = config_params(rec.config)
+    cm, pm = rec.ch, rec.params
+    if (pv.r, pv.i, pv.e, pv.b, pv.j) != (pm.r, pm.i, cm.e, cm.b, cm.j):
+        return f"path params {pv} disagree with matrix params"
+
+
+def _paths_duality(rec: _Record):
+    cfg, dual = rec.config, rec.dual
+    if pt.dual_config(dual) != cfg:
+        return "path duality is not an involution"
+    if dual != rec.mirror.config:
+        return "dual configuration != configuration of the reflection"
+    if table_from_config(dual) != dual_table(table_from_config(cfg)):
+        return "path duality does not realize table duality"
+    if (dual.step_count("N"), dual.step_count("S")) != (1, 1):
+        return "duality changed the special step counts"
+    junctions = sorted(
+        (level - 1 - x, level) for (x, level) in (p.junction for p in cfg.paths)
+    )
+    if junctions != sorted(p.junction for p in dual.paths):
+        return "junctions do not map by the level mirror"
+
+
+_NEUTRAL = frozenset({SignClass.NEUTRAL})
+_NON_NEGATIVE = frozenset({SignClass.NEUTRAL, SignClass.POSITIVE})
+
+PROPERTIES: tuple[tuple[str, str, Callable | _Each], ...] = (
     ("reflect-classical", "double reflection is the identity; r, i, s reflection identities", _prop_reflect_classical),
-    ("reflect-charges", "sign class mirrors and E, B negate, J invariant under reflection", _prop_reflect_charges),
-    ("neutral-cell-swap", "reflection swaps the leading and closing sums of a neutral matrix", _prop_neutral_cell_swap),
+    ("reflect-charges", "sign class mirrors and E, B negate, J invariant under reflection", _Each(_reflect_charges)),
+    ("neutral-cell-swap", "reflection swaps the leading and closing sums of a neutral matrix", _Each(_neutral_cell_swap, _NEUTRAL)),
     ("permutation-inversions", "ASM inversion count reduces to pairwise inversions on permutations", _prop_permutation_inversions),
     ("perm-table-roundtrip", "permutation inversion tables encode and decode faithfully", _prop_perm_table_roundtrip),
-    ("discharge-structure", "discharge yields a permutation fixing rows 1..k with the stated sums", _prop_discharge_structure),
-    ("discharge-neutral-shortcut", "steps 3 and 4 cancel on neutral inputs", _prop_discharge_neutral_shortcut),
+    ("discharge-structure", "discharge yields a permutation fixing rows 1..k with the stated sums", _Each(_discharge_structure, _NON_NEGATIVE)),
+    ("discharge-neutral-shortcut", "steps 3 and 4 cancel on neutral inputs", _Each(_discharge_neutral_shortcut, _NEUTRAL)),
     ("discharge-bijection", "discharge hits every valid 4-tuple exactly once and inverts", _prop_discharge_bijection),
-    ("neutralize-roundtrip", "restore inverts neutralize on every one-minus matrix", _prop_neutralize_roundtrip),
+    ("neutralize-roundtrip", "restore inverts neutralize on every one-minus matrix", _Each(_neutralize_roundtrip)),
     ("neutralize-image", "neutralize maps onto exactly the admissible (N, E) pairs", _prop_neutralize_image),
-    ("neutralize-transport", "neutralize preserves r, i, J and shifts B by E", _prop_neutralize_transport),
-    ("neutralize-reflect", "neutralize commutes with vertical reflection", _prop_neutralize_reflect),
-    ("charge-range", "the magnetic charge shares the electric charge's interval", _prop_charge_range),
-    ("charge-flip-involution", "flipping the charge in its interval is an involution", _prop_charge_flip_involution),
-    ("charge-swap", "the matrix involution swaps E and B and fixes r, i, J", _prop_charge_swap),
-    ("charge-swap-reflect", "the charge swap commutes with reflection", _prop_charge_swap_reflect),
-    ("table-roundtrip", "generalized tables encode pairs faithfully with matching statistics", _prop_table_roundtrip),
+    ("neutralize-transport", "neutralize preserves r, i, J and shifts B by E", _Each(_neutralize_transport)),
+    ("neutralize-reflect", "neutralize commutes with vertical reflection", _Each(_neutralize_reflect)),
+    ("charge-range", "the magnetic charge shares the electric charge's interval", _Each(_charge_range)),
+    ("charge-flip-involution", "flipping the charge in its interval is an involution", _Each(_charge_flip_involution)),
+    ("charge-swap", "the matrix involution swaps E and B and fixes r, i, J", _Each(_charge_swap)),
+    ("charge-swap-reflect", "the charge swap commutes with reflection", _Each(_charge_swap_reflect)),
+    ("table-roundtrip", "generalized tables encode pairs faithfully with matching statistics", _Each(_table_roundtrip)),
     ("table-characterization", "the four table conditions capture exactly the encodable tables", _prop_table_characterization),
-    ("table-duality", "table duality matches reflection and the charge-swap beta", _prop_table_duality),
-    ("paths-roundtrip", "path configurations encode pairs faithfully with the endpoint law", _prop_paths_roundtrip),
-    ("paths-params", "statistics read off paths match the matrix statistics", _prop_paths_params),
-    ("paths-duality", "path duality mirrors junctions and matches reflection", _prop_paths_duality),
+    ("table-duality", "table duality matches reflection and the charge-swap beta", _Each(_table_duality)),
+    ("paths-roundtrip", "path configurations encode pairs faithfully with the endpoint law", _Each(_paths_roundtrip)),
+    ("paths-params", "statistics read off paths match the matrix statistics", _Each(_paths_params)),
+    ("paths-duality", "path duality mirrors junctions and matches reflection", _Each(_paths_duality)),
     ("enumeration-totals", "enumeration is deterministic, duplicate-free and matches the product formula", _prop_enumeration_totals),
     ("distribution-mirror", "E and B marginals are mirror images of each other and equal as multisets", _prop_distribution_mirror),
 )
@@ -538,9 +561,23 @@ class PropertyResult:
 
 
 @dataclass
+class OrderResult:
+    """Checks completed at one order and the wall time the order took."""
+
+    n: int
+    checked: int
+    seconds: float
+
+    @property
+    def checks_per_s(self) -> float:
+        return self.checked / self.seconds if self.seconds else 0.0
+
+
+@dataclass
 class VerifyReport:
     n_max: int
     results: list[PropertyResult] = field(default_factory=list)
+    orders: list[OrderResult] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -556,6 +593,12 @@ class VerifyReport:
             )
             if not r.ok:
                 lines.append(f"    counterexample: {r.counterexample}")
+        for o in self.orders:
+            label = f"n = {o.n}"
+            lines.append(
+                f"  {label:<{width}}       {o.checked:>9} checks  {o.seconds:7.2f}s"
+                f"  {o.checks_per_s:9.0f} checks/s"
+            )
         passed = sum(1 for r in self.results if r.ok)
         lines.append(f"{passed}/{len(self.results)} properties passed")
         return "\n".join(lines) + "\n"
@@ -576,44 +619,107 @@ class VerifyReport:
                     }
                     for r in self.results
                 ],
+                "orders": [
+                    {
+                        "n": o.n,
+                        "checked": o.checked,
+                        "seconds": round(o.seconds, 3),
+                        "checks_per_s": round(o.checks_per_s, 1),
+                    }
+                    for o in self.orders
+                ],
             },
             indent=2,
         )
 
 
+class _Tally:
+    """The running result of one property during a sweep."""
+
+    def __init__(self, name: str, description: str, impl):
+        self.result = PropertyResult(name, description, 0, None, 0.0)
+        self.impl = impl
+        self.done = 0  # checks passed at the current order
+
+
+def _stream(pool: _Pool, n: int, tallies: list[_Tally]) -> None:
+    """Run the per-matrix checks of ``tallies`` over the one-minus matrices
+    of order ``n``, one record per matrix.  Each check is timed and charged
+    to its property, so a record field is charged to the first property
+    that reads it; the enumeration is charged to the first property."""
+    clock = time.perf_counter
+    start = clock()
+    ones = pool.ones(n)
+    tallies[0].result.seconds += clock() - start
+    for m in ones:
+        rec = _Record(m)
+        for tally in tallies:
+            result, each = tally.result, tally.impl
+            if not result.ok:
+                continue
+            start = clock()
+            try:
+                note = None
+                if rec.cls in each.classes:
+                    note = each.check(rec)
+                    tally.done += 1
+            except AsmcError as exc:
+                note = f"raised {type(exc).__name__}: {exc}"
+            result.seconds += clock() - start
+            if note is not None:
+                result.counterexample = _cx(m, note)
+
+
+def _sweep(
+    names: Iterable[str], pool: _Pool, n_values: Iterable[int]
+) -> tuple[list[PropertyResult], list[OrderResult]]:
+    """Run the named properties order by order, each stopping at its first
+    counterexample (orders ascend, so it is minimal).  A property failing at
+    an order keeps the count of the orders before it."""
+    registry = {name: (description, impl) for name, description, impl in PROPERTIES}
+    tallies = []
+    for name in names:
+        if name not in registry:
+            raise ValueError(f"unknown property {name!r}")
+        tallies.append(_Tally(name, *registry[name]))
+    orders = []
+    for n in n_values:
+        start = time.perf_counter()
+        live = [t for t in tallies if t.result.ok]
+        streamed = [t for t in live if isinstance(t.impl, _Each)]
+        if streamed:
+            _stream(pool, n, streamed)
+        for tally in live:
+            if isinstance(tally.impl, _Each):
+                continue
+            t0 = time.perf_counter()
+            try:
+                tally.done, tally.result.counterexample = tally.impl(pool, n)
+            except AsmcError as exc:
+                tally.result.counterexample = f"unexpected error at n={n}: {exc}"
+            tally.result.seconds += time.perf_counter() - t0
+        checked = 0
+        for tally in live:
+            if tally.result.ok:
+                tally.result.checked += tally.done
+                checked += tally.done
+            tally.done = 0
+        orders.append(OrderResult(n, checked, time.perf_counter() - start))
+    return [t.result for t in tallies], orders
+
+
 def run_property(name: str, pool: _Pool, n_values: Iterable[int]) -> PropertyResult:
     """Run one registered property over the given orders, stopping at the
     first counterexample (orders ascend, so it is minimal)."""
-    try:
-        description, func = next((d, f) for (p, d, f) in PROPERTIES if p == name)
-    except StopIteration:
-        raise ValueError(f"unknown property {name!r}") from None
-    start = time.perf_counter()
-    checked = 0
-    counterexample = None
-    for n in n_values:
-        try:
-            done, counterexample = func(pool, n)
-        except AsmcError as exc:
-            done, counterexample = 0, f"unexpected error at n={n}: {exc}"
-        checked += done
-        if counterexample is not None:
-            break
-    return PropertyResult(
-        name=name,
-        description=description,
-        checked=checked,
-        counterexample=counterexample,
-        seconds=time.perf_counter() - start,
-    )
+    return _sweep([name], pool, n_values)[0][0]
 
 
 def verify_suite(n_max: int, cap: int = DEFAULT_CAP) -> VerifyReport:
-    """Run every registered property exhaustively for 3 <= n <= n_max."""
+    """Run every registered property exhaustively for 3 <= n <= n_max,
+    visiting each one-minus matrix of an order once for all of them."""
     if n_max > cap:
         raise CapExceeded(n_max, cap)
-    pool = _Pool(cap)
-    report = VerifyReport(n_max=n_max)
-    for name, _, _ in PROPERTIES:
-        report.results.append(run_property(name, pool, range(3, n_max + 1)))
-    return report
+    results, orders = _sweep(
+        [name for name, _, _ in PROPERTIES], _Pool(cap), range(3, n_max + 1)
+    )
+    return VerifyReport(n_max=n_max, results=results, orders=orders)

@@ -37,8 +37,19 @@ class TestGeometry:
         assert (g.opening_row, g.closing_row) == (3, 4)
 
     def test_permutation_matrix_rejected(self):
-        with pytest.raises(NotOneMinus):
+        with pytest.raises(NotOneMinus) as exc:
             geometry(validate_asm([[1, 0], [0, 1]]))
+        assert exc.value.s == 0
+
+    @pytest.mark.parametrize("same_row", [True, False])
+    def test_two_minus_ones_rejected_with_their_count(self, same_row):
+        m = next(
+            m for m in enumerate_asm(5, s=2)
+            if any(row.count(-1) == 2 for row in m.rows) == same_row
+        )
+        with pytest.raises(NotOneMinus) as exc:
+            geometry(m)
+        assert exc.value.s == 2
 
     def test_landmark_ordering_invariants(self):
         for m in one_minus(5):

@@ -179,6 +179,18 @@ class TestEnumerationCommands:
         )
         assert code == 0 and json.loads(out)["ok"] is True
 
+    def test_verify_json_orders(self, monkeypatch, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--n-max", "4", "--format", "json"], "", monkeypatch, capsys
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert [o["n"] for o in payload["orders"]] == [3, 4]
+        assert sum(o["checked"] for o in payload["orders"]) == sum(
+            p["checked"] for p in payload["properties"]
+        )
+        assert all(o["seconds"] >= 0 and o["checks_per_s"] > 0 for o in payload["orders"])
+
     def test_verify_exits_nonzero_on_failure(self, monkeypatch, capsys):
         import asmc.cli as cli_mod
         from asmc.verify import PropertyResult, VerifyReport

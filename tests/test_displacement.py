@@ -185,3 +185,22 @@ class TestRegion:
             Region(2, 1, 1, 1)
         with pytest.raises(PreconditionFailed):
             apply_in_region(((1, 0),), Region(1, 2, 1, 2), h_shift)
+
+
+class TestNonIntegerEntries:
+    """Entries are never converted: floats, bools and strings are refused."""
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "x"])
+    def test_h_shift(self, bad):
+        with pytest.raises(PreconditionFailed, match="not an integer"):
+            h_shift(((bad, 0), (0, 0)))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "x"])
+    def test_v_shift(self, bad):
+        with pytest.raises(PreconditionFailed, match="not an integer"):
+            v_shift(((0, 0), (bad, 0)))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "x"])
+    def test_apply_in_region(self, bad):
+        with pytest.raises(PreconditionFailed, match="not an integer.*region"):
+            apply_in_region(((9, bad, 0),), Region(1, 1, 2, 3), h_shift)

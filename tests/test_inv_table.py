@@ -59,6 +59,11 @@ class TestPermTables:
         with pytest.raises(InvalidTable):
             perm_from_table((0, 2, 0))
 
+    @pytest.mark.parametrize("a", [(0, 1.9, True), (0, True), (0, 1.0), (0, "1")])
+    def test_non_integer_entries_rejected(self, a):
+        with pytest.raises(InvalidTable, match="not an integer"):
+            perm_from_table(a)
+
 
 def gen_table_by_definition(pair: NeutralPair) -> GenInvTable:
     """Reference oracle, cubic: each ``a_i`` summed entry by entry over the

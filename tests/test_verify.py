@@ -2,11 +2,12 @@
 catch a deliberately broken involution."""
 
 import json
+import sys
 
 import pytest
 
 import asmc.neutral
-from asmc import NeutralPair, verify_suite
+from asmc import NeutralPair, enumerate_asm, verify_suite
 from asmc.verify import PROPERTIES, _Pool, run_property
 
 
@@ -29,6 +30,8 @@ def test_text_report_lists_every_property():
     for name, _, _ in PROPERTIES:
         assert name in text
     assert f"{len(PROPERTIES)}/{len(PROPERTIES)} properties passed" in text
+    assert "  n = 3 " in text and "checks/s" in text
+    assert text.splitlines()[-1].endswith("properties passed")
 
 
 def test_json_report_parses():
@@ -70,3 +73,72 @@ def test_mutated_charge_flip_is_caught(broken_charge_flip):
 def test_mutation_does_not_leak_between_tests():
     pool = _Pool(cap=4)
     assert run_property("charge-flip-involution", pool, range(3, 5)).ok
+
+
+# Per-property check counts of verify_suite(5), pinned so that checks per
+# second measure the same work from one version of the sweep to the next.
+CHECKED_AT_5 = {
+    "reflect-classical": 478, "reflect-charges": 217, "neutral-cell-swap": 133,
+    "permutation-inversions": 150, "perm-table-roundtrip": 150,
+    "discharge-structure": 175, "discharge-neutral-shortcut": 133,
+    "discharge-bijection": 350, "neutralize-roundtrip": 217, "neutralize-image": 434,
+    "neutralize-transport": 217, "neutralize-reflect": 217, "charge-range": 217,
+    "charge-flip-involution": 217, "charge-swap": 217, "charge-swap-reflect": 217,
+    "table-roundtrip": 217, "table-characterization": 434, "table-duality": 217,
+    "paths-roundtrip": 217, "paths-params": 217, "paths-duality": 217,
+    "enumeration-totals": 478, "distribution-mirror": 434,
+}
+
+
+def test_checked_counts_at_order_5():
+    report = verify_suite(5)
+    assert report.ok
+    assert {r.name: r.checked for r in report.results} == CHECKED_AT_5
+    assert [o.n for o in report.orders] == [3, 4, 5]
+    assert sum(o.checked for o in report.orders) == sum(CHECKED_AT_5.values())
+
+
+def _result(report, name):
+    return next(r for r in report.results if r.name == name)
+
+
+def test_mutated_swap_charges_is_caught(monkeypatch):
+    monkeypatch.setattr(asmc.neutral, "swap_charges", lambda a: a)  # swaps nothing
+    swap = _result(verify_suite(4), "charge-swap")
+    assert not swap.ok
+    assert "matrix rows" in swap.counterexample
+
+
+def test_mutated_neutralize_is_caught(monkeypatch):
+    real = asmc.neutral.neutralize
+
+    def uncharged(a):  # a valid pair, but the charge is dropped
+        return NeutralPair(real(a).matrix, 0)
+
+    monkeypatch.setattr(asmc.neutral, "neutralize", uncharged)
+    roundtrip = _result(verify_suite(4), "neutralize-roundtrip")
+    assert not roundtrip.ok
+    assert "matrix rows" in roundtrip.counterexample
+
+
+def test_neutralize_calls_per_matrix(monkeypatch):
+    """Average ``neutralize`` calls per one-minus matrix over
+    ``verify_suite(5)``: the matrix, its reflection and its charge swap are
+    each neutralized once for all the properties that read them."""
+    real = asmc.neutral.neutralize
+    calls = 0
+
+    def counting(a):
+        nonlocal calls
+        calls += 1
+        return real(a)
+
+    bound = [mod for key, mod in sys.modules.items()
+             if key.split(".")[0] == "asmc" and getattr(mod, "neutralize", None) is real]
+    assert asmc.neutral in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "neutralize", counting)
+    assert verify_suite(5).ok
+    matrices = sum(1 for n in range(3, 6) for _ in enumerate_asm(n, s=1))
+    assert matrices == 217
+    assert calls / matrices <= 10.0
