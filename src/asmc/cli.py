@@ -22,7 +22,7 @@ import sys
 from .cells import charges
 from .discharge import discharge, recharge, tuple_from_json
 from .enumeration import DEFAULT_CAP, DISTRIBUTION_KEYS, distribution, enumerate_asm
-from .errors import AsmcError, ParseError
+from .errors import AsmcError, BadArgument, ParseError
 from .inv_table import (
     gen_table,
     pair_from_table,
@@ -196,7 +196,12 @@ def _resolve_cap(args) -> int:
     if getattr(args, "cap", None) is not None:
         return args.cap
     env = os.environ.get("ASMC_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise BadArgument(f"ASMC_CAP must be an integer, got {env!r}") from exc
 
 
 def _dispatch(args) -> int:

@@ -77,7 +77,10 @@ def tuple_from_json(obj: dict) -> DischargeTuple:
 
 @dataclass(frozen=True)
 class TupleCheck:
-    """Diagnostic result of :func:`tuple_valid`."""
+    """Diagnostic result of a membership test, :func:`tuple_valid` or
+    :func:`asmc.inv_table.table_valid` (which names it ``TableCheck``):
+    the first failed condition and why; condition 0 flags structural
+    problems such as negative entries."""
 
     ok: bool
     condition: int | None = None

@@ -165,13 +165,18 @@ def apply_in_region(
 
     ``f`` is one of the two displacement primitives (the function itself
     or the key ``"h"`` / ``"v"``); no other function is accepted.  The
-    window content must satisfy the primitive's precondition; failures
-    are re-raised with the region attached.
+    host must be a rectangle of ``int`` entries, outside the window too,
+    and the window content must satisfy the primitive's precondition;
+    failures are re-raised with the region attached.
     """
     func = _PRIMITIVES.get(f) if isinstance(f, str) else f if f in (h_shift, v_shift) else None
     if func is None:
         raise PreconditionFailed("only h_shift and v_shift may be applied in a region")
-    return tuple(tuple(row) for row in _apply_any(host, region, func))
+    try:
+        rows = _as_grid(host)
+    except PreconditionFailed as exc:
+        raise PreconditionFailed(f"{exc} (host of region {region})") from exc
+    return tuple(tuple(row) for row in _apply_any(rows, region, func))
 
 
 def _apply_any(

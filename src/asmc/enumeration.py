@@ -1,4 +1,5 @@
-"""Exhaustive generation of alternating sign matrices for small orders.
+"""Exhaustive generation of alternating sign matrices for small orders, and
+exact counts of their statistics.
 
 Matrices are grown row by row.  The running column sums of a partial ASM
 always lie in {0, 1}, and a row may place a 1 only on a column with
@@ -9,6 +10,15 @@ exactly the valid matrices and yields them in row-lexicographic order
 
 The stream is deterministic; totals can be cross-checked against the
 closed product formula prod_{k<n} (3k+1)!/(n+k)!.
+
+:func:`distribution` counts without building a matrix.  Over r, s and i
+it runs a transfer count on the same column-sum states: each admissible
+row also records the column of its first 1 and the inversions it makes
+with the rows above, whose column sums are the state's bits.  A key
+among E, B and J restricts the count to one-minus matrices, which it
+sums over the space of generalized inversion tables instead
+(:mod:`asmc.inv_table`).  The enumeration stays the oracle that both
+counts are tested against.
 """
 
 from __future__ import annotations
@@ -18,9 +28,10 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .cells import SignClass, charges, sign_class
-from .errors import CapExceeded
-from .matrix import AsmMatrix, classical_params
+from .cells import SignClass, sign_class
+from .errors import BadArgument, CapExceeded
+from .inv_table import _table_space_distribution
+from .matrix import AsmMatrix
 
 DEFAULT_CAP = 7
 
@@ -39,30 +50,43 @@ def formula_count(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _row_moves(n: int, state: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+def _row_moves(n: int, state: int) -> tuple[tuple[tuple[int, ...], int, int, int, int], ...]:
     """All admissible next rows for a column-sum bitmask, in lexicographic
-    order, as (row, new_state, minus_count) triples."""
+    order, as (row, new_state, minus_count, first_one, inversions) tuples.
+
+    ``first_one`` is the 0-based column of the row's first 1 and
+    ``inversions`` the row's share of the inversion number: each entry
+    times the column sums above it and strictly to its right.
+    """
     out = []
     row = [0] * n
+    right = [(state >> (col + 1)).bit_count() for col in range(n)]
 
-    def rec(col: int, parity: int, flip: int, minuses: int) -> None:
+    def rec(col: int, parity: int, flip: int, minuses: int, inv: int) -> None:
         if col == n:
             if parity == 1:  # nonzeros alternate +1,-1,...,+1
-                out.append((tuple(row), state ^ flip, minuses))
+                out.append((tuple(row), state ^ flip, minuses, row.index(1), inv))
             return
         bit = (state >> col) & 1
         if parity == 1 and bit:
             row[col] = -1
-            rec(col + 1, 0, flip | (1 << col), minuses + 1)
+            rec(col + 1, 0, flip | (1 << col), minuses + 1, inv - right[col])
             row[col] = 0
-        rec(col + 1, parity, flip, minuses)
+        rec(col + 1, parity, flip, minuses, inv)
         if parity == 0 and not bit:
             row[col] = 1
-            rec(col + 1, 1, flip | (1 << col), minuses)
+            rec(col + 1, 1, flip | (1 << col), minuses, inv + right[col])
             row[col] = 0
 
-    rec(0, 0, 0, 0)
+    rec(0, 0, 0, 0, 0)
     return tuple(out)
+
+
+def _check_order(n: int, cap: int | None) -> None:
+    if n < 1:
+        raise BadArgument(f"order must be >= 1, got {n}")
+    if cap is not None and n > cap:
+        raise CapExceeded(n, cap)
 
 
 def enumerate_asm(
@@ -77,12 +101,9 @@ def enumerate_asm(
     (which requires ``s=1``) restricts to one sign class.  Orders above
     ``cap`` raise :class:`CapExceeded`, eagerly.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if cap is not None and n > cap:
-        raise CapExceeded(n, cap)
+    _check_order(n, cap)
     if sign is not None and s != 1:
-        raise ValueError("a sign-class filter requires s=1")
+        raise BadArgument("a sign-class filter requires s=1")
     return _generate(n, s, sign)
 
 
@@ -94,7 +115,7 @@ def _generate(n: int, s: int | None, sign: SignClass | None) -> Iterator[AsmMatr
                 if sign is None or sign_class(m) is sign:
                     yield m
             return
-        for row, new_state, mm in _row_moves(n, state):
+        for row, new_state, mm, _, _ in _row_moves(n, state):
             if s is not None and minuses + mm > s:
                 continue
             rows.append(row)
@@ -118,16 +139,40 @@ def distribution(
     keys = tuple(keys)
     for key in keys:
         if key not in DISTRIBUTION_KEYS:
-            raise ValueError(f"unknown statistic {key!r}; pick from {DISTRIBUTION_KEYS}")
+            raise BadArgument(f"unknown statistic {key!r}; pick from {DISTRIBUTION_KEYS}")
     if not keys:
-        raise ValueError("at least one statistic is required")
-    needs_charges = any(k in ("E", "B", "J") for k in keys)
-    counts: Counter = Counter()
-    for m in enumerate_asm(n, s=1 if needs_charges else None, cap=cap):
-        cp = classical_params(m)
-        ch = charges(m) if needs_charges else None
-        values = {"r": cp.r, "s": cp.s, "i": cp.i}
-        if ch is not None:
-            values.update({"E": ch.e, "B": ch.b, "J": ch.j})
-        counts[tuple(values[k] for k in keys)] += 1
-    return counts
+        raise BadArgument("at least one statistic is required")
+    _check_order(n, cap)
+    if any(k in ("E", "B", "J") for k in keys):
+        return _table_space_distribution(n, keys)
+    return _transfer_distribution(n, keys)
+
+
+def _transfer_distribution(n: int, keys: tuple[str, ...]) -> Counter:
+    """:func:`distribution` over r, s and i, by a transfer count.
+
+    Going up from the bottom row, each column-sum state (whose depth is
+    its number of set bits) gets the counts of the (s, i) values of the
+    rows that can complete it; a statistic not asked for stays 0.  The
+    first row, whose 1 gives r, is added last.
+    """
+    track_s, track_i = "s" in keys, "i" in keys
+    below = {(1 << n) - 1: {(0, 0): 1}}
+    for depth in range(n - 1, 0, -1):
+        layer = {}
+        for state in range(1 << n):
+            if state.bit_count() != depth:
+                continue
+            counts: Counter = Counter()
+            for _, new_state, minuses, _, inv in _row_moves(n, state):
+                ds, di = minuses * track_s, inv * track_i
+                for (s, i), count in below[new_state].items():
+                    counts[s + ds, i + di] += count
+            layer[state] = counts
+        below = layer
+    out: Counter = Counter()
+    for _, new_state, _, r, _ in _row_moves(n, 0):
+        for (s, i), count in below[new_state].items():
+            values = {"r": r, "s": s, "i": i}
+            out[tuple(values[k] for k in keys)] += count
+    return out

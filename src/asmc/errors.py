@@ -90,6 +90,11 @@ class MalformedConfiguration(AsmcError):
     """A path configuration violates the grid or path structure."""
 
 
+class BadArgument(AsmcError, ValueError):
+    """An argument outside an operation's domain: an order below 1, an
+    unknown statistic or property name, a malformed cap setting."""
+
+
 class CapExceeded(AsmcError):
     """Requested enumeration order exceeds the configured cap."""
 

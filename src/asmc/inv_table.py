@@ -22,11 +22,13 @@ and the pair is then unique.  Complementing both halves of the encoding
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple, Sequence
 
 from .cells import geometry
+from .discharge import TupleCheck as TableCheck
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
 from .matrix import AsmMatrix, json_int, perm_one_line, validate_asm
 from .neutral import NeutralPair
@@ -150,19 +152,6 @@ def table_from_json(obj: dict) -> GenInvTable:
         raise ParseError(f"table JSON needs k, a, b, beta: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class TableCheck:
-    """Diagnostic result of :func:`table_valid`; condition 0 flags
-    structural problems (negative entries)."""
-
-    ok: bool
-    condition: int | None = None
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def table_valid(t: GenInvTable) -> TableCheck:
     """Test the four characterization conditions, reporting the first
     failure."""
@@ -255,19 +244,65 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     return NeutralPair(matrix, charge)
 
 
+def _block_charges(ak1: int, ak: int, b: int, beta: int) -> tuple[int, int, int]:
+    """(E, B, J) of a table with ``a_{k-1} = ak1``, ``a_k = ak`` and the
+    given ``b`` and ``beta``: no other entry enters them."""
+    return ak1 + beta + 1 - ak, b - beta, ak - ak1 + b
+
+
 def table_params(t: GenInvTable) -> ParamVector:
     """Read the five statistics straight off a table."""
     check = table_valid(t)
     if not check:
         raise InvalidTable(check.condition, check.message)
-    ak1, ak = t.a[t.k - 2], t.a[t.k - 1]
     return ParamVector(
-        r=t.a[-1],
-        i=sum(t.a) + t.b + 1,
-        e=ak1 + t.beta + 1 - ak,
-        b=t.b - t.beta,
-        j=ak - ak1 + t.b,
+        t.a[-1], sum(t.a) + t.b + 1, *_block_charges(t.a[t.k - 2], t.a[t.k - 1], t.b, t.beta)
     )
+
+
+def _table_space_distribution(n: int, keys: tuple[str, ...]) -> Counter:
+    """Count the valid order-n tables per tuple of the statistics ``keys``
+    (names from r, s, i, E, B, J, checked by the caller), as read by
+    :func:`table_params`; ``s`` is 1 on every table.
+
+    For each k the entries ``a_i``, i not in {k-1, k}, range freely over
+    [0, i-1] (condition 2), ``a_n`` giving r unless k = n; conditions 3-4
+    couple only the block ``(a_{k-1}, a_k, b, beta)``.  So the count is a
+    sum over k of the free entries convolved with the block.  When r or i
+    is not asked for it stays 0, which merges the terms that differ only
+    in it.
+    """
+    want_r, want_i = "r" in keys, "i" in keys
+    out: Counter = Counter()
+    for k in range(3, n + 1):
+        # (r, sum of the free entries), r taken from a_n when it is free
+        free: Counter = Counter({(0, 0): 1})
+        for i in range(1, n + 1):
+            if i in (k - 1, k):
+                continue
+            step = Counter()
+            for (r, total), count in free.items():
+                for v in range(i):
+                    step[v * want_r if i == n else r, total + v * want_i] += count
+            free = step
+        block: Counter = Counter()
+        for ak1 in range(k - 1):
+            for ak in range(ak1 + 1, k - 1):
+                for b in range(k - 1 - ak):  # a_k + b <= k-2
+                    for beta in range(ak + b - ak1):  # a_{k-1} + beta < a_k + b
+                        block[
+                            ak * want_r if k == n else 0,
+                            (ak1 + ak + b + 1) * want_i,
+                            *_block_charges(ak1, ak, b, beta),
+                        ] += 1
+        joint: Counter = Counter()
+        for (r, total), count in free.items():
+            for (rb, ib, e, bb, j), cb in block.items():
+                joint[r + rb, total + ib, e, bb, j] += count * cb
+        for (r, i, e, b, j), count in joint.items():
+            values = {"r": r, "s": 1, "i": i, "E": e, "B": b, "J": j}
+            out[tuple(values[key] for key in keys)] += count
+    return out
 
 
 def dual_table(t: GenInvTable) -> GenInvTable:

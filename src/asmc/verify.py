@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -24,6 +25,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from . import cells
+from . import enumeration as en
 from . import inv_table as it
 from . import matrix as mx
 from . import neutral as nz
@@ -38,8 +40,8 @@ from .discharge import (
     right_side_sum,
     tuple_valid,
 )
-from .enumeration import DEFAULT_CAP, distribution, enumerate_asm, formula_count
-from .errors import AsmcError, CapExceeded
+from .enumeration import DEFAULT_CAP, enumerate_asm, formula_count
+from .errors import AsmcError, BadArgument, CapExceeded
 from .inv_table import (
     GenInvTable,
     dual_table,
@@ -316,15 +318,21 @@ def _prop_enumeration_totals(pool: _Pool, n: int):
 
 
 def _prop_distribution_mirror(pool: _Pool, n: int):
-    e_counts = distribution(n, ["E"], cap=pool.cap)
-    b_counts = distribution(n, ["B"], cap=pool.cap)
-    if any(e_counts[(v,)] != e_counts.get((-v,), 0) for (v,) in e_counts):
+    ones = pool.ones(n)
+    counts = Counter((ch.e, ch.b) for ch in map(cells.charges, ones))
+    e_counts, b_counts = Counter(), Counter()
+    for (e, b), count in counts.items():
+        e_counts[e] += count
+        b_counts[b] += count
+    if any(e_counts[v] != e_counts.get(-v, 0) for v in e_counts):
         return 0, f"E-marginal is not mirror-symmetric (n={n})"
-    if any(b_counts[(v,)] != b_counts.get((-v,), 0) for (v,) in b_counts):
+    if any(b_counts[v] != b_counts.get(-v, 0) for v in b_counts):
         return 0, f"B-marginal is not mirror-symmetric (n={n})"
     if e_counts != b_counts:
         return 0, f"E and B distributions differ (n={n})"
-    return sum(e_counts.values()) + sum(b_counts.values()), None
+    if en.distribution(n, ("E", "B"), cap=pool.cap) != counts:
+        return 0, f"distribution of (E, B) disagrees with the enumerated matrices (n={n})"
+    return 2 * len(ones), None
 
 
 # --- per-matrix checks --------------------------------------------------------
@@ -680,7 +688,7 @@ def _sweep(
     tallies = []
     for name in names:
         if name not in registry:
-            raise ValueError(f"unknown property {name!r}")
+            raise BadArgument(f"unknown property {name!r}")
         tallies.append(_Tally(name, *registry[name]))
     orders = []
     for n in n_values:

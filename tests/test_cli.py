@@ -1,5 +1,6 @@
 """Command-line behavior: formats, pipes, exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asmc
 from asmc.cli import main
@@ -242,6 +245,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "-n", "0", "--keys", "r"],
+            ["dist", "-n", "3", "--keys", "q"],
+            ["dist", "-n", "3", "--keys", "r,,"],
+            ["enumerate", "-n", "0"],
+        ],
+    )
+    def test_bad_argument_exits_two(self, monkeypatch, capsys, argv):
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: BadArgument: ") and len(err.splitlines()) == 1
+
+    def test_malformed_env_cap_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("ASMC_CAP", "abc")
+        code, out, err = run_cli(["enumerate", "-n", "3", "--count"], "", monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: BadArgument: ") and "ASMC_CAP" in err
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
@@ -264,6 +287,25 @@ class TestExitCodes:
             ["enumerate", "-n", "4", "--count"], "", monkeypatch, capsys
         )
         assert (code, out) == (0, "42\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(-2, 9),
+    keys=st.text(alphabet="rsiEBJq, -=", max_size=12),
+    count_n=st.integers(-2, 5),
+)
+def test_fuzzed_counting_commands_exit_zero_or_two(n, keys, count_n):
+    """``dist`` and ``enumerate --count`` answer or exit 2 with one
+    ``error:`` line, whatever the order and key string."""
+    for argv in (["dist", f"-n={n}", f"--keys={keys}"], ["enumerate", f"-n={count_n}", "--count"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
 
 
 def test_module_entrypoint_subprocess():

@@ -204,3 +204,9 @@ class TestNonIntegerEntries:
     def test_apply_in_region(self, bad):
         with pytest.raises(PreconditionFailed, match="not an integer.*region"):
             apply_in_region(((9, bad, 0),), Region(1, 1, 2, 3), h_shift)
+
+    def test_apply_in_region_checks_the_host_outside_the_window(self):
+        with pytest.raises(PreconditionFailed, match="not an integer.*region"):
+            apply_in_region(((9.5, 1, 0), (True, 1, 0)), Region(1, 2, 2, 3), h_shift)
+        with pytest.raises(PreconditionFailed, match="not an integer.*region"):
+            apply_in_region(((9, 1, 0), (True, 1, 0)), Region(1, 2, 2, 3), "h")

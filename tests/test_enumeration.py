@@ -1,18 +1,25 @@
 """Enumeration: totals, ordering, filters and distributions."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+import asmc
 from asmc import (
     AsmcError,
     CapExceeded,
     SignClass,
+    charges,
+    classical_params,
     distribution,
     enumerate_asm,
     formula_count,
     validate_asm,
 )
+from asmc.enumeration import DISTRIBUTION_KEYS
+from asmc.errors import BadArgument
+from asmc.verify import _Pool, run_property
 from conftest import DIAMOND_ROWS
 
 
@@ -102,3 +109,86 @@ class TestDistribution:
             distribution(3, ["q"])
         with pytest.raises(ValueError):
             distribution(3, [])
+
+    def test_bad_arguments_are_domain_errors(self):
+        for call in (
+            lambda: distribution(3, ["q"]),
+            lambda: distribution(3, []),
+            lambda: distribution(0, ["r"]),
+            lambda: list(enumerate_asm(0)),
+            lambda: list(enumerate_asm(4, sign=SignClass.NEUTRAL)),
+        ):
+            with pytest.raises(BadArgument) as info:
+                call()
+            assert isinstance(info.value, AsmcError)
+
+    def test_cap_applies_to_both_counts(self):
+        with pytest.raises(CapExceeded):
+            distribution(8, ["r"])
+        with pytest.raises(CapExceeded):
+            distribution(5, ["E"], cap=4)
+
+
+def _census(n: int) -> Counter:
+    """Every order-n matrix by its six statistics, E/B/J as None when
+    ``s != 1``: the enumeration oracle for :func:`distribution`."""
+    counts = Counter()
+    for m in enumerate_asm(n):
+        cp = classical_params(m)
+        ch = charges(m) if cp.s == 1 else None
+        counts[cp.r, cp.s, cp.i, *((ch.e, ch.b, ch.j) if ch else (None,) * 3)] += 1
+    return counts
+
+
+def _marginal(census: Counter, keys) -> Counter:
+    """The counts of ``census`` per tuple of ``keys``, restricted to
+    one-minus matrices when a charge key is asked for."""
+    charged = any(k in ("E", "B", "J") for k in keys)
+    out = Counter()
+    for values, count in census.items():
+        if charged and values[1] != 1:
+            continue
+        named = dict(zip(DISTRIBUTION_KEYS, values))
+        out[tuple(named[k] for k in keys)] += count
+    return out
+
+
+SUBSETS = [
+    keys
+    for size in range(1, len(DISTRIBUTION_KEYS) + 1)
+    for keys in itertools.combinations(DISTRIBUTION_KEYS, size)
+]
+REPEATED = [("r", "r"), ("i", "s", "i"), ("E", "E"), ("J", "r", "B", "J"), ("B", "i", "E", "s", "B")]
+
+
+class TestDistributionOracle:
+    """The counts equal a census of the enumerated matrices."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_key_subset(self, n):
+        census = _census(n)
+        for keys in SUBSETS + REPEATED:
+            assert distribution(n, keys) == _marginal(census, keys), keys
+
+    def test_order_seven(self):
+        census = _census(7)
+        for keys in (("r", "s", "i"), ("r", "i", "E", "B", "J")):
+            assert distribution(7, keys) == _marginal(census, keys), keys
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_charge_keys_below_order_three_count_nothing(self, n):
+        assert distribution(n, ["E"]) == Counter()
+        assert distribution(n, ["r", "J"]) == Counter()
+
+    def test_verify_catches_a_wrong_distribution(self, monkeypatch):
+        real = asmc.enumeration.distribution
+
+        def off_by_one(n, keys, cap=7):
+            counts = real(n, keys, cap)
+            counts[next(iter(counts))] += 1
+            return counts
+
+        monkeypatch.setattr(asmc.enumeration, "distribution", off_by_one)
+        result = run_property("distribution-mirror", _Pool(cap=5), range(3, 6))
+        assert not result.ok
+        assert "disagrees with the enumerated matrices" in result.counterexample

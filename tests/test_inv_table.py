@@ -137,6 +137,12 @@ class TestTableValidity:
         check = table_valid(GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0))
         assert not check and check.condition == 3
 
+    def test_one_check_type_for_tables_and_tuples(self):
+        from asmc import TableCheck, TupleCheck
+
+        assert TableCheck is TupleCheck
+        assert type(table_valid(TABLE12)) is TupleCheck
+
     def test_condition_four_both_clauses(self):
         too_large = table_valid(GenInvTable(k=3, a=(0, 0, 1), b=1, beta=0))
         assert not too_large and too_large.condition == 4  # a_k + b > k-2
