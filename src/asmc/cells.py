@@ -144,12 +144,6 @@ def _cell_sums(a: AsmMatrix, g: CellGeometry) -> CellSums:
     return CellSums(ell=ell, c=c, x=x)
 
 
-def _charged_sum(a: AsmMatrix, g: CellGeometry) -> int:
-    if not g.enclosed_rows:
-        return 0
-    return box_sum(a, g.enclosed_rows[0], g.enclosed_rows[-1], g.opening_col + 1, a.n)
-
-
 def _charges(a: AsmMatrix, g: CellGeometry) -> ChargeParams:
     cls = _sign_class(a, g)
     if cls is SignClass.NEGATIVE:
@@ -159,7 +153,9 @@ def _charges(a: AsmMatrix, g: CellGeometry) -> ChargeParams:
             e=-mirror.e, b=-mirror.b, j=mirror.j,
         )
     sums = _cell_sums(a, g)
-    e = _charged_sum(a, g) if cls is SignClass.POSITIVE else 0
+    e = 0
+    if cls is SignClass.POSITIVE:  # the charged cell: enclosed rows x right side
+        e = box_sum(a, g.enclosed_rows[0], g.enclosed_rows[-1], g.opening_col + 1, a.n)
     return ChargeParams(
         ell=sums.ell,
         c=sums.c,
@@ -185,11 +181,6 @@ def cell_sums(a: AsmMatrix) -> CellSums:
     if _sign_class(a, g) is SignClass.NEGATIVE:
         raise NegativeClass("cell sums are defined on non-negative matrices; reflect first")
     return _cell_sums(a, g)
-
-
-def charged_sum(a: AsmMatrix) -> int:
-    """Sum of the charged cell (enclosed rows x right side)."""
-    return _charged_sum(a, geometry(a))
 
 
 def charges(a: AsmMatrix) -> ChargeParams:

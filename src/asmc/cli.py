@@ -94,15 +94,6 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _params_lines(m) -> list[str]:
-    p = classical_params(m)
-    lines = [f"r={p.r}", f"s={p.s}", f"i={p.i}"]
-    if p.s == 1:
-        ch = charges(m)
-        lines += [f"E={ch.e}", f"B={ch.b}", f"J={ch.j}"]
-    return lines
-
-
 def _params_dict(m) -> dict:
     p = classical_params(m)
     out = {"r": p.r, "s": p.s, "i": p.i}
@@ -211,10 +202,11 @@ def _dispatch(args) -> int:
         _write(args, f"ok: n={m.n} s={minus_count(m)}\n")
     elif cmd == "params":
         m = _read_matrix(args)
+        params = _params_dict(m)
         if args.format == "json":
-            _write(args, json.dumps(_params_dict(m)) + "\n")
+            _write(args, json.dumps(params) + "\n")
         else:
-            _write(args, "\n".join(_params_lines(m)) + "\n")
+            _write(args, "".join(f"{key}={value}\n" for key, value in params.items()))
     elif cmd == "reflect":
         _emit_matrix(args, reflect(_read_matrix(args)))
     elif cmd == "discharge":
@@ -270,7 +262,9 @@ def _dispatch(args) -> int:
                 if args.output:
                     sink.close()
     elif cmd == "dist":
-        keys = tuple(k.strip() for k in args.keys.split(","))
+        # argparse reads "--keys=--" as an empty list, not as a string
+        text = args.keys if isinstance(args.keys, str) else ",".join(args.keys)
+        keys = tuple(k.strip() for k in text.split(","))
         counts = distribution(args.n, keys, cap=_resolve_cap(args))
         if args.format == "json":
             payload = [{"values": list(k), "count": v} for k, v in sorted(counts.items())]

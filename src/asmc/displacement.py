@@ -47,21 +47,24 @@ def _check_zero_one(rows: IntGrid) -> None:
             raise PreconditionFailed(f"entry {v!r} is not 0 or 1")
 
 
-def _displace(slots: list[tuple[int, ...]], empty: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _displace(
+    slots: list[tuple[int, ...]], empty: tuple[int, ...], line: str, first: str, last: str
+) -> list[tuple[int, ...]]:
     """Shared displacement core on an ordered list of line contents.
 
-    Slot 1 must be nonzero and the last slot zero; the content of each
-    nonzero slot moves to the next nonzero slot's position (the last one
-    to the final slot) and slot 1 is emptied.
+    Slot 1 (the ``first`` line) must be nonzero and the last slot (the
+    ``last`` line) zero; the content of each nonzero slot moves to the
+    next nonzero slot's position (the last one to the final slot) and
+    slot 1 is emptied.  Run on the reversed order, it is the inverse.
     """
     m = len(slots)
     nonzero = [i for i, s in enumerate(slots) if any(s)]
     if not nonzero:
-        raise PreconditionFailed("no nonzero column")
+        raise PreconditionFailed(f"no nonzero {line}")
     if nonzero[0] != 0:
-        raise PreconditionFailed("column 1 empty")
+        raise PreconditionFailed(f"{first} empty")
     if nonzero[-1] == m - 1:
-        raise PreconditionFailed("last column nonzero")
+        raise PreconditionFailed(f"{last} nonzero")
     out = [empty] * m
     targets = nonzero[1:] + [m - 1]
     for src, dst in zip(nonzero, targets):
@@ -69,21 +72,22 @@ def _displace(slots: list[tuple[int, ...]], empty: tuple[int, ...]) -> list[tupl
     return out
 
 
-def _displace_inverse(slots: list[tuple[int, ...]], empty: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Inverse of :func:`_displace`: last slot nonzero, slot 1 empty."""
-    m = len(slots)
-    nonzero = [i for i, s in enumerate(slots) if any(s)]
-    if not nonzero:
-        raise PreconditionFailed("no nonzero column")
-    if nonzero[-1] != m - 1:
-        raise PreconditionFailed("last column empty")
-    if nonzero[0] == 0:
-        raise PreconditionFailed("column 1 nonzero")
-    out = [empty] * m
-    targets = [0] + nonzero[:-1]
-    for src, dst in zip(nonzero, targets):
-        out[dst] = slots[src]
-    return out
+def _shift(grid: Sequence[Sequence[int]], columns: bool, inverse: bool) -> IntGrid:
+    """The four primitives: columns left to right or rows bottom to top,
+    or (``inverse``) the same lines in the opposite order."""
+    rows = _as_grid(grid)
+    _check_zero_one(rows)
+    if columns:
+        slots, empty, ends = list(zip(*rows)), (0,) * len(rows), ["column 1", "last column"]
+    else:  # bottom row first
+        slots, empty, ends = list(reversed(rows)), (0,) * len(rows[0]), ["last row", "first row"]
+    if inverse:
+        slots.reverse()
+        ends.reverse()
+    out = _displace(slots, empty, "column" if columns else "row", *ends)
+    if inverse:
+        out.reverse()
+    return tuple(zip(*out)) if columns else tuple(reversed(out))
 
 
 def h_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
@@ -92,18 +96,12 @@ def h_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
     Requires column 1 nonzero and the last column zero; raises
     :class:`PreconditionFailed` otherwise.
     """
-    rows = _as_grid(grid)
-    _check_zero_one(rows)
-    cols = list(zip(*rows))
-    return tuple(zip(*_displace(cols, (0,) * len(rows))))
+    return _shift(grid, columns=True, inverse=False)
 
 
 def h_unshift(grid: Sequence[Sequence[int]]) -> IntGrid:
     """Inverse of :func:`h_shift` (last column nonzero, column 1 zero)."""
-    rows = _as_grid(grid)
-    _check_zero_one(rows)
-    cols = list(zip(*rows))
-    return tuple(zip(*_displace_inverse(cols, (0,) * len(rows))))
+    return _shift(grid, columns=True, inverse=True)
 
 
 def v_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
@@ -111,22 +109,12 @@ def v_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
 
     Requires the last row nonzero and the first row zero.
     """
-    rows = _as_grid(grid)
-    _check_zero_one(rows)
-    n = len(rows[0])
-    slots = list(reversed(rows))  # bottom row first
-    new_slots = _displace(slots, (0,) * n)
-    return tuple(reversed(new_slots))
+    return _shift(grid, columns=False, inverse=False)
 
 
 def v_unshift(grid: Sequence[Sequence[int]]) -> IntGrid:
     """Inverse of :func:`v_shift` (first row nonzero, last row zero)."""
-    rows = _as_grid(grid)
-    _check_zero_one(rows)
-    n = len(rows[0])
-    slots = list(reversed(rows))
-    new_slots = _displace_inverse(slots, (0,) * n)
-    return tuple(reversed(new_slots))
+    return _shift(grid, columns=False, inverse=True)
 
 
 @dataclass(frozen=True)

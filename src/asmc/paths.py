@@ -75,12 +75,6 @@ class MixedPath:
     def junction(self) -> Vertex:
         return self.vertices()[self.left_len]
 
-    def left_vertices(self) -> tuple[Vertex, ...]:
-        return self.vertices()[: self.left_len + 1]
-
-    def right_vertices(self) -> tuple[Vertex, ...]:
-        return self.vertices()[self.left_len :]
-
 
 @dataclass(frozen=True)
 class MixedConfiguration:
@@ -213,32 +207,6 @@ def config_from_table(t: GenInvTable) -> MixedConfiguration:
     return MixedConfiguration(tuple(paths))
 
 
-def _run_lengths(steps: str, pattern: str, path_index: int) -> list[int]:
-    """Lengths of the consecutive runs when ``steps`` matches the given
-    run pattern exactly (e.g. ``"EFNF"`` = E-run, F-run, one N, F-run)."""
-    lengths = []
-    pos = 0
-    for kind in pattern:
-        if kind.islower():  # exactly one step
-            if pos >= len(steps) or steps[pos] != kind.upper():
-                raise MalformedConfiguration(
-                    f"path {path_index}: steps {steps!r} do not match pattern {pattern!r}"
-                )
-            pos += 1
-            lengths.append(1)
-        else:
-            run = 0
-            while pos < len(steps) and steps[pos] == kind:
-                pos += 1
-                run += 1
-            lengths.append(run)
-    if pos != len(steps):
-        raise MalformedConfiguration(
-            f"path {path_index}: steps {steps!r} do not match pattern {pattern!r}"
-        )
-    return lengths
-
-
 def table_from_config(cfg: MixedConfiguration) -> GenInvTable:
     """Read the generalized inversion table off a one-N configuration."""
     n_steps = cfg.step_count("N")
@@ -258,17 +226,13 @@ def _table_from_valid_config(cfg: MixedConfiguration) -> GenInvTable:
         raise MalformedConfiguration(
             f"N-step is not in the path just before the S-path (path {k})"
         )
-    a = [0] * cfg.n
-    b = beta = 0
-    for i, p in enumerate(cfg.paths, start=1):
-        if i == k - 1:
-            e_run, beta, _, _ = _run_lengths(p.steps, "EFnF", i)
-            a[i - 1] = e_run
-        elif i == k:
-            e_run, _, b, _ = _run_lengths(p.steps, "EsEF", i)
-            a[i - 1] = e_run
-        else:
-            a[i - 1] = _run_lengths(p.steps, "EF", i)[0]
+    # Left steps precede Right ones, so path k-1 is E^a F^beta N F..., path k
+    # is E^a S E^b F... and every other path E^a F...
+    a = [p.steps.count("E") for p in cfg.paths]
+    special, s_path = cfg.paths[k - 2].steps, cfg.paths[k - 1].steps
+    beta = special.index("N") - a[k - 2]
+    a[k - 1] = s_path.index("S")
+    b = s_path.count("E") - a[k - 1]
     return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
 
 

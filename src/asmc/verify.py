@@ -6,11 +6,14 @@ order and either passes or produces a concrete counterexample; the report
 collects per-property results with timings.  The registry is the single
 source for both the ``verify`` CLI command and the acceptance tests.
 
-The sweep visits each one-minus matrix once per order.  A property that
-relates the encodings of one matrix is a per-matrix check on a
-:class:`_Record`, whose encodings are computed on first use and shared
-by every check of that matrix; a property of a whole order (a bijection
-onto a counted set, a total) takes the pool and the order.
+The sweep enumerates each order once, as a stream, for every property
+that is a check on one matrix: a :class:`_Record` holds the matrix and
+its encodings, each computed on first use and shared by every check of
+that matrix, and is dropped when the sweep moves on.  A check takes the
+one-minus matrices (of chosen sign classes), the permutation matrices or
+every ASM.  A property of a whole order (a bijection onto a counted set,
+a total) takes the order and the cap and enumerates what it needs
+itself; no list of an order's matrices is kept.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ from .inv_table import (
     dual_table,
     gen_table,
     pair_from_table,
-    perm_from_table,
-    perm_table,
     table_params,
     table_valid,
 )
@@ -56,7 +57,6 @@ from .matrix import (
     AsmMatrix,
     classical_params,
     is_permutation_matrix,
-    perm_one_line,
     reflect,
     validate_asm,
 )
@@ -69,30 +69,9 @@ from .paths import (
 )
 
 
-class _Pool:
-    """Per-order caches of enumerated matrices shared by all properties."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self._all: dict[int, list[AsmMatrix]] = {}
-        self._ones: dict[int, list[AsmMatrix]] = {}
-
-    def all(self, n: int) -> list[AsmMatrix]:
-        if n not in self._all:
-            self._all[n] = list(enumerate_asm(n, cap=self.cap))
-        return self._all[n]
-
-    def ones(self, n: int) -> list[AsmMatrix]:
-        if n not in self._ones:
-            self._ones[n] = list(enumerate_asm(n, s=1, cap=self.cap))
-        return self._ones[n]
-
-    def non_negative(self, n: int) -> list[AsmMatrix]:
-        return [m for m in self.ones(n) if sign_class(m) is not SignClass.NEGATIVE]
-
-
 class _Record:
-    """One one-minus matrix with its encodings, each computed on first use.
+    """One matrix with its encodings, each computed on first use; the
+    charges and encodings exist for one-minus matrices only.
 
     Every field calls its operation through the operation's module, and a
     record is built afresh for each matrix of each sweep, so an operation
@@ -113,6 +92,10 @@ class _Record:
     def swapped(self) -> _Record:
         """The record of the charge swap, called live."""
         return _Record(nz.swap_charges(self.m))
+
+    @cached_property
+    def s(self) -> int:
+        return mx.minus_count(self.m)
 
     @cached_property
     def cls(self) -> SignClass:
@@ -146,11 +129,18 @@ class _Record:
 
 @dataclass(frozen=True)
 class _Each:
-    """A relation checked on every one-minus matrix whose sign class is in
-    ``classes``: ``check`` returns what went wrong, or None."""
+    """A relation checked on every matrix with ``s`` entries equal to -1
+    (every ASM when ``s`` is None) and, for one-minus matrices, a sign
+    class in ``classes``: ``check`` returns what went wrong, or None."""
 
     check: Callable[[_Record], str | None]
     classes: frozenset[SignClass] = frozenset(SignClass)
+    s: int | None = 1
+
+    def takes(self, rec: _Record) -> bool:
+        if self.s is None:
+            return True
+        return rec.s == self.s and (self.s != 1 or rec.cls in self.classes)
 
 
 def _cx(m: AsmMatrix, note: str) -> str:
@@ -158,54 +148,8 @@ def _cx(m: AsmMatrix, note: str) -> str:
 
 
 # --- whole-order properties -------------------------------------------------
-# Each takes (pool, n) and returns (checked_count, counterexample | None).
-
-
-def _prop_reflect_classical(pool: _Pool, n: int):
-    for m in pool.all(n):
-        rm = reflect(m)
-        p, rp = classical_params(m), classical_params(rm)
-        if reflect(rm) != m:
-            return 0, _cx(m, "double reflection is not the identity")
-        if p.r + rp.r != n - 1:
-            return 0, _cx(m, f"r + reflected r = {p.r + rp.r} != {n - 1}")
-        if p.i + rp.i != comb(n, 2) + p.s:
-            return 0, _cx(m, f"i + reflected i = {p.i + rp.i} != C(n,2)+s")
-        if rp.s != p.s:
-            return 0, _cx(m, "reflection changed the -1 count")
-    return len(pool.all(n)), None
-
-
-def _prop_permutation_inversions(pool: _Pool, n: int):
-    checked = 0
-    for m in pool.all(n):
-        if not is_permutation_matrix(m):
-            continue
-        checked += 1
-        word = perm_one_line(m)
-        oracle = sum(
-            1 for a in range(n) for b in range(a + 1, n) if word[a] > word[b]
-        )
-        if classical_params(m).i != oracle:
-            return 0, _cx(m, f"inversion count != pairwise oracle {oracle}")
-    return checked, None
-
-
-def _prop_perm_table_roundtrip(pool: _Pool, n: int):
-    checked = 0
-    for m in pool.all(n):
-        if not is_permutation_matrix(m):
-            continue
-        checked += 1
-        t = perm_table(m)
-        if perm_from_table(t) != m:
-            return 0, _cx(m, f"table {t} does not rebuild the matrix")
-        p = classical_params(m)
-        if p.r != t[-1] or p.i != sum(t):
-            return 0, _cx(m, f"r, i do not match table {t}")
-        if perm_table(reflect(m)) != tuple(i - 1 - v for i, v in enumerate(t, start=1)):
-            return 0, _cx(m, "reflected table is not the complement")
-    return checked, None
+# Each takes (n, cap), enumerates what it needs itself and returns
+# (checked_count, counterexample | None).
 
 
 def _iter_valid_tuples(n: int) -> Iterable[DischargeTuple]:
@@ -228,10 +172,12 @@ def _iter_valid_tuples(n: int) -> Iterable[DischargeTuple]:
 # there is one, so each order keeps one copy of its objects, not two.
 
 
-def _prop_discharge_bijection(pool: _Pool, n: int):
+def _prop_discharge_bijection(n: int, cap: int):
     expected = {t: t for t in _iter_valid_tuples(n)}
     image: dict[DischargeTuple, AsmMatrix] = {}
-    for m in pool.non_negative(n):
+    for m in enumerate_asm(n, s=1, cap=cap):
+        if sign_class(m) is SignClass.NEGATIVE:
+            continue
         t = discharge(m)
         if not tuple_valid(t):
             return 0, _cx(m, f"discharge produced invalid tuple: {tuple_valid(t).message}")
@@ -247,17 +193,15 @@ def _prop_discharge_bijection(pool: _Pool, n: int):
     return len(image) + len(expected), None
 
 
-def _prop_neutralize_image(pool: _Pool, n: int):
+def _prop_neutralize_image(n: int, cap: int):
     expected = {}
-    for m in pool.ones(n):
-        if sign_class(m) is not SignClass.NEUTRAL:
-            continue
+    for m in enumerate_asm(n, s=1, sign=SignClass.NEUTRAL, cap=cap):
         sums = cell_sums(m)
         for e in range(-sums.ell, sums.c + 1):
             pair = NeutralPair(m, e)
             expected[pair] = pair
     image = set()
-    for m in pool.ones(n):
+    for m in enumerate_asm(n, s=1, cap=cap):
         p = nz.neutralize(m)
         if p in image:
             return 0, _cx(m, "neutralize is not injective")
@@ -278,10 +222,10 @@ def _iter_valid_tables(n: int) -> Iterable[GenInvTable]:
                         yield t
 
 
-def _prop_table_characterization(pool: _Pool, n: int):
+def _prop_table_characterization(n: int, cap: int):
     expected = {t: t for t in _iter_valid_tables(n)}
     image = set()
-    for m in pool.ones(n):
+    for m in enumerate_asm(n, s=1, cap=cap):
         t = gen_table(nz.neutralize(m))
         image.add(expected.get(t, t))
     if image != expected.keys():
@@ -293,17 +237,19 @@ def _prop_table_characterization(pool: _Pool, n: int):
     return len(image) + len(expected), None
 
 
-def _prop_enumeration_totals(pool: _Pool, n: int):
-    mats = pool.all(n)
-    if len(mats) != formula_count(n):
-        return 0, f"enumerated {len(mats)} matrices, formula says {formula_count(n)} (n={n})"
-    rows = [m.rows for m in mats]
-    if rows != sorted(rows):
-        return 0, f"stream is not in row-lexicographic order (n={n})"
-    if len(set(rows)) != len(rows):
-        return 0, f"stream repeats a matrix (n={n})"
-    for m in mats:
+def _prop_enumeration_totals(n: int, cap: int):
+    # rows that strictly increase prove the stream sorted and duplicate-free
+    count, last = 0, None
+    for m in enumerate_asm(n, cap=cap):
+        if last is not None and m.rows <= last:
+            if m.rows == last:
+                return 0, f"stream repeats a matrix (n={n})"
+            return 0, f"stream is not in row-lexicographic order (n={n})"
         validate_asm(m.rows)
+        last = m.rows
+        count += 1
+    if count != formula_count(n):
+        return 0, f"enumerated {count} matrices, formula says {formula_count(n)} (n={n})"
     if n <= 3:
         naive = set()
         for entries in product((-1, 0, 1), repeat=n * n):
@@ -312,14 +258,13 @@ def _prop_enumeration_totals(pool: _Pool, n: int):
                 naive.add(validate_asm(grid).rows)
             except AsmcError:
                 continue
-        if naive != set(rows):
+        if naive != {m.rows for m in enumerate_asm(n, cap=cap)}:
             return 0, f"backtracking disagrees with the naive filter (n={n})"
-    return len(mats), None
+    return count, None
 
 
-def _prop_distribution_mirror(pool: _Pool, n: int):
-    ones = pool.ones(n)
-    counts = Counter((ch.e, ch.b) for ch in map(cells.charges, ones))
+def _prop_distribution_mirror(n: int, cap: int):
+    counts = Counter((ch.e, ch.b) for ch in map(cells.charges, enumerate_asm(n, s=1, cap=cap)))
     e_counts, b_counts = Counter(), Counter()
     for (e, b), count in counts.items():
         e_counts[e] += count
@@ -330,9 +275,9 @@ def _prop_distribution_mirror(pool: _Pool, n: int):
         return 0, f"B-marginal is not mirror-symmetric (n={n})"
     if e_counts != b_counts:
         return 0, f"E and B distributions differ (n={n})"
-    if en.distribution(n, ("E", "B"), cap=pool.cap) != counts:
+    if en.distribution(n, ("E", "B"), cap=cap) != counts:
         return 0, f"distribution of (E, B) disagrees with the enumerated matrices (n={n})"
-    return 2 * len(ones), None
+    return 2 * sum(counts.values()), None
 
 
 # --- per-matrix checks --------------------------------------------------------
@@ -345,6 +290,36 @@ _FLIP = {
     SignClass.NEUTRAL: SignClass.NEUTRAL,
 }
 _SIGN_OF = {SignClass.POSITIVE: 1, SignClass.NEUTRAL: 0, SignClass.NEGATIVE: -1}
+
+
+def _reflect_classical(rec: _Record):
+    n, p, rp = rec.m.n, rec.params, rec.mirror.params
+    if mx.reflect(rec.mirror.m) != rec.m:
+        return "double reflection is not the identity"
+    if p.r + rp.r != n - 1:
+        return f"r + reflected r = {p.r + rp.r} != {n - 1}"
+    if p.i + rp.i != comb(n, 2) + p.s:
+        return f"i + reflected i = {p.i + rp.i} != C(n,2)+s"
+    if rp.s != p.s:
+        return "reflection changed the -1 count"
+
+
+def _permutation_inversions(rec: _Record):
+    word, n = mx.perm_one_line(rec.m), rec.m.n
+    oracle = sum(1 for a in range(n) for b in range(a + 1, n) if word[a] > word[b])
+    if rec.params.i != oracle:
+        return f"inversion count != pairwise oracle {oracle}"
+
+
+def _perm_table_roundtrip(rec: _Record):
+    t = it.perm_table(rec.m)
+    if it.perm_from_table(t) != rec.m:
+        return f"table {t} does not rebuild the matrix"
+    p = rec.params
+    if p.r != t[-1] or p.i != sum(t):
+        return f"r, i do not match table {t}"
+    if it.perm_table(rec.mirror.m) != tuple(i - 1 - v for i, v in enumerate(t, start=1)):
+        return "reflected table is not the complement"
 
 
 def _reflect_charges(rec: _Record):
@@ -528,11 +503,11 @@ _NEUTRAL = frozenset({SignClass.NEUTRAL})
 _NON_NEGATIVE = frozenset({SignClass.NEUTRAL, SignClass.POSITIVE})
 
 PROPERTIES: tuple[tuple[str, str, Callable | _Each], ...] = (
-    ("reflect-classical", "double reflection is the identity; r, i, s reflection identities", _prop_reflect_classical),
+    ("reflect-classical", "double reflection is the identity; r, i, s reflection identities", _Each(_reflect_classical, s=None)),
     ("reflect-charges", "sign class mirrors and E, B negate, J invariant under reflection", _Each(_reflect_charges)),
     ("neutral-cell-swap", "reflection swaps the leading and closing sums of a neutral matrix", _Each(_neutral_cell_swap, _NEUTRAL)),
-    ("permutation-inversions", "ASM inversion count reduces to pairwise inversions on permutations", _prop_permutation_inversions),
-    ("perm-table-roundtrip", "permutation inversion tables encode and decode faithfully", _prop_perm_table_roundtrip),
+    ("permutation-inversions", "ASM inversion count reduces to pairwise inversions on permutations", _Each(_permutation_inversions, s=0)),
+    ("perm-table-roundtrip", "permutation inversion tables encode and decode faithfully", _Each(_perm_table_roundtrip, s=0)),
     ("discharge-structure", "discharge yields a permutation fixing rows 1..k with the stated sums", _Each(_discharge_structure, _NON_NEGATIVE)),
     ("discharge-neutral-shortcut", "steps 3 and 4 cancel on neutral inputs", _Each(_discharge_neutral_shortcut, _NEUTRAL)),
     ("discharge-bijection", "discharge hits every valid 4-tuple exactly once and inverts", _prop_discharge_bijection),
@@ -650,16 +625,23 @@ class _Tally:
         self.done = 0  # checks passed at the current order
 
 
-def _stream(pool: _Pool, n: int, tallies: list[_Tally]) -> None:
-    """Run the per-matrix checks of ``tallies`` over the one-minus matrices
-    of order ``n``, one record per matrix.  Each check is timed and charged
-    to its property, so a record field is charged to the first property
-    that reads it; the enumeration is charged to the first property."""
+def _stream(n: int, cap: int, tallies: list[_Tally]) -> None:
+    """Run the per-matrix checks of ``tallies`` over one enumeration of
+    order ``n``, one record per matrix; the enumeration keeps only the
+    matrices with the ``s`` that every check shares, if they share one.
+    Each check is timed and charged to its property, so a record field is
+    charged to the first property that reads it; the enumeration is
+    charged to the first property."""
     clock = time.perf_counter
-    start = clock()
-    ones = pool.ones(n)
-    tallies[0].result.seconds += clock() - start
-    for m in ones:
+    first = tallies[0].result
+    shared = {tally.impl.s for tally in tallies}
+    matrices = enumerate_asm(n, s=shared.pop() if len(shared) == 1 else None, cap=cap)
+    while True:
+        start = clock()
+        m = next(matrices, None)
+        first.seconds += clock() - start
+        if m is None:
+            return
         rec = _Record(m)
         for tally in tallies:
             result, each = tally.result, tally.impl
@@ -668,7 +650,7 @@ def _stream(pool: _Pool, n: int, tallies: list[_Tally]) -> None:
             start = clock()
             try:
                 note = None
-                if rec.cls in each.classes:
+                if each.takes(rec):
                     note = each.check(rec)
                     tally.done += 1
             except AsmcError as exc:
@@ -679,7 +661,7 @@ def _stream(pool: _Pool, n: int, tallies: list[_Tally]) -> None:
 
 
 def _sweep(
-    names: Iterable[str], pool: _Pool, n_values: Iterable[int]
+    names: Iterable[str], n_values: Iterable[int], cap: int
 ) -> tuple[list[PropertyResult], list[OrderResult]]:
     """Run the named properties order by order, each stopping at its first
     counterexample (orders ascend, so it is minimal).  A property failing at
@@ -696,13 +678,13 @@ def _sweep(
         live = [t for t in tallies if t.result.ok]
         streamed = [t for t in live if isinstance(t.impl, _Each)]
         if streamed:
-            _stream(pool, n, streamed)
+            _stream(n, cap, streamed)
         for tally in live:
             if isinstance(tally.impl, _Each):
                 continue
             t0 = time.perf_counter()
             try:
-                tally.done, tally.result.counterexample = tally.impl(pool, n)
+                tally.done, tally.result.counterexample = tally.impl(n, cap)
             except AsmcError as exc:
                 tally.result.counterexample = f"unexpected error at n={n}: {exc}"
             tally.result.seconds += time.perf_counter() - t0
@@ -716,18 +698,16 @@ def _sweep(
     return [t.result for t in tallies], orders
 
 
-def run_property(name: str, pool: _Pool, n_values: Iterable[int]) -> PropertyResult:
+def run_property(name: str, n_values: Iterable[int], cap: int = DEFAULT_CAP) -> PropertyResult:
     """Run one registered property over the given orders, stopping at the
     first counterexample (orders ascend, so it is minimal)."""
-    return _sweep([name], pool, n_values)[0][0]
+    return _sweep([name], n_values, cap)[0][0]
 
 
 def verify_suite(n_max: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     """Run every registered property exhaustively for 3 <= n <= n_max,
-    visiting each one-minus matrix of an order once for all of them."""
+    enumerating each order once for all the per-matrix properties."""
     if n_max > cap:
         raise CapExceeded(n_max, cap)
-    results, orders = _sweep(
-        [name for name, _, _ in PROPERTIES], _Pool(cap), range(3, n_max + 1)
-    )
+    results, orders = _sweep([name for name, _, _ in PROPERTIES], range(3, n_max + 1), cap)
     return VerifyReport(n_max=n_max, results=results, orders=orders)

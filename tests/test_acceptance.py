@@ -26,10 +26,10 @@ from asmc import (
     sign_class,
     v_shift,
 )
-from asmc.verify import _Pool, run_property
+from asmc.verify import run_property
 from conftest import TABLE12
 
-POOL = _Pool(cap=7)
+CAP = 7
 FULL_RANGE = range(3, 7)  # 3 <= n <= 6
 
 
@@ -38,7 +38,7 @@ def _report(number: int, message: str) -> None:
 
 
 def _run_all(names, n_range):
-    results = [run_property(name, POOL, n_range) for name in names]
+    results = [run_property(name, n_range, cap=CAP) for name in names]
     bad = [r for r in results if not r.ok]
     assert not bad, "counterexamples found:\n" + "\n".join(
         f"  {r.name}: {r.counterexample}" for r in bad
@@ -107,7 +107,7 @@ def test_criterion_3_exhaustive_bijection_suite():
     # the inverse direction of the pair encoding, explicitly
     both_ways = 0
     for n in FULL_RANGE:
-        for m in POOL.ones(n):
+        for m in enumerate_asm(n, s=1, cap=CAP):
             if sign_class(m) is not SignClass.NEUTRAL:
                 continue
             sums = cell_sums(m)
@@ -192,11 +192,11 @@ def test_criterion_8_harness_catches_a_mutated_charge_flip(monkeypatch):
         return NeutralPair(pair.matrix, sums.c - sums.ell - pair.charge + 1)
 
     monkeypatch.setattr(asmc.neutral, "flip_charge", off_by_one)
-    results = [run_property(name, POOL, range(3, 6)) for name in CRITERION_5_PROPERTIES]
+    results = [run_property(name, range(3, 6), cap=CAP) for name in CRITERION_5_PROPERTIES]
     failing = [r for r in results if not r.ok]
     assert failing, "the corrupted charge flip went unnoticed"
     assert any("matrix rows" in r.counterexample for r in failing)
     monkeypatch.undo()
-    assert run_property("charge-flip-involution", POOL, range(3, 5)).ok
+    assert run_property("charge-flip-involution", range(3, 5), cap=CAP).ok
     witness = next(r for r in failing if "matrix rows" in r.counterexample)
     _report(8, f"mutation caught by {witness.name} with counterexample: {witness.counterexample[:60]}...")

@@ -252,6 +252,7 @@ class TestExitCodes:
             ["dist", "-n", "3", "--keys", "q"],
             ["dist", "-n", "3", "--keys", "r,,"],
             ["enumerate", "-n", "0"],
+            ["dist", "-n=3", "--keys=--"],  # argparse hands over an empty list
         ],
     )
     def test_bad_argument_exits_two(self, monkeypatch, capsys, argv):

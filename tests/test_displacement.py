@@ -210,3 +210,24 @@ class TestNonIntegerEntries:
             apply_in_region(((9.5, 1, 0), (True, 1, 0)), Region(1, 2, 2, 3), h_shift)
         with pytest.raises(PreconditionFailed, match="not an integer.*region"):
             apply_in_region(((9, 1, 0), (True, 1, 0)), Region(1, 2, 2, 3), "h")
+
+
+class TestErrorsNameTheLine:
+    """Each primitive's precondition error names the line that is wrong."""
+
+    @pytest.mark.parametrize(
+        "func,grid,message",
+        [
+            (h_unshift, ((1, 0), (0, 0)), "last column empty"),
+            (h_unshift, ((0, 1), (1, 1)), "column 1 nonzero"),
+            (h_unshift, ((0, 0), (0, 0)), "no nonzero column"),
+            (v_shift, ((0, 0), (1, 0), (0, 0)), "last row empty"),
+            (v_shift, ((1, 0), (0, 0), (1, 0)), "first row nonzero"),
+            (v_shift, ((0, 0), (0, 0), (0, 0)), "no nonzero row"),
+            (v_unshift, ((0, 0), (0, 1), (1, 0)), "first row empty"),
+            (v_unshift, ((1, 0), (0, 0), (1, 0)), "last row nonzero"),
+        ],
+    )
+    def test_message(self, func, grid, message):
+        with pytest.raises(PreconditionFailed, match=message):
+            func(grid)

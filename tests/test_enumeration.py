@@ -19,7 +19,7 @@ from asmc import (
 )
 from asmc.enumeration import DISTRIBUTION_KEYS
 from asmc.errors import BadArgument
-from asmc.verify import _Pool, run_property
+from asmc.verify import run_property
 from conftest import DIAMOND_ROWS
 
 
@@ -189,6 +189,6 @@ class TestDistributionOracle:
             return counts
 
         monkeypatch.setattr(asmc.enumeration, "distribution", off_by_one)
-        result = run_property("distribution-mirror", _Pool(cap=5), range(3, 6))
+        result = run_property("distribution-mirror", range(3, 6), cap=5)
         assert not result.ok
         assert "disagrees with the enumerated matrices" in result.counterexample

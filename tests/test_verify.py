@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+import asmc.matrix
 import asmc.neutral
 from asmc import NeutralPair, enumerate_asm, verify_suite
-from asmc.verify import PROPERTIES, _Pool, run_property
+from asmc.verify import PROPERTIES, run_property
 
 
 def test_sweep_passes_at_small_order():
@@ -60,19 +61,17 @@ def broken_charge_flip(monkeypatch):
 
 
 def test_mutated_charge_flip_is_caught(broken_charge_flip):
-    pool = _Pool(cap=5)
-    result = run_property("charge-flip-involution", pool, range(3, 6))
+    result = run_property("charge-flip-involution", range(3, 6), cap=5)
     assert not result.ok
     assert "matrix rows" in result.counterexample  # a concrete witness
 
-    swap = run_property("charge-swap", pool, range(3, 6))
+    swap = run_property("charge-swap", range(3, 6), cap=5)
     assert not swap.ok
     assert "matrix rows" in swap.counterexample
 
 
 def test_mutation_does_not_leak_between_tests():
-    pool = _Pool(cap=4)
-    assert run_property("charge-flip-involution", pool, range(3, 5)).ok
+    assert run_property("charge-flip-involution", range(3, 5), cap=4).ok
 
 
 # Per-property check counts of verify_suite(5), pinned so that checks per
@@ -142,3 +141,16 @@ def test_neutralize_calls_per_matrix(monkeypatch):
     matrices = sum(1 for n in range(3, 6) for _ in enumerate_asm(n, s=1))
     assert matrices == 217
     assert calls / matrices <= 10.0
+
+
+def test_mutated_classical_params_is_caught(monkeypatch):
+    real = asmc.matrix.classical_params
+
+    def miscounted(a):  # one inversion too many on permutation matrices
+        p = real(a)
+        return p if p.s else asmc.matrix.ClassicalParams(p.r, p.s, p.i + 1)
+
+    monkeypatch.setattr(asmc.matrix, "classical_params", miscounted)
+    result = run_property("permutation-inversions", range(3, 5), cap=4)
+    assert not result.ok
+    assert "matrix rows" in result.counterexample
