@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .cells import charges
 from .discharge import discharge, recharge, tuple_from_json
@@ -54,11 +55,22 @@ from .verify import verify_suite
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract wants 1."""
+    """argparse exits 2 on usage errors; the contract wants 1.  argparse
+    also stores [] for an option given the value "--" (``-o=--``); a
+    string option gets "--" back, any other option is a usage error."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            if action.option_strings and getattr(namespace, action.dest, None) == []:
+                if action.type or action.choices:
+                    self.error(f"argument {'/'.join(action.option_strings)}: invalid value '--'")
+                setattr(namespace, action.dest, "--")
+        return namespace, extras
 
 
 def _read_input(args) -> str:
@@ -252,19 +264,11 @@ def _dispatch(args) -> int:
             _write(args, f"{total}\n")
         else:
             stream = enumerate_asm(args.n, s=args.minus_ones, cap=cap)
-            sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-            try:
+            with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as sink:
                 for idx, m in enumerate(stream):
-                    if idx:
-                        sink.write("\n")
-                    sink.write(matrix_to_text(m))
-            finally:
-                if args.output:
-                    sink.close()
+                    sink.write(("\n" if idx else "") + matrix_to_text(m))
     elif cmd == "dist":
-        # argparse reads "--keys=--" as an empty list, not as a string
-        text = args.keys if isinstance(args.keys, str) else ",".join(args.keys)
-        keys = tuple(k.strip() for k in text.split(","))
+        keys = tuple(k.strip() for k in args.keys.split(","))
         counts = distribution(args.n, keys, cap=_resolve_cap(args))
         if args.format == "json":
             payload = [{"values": list(k), "count": v} for k, v in sorted(counts.items())]

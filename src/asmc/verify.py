@@ -11,9 +11,12 @@ that is a check on one matrix: a :class:`_Record` holds the matrix and
 its encodings, each computed on first use and shared by every check of
 that matrix, and is dropped when the sweep moves on.  A check takes the
 one-minus matrices (of chosen sign classes), the permutation matrices or
-every ASM.  A property of a whole order (a bijection onto a counted set,
-a total) takes the order and the cap and enumerates what it needs
-itself; no list of an order's matrices is kept.
+every ASM.  A bijection onto a counted set is such a check (the image
+lies in the set and the inverse rebuilds the matrix) plus one count per
+order, of the set, which must equal the matrices checked.  A property of
+a whole order (a total, a mirror-symmetric distribution) takes the order
+and the cap and enumerates what it needs itself; no list of an order's
+matrices, and no set of their images, is kept.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from typing import Callable, Iterable
 
@@ -33,7 +36,7 @@ from . import inv_table as it
 from . import matrix as mx
 from . import neutral as nz
 from . import paths as pt
-from .cells import SignClass, cell_sums, geometry, sign_class
+from .cells import SignClass, cell_sums, geometry
 from .discharge import (
     DischargeTuple,
     _partial_discharge_neutral_shortcut,
@@ -48,7 +51,6 @@ from .errors import AsmcError, BadArgument, CapExceeded
 from .inv_table import (
     GenInvTable,
     dual_table,
-    gen_table,
     pair_from_table,
     table_params,
     table_valid,
@@ -57,6 +59,7 @@ from .matrix import (
     AsmMatrix,
     classical_params,
     is_permutation_matrix,
+    perm_matrix,
     reflect,
     validate_asm,
 )
@@ -131,11 +134,14 @@ class _Record:
 class _Each:
     """A relation checked on every matrix with ``s`` entries equal to -1
     (every ASM when ``s`` is None) and, for one-minus matrices, a sign
-    class in ``classes``: ``check`` returns what went wrong, or None."""
+    class in ``classes``: ``check`` returns what went wrong, or None.
+    A bijection also names its ``codomain``, whose size must equal the
+    number of matrices checked at each order."""
 
     check: Callable[[_Record], str | None]
     classes: frozenset[SignClass] = frozenset(SignClass)
     s: int | None = 1
+    codomain: Callable[[int, int], tuple[int, str | None]] | None = None
 
     def takes(self, rec: _Record) -> bool:
         if self.s is None:
@@ -147,16 +153,16 @@ def _cx(m: AsmMatrix, note: str) -> str:
     return f"{note}; matrix rows {m.rows}"
 
 
-# --- whole-order properties -------------------------------------------------
-# Each takes (n, cap), enumerates what it needs itself and returns
-# (checked_count, counterexample | None).
+# --- counted codomains ------------------------------------------------------
+# A map with a left inverse into a finite set of its domain's size is a
+# bijection onto it.  Each codomain takes (n, cap) and returns (size of
+# the set, counterexample | None).  Each membership test accepts exactly
+# the counted set: tuple_valid has the conditions of the loops in
+# _iter_valid_tuples, NeutralPair those of the sum in _admissible_pairs,
+# and table_valid implies the b and beta bounds of _iter_valid_tables.
 
 
 def _iter_valid_tuples(n: int) -> Iterable[DischargeTuple]:
-    from itertools import permutations
-
-    from .matrix import perm_matrix
-
     for word in permutations(range(1, n + 1)):
         p = perm_matrix(word)
         for k in range(1, n - 1):
@@ -166,49 +172,6 @@ def _iter_valid_tuples(n: int) -> Iterable[DischargeTuple]:
             for c in range(x):
                 for e in range(x - c):
                     yield DischargeTuple(k, p, c, e)
-
-
-# The image sets below hold the equal member of the expected set where
-# there is one, so each order keeps one copy of its objects, not two.
-
-
-def _prop_discharge_bijection(n: int, cap: int):
-    expected = {t: t for t in _iter_valid_tuples(n)}
-    image: dict[DischargeTuple, AsmMatrix] = {}
-    for m in enumerate_asm(n, s=1, cap=cap):
-        if sign_class(m) is SignClass.NEGATIVE:
-            continue
-        t = discharge(m)
-        if not tuple_valid(t):
-            return 0, _cx(m, f"discharge produced invalid tuple: {tuple_valid(t).message}")
-        if t in image:
-            return 0, _cx(m, f"discharge collides with {image[t].rows}")
-        image[expected.get(t, t)] = m
-        if recharge(t) != m:
-            return 0, _cx(m, "recharge does not invert discharge")
-    if expected.keys() != image.keys():
-        missing = expected.keys() - image.keys()
-        extra = image.keys() - expected.keys()
-        return 0, f"tuple sets differ: {len(missing)} unreached, {len(extra)} unexpected (n={n})"
-    return len(image) + len(expected), None
-
-
-def _prop_neutralize_image(n: int, cap: int):
-    expected = {}
-    for m in enumerate_asm(n, s=1, sign=SignClass.NEUTRAL, cap=cap):
-        sums = cell_sums(m)
-        for e in range(-sums.ell, sums.c + 1):
-            pair = NeutralPair(m, e)
-            expected[pair] = pair
-    image = set()
-    for m in enumerate_asm(n, s=1, cap=cap):
-        p = nz.neutralize(m)
-        if p in image:
-            return 0, _cx(m, "neutralize is not injective")
-        image.add(expected.get(p, p))
-    if image != expected.keys():
-        return 0, f"pair sets differ by {len(image ^ expected.keys())} elements (n={n})"
-    return len(image) + len(expected), None
 
 
 def _iter_valid_tables(n: int) -> Iterable[GenInvTable]:
@@ -222,19 +185,28 @@ def _iter_valid_tables(n: int) -> Iterable[GenInvTable]:
                         yield t
 
 
-def _prop_table_characterization(n: int, cap: int):
-    expected = {t: t for t in _iter_valid_tables(n)}
-    image = set()
-    for m in enumerate_asm(n, s=1, cap=cap):
-        t = gen_table(nz.neutralize(m))
-        image.add(expected.get(t, t))
-    if image != expected.keys():
-        return 0, f"table sets differ by {len(image ^ expected.keys())} elements (n={n})"
-    for t in expected:
-        back = gen_table(pair_from_table(t))
+def _valid_tuples(n: int, cap: int):
+    return sum(1 for _ in _iter_valid_tuples(n)), None
+
+
+def _admissible_pairs(n: int, cap: int):
+    neutral = enumerate_asm(n, s=1, sign=SignClass.NEUTRAL, cap=cap)
+    return sum(sums.c + sums.ell + 1 for sums in map(cell_sums, neutral)), None
+
+
+def _valid_tables(n: int, cap: int):
+    size = 0
+    for t in _iter_valid_tables(n):
+        back = it.gen_table(pair_from_table(t))
         if back != t:
-            return 0, f"table {t.to_text()} does not round-trip (got {back.to_text()})"
-    return len(image) + len(expected), None
+            return size, f"table {t.to_text()} does not round-trip (got {back.to_text()})"
+        size += 1
+    return size, None
+
+
+# --- whole-order properties -------------------------------------------------
+# Each takes (n, cap), enumerates what it needs itself and returns
+# (checked_count, counterexample | None).
 
 
 def _prop_enumeration_totals(n: int, cap: int):
@@ -365,6 +337,14 @@ def _discharge_neutral_shortcut(rec: _Record):
         return "four-step and two-step discharge disagree"
 
 
+def _discharge_bijection(rec: _Record):
+    t = discharge(rec.m)
+    if not tuple_valid(t):
+        return f"discharge produced invalid tuple: {tuple_valid(t).message}"
+    if recharge(t) != rec.m:
+        return "recharge does not invert discharge"
+
+
 def _neutralize_roundtrip(rec: _Record):
     if nz.restore(rec.pair) != rec.m:
         return "restore does not invert neutralize"
@@ -441,6 +421,14 @@ def _table_roundtrip(rec: _Record):
         return "leading sum != a_k - 1 - a_{k-1}"
 
 
+def _table_characterization(rec: _Record):
+    t = rec.table
+    if not table_valid(t):
+        return f"encoded table fails validity: {table_valid(t).message}"
+    if nz.restore(pair_from_table(t)) != rec.m:
+        return f"table {t.to_text()} does not rebuild the matrix"
+
+
 def _table_duality(rec: _Record):
     t = rec.table
     d = dual_table(t)
@@ -510,9 +498,9 @@ PROPERTIES: tuple[tuple[str, str, Callable | _Each], ...] = (
     ("perm-table-roundtrip", "permutation inversion tables encode and decode faithfully", _Each(_perm_table_roundtrip, s=0)),
     ("discharge-structure", "discharge yields a permutation fixing rows 1..k with the stated sums", _Each(_discharge_structure, _NON_NEGATIVE)),
     ("discharge-neutral-shortcut", "steps 3 and 4 cancel on neutral inputs", _Each(_discharge_neutral_shortcut, _NEUTRAL)),
-    ("discharge-bijection", "discharge hits every valid 4-tuple exactly once and inverts", _prop_discharge_bijection),
+    ("discharge-bijection", "discharge hits every valid 4-tuple exactly once and inverts", _Each(_discharge_bijection, _NON_NEGATIVE, codomain=_valid_tuples)),
     ("neutralize-roundtrip", "restore inverts neutralize on every one-minus matrix", _Each(_neutralize_roundtrip)),
-    ("neutralize-image", "neutralize maps onto exactly the admissible (N, E) pairs", _prop_neutralize_image),
+    ("neutralize-image", "neutralize maps onto exactly the admissible (N, E) pairs", _Each(_neutralize_roundtrip, codomain=_admissible_pairs)),
     ("neutralize-transport", "neutralize preserves r, i, J and shifts B by E", _Each(_neutralize_transport)),
     ("neutralize-reflect", "neutralize commutes with vertical reflection", _Each(_neutralize_reflect)),
     ("charge-range", "the magnetic charge shares the electric charge's interval", _Each(_charge_range)),
@@ -520,7 +508,7 @@ PROPERTIES: tuple[tuple[str, str, Callable | _Each], ...] = (
     ("charge-swap", "the matrix involution swaps E and B and fixes r, i, J", _Each(_charge_swap)),
     ("charge-swap-reflect", "the charge swap commutes with reflection", _Each(_charge_swap_reflect)),
     ("table-roundtrip", "generalized tables encode pairs faithfully with matching statistics", _Each(_table_roundtrip)),
-    ("table-characterization", "the four table conditions capture exactly the encodable tables", _prop_table_characterization),
+    ("table-characterization", "the four table conditions capture exactly the encodable tables", _Each(_table_characterization, codomain=_valid_tables)),
     ("table-duality", "table duality matches reflection and the charge-swap beta", _Each(_table_duality)),
     ("paths-roundtrip", "path configurations encode pairs faithfully with the endpoint law", _Each(_paths_roundtrip)),
     ("paths-params", "statistics read off paths match the matrix statistics", _Each(_paths_params)),
@@ -680,13 +668,19 @@ def _sweep(
         if streamed:
             _stream(n, cap, streamed)
         for tally in live:
-            if isinstance(tally.impl, _Each):
+            each = isinstance(tally.impl, _Each)
+            count = tally.impl.codomain if each else tally.impl
+            if count is None or not tally.result.ok:
                 continue
             t0 = time.perf_counter()
             try:
-                tally.done, tally.result.counterexample = tally.impl(n, cap)
+                size, note = count(n, cap)
+                if each and note is None and size != tally.done:
+                    note = f"{size} elements counted in the codomain, {tally.done} checked (n={n})"
+                tally.done += size
             except AsmcError as exc:
-                tally.result.counterexample = f"unexpected error at n={n}: {exc}"
+                note = f"unexpected error at n={n}: {exc}"
+            tally.result.counterexample = note
             tally.result.seconds += time.perf_counter() - t0
         checked = 0
         for tally in live:

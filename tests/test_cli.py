@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,13 @@ class TestBasics:
         _, once, _ = run_cli(["reflect"], DIAMOND_TEXT, monkeypatch, capsys)
         _, twice, _ = run_cli(["reflect"], once, monkeypatch, capsys)
         assert twice == DIAMOND_TEXT
+
+    @pytest.mark.parametrize("argv", [["validate", "-o=--"], ["enumerate", "-n=3", "-s=1", "--output=--"]])
+    def test_output_file_named_dashes(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(argv, DIAMOND_TEXT, monkeypatch, capsys)
+        assert (code, out) == (0, "")
+        assert (tmp_path / "--").read_text() in ("ok: n=3 s=1\n", DIAMOND_TEXT)
 
     def test_file_input_and_output(self, tmp_path, monkeypatch, capsys):
         src = tmp_path / "m.txt"
@@ -271,6 +279,16 @@ class TestExitCodes:
             main(["no-such-command"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "-n=--"], ["verify", "--n-max=--"], ["dist", "-n=3", "--keys=r", "--cap=--"], ["params", "--format=--"]],
+    )
+    def test_dashes_for_a_number_or_choice_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "invalid value '--'" in capsys.readouterr().err
+
     def test_cap_violation_exits_two(self, monkeypatch, capsys):
         code, _, err = run_cli(
             ["enumerate", "-n", "9", "--count"], "", monkeypatch, capsys
@@ -290,6 +308,24 @@ class TestExitCodes:
         assert (code, out) == (0, "42\n")
 
 
+def _exit_code_and_streams(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(label, code, err):
+    assert code in (0, 1, 2), label
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(-2, 9),
@@ -300,13 +336,35 @@ def test_fuzzed_counting_commands_exit_zero_or_two(n, keys, count_n):
     """``dist`` and ``enumerate --count`` answer or exit 2 with one
     ``error:`` line, whatever the order and key string."""
     for argv in (["dist", f"-n={n}", f"--keys={keys}"], ["enumerate", f"-n={count_n}", "--count"]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, _, err = _exit_code_and_streams(argv)
         assert code in (0, 2), argv
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+        _assert_clean_exit(argv, code, err)
+
+
+SMALL_MATRICES = [asmc.matrix_to_text(m) for n in (2, 3, 4) for m in asmc.enumerate_asm(n)]
+MATRIX_COMMANDS = ("validate", "params", "reflect", "discharge", "neutralize", "prime", "table", "paths", "pipeline")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=st.one_of(
+        st.sampled_from(SMALL_MATRICES),
+        st.text(alphabet=' 01-2\n#{}[]":,rowsn', max_size=40),
+    )
+)
+def test_fuzzed_matrix_commands_exit_cleanly(text):
+    """Every matrix-reading command answers, or exits 1 or 2 with one
+    ``error:`` line, on any input text."""
+    for command in MATRIX_COMMANDS:
+        code, _, err = _exit_code_and_streams([command], text)
+        _assert_clean_exit(command, code, err)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_max=st.integers(-2, 4))
+def test_fuzzed_verify_exits_cleanly(n_max):
+    code, _, err = _exit_code_and_streams(["verify", f"--n-max={n_max}"])
+    _assert_clean_exit(n_max, code, err)
 
 
 def test_module_entrypoint_subprocess():

@@ -1,13 +1,17 @@
 """The property sweep itself: completeness, reporting, and the ability to
 catch a deliberately broken involution."""
 
+import dataclasses
+import itertools
 import json
 import sys
 
 import pytest
 
+import asmc.inv_table
 import asmc.matrix
 import asmc.neutral
+import asmc.verify
 from asmc import NeutralPair, enumerate_asm, verify_suite
 from asmc.verify import PROPERTIES, run_property
 
@@ -140,7 +144,7 @@ def test_neutralize_calls_per_matrix(monkeypatch):
     assert verify_suite(5).ok
     matrices = sum(1 for n in range(3, 6) for _ in enumerate_asm(n, s=1))
     assert matrices == 217
-    assert calls / matrices <= 10.0
+    assert calls / matrices <= 7.5
 
 
 def test_mutated_classical_params_is_caught(monkeypatch):
@@ -154,3 +158,36 @@ def test_mutated_classical_params_is_caught(monkeypatch):
     result = run_property("permutation-inversions", range(3, 5), cap=4)
     assert not result.ok
     assert "matrix rows" in result.counterexample
+
+
+def test_mutated_gen_table_is_caught(monkeypatch):
+    real = asmc.inv_table.gen_table
+
+    def beta_zero(pair):  # a valid table, but beta is dropped
+        return dataclasses.replace(real(pair), beta=0)
+
+    monkeypatch.setattr(asmc.inv_table, "gen_table", beta_zero)
+    result = run_property("table-characterization", range(3, 6), cap=5)
+    assert not result.ok
+    assert "matrix rows" in result.counterexample
+
+
+def test_mutated_neutralize_fails_neutralize_image(monkeypatch):
+    real = asmc.neutral.neutralize
+
+    def uncharged(a):  # a valid pair, but the charge is dropped
+        return NeutralPair(real(a).matrix, 0)
+
+    monkeypatch.setattr(asmc.neutral, "neutralize", uncharged)
+    result = run_property("neutralize-image", range(3, 6), cap=5)
+    assert not result.ok
+    # caught on the first charged matrix, not by a collision further on
+    assert result.counterexample.startswith("restore does not invert neutralize; matrix rows")
+
+
+def test_short_tuple_count_is_caught(monkeypatch):
+    real = asmc.verify._iter_valid_tuples
+    monkeypatch.setattr(asmc.verify, "_iter_valid_tuples", lambda n: itertools.islice(real(n), 1, None))
+    result = run_property("discharge-bijection", range(3, 6), cap=5)
+    assert not result.ok
+    assert result.counterexample == "0 elements counted in the codomain, 1 checked (n=3)"
