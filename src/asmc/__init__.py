@@ -5,6 +5,12 @@ small-order verification of all of it.
 
 All values are immutable and all operations pure functions, so anything
 here may be shared freely between threads.
+
+The function :func:`discharge` shadows the submodule of the same name:
+``asmc.discharge``, and so ``import asmc.discharge as d``, is the
+function.  The module itself is ``sys.modules["asmc.discharge"]`` (which
+``importlib.import_module("asmc.discharge")`` also returns), and
+``from asmc.discharge import recharge`` reads it as usual.
 """
 
 from .cells import (

@@ -19,20 +19,26 @@ electric charge it forms a 4-tuple that determines the input uniquely;
 
 For neutral inputs steps 3 and 4 cancel; the implementation still runs
 all four steps so there is a single code path to verify.
+
+After step 1 every row holds one 1, so the steps act on the list of the
+n 1s of the matrix as ``(row, column)`` points, and end on the one-line
+word of the permutation; each step is linear in n.  Only a matrix that
+is returned is written out densely and validated.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cells import CellGeometry, SignClass, _charges, _sign_class, geometry
-from .displacement import Region, _apply_any, h_shift, h_unshift, v_shift, v_unshift
+from .displacement import Point, Region, _dense, _shift_in_region
 from .errors import (
     InternalInvariantViolation,
     InvalidTuple,
     NegativeClass,
 )
-from .matrix import AsmMatrix, is_permutation_matrix, minus_count, validate_asm
+from .matrix import AsmMatrix, is_permutation_matrix, perm_one_line, validate_asm
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,12 @@ class TupleCheck:
 def right_side_sum(perm: AsmMatrix, k: int) -> int:
     """Number of 1s strictly below row ``k`` and strictly right of the
     column of row ``k``'s 1 (the quantity written ``x``)."""
-    j = perm.rows[k - 1].index(1)
-    return sum(1 for row in perm.rows[k:] if row.index(1) > j)
+    return _right_side(perm_one_line(perm), k)
+
+
+def _right_side(word: tuple[int, ...], k: int) -> int:
+    j = word[k - 1]
+    return sum(1 for col in word[k:] if col > j)
 
 
 def _non_negative_geometry(a: AsmMatrix) -> CellGeometry:
@@ -105,46 +115,55 @@ def _non_negative_geometry(a: AsmMatrix) -> CellGeometry:
     return g
 
 
+def _perm(word: tuple[int, ...]) -> AsmMatrix:
+    """The validated permutation matrix of a one-line word."""
+    n = len(word)
+    return validate_asm(_dense(enumerate(word, start=1), n, n))
+
+
 def partial_discharge(a: AsmMatrix) -> AsmMatrix:
     """Run the four discharge steps; returns a permutation matrix."""
-    return _partial_discharge(a, _non_negative_geometry(a))
+    return _perm(_discharge_word(a, _non_negative_geometry(a)))
 
 
-def _partial_discharge(a: AsmMatrix, g: CellGeometry) -> AsmMatrix:
+def _erase(a: AsmMatrix) -> list[Point]:
+    """Step 1: erase the -1 and the closing 1.  What is left is the first
+    1 of every row (the left 1 on the closing row)."""
+    return [(i, row.index(1) + 1) for i, row in enumerate(a.rows, start=1)]
+
+
+def _discharge_word(a: AsmMatrix, g: CellGeometry) -> tuple[int, ...]:
+    """The four steps on the 1s of ``a``; returns the one-line word of the
+    permutation matrix they leave."""
     n = a.n
-    grid = [list(row) for row in a.rows]
-
-    # step 1: erase the -1 and the closing 1
-    grid[g.closing_row - 1][g.opening_col - 1] = 0
-    grid[g.closing_row - 1][g.closing_col - 1] = 0
+    points = _erase(a)
 
     # step 2: shift the extended closing cell right
-    grid = _apply_any(grid, Region(g.closing_row + 1, n, g.opening_col, g.closing_col), h_shift)
+    closing_cell = Region(g.closing_row + 1, n, g.opening_col, g.closing_col)
+    points = _shift_in_region(points, closing_cell, columns=True, inverse=False)
 
     # step 3: shift the extended neutral cell up
-    grid = _apply_any(grid, Region(g.opening_row, g.closing_row, 1, g.opening_col - 1), v_shift)
+    neutral_cell = Region(g.opening_row, g.closing_row, 1, g.opening_col - 1)
+    points = _shift_in_region(points, neutral_cell, columns=False, inverse=False)
 
     # step 4: lower the 1s of the extended neutral and charged cells
-    moves = []
-    for i in range(g.opening_row, g.closing_row + 1):  # extended neutral rows
-        for j in range(1, g.opening_col):
-            if grid[i - 1][j - 1] == 1:
-                moves.append((i, j))
-    for i in g.enclosed_rows:  # charged cell rows
-        for j in range(g.opening_col + 1, n + 1):
-            if grid[i - 1][j - 1] == 1:
-                moves.append((i, j))
+    top, bottom, j0 = g.opening_row, g.closing_row, g.opening_col
+    moves = sorted((i, j) for i, j in points if top <= i <= bottom and j < j0)
+    moves += sorted((i, j) for i, j in points if top < i < bottom and j > j0)
+    moved = set(moves)
+    points = [p for p in points if p not in moved]
+    staying = set(points)
     for i, j in moves:
-        grid[i - 1][j - 1] = 0
-    for i, j in moves:
-        if grid[i][j - 1] != 0:
+        if (i + 1, j) in staying:
             raise InternalInvariantViolation(f"lowering collided at ({i + 1},{j})")
-        grid[i][j - 1] = 1
+        points.append((i + 1, j))
 
-    result = validate_asm(grid)
-    if not is_permutation_matrix(result):
+    points.sort()
+    word = tuple(j for _, j in points)
+    lines = list(range(1, n + 1))
+    if [i for i, _ in points] != lines or sorted(word) != lines:
         raise InternalInvariantViolation("discharge did not produce a permutation matrix")
-    return result
+    return word
 
 
 def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
@@ -155,28 +174,27 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
     g = geometry(a)
     if _sign_class(a, g) is not SignClass.NEUTRAL:
         raise NegativeClass("shortcut applies to neutral matrices only")
-    grid = [list(row) for row in a.rows]
-    grid[g.closing_row - 1][g.opening_col - 1] = 0
-    grid[g.closing_row - 1][g.closing_col - 1] = 0
-    grid = _apply_any(
-        grid, Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col), h_shift
-    )
-    return validate_asm(grid)
+    closing_cell = Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col)
+    points = _shift_in_region(_erase(a), closing_cell, columns=True, inverse=False)
+    return validate_asm(_dense(points, a.n, a.n))
 
 
 def discharge(a: AsmMatrix) -> DischargeTuple:
     """Full discharge: ``(k, partial_discharge(a), c, E)``."""
-    return _discharge(a, _non_negative_geometry(a))
-
-
-def _discharge(a: AsmMatrix, g: CellGeometry) -> DischargeTuple:
+    g = _non_negative_geometry(a)
     ch = _charges(a, g)
     return DischargeTuple(
         opening_row=g.opening_row,
-        perm=_partial_discharge(a, g),
+        perm=_perm(_discharge_word(a, g)),
         closing_sum=ch.c,
         charge=ch.e,
     )
+
+
+def _word(perm: AsmMatrix) -> tuple[int, ...] | None:
+    """The one-line word of ``perm``, or None if it is not a permutation
+    matrix."""
+    return perm_one_line(perm) if is_permutation_matrix(perm) else None
 
 
 def tuple_valid(t: DischargeTuple) -> TupleCheck:
@@ -187,75 +205,82 @@ def tuple_valid(t: DischargeTuple) -> TupleCheck:
     3. row k's 1 lies strictly right of row k+1's 1;
     4. ``c >= 0``, ``E >= 0`` and ``c + E < x``.
     """
-    n = t.perm.n
-    if not 1 <= t.opening_row <= n - 2:
-        return TupleCheck(False, 1, f"k={t.opening_row} outside [1, {n - 2}]")
-    if minus_count(t.perm) != 0:
+    return _word_valid(t.perm.n, _word(t.perm), t.opening_row, t.closing_sum, t.charge)
+
+
+def _word_valid(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> TupleCheck:
+    """:func:`tuple_valid` on the one-line word of the matrix component
+    (None when that is not a permutation matrix)."""
+    if not 1 <= k <= n - 2:
+        return TupleCheck(False, 1, f"k={k} outside [1, {n - 2}]")
+    if word is None:
         return TupleCheck(False, 2, "matrix component is not a permutation matrix")
-    k = t.opening_row
-    j = t.perm.rows[k - 1].index(1)
-    m = t.perm.rows[k].index(1)
+    j, m = word[k - 1], word[k]
     if m >= j:
-        return TupleCheck(False, 3, f"row {k + 1}'s 1 (column {m + 1}) is not left of row {k}'s (column {j + 1})")
-    if t.closing_sum < 0 or t.charge < 0:
+        return TupleCheck(False, 3, f"row {k + 1}'s 1 (column {m}) is not left of row {k}'s (column {j})")
+    if c < 0 or e < 0:
         return TupleCheck(False, 4, "c and E must be non-negative")
-    x = right_side_sum(t.perm, k)
-    if t.closing_sum + t.charge >= x:
-        return TupleCheck(False, 4, f"c + E = {t.closing_sum + t.charge} must be < x = {x}")
+    x = _right_side(word, k)
+    if c + e >= x:
+        return TupleCheck(False, 4, f"c + E = {c + e} must be < x = {x}")
     return TupleCheck(True)
 
 
 def recharge(t: DischargeTuple) -> AsmMatrix:
     """Inverse of :func:`discharge`; raises :class:`InvalidTuple` when the
     tuple fails a membership condition."""
-    check = tuple_valid(t)
+    return _recharge(t.perm.n, _word(t.perm), t.opening_row, t.closing_sum, t.charge)
+
+
+def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> AsmMatrix:
+    """:func:`recharge` of ``(k, P, c, E)`` given the one-line word of P."""
+    check = _word_valid(n, word, k, c, e)
     if not check:
         raise InvalidTuple(check.condition, check.message)
-    n = t.perm.n
-    k = t.opening_row
-    grid = [list(row) for row in t.perm.rows]
-    j = grid[k - 1].index(1) + 1  # opening column
+    j = word[k - 1]  # opening column
 
     # closing row: topmost row below k where the right-side count reaches E
     count = 0
     closing_row = None
     for q in range(k + 1, n + 1):
-        if grid[q - 1].index(1) + 1 > j:
+        if word[q - 1] > j:
             count += 1
-        if count == t.charge:
+        if count == e:
             closing_row = q
             break
     if closing_row is None or closing_row >= n:
         raise InternalInvariantViolation("no admissible closing row found")
 
     # reverse step 4: raise the single 1 of each row k+1..closing_row
-    lifted = [(q, grid[q - 1].index(1) + 1) for q in range(k + 1, closing_row + 1)]
-    for q, col in lifted:
-        grid[q - 1][col - 1] = 0
-    for q, col in lifted:
-        if grid[q - 2][col - 1] != 0:
+    points = list(enumerate(word, start=1))
+    staying = {(q, col) for q, col in points if not k < q <= closing_row}
+    for q, col in points[k:closing_row]:
+        if (q - 1, col) in staying:
             raise InternalInvariantViolation(f"raising collided at ({q - 1},{col})")
-        grid[q - 2][col - 1] = 1
+    points = [(q - 1 if k < q <= closing_row else q, col) for q, col in points]
 
     # reverse step 3: shift the extended neutral cell back down
-    grid = _apply_any(grid, Region(k, closing_row, 1, j - 1), v_unshift)
+    points = _shift_in_region(points, Region(k, closing_row, 1, j - 1), columns=False, inverse=True)
 
     # closing column: leftmost column right of j where the below-closing
     # cumulative count reaches c + 1
+    below = Counter(col for q, col in points if q > closing_row)
     total = 0
     closing_col = None
     for col in range(j, n + 1):
-        total += sum(1 for q in range(closing_row + 1, n + 1) if grid[q - 1][col - 1])
-        if col > j and total == t.closing_sum + 1:
+        total += below[col]
+        if col > j and total == c + 1:
             closing_col = col
             break
     if closing_col is None:
         raise InternalInvariantViolation("no admissible closing column found")
 
     # reverse step 2, then restore the erased entries
-    grid = _apply_any(grid, Region(closing_row + 1, n, j, closing_col), h_unshift)
-    if grid[closing_row - 1][j - 1] or grid[closing_row - 1][closing_col - 1]:
+    closing_cell = Region(closing_row + 1, n, j, closing_col)
+    points = _shift_in_region(points, closing_cell, columns=True, inverse=True)
+    if {(closing_row, j), (closing_row, closing_col)} & set(points):
         raise InternalInvariantViolation("closing row positions are not free")
+    grid = _dense(points, n, n)
     grid[closing_row - 1][j - 1] = -1
     grid[closing_row - 1][closing_col - 1] = 1
     return validate_asm(grid)

@@ -10,16 +10,26 @@ bottom row plays the role of column 1).
 Both primitives are injective and preserve the multiset of line
 contents.  ``apply_in_region`` lets them act on a rectangular window of
 a larger integer matrix, leaving the rest untouched.
+
+A shift only relabels the lines that hold a 1, so it acts on the list
+of a window's 1s as ``(row, column)`` points: the work of one shift is
+linear in the number of points, not in the area of the window.  That
+point core, ``_shift_in_region``, is the one region-shift entry
+point; discharging and recharging call it on the n 1s of a matrix, and
+the public primitives are adapters that read the 1s of a dense grid,
+shift them and write the grid back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionFailed
 
 IntGrid = tuple[tuple[int, ...], ...]
+Point = tuple[int, int]  # 1-based (row, column) of a 1
 
 _ZERO_ONE = frozenset((0, 1))
 _INT = frozenset((int,))
@@ -40,54 +50,82 @@ def _as_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
     return rows
 
 
-def _check_zero_one(rows: IntGrid) -> None:
+def _check_zero_one(rows: Sequence[Sequence[int]]) -> None:
     for row in rows:
         if not _ZERO_ONE.issuperset(row):
             v = next(v for v in row if v not in _ZERO_ONE)
             raise PreconditionFailed(f"entry {v!r} is not 0 or 1")
 
 
-def _displace(
-    slots: list[tuple[int, ...]], empty: tuple[int, ...], line: str, first: str, last: str
-) -> list[tuple[int, ...]]:
-    """Shared displacement core on an ordered list of line contents.
+def _displace(points: list[Point], region: Region, columns: bool, inverse: bool) -> list[Point]:
+    """The displacement core on the 1s of a (0,1)-matrix.
 
-    Slot 1 (the ``first`` line) must be nonzero and the last slot (the
-    ``last`` line) zero; the content of each nonzero slot moves to the
-    next nonzero slot's position (the last one to the final slot) and
-    slot 1 is emptied.  Run on the reversed order, it is the inverse.
+    The window's lines are slots in order: columns left to right, or
+    rows bottom to top, or (``inverse``) the same lines in the opposite
+    order.  Slot 1 must hold a point of the window and the last slot
+    none; the points of each occupied slot move to the next occupied
+    slot (those of the last one to the final slot), so slot 1 empties.
+    Points outside the window are kept as they are, and the order of
+    the list is kept.
     """
-    m = len(slots)
-    nonzero = [i for i, s in enumerate(slots) if any(s)]
-    if not nonzero:
-        raise PreconditionFailed(f"no nonzero {line}")
-    if nonzero[0] != 0:
-        raise PreconditionFailed(f"{first} empty")
-    if nonzero[-1] == m - 1:
-        raise PreconditionFailed(f"{last} nonzero")
-    out = [empty] * m
-    targets = nonzero[1:] + [m - 1]
-    for src, dst in zip(nonzero, targets):
-        out[dst] = slots[src]
+    top, bottom, left, right = region.top, region.bottom, region.left, region.right
+    inside = {p for p in points if top <= p[0] <= bottom and left <= p[1] <= right}
+    if columns:
+        first, last, names = left, right, ["column 1", "last column"]
+    else:
+        first, last, names = top, bottom, ["first row", "last row"]
+    if columns == inverse:  # the slots run from the high index down
+        first, last = last, first
+        names.reverse()
+    axis = 1 if columns else 0
+    occupied = sorted({p[axis] for p in inside}, reverse=first > last)
+    if not occupied:
+        raise PreconditionFailed(f"no nonzero {'column' if columns else 'row'}")
+    if occupied[0] != first:
+        raise PreconditionFailed(f"{names[0]} empty")
+    if occupied[-1] == last:
+        raise PreconditionFailed(f"{names[1]} nonzero")
+    target = dict(zip(occupied, occupied[1:] + [last]))
+    if columns:
+        return [(i, target[j]) if (i, j) in inside else (i, j) for i, j in points]
+    return [(target[i], j) if (i, j) in inside else (i, j) for i, j in points]
+
+
+def _shift_in_region(points: list[Point], region: Region, columns: bool, inverse: bool) -> list[Point]:
+    """Shift the points of ``region``: columns left to right (``h_shift``)
+    or rows bottom to top (``v_shift``), or back with ``inverse``.
+
+    The single entry point of every shift inside a larger matrix; a
+    failed precondition is re-raised with the region attached.
+    """
+    try:
+        return _displace(points, region, columns, inverse)
+    except PreconditionFailed as exc:
+        raise PreconditionFailed(f"{exc} (in region {region})") from exc
+
+
+def _ones(rows: Sequence[Sequence[int]], top: int = 1, left: int = 1) -> list[Point]:
+    """The points of the nonzero entries of (0,1) ``rows``, numbered from
+    ``(top, left)``."""
+    return [(i, left + j) for i, row in enumerate(rows, start=top)
+            for j in compress(range(len(row)), row)]
+
+
+def _dense(points: Iterable[Point], m: int, n: int) -> list[list[int]]:
+    """The m x n grid with a 1 at each point and 0 elsewhere."""
+    out = [[0] * n for _ in range(m)]
+    for i, j in points:
+        out[i - 1][j - 1] = 1
     return out
 
 
 def _shift(grid: Sequence[Sequence[int]], columns: bool, inverse: bool) -> IntGrid:
-    """The four primitives: columns left to right or rows bottom to top,
-    or (``inverse``) the same lines in the opposite order."""
+    """The four primitives on a whole dense grid."""
     rows = _as_grid(grid)
     _check_zero_one(rows)
-    if columns:
-        slots, empty, ends = list(zip(*rows)), (0,) * len(rows), ["column 1", "last column"]
-    else:  # bottom row first
-        slots, empty, ends = list(reversed(rows)), (0,) * len(rows[0]), ["last row", "first row"]
-    if inverse:
-        slots.reverse()
-        ends.reverse()
-    out = _displace(slots, empty, "column" if columns else "row", *ends)
-    if inverse:
-        out.reverse()
-    return tuple(zip(*out)) if columns else tuple(reversed(out))
+    m, n = len(rows), len(rows[0])
+    shifted = _displace(_ones(rows), Region(1, m, 1, n), columns, inverse)
+    return tuple(map(tuple, _dense(shifted, m, n)))
 
 
 def h_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
@@ -138,12 +176,6 @@ class Region:
             raise PreconditionFailed(f"region {self} exceeds {m}x{n} host")
 
 
-_PRIMITIVES: dict[str, Callable[[Sequence[Sequence[int]]], IntGrid]] = {
-    "h": h_shift,
-    "v": v_shift,
-}
-
-
 def apply_in_region(
     host: Sequence[Sequence[int]],
     region: Region,
@@ -157,35 +189,22 @@ def apply_in_region(
     and the window content must satisfy the primitive's precondition;
     failures are re-raised with the region attached.
     """
-    func = _PRIMITIVES.get(f) if isinstance(f, str) else f if f in (h_shift, v_shift) else None
-    if func is None:
+    if f not in ("h", "v", h_shift, v_shift):
         raise PreconditionFailed("only h_shift and v_shift may be applied in a region")
     try:
         rows = _as_grid(host)
     except PreconditionFailed as exc:
         raise PreconditionFailed(f"{exc} (host of region {region})") from exc
-    return tuple(tuple(row) for row in _apply_any(rows, region, func))
-
-
-def _apply_any(
-    host: Sequence[Sequence[int]],
-    region: Region,
-    func: Callable[[Sequence[Sequence[int]]], IntGrid],
-) -> list[list[int]]:
-    """Region application without the public primitive restriction
-    (the discharge inverse needs ``h_unshift``/``v_unshift``).
-
-    Returns a fresh list-of-lists copy of ``host``; only the window's
-    entries pass through ``func``.
-    """
-    out = [list(row) for row in host]
-    region.check_within(len(out), len(out[0]) if out else 0)
-    r0, r1, c0, c1 = region.top - 1, region.bottom, region.left - 1, region.right
-    window = [row[c0:c1] for row in out[r0:r1]]
+    region.check_within(len(rows), len(rows[0]))
+    window = [row[region.left - 1 : region.right] for row in rows[region.top - 1 : region.bottom]]
     try:
-        shifted = func(window)
+        _check_zero_one(window)
     except PreconditionFailed as exc:
         raise PreconditionFailed(f"{exc} (in region {region})") from exc
-    for row, new in zip(out[r0:r1], shifted):
-        row[c0:c1] = new
-    return out
+    ones = _ones(window, region.top, region.left)
+    out = [list(row) for row in rows]
+    for i, j in ones:
+        out[i - 1][j - 1] = 0
+    for i, j in _shift_in_region(ones, region, columns=f in ("h", h_shift), inverse=False):
+        out[i - 1][j - 1] = 1
+    return tuple(map(tuple, out))

@@ -9,14 +9,17 @@ On pairs, replacing the charge E by ``c(N) - ell(N) - E`` is an
 involution; conjugated back to matrices it swaps the electric and the
 magnetic charge while fixing everything else (r, i, J and the rows down
 to the opening row).
+
+Both directions discharge and recharge on the one-line word of the
+permutation in between; only the matrix returned is built and validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellSums, SignClass, _cell_sums, _sign_class, geometry
-from .discharge import DischargeTuple, _discharge, _partial_discharge, recharge
+from .cells import CellSums, SignClass, _cell_sums, _charges, _sign_class, geometry
+from .discharge import _discharge_word, _recharge
 from .errors import InvalidPair, NotOneMinus
 from .matrix import AsmMatrix, json_int, matrix_from_json, matrix_to_json, reflect
 
@@ -75,11 +78,9 @@ def neutralize(a: AsmMatrix) -> NeutralPair:
     if cls is SignClass.NEGATIVE:
         mirrored = neutralize(reflect(a))
         return NeutralPair(reflect(mirrored.matrix), -mirrored.charge)
-    t = _discharge(a, g)
-    neutral = recharge(
-        DischargeTuple(t.opening_row, t.perm, t.closing_sum + t.charge, 0)
-    )
-    return NeutralPair(neutral, t.charge)
+    ch = _charges(a, g)
+    neutral = _recharge(a.n, _discharge_word(a, g), g.opening_row, ch.c + ch.e, 0)
+    return NeutralPair(neutral, ch.e)
 
 
 def restore(pair: NeutralPair) -> AsmMatrix:
@@ -89,11 +90,9 @@ def restore(pair: NeutralPair) -> AsmMatrix:
     if pair.charge < 0:
         return reflect(restore(NeutralPair(reflect(pair.matrix), -pair.charge)))
     # the pair's matrix is neutral: its discharge has charge 0 and closing sum c
-    g = geometry(pair.matrix)
-    perm = _partial_discharge(pair.matrix, g)
-    return recharge(
-        DischargeTuple(g.opening_row, perm, pair.sums.c - pair.charge, pair.charge)
-    )
+    n, g = pair.matrix.n, geometry(pair.matrix)
+    word = _discharge_word(pair.matrix, g)
+    return _recharge(n, word, g.opening_row, pair.sums.c - pair.charge, pair.charge)
 
 
 def flip_charge(pair: NeutralPair) -> NeutralPair:

@@ -20,6 +20,14 @@ sub-configuration are each vertex-disjoint.  A neutral pair with table
 Duality maps junctions, S-step starts and N-step ends through
 ``(x, l) -> (l-1-x, l)`` (the mirror of each level's vertex row) and
 corresponds to vertical reflection of the underlying matrix.
+
+A Left part visits each level it meets along one run of E-steps, and a
+Right part along one run of F-steps, so a path is read by its runs per
+level and by step counts (:meth:`MixedPath.vertex_at`), never vertex by
+vertex: validation, :func:`config_params` and :func:`dual_config` do
+O(n) Python work on the O(n) runs of a configuration, beyond string
+operations on its step strings.  Only the renderers and the naming of a
+problem that validation has already found walk the vertices.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import lt
 
 from .errors import (
     InternalInvariantViolation,
@@ -45,6 +52,7 @@ _DL = {s: d[1] for s, d in STEP_DELTAS.items()}
 RIGHT_STEPS = "FN"
 
 Vertex = tuple[int, int]
+Run = tuple[int, int, int]  # (level, first x, last x)
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,17 @@ class MixedPath:
             accumulate(map(_DL.__getitem__, self.steps), initial=level),
         ))
 
+    def vertex_at(self, pos: int) -> Vertex:
+        """The vertex reached after the first ``pos`` steps, read off the
+        step counts of that prefix."""
+        x, level = self.start
+        head = self.steps[:pos]
+        down = head.count("S")
+        return (x + len(head) - down, level - down + head.count("N"))
+
     @property
     def end(self) -> Vertex:
-        return self.vertices()[-1]
+        return self.vertex_at(len(self.steps))
 
     @property
     def left_len(self) -> int:
@@ -73,7 +89,7 @@ class MixedPath:
 
     @property
     def junction(self) -> Vertex:
-        return self.vertices()[self.left_len]
+        return self.vertex_at(self.left_len)
 
 
 @dataclass(frozen=True)
@@ -125,10 +141,17 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
     Checks the grid bounds, start vertices, Left-before-Right step order,
     the endpoint permutation and vertex-disjointness of the Left and the
     Right sub-configurations.
+
+    Every step moves x up or keeps it, and none lowers ``x - level``, so a
+    path stays in the grid when its start has ``x >= 0``, its end has
+    ``x < level`` and its top level (the higher of its start and end
+    levels, Left steps before Right ones) is at most n.  Two parts meet
+    only if two of their runs on one level overlap.  The vertices of a
+    path are walked only to name a problem these checks have found.
     """
     problems: list[str] = []
     n = cfg.n
-    walks = []  # (vertices, number of Left steps) of each path
+    ends, runs = [], []  # end vertex and (Left, Right) runs of each path
     for i, p in enumerate(cfg.paths, start=1):
         if not STEP_DELTAS.keys() >= set(p.steps):
             s = next(s for s in p.steps if s not in STEP_DELTAS)
@@ -140,30 +163,28 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
         late = p.steps[left:].lstrip(RIGHT_STEPS)  # starts at the first Left step after a Right one
         if late:
             problems.append(f"path {i}: Left step {late[0]!r} after a Right step")
-        verts = p.vertices()
-        xs, levels = zip(*verts)
-        if min(xs) < 0 or max(levels) > n or not all(map(lt, xs, levels)):
-            x, level = next(v for v in verts if not 0 <= v[0] < v[1] <= n)
-            problems.append(f"path {i} leaves the grid at ({x},{level})")
-        walks.append((verts, left))
+        (x0, l0), (x1, l1) = p.start, p.end
+        if late or x0 < 0 or x1 >= l1 or max(l0, l1) > n:
+            bad = next((v for v in p.vertices() if not 0 <= v[0] < v[1] <= n), None)
+            if bad is not None:
+                problems.append(f"path {i} leaves the grid at ({bad[0]},{bad[1]})")
+        ends.append((x1, l1))
+        runs.append(_runs(p, left))
     if problems:
         return problems
-    ends = [verts[-1] for verts, _ in walks]
     sigma = [level for _, level in ends]
     if sorted(sigma) != list(range(1, n + 1)):
         problems.append(f"end levels {sigma} are not a permutation of 1..{n}")
     for i, (x, level) in enumerate(ends, start=1):
         if x != level - 1:
             problems.append(f"path {i} ends at {(x, level)}, not on the diagonal")
-    for label, vertex_sets in (
-        ("Left", [verts[: left + 1] for verts, left in walks]),
-        ("Right", [verts[left:] for verts, left in walks]),
-    ):
-        if len(set(chain.from_iterable(vertex_sets))) == sum(map(len, vertex_sets)):
-            continue  # no vertex is shared (a single path never repeats one)
+    for part, label in enumerate(("Left", "Right")):
+        if not _overlap(sorted(chain.from_iterable(r[part] for r in runs))):
+            continue
         seen: dict[Vertex, int] = {}
-        for i, vs in enumerate(vertex_sets, start=1):
-            for v in vs:
+        for i, p in enumerate(cfg.paths, start=1):
+            verts, left = p.vertices(), p.left_len
+            for v in (verts[: left + 1], verts[left:])[part]:
                 if v in seen:
                     problems.append(
                         f"{label} parts of paths {seen[v]} and {i} meet at {v}"
@@ -171,6 +192,34 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
                 else:
                     seen[v] = i
     return problems
+
+
+def _runs(p: MixedPath, left: int) -> tuple[list[Run], list[Run]]:
+    """The ``(level, first x, last x)`` runs of the Left part (the first
+    ``left`` steps) and of the Right part, for a path whose Left steps all
+    precede its Right steps.
+
+    A Left part visits each level it meets along one run of E-steps
+    (an S-step goes down a level), and a Right part along one run of
+    F-steps (an N-step goes up one); both parts hold the junction.
+    """
+    x, level = p.start
+    out: tuple[list, list] = ([], [])
+    for run in p.steps[:left].split("S"):
+        out[0].append((level, x, x + len(run)))
+        x, level = x + len(run), level - 1
+    level += 1  # the junction is on the last Left level
+    for run in p.steps[left:].split("N"):
+        out[1].append((level, x, x + len(run)))
+        x, level = x + len(run) + 1, level + 1
+    return out
+
+
+def _overlap(runs: list[Run]) -> bool:
+    """Whether two of the sorted ``(level, first x, last x)`` runs share a
+    vertex; if any two do, two neighbours in the order do."""
+    return any(l1 == l2 and first <= last
+               for (l1, _, last), (l2, first, _) in zip(runs, runs[1:]))
 
 
 def _require_valid(cfg: MixedConfiguration) -> None:
@@ -261,33 +310,22 @@ def config_params(cfg: MixedConfiguration) -> ParamVector:
     _require_valid(cfg)
     if cfg.step_count("S") != 1:
         raise MalformedConfiguration("expected exactly one S-step")
-    n = cfg.n
-    r = 0
-    e_total = 0
-    s_start = n_end = None
-    b_run = beta_run = 0
-    s_path = n_path = None
-    for idx, p in enumerate(cfg.paths, start=1):
-        verts = p.vertices()
-        for pos, s in enumerate(p.steps):
-            if s == "E":
-                e_total += 1
-                if verts[pos][1] == n:
-                    r += 1
-            elif s == "S":
-                s_start = verts[pos]
-                s_path = idx
-                b_run = sum(1 for c in p.steps[pos + 1 :] if c == "E")
-            elif s == "N":
-                n_end = verts[pos + 1]
-                n_path = idx
-                beta_run = sum(1 for c in p.steps[:pos] if c == "F")
-    if s_start is None or s_path != n_path + 1:
+    k = next(i for i, p in enumerate(cfg.paths, start=1) if "S" in p.steps)
+    if k < 2 or "N" not in cfg.paths[k - 2].steps:
         raise MalformedConfiguration("S-step must sit in the path after the N-step")
-    junction_gap = abs(cfg.paths[s_path - 1].junction[0] - cfg.paths[n_path - 1].junction[0])
+    s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
+    s_pos, n_pos = s_path.steps.index("S"), n_path.steps.index("N")
+    s_start, n_end = s_path.vertex_at(s_pos), n_path.vertex_at(n_pos + 1)
+    # E-steps on level n: Left parts only go down, and only the last path
+    # starts on level n
+    top = cfg.paths[-1].steps
+    r = len(top) - len(top.lstrip("E"))
+    b_run = s_path.steps.count("E", s_pos + 1)
+    beta_run = n_path.steps.count("F", 0, n_pos)
+    junction_gap = abs(s_path.junction[0] - n_path.junction[0])
     return ParamVector(
         r=r,
-        i=e_total + n_steps,
+        i=cfg.step_count("E") + n_steps,
         e=n_end[0] - s_start[0],
         b=b_run - beta_run,
         j=junction_gap,
@@ -318,12 +356,9 @@ def dual_config(cfg: MixedConfiguration) -> MixedConfiguration:
         t = _table_from_valid_config(cfg)
         k = t.k
         junctions = {i: cfg.paths[i - 1].junction for i in range(1, n + 1)}
-        s_path = cfg.paths[k - 1]
-        s_pos = s_path.steps.index("S")
-        s_start = s_path.vertices()[s_pos]
-        n_path = cfg.paths[k - 2]
-        n_pos = n_path.steps.index("N")
-        n_end = n_path.vertices()[n_pos + 1]
+        s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
+        s_start = s_path.vertex_at(s_path.steps.index("S"))
+        n_end = n_path.vertex_at(n_path.steps.index("N") + 1)
 
         new_ak = _mirror(s_start)[0]
         level_pair = sorted((_mirror(junctions[k - 1])[0], _mirror(junctions[k])[0]))

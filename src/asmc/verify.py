@@ -117,6 +117,10 @@ class _Record:
         return nz.neutralize(self.m)
 
     @cached_property
+    def restored(self) -> AsmMatrix:
+        return nz.restore(self.pair)
+
+    @cached_property
     def table(self) -> GenInvTable:
         return it.gen_table(self.pair)
 
@@ -346,7 +350,7 @@ def _discharge_bijection(rec: _Record):
 
 
 def _neutralize_roundtrip(rec: _Record):
-    if nz.restore(rec.pair) != rec.m:
+    if rec.restored != rec.m:
         return "restore does not invert neutralize"
 
 

@@ -7,6 +7,7 @@ them is an independently known value.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -61,3 +62,16 @@ def all_asm(n: int) -> tuple[AsmMatrix, ...]:
 @lru_cache(maxsize=None)
 def one_minus(n: int) -> tuple[AsmMatrix, ...]:
     return tuple(enumerate_asm(n, s=1))
+
+
+def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
+    """A valid table of order ``n``: free ``a_i`` in ``[0, i-1]`` (condition
+    2), then the block at k drawn inside conditions 3 and 4."""
+    k = rng.randint(3, n)
+    a = [rng.randint(0, i - 1) for i in range(1, n + 1)]
+    ak = rng.randint(1, k - 2)
+    ak1 = rng.randint(0, ak - 1)
+    b = rng.randint(0, k - 2 - ak)
+    beta = rng.randint(0, ak + b - ak1 - 1)
+    a[k - 1], a[k - 2] = ak, ak1
+    return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)

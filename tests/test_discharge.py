@@ -1,6 +1,12 @@
 """Discharging, the 4-tuple conditions and recharging."""
 
+import importlib
+import sys
+import types
+
 import pytest
+
+import asmc
 
 from asmc import (
     DischargeTuple,
@@ -140,3 +146,20 @@ class TestRecharge:
         obj = {**discharge(charged12).to_json(), field: value}
         with pytest.raises(ParseError, match=field):
             tuple_from_json(obj)
+
+
+class TestSubmoduleShadowing:
+    """The function ``discharge`` shadows the submodule ``asmc.discharge``;
+    the module is reached through ``sys.modules``."""
+
+    def test_the_attribute_and_the_import_give_the_function(self):
+        import asmc.discharge as shadowed
+
+        assert shadowed is asmc.discharge is discharge
+        assert not isinstance(shadowed, types.ModuleType)
+
+    def test_the_module_is_in_sys_modules(self):
+        module = sys.modules["asmc.discharge"]
+        assert isinstance(module, types.ModuleType)
+        assert module.discharge is discharge and module.recharge is recharge
+        assert importlib.import_module("asmc.discharge") is module

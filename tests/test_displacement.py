@@ -1,13 +1,14 @@
 """Displacement primitives: golden example, oracles and region plumbing."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from asmc import PreconditionFailed, Region, apply_in_region, h_shift, v_shift
-from asmc.displacement import h_unshift, v_unshift
+from asmc.displacement import _dense, _ones, _shift_in_region, h_unshift, v_unshift
 
 # the printed 6x4 vertical displacement example, byte for byte
 V_INPUT = (
@@ -36,21 +37,48 @@ def flipud(grid):
     return tuple(reversed(grid))
 
 
-def v_shift_by_definition(grid):
-    """Independent oracle: simulate the bottom-to-top row relabeling.
+# each primitive's slots as a view of the grid, the way back, and its
+# precondition messages: first slot empty, last slot nonzero, all empty
+SLOTS = {
+    h_shift: (transpose, transpose, ("column 1 empty", "last column nonzero", "no nonzero column")),
+    h_unshift: (lambda g: transpose(g)[::-1], lambda s: transpose(s[::-1]),
+                ("last column empty", "column 1 nonzero", "no nonzero column")),
+    v_shift: (flipud, flipud, ("last row empty", "first row nonzero", "no nonzero row")),
+    v_unshift: (tuple, tuple, ("first row empty", "last row nonzero", "no nonzero row")),
+}
 
-    Rows are indexed from the bottom; nonzero positions q_1 < ... < q_k
-    (with q_1 = 1, q_k < m) move to q_2, ..., q_k, m.
-    """
-    m = len(grid)
-    bottom_up = list(reversed(grid))
-    nonzero = [idx for idx, row in enumerate(bottom_up) if any(row)]
-    assert nonzero and nonzero[0] == 0 and nonzero[-1] < m - 1
-    out = [tuple([0] * len(grid[0]))] * m
-    targets = nonzero[1:] + [m - 1]
-    for src, dst in zip(nonzero, targets):
-        out[dst] = tuple(bottom_up[src])
-    return tuple(reversed(out))
+
+def shift_by_definition(func, grid):
+    """Independent oracle for the four primitives on a dense grid: relabel
+    the nonzero slots q_1 < ... < q_k (q_1 = 1, q_k < m) to q_2, ..., q_k,
+    m, or raise with the primitive's message."""
+    view, back, (first_empty, last_nonzero, none) = SLOTS[func]
+    slots = view(grid)
+    m = len(slots)
+    nonzero = [q for q, line in enumerate(slots) if any(line)]
+    if not nonzero:
+        raise PreconditionFailed(none)
+    if nonzero[0] != 0:
+        raise PreconditionFailed(first_empty)
+    if nonzero[-1] == m - 1:
+        raise PreconditionFailed(last_nonzero)
+    out = [(0,) * len(slots[0])] * m
+    for src, dst in zip(nonzero, nonzero[1:] + [m - 1]):
+        out[dst] = tuple(slots[src])
+    return back(tuple(out))
+
+
+def outcome(f, *args):
+    """The value of ``f(*args)``, or the message it failed with."""
+    try:
+        return f(*args)
+    except PreconditionFailed as exc:
+        return str(exc)
+
+
+def all_grids(rows, cols):
+    for cells in itertools.product((0, 1), repeat=rows * cols):
+        yield tuple(tuple(cells[r * cols : (r + 1) * cols]) for r in range(rows))
 
 
 def valid_h_inputs(rows, cols):
@@ -117,7 +145,7 @@ class TestVShift:
         for grid_t in valid_h_inputs(3, 4):
             # reuse the valid-H enumerator through the conjugation
             grid = flipud(transpose(grid_t))
-            assert v_shift(grid) == v_shift_by_definition(grid)
+            assert v_shift(grid) == shift_by_definition(v_shift, grid)
 
     def test_conjugation_identity_exhaustively(self):
         conj = lambda g: transpose(flipud(g))
@@ -231,3 +259,39 @@ class TestErrorsNameTheLine:
     def test_message(self, func, grid, message):
         with pytest.raises(PreconditionFailed, match=message):
             func(grid)
+
+
+class TestPointCore:
+    """The point core, reached through the dense adapters and directly on
+    the 1s of a host, against the dense oracle: same grids, same
+    messages."""
+
+    @pytest.mark.parametrize("func", [h_shift, h_unshift, v_shift, v_unshift])
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (3, 2), (3, 4)])
+    def test_primitives_match_the_oracle_on_every_grid(self, func, shape):
+        for grid in all_grids(*shape):
+            assert outcome(func, grid) == outcome(shift_by_definition, func, grid), grid
+
+    @pytest.mark.parametrize("func", [h_shift, h_unshift, v_shift, v_unshift])
+    def test_region_shift_keeps_the_points_outside_the_window(self, func):
+        rng = random.Random(func.__name__)
+        columns, inverse = func in (h_shift, h_unshift), func in (h_unshift, v_unshift)
+        for _ in range(400):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            host = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(m))
+            top, left = rng.randint(1, m), rng.randint(1, n)
+            region = Region(top, rng.randint(top, m), left, rng.randint(left, n))
+            window = [row[left - 1 : region.right] for row in host[top - 1 : region.bottom]]
+            expected = outcome(shift_by_definition, func, window)
+            if isinstance(expected, str):
+                expected = f"{expected} (in region {region})"
+            else:
+                rows = [list(row) for row in host]
+                for row, new in zip(rows[top - 1 : region.bottom], expected):
+                    row[left - 1 : region.right] = new
+                expected = rows
+            got = outcome(lambda: _dense(_shift_in_region(_ones(host), region, columns, inverse), m, n))
+            assert got == expected, (host, region)
+            if not inverse:
+                dense = outcome(apply_in_region, host, region, func)
+                assert dense == (expected if isinstance(expected, str) else tuple(map(tuple, expected)))

@@ -29,7 +29,7 @@ from asmc import (
     table_params,
     table_valid,
 )
-from conftest import TABLE12, one_minus
+from conftest import TABLE12, one_minus, random_valid_table
 
 
 class TestPermTables:
@@ -79,19 +79,6 @@ def gen_table_by_definition(pair: NeutralPair) -> GenInvTable:
         a.append(sum(m.rows[qq][c] for qq in range(q, n) for c in range(ref - 1)))
     sums = cell_sums(m)
     return GenInvTable(k=n + 1 - g.opening_row, a=tuple(a), b=sums.c, beta=pair.charge + sums.ell)
-
-
-def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
-    """A valid table of order ``n``: free ``a_i`` in ``[0, i-1]`` (condition
-    2), then the block at k drawn inside conditions 3 and 4."""
-    k = rng.randint(3, n)
-    a = [rng.randint(0, i - 1) for i in range(1, n + 1)]
-    ak = rng.randint(1, k - 2)
-    ak1 = rng.randint(0, ak - 1)
-    b = rng.randint(0, k - 2 - ak)
-    beta = rng.randint(0, ak + b - ak1 - 1)
-    a[k - 1], a[k - 2] = ak, ak1
-    return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
 
 
 class TestGenTable:

@@ -1,6 +1,11 @@
 """Mixed path configurations: encoding, validation, duality, rendering."""
 
+import random
+from itertools import chain
+
 import pytest
+
+import asmc.paths
 
 from asmc import (
     GenInvTable,
@@ -23,12 +28,14 @@ from asmc import (
     perm_table,
     perm_matrix,
     reflect,
+    table_params,
     render_ascii,
     render_svg,
     table_from_config,
     validate_config,
 )
-from conftest import TABLE12, one_minus
+from asmc.verify import _iter_valid_tables
+from conftest import TABLE12, one_minus, random_valid_table
 
 DIAMOND_TABLE = GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)
 
@@ -263,3 +270,156 @@ class TestJson:
 
         with pytest.raises(ParseError):
             config_from_json({"paths": [{"start": start, "steps": ""}]})
+
+
+def validate_config_by_vertices(cfg):
+    """Reference oracle: every vertex of every path as a tuple, the bounds
+    checked vertex by vertex and disjointness by a set of the vertices of
+    each part."""
+    problems = []
+    n = cfg.n
+    walks = []
+    for i, p in enumerate(cfg.paths, start=1):
+        if not set(p.steps) <= set("ESFN"):
+            s = next(s for s in p.steps if s not in "ESFN")
+            problems.append(f"path {i}: unknown step {s!r}")
+            return problems
+        if p.start != (0, i):
+            problems.append(f"path {i} starts at {p.start}, expected (0, {i})")
+        left = p.left_len
+        late = p.steps[left:].lstrip("FN")
+        if late:
+            problems.append(f"path {i}: Left step {late[0]!r} after a Right step")
+        verts = p.vertices()
+        bad = [v for v in verts if not 0 <= v[0] < v[1] <= n]
+        if bad:
+            problems.append(f"path {i} leaves the grid at ({bad[0][0]},{bad[0][1]})")
+        walks.append((verts, left))
+    if problems:
+        return problems
+    ends = [verts[-1] for verts, _ in walks]
+    sigma = [level for _, level in ends]
+    if sorted(sigma) != list(range(1, n + 1)):
+        problems.append(f"end levels {sigma} are not a permutation of 1..{n}")
+    for i, (x, level) in enumerate(ends, start=1):
+        if x != level - 1:
+            problems.append(f"path {i} ends at {(x, level)}, not on the diagonal")
+    for label, vertex_sets in (
+        ("Left", [verts[: left + 1] for verts, left in walks]),
+        ("Right", [verts[left:] for verts, left in walks]),
+    ):
+        seen = {}
+        for i, vs in enumerate(vertex_sets, start=1):
+            for v in vs:
+                if v in seen:
+                    problems.append(f"{label} parts of paths {seen[v]} and {i} meet at {v}")
+                else:
+                    seen[v] = i
+    return problems
+
+
+def mutate(cfg, rng):
+    """One seeded edit of a configuration: E<->F, S->E, N->F, a step
+    inserted or deleted, two step strings swapped, or a start moved."""
+    paths = list(cfg.paths)
+    special = [i for i, p in enumerate(paths) if "S" in p.steps or "N" in p.steps]
+    # mostly a path with the S- or the N-step, where parts can be made to meet
+    i = rng.choice(special) if special and rng.random() < 0.7 else rng.randrange(len(paths))
+    start, steps = paths[i].start, paths[i].steps
+    kind = rng.choice((0, 1, 1, 1, 2, 3, 3, 3, 4, 4, 5, 6))
+    if kind == 0 and steps:
+        # mostly next to the junction, where a flip keeps the step order
+        left = paths[i].left_len
+        near = [pos for pos in (left - 1, left) if 0 <= pos < len(steps)]
+        pos = rng.choice(near) if near and rng.random() < 0.8 else rng.randrange(len(steps))
+        swap = {"E": "F", "F": "E"}.get(steps[pos], steps[pos])
+        steps = steps[:pos] + swap + steps[pos + 1 :]
+    elif kind == 1:
+        steps = steps.replace("S", "E")
+    elif kind == 2:
+        steps = steps.replace("N", "F")
+    elif kind == 3:  # mostly where it keeps Left steps before Right ones
+        step, left = rng.choice("ESFN"), paths[i].left_len
+        pos = rng.randint(*((0, left) if step in "ES" else (left, len(steps))))
+        pos = pos if rng.random() < 0.8 else rng.randint(0, len(steps))
+        steps = steps[:pos] + step + steps[pos:]
+    elif kind == 4 and steps:
+        pos = rng.randrange(len(steps))
+        steps = steps[:pos] + steps[pos + 1 :]
+    elif kind == 5:
+        j = rng.randrange(len(paths))
+        paths[j] = MixedPath(paths[j].start, steps)
+        steps = cfg.paths[j].steps
+    else:
+        start = (start[0] + rng.choice((-1, 0, 1)), start[1] + rng.choice((-1, 1)))
+    paths[i] = MixedPath(start, steps)
+    return MixedConfiguration(tuple(paths))
+
+
+class TestValidationByRuns:
+    """The run-based validation names the same problems, in the same order,
+    as the vertex-by-vertex oracle."""
+
+    def test_every_configuration_from_valid_tables_up_to_order_5(self):
+        count = 0
+        for n in (3, 4, 5):
+            for t in _iter_valid_tables(n):
+                cfg = config_from_table(t)
+                assert validate_config(cfg) == validate_config_by_vertices(cfg) == []
+                count += 1
+        assert count == 1 + 16 + 200
+
+    def test_seeded_mutations(self):
+        rng = random.Random(7)
+        meets = problems = 0
+        for _ in range(6000):
+            cfg = config_from_table(random_valid_table(rng, rng.randint(3, 40)))
+            for _ in range(rng.randint(1, 2)):
+                cfg = mutate(cfg, rng)
+            found = validate_config(cfg)
+            assert found == validate_config_by_vertices(cfg), cfg
+            problems += bool(found)
+            meets += any("meet" in p for p in found)
+        assert meets >= 1000 and problems >= 4000
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_orders(self, seed):
+        rng = random.Random(seed)
+        for n in (60, rng.randint(61, 199), 200):
+            t = random_valid_table(rng, n)
+            cfg = config_from_table(t)
+            dual = dual_config(cfg)
+            assert validate_config(cfg) == validate_config_by_vertices(cfg) == []
+            assert validate_config_by_vertices(dual) == []
+            assert config_params(cfg) == table_params(t)
+            assert dual == config_from_table(dual_table(t))
+            for p in chain(cfg.paths, dual.paths):
+                verts = p.vertices()
+                assert [p.vertex_at(pos) for pos in range(len(verts))] == list(verts)
+                assert p.end == verts[-1] and p.junction == verts[p.left_len]
+
+
+class TestNoVertexWalks:
+    """Validation, parameters and duality read valid configurations by
+    runs and step counts, without building their vertices."""
+
+    def test_no_vertices_call_on_valid_configurations(self, monkeypatch):
+        calls = 0
+        real = MixedPath.vertices
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return real(self)
+
+        monkeypatch.setattr(MixedPath, "vertices", counting)
+        rng = random.Random(60)
+        for _ in range(5):
+            cfg = config_from_table(random_valid_table(rng, 60))
+            assert validate_config(cfg) == []
+            config_params(cfg)
+            dual_config(cfg)
+        assert calls == 0
+        validate_config(mutate(cfg, random.Random(0)))  # the counter counts
+        config_from_table(random_valid_table(rng, 60)).paths[0].vertices()
+        assert calls >= 1
