@@ -420,6 +420,5 @@ class TestNoVertexWalks:
             config_params(cfg)
             dual_config(cfg)
         assert calls == 0
-        validate_config(mutate(cfg, random.Random(0)))  # the counter counts
-        config_from_table(random_valid_table(rng, 60)).paths[0].vertices()
-        assert calls >= 1
+        cfg.paths[-1].vertices()  # the counter sees a call
+        assert calls == 1
