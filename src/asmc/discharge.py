@@ -32,13 +32,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .cells import CellGeometry, SignClass, _charges, _sign_class, geometry
-from .displacement import Point, Region, _dense, _shift_in_region
+from .displacement import Point, Region, _dense, _displace
 from .errors import (
     InternalInvariantViolation,
     InvalidTuple,
     NegativeClass,
 )
-from .matrix import AsmMatrix, is_permutation_matrix, perm_one_line, validate_asm
+from .matrix import AsmMatrix, is_permutation_matrix, perm_matrix, perm_one_line, validate_asm
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,9 @@ def _non_negative_geometry(a: AsmMatrix) -> CellGeometry:
     return g
 
 
-def _perm(word: tuple[int, ...]) -> AsmMatrix:
-    """The validated permutation matrix of a one-line word."""
-    n = len(word)
-    return validate_asm(_dense(enumerate(word, start=1), n, n))
-
-
 def partial_discharge(a: AsmMatrix) -> AsmMatrix:
     """Run the four discharge steps; returns a permutation matrix."""
-    return _perm(_discharge_word(a, _non_negative_geometry(a)))
+    return perm_matrix(_discharge_word(a, _non_negative_geometry(a)))
 
 
 def _erase(a: AsmMatrix) -> list[Point]:
@@ -140,11 +134,11 @@ def _discharge_word(a: AsmMatrix, g: CellGeometry) -> tuple[int, ...]:
 
     # step 2: shift the extended closing cell right
     closing_cell = Region(g.closing_row + 1, n, g.opening_col, g.closing_col)
-    points = _shift_in_region(points, closing_cell, columns=True, inverse=False)
+    points = _displace(points, closing_cell, columns=True, inverse=False)
 
     # step 3: shift the extended neutral cell up
     neutral_cell = Region(g.opening_row, g.closing_row, 1, g.opening_col - 1)
-    points = _shift_in_region(points, neutral_cell, columns=False, inverse=False)
+    points = _displace(points, neutral_cell, columns=False, inverse=False)
 
     # step 4: lower the 1s of the extended neutral and charged cells
     top, bottom, j0 = g.opening_row, g.closing_row, g.opening_col
@@ -175,7 +169,7 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
     if _sign_class(a, g) is not SignClass.NEUTRAL:
         raise NegativeClass("shortcut applies to neutral matrices only")
     closing_cell = Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col)
-    points = _shift_in_region(_erase(a), closing_cell, columns=True, inverse=False)
+    points = _displace(_erase(a), closing_cell, columns=True, inverse=False)
     return validate_asm(_dense(points, a.n, a.n))
 
 
@@ -185,7 +179,7 @@ def discharge(a: AsmMatrix) -> DischargeTuple:
     ch = _charges(a, g)
     return DischargeTuple(
         opening_row=g.opening_row,
-        perm=_perm(_discharge_word(a, g)),
+        perm=perm_matrix(_discharge_word(a, g)),
         closing_sum=ch.c,
         charge=ch.e,
     )
@@ -260,7 +254,7 @@ def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> A
     points = [(q - 1 if k < q <= closing_row else q, col) for q, col in points]
 
     # reverse step 3: shift the extended neutral cell back down
-    points = _shift_in_region(points, Region(k, closing_row, 1, j - 1), columns=False, inverse=True)
+    points = _displace(points, Region(k, closing_row, 1, j - 1), columns=False, inverse=True)
 
     # closing column: leftmost column right of j where the below-closing
     # cumulative count reaches c + 1
@@ -277,7 +271,7 @@ def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> A
 
     # reverse step 2, then restore the erased entries
     closing_cell = Region(closing_row + 1, n, j, closing_col)
-    points = _shift_in_region(points, closing_cell, columns=True, inverse=True)
+    points = _displace(points, closing_cell, columns=True, inverse=True)
     if {(closing_row, j), (closing_row, closing_col)} & set(points):
         raise InternalInvariantViolation("closing row positions are not free")
     grid = _dense(points, n, n)

@@ -14,10 +14,10 @@ a larger integer matrix, leaving the rest untouched.
 A shift only relabels the lines that hold a 1, so it acts on the list
 of a window's 1s as ``(row, column)`` points: the work of one shift is
 linear in the number of points, not in the area of the window.  That
-point core, ``_shift_in_region``, is the one region-shift entry
-point; discharging and recharging call it on the n 1s of a matrix, and
-the public primitives are adapters that read the 1s of a dense grid,
-shift them and write the grid back.
+point core, ``_displace``, is the one displacement core: discharging
+and recharging call it on the n 1s of a matrix, and the public
+primitives are adapters that read the 1s of a dense grid, shift them
+and write the grid back.
 """
 
 from __future__ import annotations
@@ -89,19 +89,6 @@ def _displace(points: list[Point], region: Region, columns: bool, inverse: bool)
     if columns:
         return [(i, target[j]) if (i, j) in inside else (i, j) for i, j in points]
     return [(target[i], j) if (i, j) in inside else (i, j) for i, j in points]
-
-
-def _shift_in_region(points: list[Point], region: Region, columns: bool, inverse: bool) -> list[Point]:
-    """Shift the points of ``region``: columns left to right (``h_shift``)
-    or rows bottom to top (``v_shift``), or back with ``inverse``.
-
-    The single entry point of every shift inside a larger matrix; a
-    failed precondition is re-raised with the region attached.
-    """
-    try:
-        return _displace(points, region, columns, inverse)
-    except PreconditionFailed as exc:
-        raise PreconditionFailed(f"{exc} (in region {region})") from exc
 
 
 def _ones(rows: Sequence[Sequence[int]], top: int = 1, left: int = 1) -> list[Point]:
@@ -205,6 +192,10 @@ def apply_in_region(
     out = [list(row) for row in rows]
     for i, j in ones:
         out[i - 1][j - 1] = 0
-    for i, j in _shift_in_region(ones, region, columns=f in ("h", h_shift), inverse=False):
+    try:
+        shifted = _displace(ones, region, columns=f in ("h", h_shift), inverse=False)
+    except PreconditionFailed as exc:
+        raise PreconditionFailed(f"{exc} (in region {region})") from exc
+    for i, j in shifted:
         out[i - 1][j - 1] = 1
     return tuple(map(tuple, out))

@@ -195,9 +195,17 @@ def perm_one_line(a: AsmMatrix) -> tuple[int, ...]:
 
 
 def perm_matrix(word: Sequence[int]) -> AsmMatrix:
-    """Permutation matrix from a 1-based one-line word."""
+    """Permutation matrix from a 1-based one-line word.
+
+    The n 1s are written into zero rows, so building the rows is linear
+    in n; an entry outside ``1..n`` leaves its row zero, which
+    :func:`validate_asm` then rejects.
+    """
     n = len(word)
-    rows = tuple(tuple(1 if j == c - 1 else 0 for j in range(n)) for c in word)
+    rows = [[0] * n for _ in word]
+    for row, c in zip(rows, word):
+        if 1 <= c <= n:
+            row[c - 1] = 1
     return validate_asm(rows)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asmc import PreconditionFailed, Region, apply_in_region, h_shift, v_shift
-from asmc.displacement import _dense, _ones, _shift_in_region, h_unshift, v_unshift
+from asmc.displacement import _dense, _displace, _ones, h_unshift, v_unshift
 
 # the printed 6x4 vertical displacement example, byte for byte
 V_INPUT = (
@@ -284,14 +284,14 @@ class TestPointCore:
             window = [row[left - 1 : region.right] for row in host[top - 1 : region.bottom]]
             expected = outcome(shift_by_definition, func, window)
             if isinstance(expected, str):
-                expected = f"{expected} (in region {region})"
+                in_region = f"{expected} (in region {region})"
             else:
                 rows = [list(row) for row in host]
                 for row, new in zip(rows[top - 1 : region.bottom], expected):
                     row[left - 1 : region.right] = new
                 expected = rows
-            got = outcome(lambda: _dense(_shift_in_region(_ones(host), region, columns, inverse), m, n))
+                in_region = tuple(map(tuple, rows))
+            got = outcome(lambda: _dense(_displace(_ones(host), region, columns, inverse), m, n))
             assert got == expected, (host, region)
             if not inverse:
-                dense = outcome(apply_in_region, host, region, func)
-                assert dense == (expected if isinstance(expected, str) else tuple(map(tuple, expected)))
+                assert outcome(apply_in_region, host, region, func) == in_region
