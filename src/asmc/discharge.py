@@ -34,11 +34,12 @@ from dataclasses import dataclass
 from .cells import CellGeometry, SignClass, _charges, _sign_class, geometry
 from .displacement import Point, Region, _dense, _displace
 from .errors import (
+    BadArgument,
     InternalInvariantViolation,
     InvalidTuple,
     NegativeClass,
 )
-from .matrix import AsmMatrix, is_permutation_matrix, perm_matrix, perm_one_line, validate_asm
+from .matrix import AsmMatrix, perm_matrix, perm_one_line, validate_asm
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,10 @@ def discharge(a: AsmMatrix) -> DischargeTuple:
 def _word(perm: AsmMatrix) -> tuple[int, ...] | None:
     """The one-line word of ``perm``, or None if it is not a permutation
     matrix."""
-    return perm_one_line(perm) if is_permutation_matrix(perm) else None
+    try:
+        return perm_one_line(perm)
+    except BadArgument:
+        return None
 
 
 def tuple_valid(t: DischargeTuple) -> TupleCheck:

@@ -18,6 +18,9 @@ sequence of non-negative integers arises this way exactly when
 
 and the pair is then unique.  Complementing both halves of the encoding
 (table duality) corresponds to vertical reflection of the matrix.
+
+Permutation tables are read by the generalized walk: one bottom-up pass
+over column sums, :func:`_walk`, reads both kinds of table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import NamedTuple, Sequence
 from .cells import geometry
 from .discharge import TupleCheck as TableCheck
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
-from .matrix import AsmMatrix, json_int, perm_one_line, validate_asm
+from .matrix import AsmMatrix, _require_permutation, _text_ints, json_int, validate_asm
 from .neutral import NeutralPair
 
 
@@ -49,18 +52,27 @@ class ParamVector(NamedTuple):
 
 
 def perm_table(p: AsmMatrix) -> tuple[int, ...]:
-    """Inversion table of a permutation matrix.
+    """Inversion table of a permutation matrix; raises
+    :class:`BadArgument` on a matrix with a -1.
 
     >>> from asmc.matrix import perm_matrix
     >>> perm_table(perm_matrix([3, 2, 1]))
     (0, 1, 2)
     """
-    word = perm_one_line(p)
-    n = p.n
-    return tuple(
-        sum(1 for q in range(n + 1 - i, n) if word[q] < word[n - i])
-        for i in range(1, n + 1)
-    )
+    _require_permutation(p)
+    return _walk(p)
+
+
+def _walk(m: AsmMatrix) -> tuple[int, ...]:
+    """``a_1..a_n``: walks the rows bottom-up, keeping the column sums of
+    the rows below the current one; ``a_i`` is the sum of those left of
+    the row's leftmost 1."""
+    a = []
+    below = [0] * m.n
+    for row in reversed(m.rows):
+        a.append(sum(below[: row.index(1)]))
+        below = list(map(add, below, row))
+    return tuple(a)
 
 
 def _place_one(colsum: Sequence[int], target: int) -> int:
@@ -132,9 +144,9 @@ def table_from_text(text: str) -> GenInvTable:
     if len(parts) != 3:
         raise ParseError("table text must have three ';'-separated fields")
     try:
-        k = int(parts[0])
-        a = tuple(int(v) for v in parts[1].split())
-        b, beta = (int(v) for v in parts[2].split())
+        (k,) = _text_ints(parts[0])
+        a = tuple(_text_ints(parts[1]))
+        b, beta = _text_ints(parts[2])
     except ValueError as exc:
         raise ParseError(f"cannot parse table {text!r}") from exc
     return GenInvTable(k=k, a=a, b=b, beta=beta)
@@ -173,23 +185,19 @@ def table_valid(t: GenInvTable) -> TableCheck:
     return TableCheck(True)
 
 
-def gen_table(pair: NeutralPair) -> GenInvTable:
-    """Generalized inversion table of a neutral pair.
+def _require_table(t: GenInvTable) -> None:
+    check = table_valid(t)
+    if not check:
+        raise InvalidTable(check.condition, check.message)
 
-    Walks the rows bottom-up, keeping the column sums of the rows below
-    the current one; ``a_i`` is the sum of those left of the row's
-    leftmost 1 (the left 1 on the closing row).
-    """
+
+def gen_table(pair: NeutralPair) -> GenInvTable:
+    """Generalized inversion table of a neutral pair; :func:`_walk` reads
+    ``a_{k-1}`` at the left 1 of the closing row."""
     m = pair.matrix
-    n = m.n
-    k = n + 1 - geometry(m).opening_row
-    a = []
-    below = [0] * n
-    for row in reversed(m.rows):
-        a.append(sum(below[: row.index(1)]))
-        below = list(map(add, below, row))
+    k = m.n + 1 - geometry(m).opening_row
     sums = pair.sums
-    table = GenInvTable(k=k, a=tuple(a), b=sums.c, beta=pair.charge + sums.ell)
+    table = GenInvTable(k=k, a=_walk(m), b=sums.c, beta=pair.charge + sums.ell)
     check = table_valid(table)
     if not check:
         raise InternalInvariantViolation(f"encoded table is invalid: {check.message}")
@@ -204,9 +212,7 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     sums, the -1 goes under the opening 1, and the closing 1 is placed so
     the closing cell sums to ``b``.
     """
-    check = table_valid(t)
-    if not check:
-        raise InvalidTable(check.condition, check.message)
+    _require_table(t)
     n = t.n
     opening_row = n + 1 - t.k
     closing_row = opening_row + 1
@@ -222,15 +228,8 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
             colsum[left_col - 1] += 1
             grid[q - 1][opening_col - 1] = -1
             colsum[opening_col - 1] -= 1
-            total = 0
-            closing_col = None
-            for col in range(opening_col + 1, n + 1):
-                if total == t.b and colsum[col - 1] == 0:
-                    closing_col = col
-                    break
-                total += 1 - colsum[col - 1]
-            if closing_col is None:
-                raise InternalInvariantViolation("no admissible closing column")
+            # right of the -1, the closing 1 is placed as the others are
+            closing_col = opening_col + _place_one(colsum[opening_col:], t.b)
             grid[q - 1][closing_col - 1] = 1
             colsum[closing_col - 1] += 1
         else:
@@ -240,7 +239,7 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
             if q == opening_row:
                 opening_col = col
     matrix = validate_asm(grid)
-    charge = t.a[t.k - 2] + 1 - t.a[t.k - 1] + t.beta
+    charge = _block_charges(t.a[t.k - 2], t.a[t.k - 1], t.b, t.beta)[0]
     return NeutralPair(matrix, charge)
 
 
@@ -252,9 +251,7 @@ def _block_charges(ak1: int, ak: int, b: int, beta: int) -> tuple[int, int, int]
 
 def table_params(t: GenInvTable) -> ParamVector:
     """Read the five statistics straight off a table."""
-    check = table_valid(t)
-    if not check:
-        raise InvalidTable(check.condition, check.message)
+    _require_table(t)
     return ParamVector(
         t.a[-1], sum(t.a) + t.b + 1, *_block_charges(t.a[t.k - 2], t.a[t.k - 1], t.b, t.beta)
     )
@@ -311,9 +308,7 @@ def dual_table(t: GenInvTable) -> GenInvTable:
     Complements every ``a_i`` except at position k-1, which pairs with
     the closing data instead; an involution on valid tables.
     """
-    check = table_valid(t)
-    if not check:
-        raise InvalidTable(check.condition, check.message)
+    _require_table(t)
     ak1, ak = t.a[t.k - 2], t.a[t.k - 1]
     abar = [i - 1 - v for i, v in enumerate(t.a, start=1)]
     abar[t.k - 2] = t.k - 2 - ak - t.b

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AlternationViolation,
+    BadArgument,
     BadEntry,
     NotSquare,
     ParseError,
@@ -190,8 +191,15 @@ def is_permutation_matrix(a: AsmMatrix) -> bool:
 
 
 def perm_one_line(a: AsmMatrix) -> tuple[int, ...]:
-    """One-line word of a permutation matrix: 1-based column of each row's 1."""
+    """One-line word of a permutation matrix: 1-based column of each row's
+    1; raises :class:`BadArgument` on a matrix with a -1."""
+    _require_permutation(a)
     return tuple(row.index(1) + 1 for row in a.rows)
+
+
+def _require_permutation(a: AsmMatrix) -> None:
+    if not is_permutation_matrix(a):
+        raise BadArgument(f"expected a permutation matrix, got one with s={minus_count(a)}")
 
 
 def perm_matrix(word: Sequence[int]) -> AsmMatrix:
@@ -226,7 +234,7 @@ def matrix_from_text(text: str) -> AsmMatrix:
         if not line:
             continue
         try:
-            rows.append([int(tok) for tok in line.split()])
+            rows.append(_text_ints(line))
         except ValueError as exc:
             raise ParseError(f"cannot parse matrix line {line!r}") from exc
     if not rows:
@@ -250,6 +258,17 @@ def matrix_from_json(obj: dict | str) -> AsmMatrix:
     if "n" in obj and json_int(obj["n"], "n") != a.n:
         raise ParseError(f"declared n={obj['n']} does not match {a.n} rows")
     return a
+
+
+def _text_ints(text: str) -> list[int]:
+    """The whitespace-separated integers of ``text``, each an optional sign
+    and ASCII digits 0-9; raises ``ValueError`` otherwise.  ``int`` takes
+    exactly these once underscores and non-ASCII characters are ruled out."""
+    tokens = text.split()
+    joined = "".join(tokens)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError(f"not decimal integers: {text!r}")
+    return [int(tok) for tok in tokens]
 
 
 def json_int(value, name: str) -> int:

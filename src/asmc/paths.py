@@ -27,7 +27,9 @@ level and by step counts (:meth:`MixedPath.vertex_at`), never vertex by
 vertex: validation, :func:`config_params` and :func:`dual_config` do
 O(n) Python work on the O(n) runs of a configuration, beyond string
 operations on its step strings.  Only the renderers and the naming of a
-problem that validation has already found walk the vertices.
+problem that validation has already found walk the vertices.  The
+special pair is located in one place, :func:`_special_k`, which also
+runs every check of a one-N configuration.
 """
 
 from __future__ import annotations
@@ -258,16 +260,26 @@ def config_from_table(t: GenInvTable) -> MixedConfiguration:
 
 def table_from_config(cfg: MixedConfiguration) -> GenInvTable:
     """Read the generalized inversion table off a one-N configuration."""
+    k = _special_k(cfg)
+    # Left steps precede Right ones, so path k-1 is E^a F^beta N F..., path k
+    # is E^a S E^b F... and every other path E^a F...
+    a = [p.steps.count("E") for p in cfg.paths]
+    (s_x, _), (n_x, _) = _special_vertices(cfg, k)
+    beta = n_x - 1 - a[k - 2]
+    b = a[k - 1] - s_x
+    a[k - 1] = s_x
+    return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
+
+
+def _special_k(cfg: MixedConfiguration) -> int:
+    """The k of the special pair of a one-N configuration: path k holds
+    the one S-step and path k-1 the N-step.  Raises unless ``cfg`` is a
+    valid configuration of that shape; an S-step on path 1 would leave
+    the grid, so ``k >= 2``."""
     n_steps = cfg.step_count("N")
     if n_steps != 1:
         raise NotOneNStep(n_steps)
     _require_valid(cfg)
-    return _table_from_valid_config(cfg)
-
-
-def _table_from_valid_config(cfg: MixedConfiguration) -> GenInvTable:
-    """:func:`table_from_config` on a configuration with one N-step that
-    has already passed :func:`validate_config`."""
     if cfg.step_count("S") != 1:
         raise MalformedConfiguration("expected exactly one S-step")
     k = next(i for i, p in enumerate(cfg.paths, start=1) if "S" in p.steps)
@@ -275,14 +287,15 @@ def _table_from_valid_config(cfg: MixedConfiguration) -> GenInvTable:
         raise MalformedConfiguration(
             f"N-step is not in the path just before the S-path (path {k})"
         )
-    # Left steps precede Right ones, so path k-1 is E^a F^beta N F..., path k
-    # is E^a S E^b F... and every other path E^a F...
-    a = [p.steps.count("E") for p in cfg.paths]
-    special, s_path = cfg.paths[k - 2].steps, cfg.paths[k - 1].steps
-    beta = special.index("N") - a[k - 2]
-    a[k - 1] = s_path.index("S")
-    b = s_path.count("E") - a[k - 1]
-    return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
+    return k
+
+
+def _special_vertices(cfg: MixedConfiguration, k: int) -> tuple[Vertex, Vertex]:
+    """The start of the S-step of path k and the end of the N-step of
+    path k-1, for the k of :func:`_special_k`."""
+    s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
+    return (s_path.vertex_at(s_path.steps.index("S")),
+            n_path.vertex_at(n_path.steps.index("N") + 1))
 
 
 def pair_from_config(cfg: MixedConfiguration) -> NeutralPair:
@@ -304,28 +317,20 @@ def config_params(cfg: MixedConfiguration) -> ParamVector:
     Independent of the table route: counts steps and measures the special
     vertices instead of decoding the matrix.
     """
-    n_steps = cfg.step_count("N")
-    if n_steps != 1:
-        raise NotOneNStep(n_steps)
-    _require_valid(cfg)
-    if cfg.step_count("S") != 1:
-        raise MalformedConfiguration("expected exactly one S-step")
-    k = next(i for i, p in enumerate(cfg.paths, start=1) if "S" in p.steps)
-    if k < 2 or "N" not in cfg.paths[k - 2].steps:
-        raise MalformedConfiguration("S-step must sit in the path after the N-step")
+    k = _special_k(cfg)
     s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
-    s_pos, n_pos = s_path.steps.index("S"), n_path.steps.index("N")
-    s_start, n_end = s_path.vertex_at(s_pos), n_path.vertex_at(n_pos + 1)
+    s_start, n_end = _special_vertices(cfg, k)
     # E-steps on level n: Left parts only go down, and only the last path
     # starts on level n
     top = cfg.paths[-1].steps
     r = len(top) - len(top.lstrip("E"))
-    b_run = s_path.steps.count("E", s_pos + 1)
-    beta_run = n_path.steps.count("F", 0, n_pos)
+    # no S-step precedes these two, so their x is their position
+    b_run = s_path.steps.count("E", s_start[0] + 1)
+    beta_run = n_path.steps.count("F", 0, n_end[0] - 1)
     junction_gap = abs(s_path.junction[0] - n_path.junction[0])
     return ParamVector(
         r=r,
-        i=cfg.step_count("E") + n_steps,
+        i=cfg.step_count("E") + 1,
         e=n_end[0] - s_start[0],
         b=b_run - beta_run,
         j=junction_gap,
@@ -343,41 +348,27 @@ def dual_config(cfg: MixedConfiguration) -> MixedConfiguration:
     :func:`_mirror`; an involution matching vertical reflection of the
     underlying matrix.  Defined for configurations with zero or one
     N-step."""
-    _require_valid(cfg)
-    n = cfg.n
     n_steps = cfg.step_count("N")
-    if n_steps == 0:
-        paths = []
-        for i, p in enumerate(cfg.paths, start=1):
-            jx = _mirror(p.junction)[0]
-            paths.append(MixedPath((0, i), "E" * jx + "F" * (i - 1 - jx)))
-        out = MixedConfiguration(tuple(paths))
-    elif n_steps == 1:
-        t = _table_from_valid_config(cfg)
-        k = t.k
-        junctions = {i: cfg.paths[i - 1].junction for i in range(1, n + 1)}
-        s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
-        s_start = s_path.vertex_at(s_path.steps.index("S"))
-        n_end = n_path.vertex_at(n_path.steps.index("N") + 1)
-
-        new_ak = _mirror(s_start)[0]
-        level_pair = sorted((_mirror(junctions[k - 1])[0], _mirror(junctions[k])[0]))
-        new_ak1 = level_pair[0]
-        new_b = level_pair[1] - new_ak
-        new_beta = _mirror(n_end)[0] - new_ak1 - 1
-        a = [0] * n
-        for i in range(1, n + 1):
-            if i == k - 1:
-                a[i - 1] = new_ak1
-            elif i == k:
-                a[i - 1] = new_ak
-            else:
-                a[i - 1] = _mirror(junctions[i])[0]
-        out = config_from_table(GenInvTable(k=k, a=tuple(a), b=new_b, beta=new_beta))
+    if n_steps == 1:
+        k = _special_k(cfg)
     else:
-        raise MalformedConfiguration(
-            f"duality is defined for at most one N-step, got {n_steps}"
-        )
+        _require_valid(cfg)
+        if n_steps:
+            raise MalformedConfiguration(
+                f"duality is defined for at most one N-step, got {n_steps}"
+            )
+    a = [_mirror(p.junction)[0] for p in cfg.paths]
+    if n_steps == 0:
+        out = MixedConfiguration(tuple(
+            MixedPath((0, i), "E" * x + "F" * (i - 1 - x)) for i, x in enumerate(a, start=1)
+        ))
+    else:
+        s_start, n_end = _special_vertices(cfg, k)
+        new_ak1, top = sorted(a[k - 2 : k])
+        a[k - 2 : k] = new_ak1, _mirror(s_start)[0]
+        out = config_from_table(GenInvTable(
+            k=k, a=tuple(a), b=top - a[k - 1], beta=_mirror(n_end)[0] - new_ak1 - 1
+        ))
     problems = validate_config(out)
     if problems:
         raise InternalInvariantViolation(f"dual configuration invalid: {problems[0]}")
@@ -444,17 +435,15 @@ _SVG_STYLE = """\
 """
 
 
-def render_svg(cfg: MixedConfiguration, shifted: bool = False) -> str:
+def render_svg(cfg: MixedConfiguration) -> str:
     """Standalone SVG document with labeled start/end vertices and one
-    stroke class per step kind.  ``shifted`` staggers the levels so the
-    grid forms a reversed triangle."""
+    stroke class per step kind."""
     n = cfg.n
     scale, margin = 40, 40
 
     def px(v: Vertex) -> tuple[float, float]:
         x, level = v
-        offset = (n - level) / 2 if shifted else 0.0
-        return (margin + scale * (x + offset), margin + scale * (n - level))
+        return (margin + scale * x, margin + scale * (n - level))
 
     width = margin * 2 + scale * max(n - 1, 1)
     height = margin * 2 + scale * (n - 1)

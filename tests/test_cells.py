@@ -6,6 +6,7 @@ import pytest
 
 import asmc
 import asmc.cells
+import asmc.matrix
 from asmc import (
     NegativeClass,
     NotOneMinus,
@@ -128,31 +129,55 @@ class TestCharges:
             assert ch.b == ch.c - ch.ell
 
 
-class TestLandmarkScans:
-    """Average ``geometry`` calls per matrix over all order-7 one-minus
-    matrices: each call reuses the landmarks it has already found."""
+class TestCallBudgets:
+    """One walk over all order-7 one-minus matrices pins two costs:
+    ``geometry`` calls per matrix on average (each call reuses the
+    landmarks it has already found), and at most so many ``validate_asm``
+    calls per call (it runs only on the matrices an encoding returns;
+    discharging and recharging in between act on the permutation word)."""
 
-    @pytest.mark.parametrize(
-        "name, budget", [("charges", 1.3), ("neutralize", 3.2), ("swap_charges", 5.0)]
-    )
-    def test_scans_per_matrix_at_order_7(self, monkeypatch, name, budget):
-        real = asmc.cells.geometry
-        calls = 0
+    SCANS = {"charges": 1.3, "neutralize": 3.2, "swap_charges": 5.0}
+    VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
 
-        def counting(a):
-            nonlocal calls
-            calls += 1
-            return real(a)
+    def test_scans_and_validations_per_matrix_at_order_7(self, monkeypatch):
+        calls = {"geometry": 0, "validate_asm": 0}
 
-        bound = [mod for key, mod in sys.modules.items()
-                 if key.split(".")[0] == "asmc" and getattr(mod, "geometry", None) is real]
-        assert asmc.cells in bound
-        for mod in bound:
-            monkeypatch.setattr(mod, "geometry", counting)
-        fn = getattr(asmc, name)
+        def count_in_every_binding(module, name):
+            real = getattr(module, name)
+
+            def counting(arg):
+                calls[name] += 1
+                return real(arg)
+
+            bound = [mod for key, mod in sys.modules.items()
+                     if key.split(".")[0] == "asmc" and getattr(mod, name, None) is real]
+            for mod in bound:
+                monkeypatch.setattr(mod, name, counting)
+            return set(bound)
+
+        assert asmc.cells in count_in_every_binding(asmc.cells, "geometry")
+        assert {asmc.matrix, sys.modules["asmc.discharge"]} <= count_in_every_binding(
+            asmc.matrix, "validate_asm"
+        )
+        scans = dict.fromkeys(self.SCANS, 0)
+        most = dict.fromkeys(self.VALIDATIONS, 0)
+
+        def run(name, arg):
+            calls.update(geometry=0, validate_asm=0)
+            out = getattr(asmc, name)(arg)
+            if name in scans:
+                scans[name] += calls["geometry"]
+            if name in most:
+                most[name] = max(most[name], calls["validate_asm"])
+            return out
+
         matrices = 0
         for m in enumerate_asm(7, s=1):
-            fn(m)
+            run("charges", m)
+            run("restore", run("neutralize", m))
+            run("swap_charges", m)
             matrices += 1
         assert matrices == 29400
-        assert calls / matrices <= budget
+        for name, budget in self.SCANS.items():
+            assert 0 < scans[name] / matrices <= budget, name
+        assert most == self.VALIDATIONS

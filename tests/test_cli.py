@@ -236,6 +236,19 @@ class TestExitCodes:
         assert code == 2 and "ParseError" in err
 
     @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["validate"], "0 0_1\n1 0\n"),
+            (["params"], "\u0661 0\n0 1\n"),
+            (["from-table"], "3; 0 0_1 1; 0 0"),
+        ],
+    )
+    def test_token_beyond_sign_and_ascii_digits_exits_two(self, monkeypatch, capsys, argv, stdin):
+        code, out, err = run_cli(argv, stdin, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ParseError: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "command, payload",
         [
             ("validate", {"rows": [[1.7]]}),

@@ -21,6 +21,7 @@ from asmc import (
     pair_from_table,
     perm_from_table,
     perm_matrix,
+    perm_one_line,
     perm_table,
     reflect,
     swap_charges,
@@ -29,6 +30,7 @@ from asmc import (
     table_params,
     table_valid,
 )
+from asmc.errors import BadArgument
 from conftest import TABLE12, one_minus, random_valid_table
 
 
@@ -58,6 +60,14 @@ class TestPermTables:
     def test_invalid_table_rejected(self):
         with pytest.raises(InvalidTable):
             perm_from_table((0, 2, 0))
+
+    def test_matrix_with_a_minus_rejected(self):
+        for n in (3, 4, 5):
+            for m in one_minus(n):
+                with pytest.raises(BadArgument):
+                    perm_table(m)
+                with pytest.raises(BadArgument):
+                    perm_one_line(m)
 
     @pytest.mark.parametrize("a", [(0, 1.9, True), (0, True), (0, 1.0), (0, "1")])
     def test_non_integer_entries_rejected(self, a):
@@ -262,6 +272,7 @@ class TestTableFormats:
     def test_text_roundtrip(self):
         assert table_from_text(TABLE12.to_text()) == TABLE12
         assert table_from_text("3; 0 0 1; 0 0") == GenInvTable(3, (0, 0, 1), 0, 0)
+        assert table_from_text("+3; 0 -0 01; 0 +0") == GenInvTable(3, (0, 0, 1), 0, 0)
 
     def test_json_roundtrip(self):
         assert table_from_json(TABLE12.to_json()) == TABLE12
@@ -291,3 +302,12 @@ class TestTableFormats:
             table_from_text("3; 0 0 1")
         with pytest.raises(ParseError):
             table_from_text("x; 0 0 1; 0 0")
+
+    @pytest.mark.parametrize(
+        "text", ["3; 0 0_1 1; 0 0", "\u0663; 0 0 1; 0 0", "3; 0 0 1; 0 0_0", "3; 0 0 +-1; 0 0", "; 0 0 1; 0 0"]
+    )
+    def test_only_a_sign_and_ascii_digits_parse(self, text):
+        from asmc import ParseError
+
+        with pytest.raises(ParseError):
+            table_from_text(text)

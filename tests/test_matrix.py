@@ -173,6 +173,7 @@ class TestFormats:
         text = "# a comment\n0 1 0\n\n1 -1 1  # inline\n0 1 0\n"
         assert matrix_from_text(text) == diamond
         assert matrix_from_text(matrix_to_text(diamond)) == diamond
+        assert matrix_from_text("+0 1 -0\n01 -1 +1\n0 1 0\n") == diamond  # signs, leading 0s
 
     def test_text_is_canonical(self, diamond):
         assert matrix_to_text(diamond) == "0 1 0\n1 -1 1\n0 1 0\n"
@@ -197,6 +198,13 @@ class TestFormats:
             matrix_from_json({"n": 1.0, "rows": [[1]]})
         with pytest.raises(ParseError):
             matrix_from_json({"n": True, "rows": [[1]]})
+
+    @pytest.mark.parametrize(
+        "text", ["0 0_1\n1 0\n", "\u0661 0\n0 1\n", "1 0\n0 \u00b9\n", "1 0\n0 +-1\n", "1 0\n0 - 1\n"]
+    )
+    def test_only_a_sign_and_ascii_digits_parse(self, text):
+        with pytest.raises(ParseError):
+            matrix_from_text(text)
 
     def test_unparseable_text_rejected(self):
         with pytest.raises(ParseError):

@@ -1,11 +1,6 @@
 """Neutralizing, the charge flip and the charge-swap involution."""
 
-import sys
-
 import pytest
-
-import asmc
-import asmc.matrix
 
 from asmc import (
     InvalidPair,
@@ -15,7 +10,6 @@ from asmc import (
     cell_sums,
     charges,
     classical_params,
-    enumerate_asm,
     flip_charge,
     neutralize,
     pair_from_json,
@@ -137,38 +131,3 @@ class TestChargeSwap:
             assert (ps.r, ps.i) == (pm.r, pm.i)
             assert charges(swapped).j == charges(m).j
 
-
-class TestValidationsPerCall:
-    """``validate_asm`` runs only on the matrices an encoding returns:
-    discharging and recharging in between act on the permutation word."""
-
-    def test_at_most_one_per_returned_matrix_at_order_7(self, monkeypatch):
-        real = asmc.matrix.validate_asm
-        calls = 0
-
-        def counting(grid):
-            nonlocal calls
-            calls += 1
-            return real(grid)
-
-        bound = [mod for key, mod in sys.modules.items()
-                 if key.split(".")[0] == "asmc" and getattr(mod, "validate_asm", None) is real]
-        assert {asmc.matrix, sys.modules["asmc.discharge"]} <= set(bound)
-        for mod in bound:
-            monkeypatch.setattr(mod, "validate_asm", counting)
-
-        def counted(fn, arg):
-            nonlocal calls
-            calls = 0
-            return fn(arg), calls
-
-        most = dict.fromkeys(("neutralize", "restore", "swap_charges"), 0)
-        matrices = 0
-        for m in enumerate_asm(7, s=1):
-            pair, used = counted(neutralize, m)
-            most["neutralize"] = max(most["neutralize"], used)
-            most["restore"] = max(most["restore"], counted(restore, pair)[1])
-            most["swap_charges"] = max(most["swap_charges"], counted(swap_charges, m)[1])
-            matrices += 1
-        assert matrices == 29400
-        assert most == {"neutralize": 1, "restore": 1, "swap_charges": 2}

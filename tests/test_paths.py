@@ -243,7 +243,6 @@ class TestRender:
         for cls in ("step-E", "step-S", "step-F", "step-N"):
             assert cls in svg
         assert ">1<" in svg and ">12'<" in svg  # labeled start and end vertices
-        assert render_svg(cfg, shifted=True) != svg
 
     def test_ascii_uses_distinct_step_marks(self, pair12):
         art = render_ascii(config_from_pair(pair12))
