@@ -8,10 +8,15 @@ them is an independently known value.
 from __future__ import annotations
 
 import random
+import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
+import asmc
+import asmc.cells
+import asmc.matrix
 from asmc import (
     AsmMatrix,
     GenInvTable,
@@ -75,3 +80,55 @@ def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
     beta = rng.randint(0, ak + b - ak1 - 1)
     a[k - 1], a[k - 2] = ak, ak1
     return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
+
+
+# geometry calls per matrix, on average, allowed to each operation
+ORDER7_SCANS = {"charges": 1.3, "neutralize": 3.2, "swap_charges": 5.0}
+# validate_asm calls allowed to one call of each operation
+ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
+
+
+@pytest.fixture(scope="session")
+def order7_calls():
+    """One walk over all order-7 one-minus matrices, counting ``geometry``
+    and ``validate_asm`` calls in every ``asmc`` module that binds them.
+
+    Returns the modules wrapped for each name, the number of matrices,
+    the total ``geometry`` calls of each operation in ``ORDER7_SCANS`` and
+    the most ``validate_asm`` calls of one call of each operation in
+    ``ORDER7_VALIDATIONS``. The wrapping is undone before the tests read it.
+    """
+    calls = {"geometry": 0, "validate_asm": 0}
+    wrapped = {}
+    scans = dict.fromkeys(ORDER7_SCANS, 0)
+    most = dict.fromkeys(ORDER7_VALIDATIONS, 0)
+
+    def run(name, arg):
+        calls.update(geometry=0, validate_asm=0)
+        out = getattr(asmc, name)(arg)
+        if name in scans:
+            scans[name] += calls["geometry"]
+        if name in most:
+            most[name] = max(most[name], calls["validate_asm"])
+        return out
+
+    matrices = 0
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((asmc.cells, "geometry"), (asmc.matrix, "validate_asm")):
+            real = getattr(module, name)
+
+            def counting(arg, real=real, name=name):
+                calls[name] += 1
+                return real(arg)
+
+            bound = {mod for key, mod in sys.modules.items()
+                     if key.split(".")[0] == "asmc" and getattr(mod, name, None) is real}
+            for mod in bound:
+                mp.setattr(mod, name, counting)
+            wrapped[name] = bound
+        for m in enumerate_asm(7, s=1):
+            run("charges", m)
+            run("restore", run("neutralize", m))
+            run("swap_charges", m)
+            matrices += 1
+    return SimpleNamespace(wrapped=wrapped, matrices=matrices, scans=scans, most=most)

@@ -1,12 +1,9 @@
 """Cell geometry, sign classes and the charge statistics."""
 
-import sys
-
 import pytest
 
 import asmc
 import asmc.cells
-import asmc.matrix
 from asmc import (
     NegativeClass,
     NotOneMinus,
@@ -19,7 +16,7 @@ from asmc import (
     sign_class,
     validate_asm,
 )
-from conftest import one_minus
+from conftest import ORDER7_SCANS, one_minus
 
 
 class TestGeometry:
@@ -129,55 +126,12 @@ class TestCharges:
             assert ch.b == ch.c - ch.ell
 
 
-class TestCallBudgets:
-    """One walk over all order-7 one-minus matrices pins two costs:
-    ``geometry`` calls per matrix on average (each call reuses the
-    landmarks it has already found), and at most so many ``validate_asm``
-    calls per call (it runs only on the matrices an encoding returns;
-    discharging and recharging in between act on the permutation word)."""
+class TestLandmarkScans:
+    """Average ``geometry`` calls per matrix over all order-7 one-minus
+    matrices: each call reuses the landmarks it has already found."""
 
-    SCANS = {"charges": 1.3, "neutralize": 3.2, "swap_charges": 5.0}
-    VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
-
-    def test_scans_and_validations_per_matrix_at_order_7(self, monkeypatch):
-        calls = {"geometry": 0, "validate_asm": 0}
-
-        def count_in_every_binding(module, name):
-            real = getattr(module, name)
-
-            def counting(arg):
-                calls[name] += 1
-                return real(arg)
-
-            bound = [mod for key, mod in sys.modules.items()
-                     if key.split(".")[0] == "asmc" and getattr(mod, name, None) is real]
-            for mod in bound:
-                monkeypatch.setattr(mod, name, counting)
-            return set(bound)
-
-        assert asmc.cells in count_in_every_binding(asmc.cells, "geometry")
-        assert {asmc.matrix, sys.modules["asmc.discharge"]} <= count_in_every_binding(
-            asmc.matrix, "validate_asm"
-        )
-        scans = dict.fromkeys(self.SCANS, 0)
-        most = dict.fromkeys(self.VALIDATIONS, 0)
-
-        def run(name, arg):
-            calls.update(geometry=0, validate_asm=0)
-            out = getattr(asmc, name)(arg)
-            if name in scans:
-                scans[name] += calls["geometry"]
-            if name in most:
-                most[name] = max(most[name], calls["validate_asm"])
-            return out
-
-        matrices = 0
-        for m in enumerate_asm(7, s=1):
-            run("charges", m)
-            run("restore", run("neutralize", m))
-            run("swap_charges", m)
-            matrices += 1
-        assert matrices == 29400
-        for name, budget in self.SCANS.items():
-            assert 0 < scans[name] / matrices <= budget, name
-        assert most == self.VALIDATIONS
+    @pytest.mark.parametrize("name, budget", list(ORDER7_SCANS.items()))
+    def test_scans_per_matrix_at_order_7(self, order7_calls, name, budget):
+        assert asmc.cells in order7_calls.wrapped["geometry"]
+        assert order7_calls.matrices == 29400
+        assert 0 < order7_calls.scans[name] / order7_calls.matrices <= budget

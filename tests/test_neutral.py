@@ -1,7 +1,10 @@
 """Neutralizing, the charge flip and the charge-swap involution."""
 
+import sys
+
 import pytest
 
+import asmc.matrix
 from asmc import (
     InvalidPair,
     NeutralPair,
@@ -18,7 +21,7 @@ from asmc import (
     swap_charges,
     validate_asm,
 )
-from conftest import one_minus
+from conftest import ORDER7_VALIDATIONS, one_minus
 
 
 class TestNeutralize:
@@ -131,3 +134,12 @@ class TestChargeSwap:
             assert (ps.r, ps.i) == (pm.r, pm.i)
             assert charges(swapped).j == charges(m).j
 
+
+class TestValidationsPerCall:
+    """``validate_asm`` runs only on the matrices an encoding returns:
+    discharging and recharging in between act on the permutation word."""
+
+    def test_at_most_one_per_returned_matrix_at_order_7(self, order7_calls):
+        assert {asmc.matrix, sys.modules["asmc.discharge"]} <= order7_calls.wrapped["validate_asm"]
+        assert order7_calls.matrices == 29400
+        assert order7_calls.most == ORDER7_VALIDATIONS
