@@ -9,12 +9,17 @@ JSON schemas.  Commands read a file argument or stdin and write stdout
 
 Exit codes: 0 success, 1 usage error, 2 domain error (the error class
 name and any 1-based position appear in the message).  ``verify`` exits
-2 when a property fails.
+2 when a property fails.  Integer options and ``ASMC_CAP`` take an
+optional sign and ASCII digits, as the matrix text format does.
+
+:func:`main` returns the exit code and may be called repeatedly in one
+process; the parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,6 +37,7 @@ from .inv_table import (
     table_params,
 )
 from .matrix import (
+    _text_ints,
     classical_params,
     matrix_from_json,
     matrix_from_text,
@@ -71,6 +77,17 @@ class _Parser(argparse.ArgumentParser):
                     self.error(f"argument {'/'.join(action.option_strings)}: invalid value '--'")
                 setattr(namespace, action.dest, "--")
         return namespace, extras
+
+
+def _integer(text: str) -> int:
+    """An integer option or ``ASMC_CAP``: one token of the matrix text
+    format, an optional sign and ASCII digits."""
+    try:
+        if text.split() == [text]:
+            return _text_ints(text)[0]
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an optional sign and ASCII digits, got {text!r}")
 
 
 def _read_input(args) -> str:
@@ -147,6 +164,7 @@ def _pipeline_bundle(m) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="asmc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,23 +192,23 @@ def build_parser() -> _Parser:
     add("pipeline", "matrix -> all representations as one JSON bundle", fmt=("json",))
 
     p = sub.add_parser("enumerate", help="stream all order-n matrices")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-s", "--minus-ones", type=int, default=None)
+    p.add_argument("-n", type=_integer, required=True)
+    p.add_argument("-s", "--minus-ones", type=_integer, default=None)
     p.add_argument("--count", action="store_true", help="print only the total")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_integer, default=None)
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("dist", help="distribution of statistics over order n")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_integer, required=True)
     p.add_argument("--keys", required=True, help=f"comma-separated subset of {','.join(DISTRIBUTION_KEYS)}")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_integer, default=None)
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("verify", help="run the exhaustive property sweep")
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--n-max", type=_integer, default=5)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_integer, default=None)
     p.add_argument("-o", "--output")
     return parser
 
@@ -202,9 +220,9 @@ def _resolve_cap(args) -> int:
     if not env:
         return DEFAULT_CAP
     try:
-        return int(env)
-    except ValueError as exc:
-        raise BadArgument(f"ASMC_CAP must be an integer, got {env!r}") from exc
+        return _integer(env)
+    except argparse.ArgumentTypeError as exc:
+        raise BadArgument(f"ASMC_CAP must be an integer: {exc}") from exc
 
 
 def _dispatch(args) -> int:

@@ -154,7 +154,7 @@ def _discharge_word(a: AsmMatrix, g: CellGeometry) -> tuple[int, ...]:
         points.append((i + 1, j))
 
     points.sort()
-    word = tuple(j for _, j in points)
+    word = tuple([j for _, j in points])  # final length, as in validate_asm
     lines = list(range(1, n + 1))
     if [i for i, _ in points] != lines or sorted(word) != lines:
         raise InternalInvariantViolation("discharge did not produce a permutation matrix")

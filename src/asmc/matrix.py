@@ -125,7 +125,9 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
     not converted.
     """
     try:
-        rows = tuple(map(tuple, grid))
+        # through a list, so the tuple is allocated at its final length;
+        # see MixedPath.vertices in paths.py
+        rows = tuple(list(map(tuple, grid)))
     except TypeError as exc:
         raise NotSquare(f"expected a square matrix given as rows: {exc}") from exc
     n = len(rows)
@@ -149,7 +151,7 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
 
 def reflect(a: AsmMatrix) -> AsmMatrix:
     """Vertical reflection: entry (i, j) of the result is entry (i, n+1-j)."""
-    return AsmMatrix(tuple(tuple(reversed(row)) for row in a.rows))
+    return AsmMatrix(tuple([tuple(reversed(row)) for row in a.rows]))  # as in validate_asm
 
 
 def minus_count(a: AsmMatrix) -> int:

@@ -65,11 +65,15 @@ class MixedPath:
     steps: str
 
     def vertices(self) -> tuple[Vertex, ...]:
+        # Through a list, so the tuple is allocated at its final length: a
+        # tuple built straight from zip is grown by resizing, and once freed
+        # it joins CPython's free list for its length (up to 2,000 per
+        # length), which only a full garbage collection empties.
         x, level = self.start
-        return tuple(zip(
+        return tuple(list(zip(
             accumulate(map(_DX.__getitem__, self.steps), initial=x),
             accumulate(map(_DL.__getitem__, self.steps), initial=level),
-        ))
+        )))
 
     def vertex_at(self, pos: int) -> Vertex:
         """The vertex reached after the first ``pos`` steps, read off the

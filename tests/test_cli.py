@@ -1,5 +1,6 @@
 """Command-line behavior: formats, pipes, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asmc
-from asmc.cli import main
+from asmc.cli import build_parser, main
 
 DIAMOND_TEXT = "0 1 0\n1 -1 1\n0 1 0\n"
 TABLE12_TEXT = "10; 0 0 2 2 0 0 1 5 0 3 6 6; 4 5"
@@ -322,6 +323,102 @@ class TestExitCodes:
             ["enumerate", "-n", "4", "--count"], "", monkeypatch, capsys
         )
         assert (code, out) == (0, "42\n")
+
+
+class TestIntegerOptions:
+    """``-n``, ``-s``, ``--cap``, ``--n-max`` and ``ASMC_CAP`` take an
+    optional sign and ASCII digits, as the matrix text format does."""
+
+    @pytest.mark.parametrize(
+        "template, value",
+        [(["enumerate", "-n", "{}", "--count"], value)
+         for value in ("\u0663", "0_3", "\uff13", "3.0", " 3", "3 ", "", "+", "0x3")]
+        + [
+            (template, value)
+            for template in (
+                ["enumerate", "-n", "3", "-s", "{}", "--count"],
+                ["enumerate", "-n", "3", "--minus-ones={}", "--count"],
+                ["enumerate", "-n", "3", "--cap", "{}", "--count"],
+                ["dist", "-n", "{}", "--keys", "r"],
+                ["dist", "-n", "3", "--keys", "r", "--cap={}"],
+                ["verify", "--n-max={}"],
+                ["verify", "--cap", "{}"],
+            )
+            for value in ("\u0661", "0_1")
+        ],
+    )
+    def test_beyond_sign_and_ascii_digits_is_a_usage_error(self, capsys, template, value):
+        argv = [part.format(value) for part in template]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 1 and out == ""
+        assert "expected an optional sign and ASCII digits" in err
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["enumerate", "-n=+3", "--count"], "7\n"),
+            (["enumerate", "-n", "3", "-s", "1", "--cap", "3", "--count"], "1\n"),
+            (["dist", "-n", "3", "--keys", "s", "--cap=03"], "s=0 count=6\ns=1 count=1\n"),
+        ],
+    )
+    def test_sign_and_ascii_digits_are_read(self, monkeypatch, capsys, argv, expected):
+        assert run_cli(argv, "", monkeypatch, capsys)[:2] == (0, expected)
+
+    @pytest.mark.parametrize("value", ["0_7", "\u0667", " 7", "7.0"])
+    def test_env_cap_beyond_sign_and_ascii_digits_exits_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("ASMC_CAP", value)
+        code, out, err = run_cli(["enumerate", "-n", "3", "--count"], "", monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: BadArgument: ASMC_CAP ") and len(err.splitlines()) == 1
+
+
+class TestReusedParser:
+    """``main`` builds its parser once per process and keeps no state from
+    one call to the next."""
+
+    def test_no_parser_built_after_the_first_call(self, monkeypatch, capsys):
+        run_cli(["validate"], DIAMOND_TEXT, monkeypatch, capsys)
+        built = 0
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (["validate"], ["params", "--format", "json"], ["reflect"], ["table"]) * 2 + (
+            ["enumerate", "-n", "3", "--count"],
+            ["dist", "-n", "3", "--keys", "r"],
+        ):
+            assert run_cli(argv, DIAMOND_TEXT, monkeypatch, capsys)[0] == 0
+        assert built == 0
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "before, plain",
+        [
+            (["params", "--format=xml"], ["params"]),
+            (["enumerate", "-n", "0_3", "--count"], ["enumerate", "-n", "3"]),
+            (["validate", "-o=--"], ["validate"]),
+            (["enumerate", "-n=3", "-s=1", "--output=--"], ["enumerate", "-n", "3"]),
+            (["params", "--format", "json"], ["params"]),
+            (["dist", "-n", "3", "--keys", "r", "--format", "json", "--cap", "5"], ["dist", "-n", "3", "--keys", "r"]),
+        ],
+    )
+    def test_a_call_leaves_the_next_one_with_the_defaults(self, tmp_path, monkeypatch, capsys, before, plain):
+        monkeypatch.chdir(tmp_path)
+        build_parser.cache_clear()
+        fresh = run_cli(plain, DIAMOND_TEXT, monkeypatch, capsys)
+        try:
+            run_cli(before, DIAMOND_TEXT, monkeypatch, capsys)
+        except SystemExit as exc:
+            assert exc.code == 1
+            capsys.readouterr()
+        assert run_cli(plain, DIAMOND_TEXT, monkeypatch, capsys) == fresh
+        assert fresh[0] == 0 and fresh[1]
 
 
 def _exit_code_and_streams(argv, stdin=""):

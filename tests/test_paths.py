@@ -1,5 +1,6 @@
 """Mixed path configurations: encoding, validation, duality, rendering."""
 
+import hashlib
 import random
 from itertools import chain
 
@@ -41,6 +42,61 @@ DIAMOND_TABLE = GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)
 
 # golden snapshot of the diamond configuration, fixed at first implementation
 DIAMOND_ASCII = "o-o=o\n /|\no o\n\no\n"
+
+# renders of the worked example (TABLE12) and of its dual, pinned byte for
+# byte before MixedPath.vertices stopped building its tuple by resizing
+WORKED_ASCII = (
+    'o-o-o-o-o-o-o=o=o=o=o=o\n'
+    '\n'
+    'o-o-o-o-o-o-o=o=o=o=o\n'
+    '\n'
+    'o-o-o-o . . o=o=o=o\n'
+    '      |    /\n'
+    'o=o=o=o-o-o-o-o=o\n'
+    '\n'
+    'o-o-o-o-o-o=o=o\n'
+    '\n'
+    'o-o=o=o=o=o=o\n'
+    '\n'
+    'o=o=o=o=o=o\n'
+    '\n'
+    'o=o=o=o=o\n'
+    '\n'
+    'o-o-o=o\n'
+    '\n'
+    'o-o-o\n'
+    '\n'
+    'o=o\n'
+    '\n'
+    'o\n'
+)
+WORKED_DUAL_ASCII = (
+    'o-o-o-o-o-o=o=o=o=o=o=o\n'
+    '\n'
+    'o-o-o-o-o=o=o=o=o=o=o\n'
+    '\n'
+    'o-o-o-o-o-o-o=o=o=o\n'
+    '     /      |\n'
+    'o-o=o . . . o-o-o\n'
+    '\n'
+    'o-o-o=o=o=o=o=o\n'
+    '\n'
+    'o-o-o-o-o-o=o\n'
+    '\n'
+    'o-o-o-o-o-o\n'
+    '\n'
+    'o-o-o-o-o\n'
+    '\n'
+    'o-o=o=o\n'
+    '\n'
+    'o=o=o\n'
+    '\n'
+    'o-o\n'
+    '\n'
+    'o\n'
+)
+WORKED_SVG_SHA256 = "34a1ef8f83977a34c61c0c455c31ce7b36581f8094688f4461ca628d5d13aeb0"
+WORKED_DUAL_SVG_SHA256 = "87fb012251492fd8b64fb1208db4180cbcdc47fc1a6600f5962a493c5f4c334e"
 
 
 class TestEncoding:
@@ -248,6 +304,19 @@ class TestRender:
         art = render_ascii(config_from_pair(pair12))
         for mark in "-=|/":
             assert mark in art
+
+    @pytest.mark.parametrize(
+        "table, ascii_art, svg_sha256",
+        [
+            (TABLE12, WORKED_ASCII, WORKED_SVG_SHA256),
+            (dual_table(TABLE12), WORKED_DUAL_ASCII, WORKED_DUAL_SVG_SHA256),
+        ],
+        ids=["worked", "worked-dual"],
+    )
+    def test_worked_example_bytes_pinned(self, table, ascii_art, svg_sha256):
+        cfg = config_from_table(table)
+        assert render_ascii(cfg) == ascii_art
+        assert hashlib.sha256(render_svg(cfg).encode()).hexdigest() == svg_sha256
 
 
 class TestJson:
