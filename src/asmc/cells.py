@@ -23,6 +23,17 @@ statistics ``ell``, ``c`` and the electric charge ``E``; the magnetic
 charge is ``B = c - ell`` and ``J = c + ell + |E| + 1``.  All three
 extend to negative matrices through vertical reflection: ``E`` and ``B``
 change sign, ``J`` is invariant.
+
+Each fact about a matrix is computed once per value.  :func:`_keep`, the
+one memo helper, stores a fact on the frozen value it describes, outside
+the dataclass fields, so equality, hashing and repr never see it: the
+geometry of an :class:`AsmMatrix` (scanned only by :func:`geometry`), its
+non-negative cell sums, and the mark of a mixed configuration that has
+passed validation.  The builders seed the facts they already know:
+``discharge._recharge`` the geometry and cell sums of the matrix it
+rebuilds, ``inv_table.pair_from_table`` the geometry of its matrix, and
+:func:`_reflect` the geometry of a reflection, read off the original by
+mirroring columns.
 """
 
 from __future__ import annotations
@@ -100,7 +111,9 @@ def box_sum(a: AsmMatrix, top: int, bottom: int, left: int, right: int) -> int:
 
 
 def geometry(a: AsmMatrix) -> CellGeometry:
-    """Locate the opening/closing landmarks of a one-minus ASM."""
+    """Locate the opening/closing landmarks of a one-minus ASM.  The one
+    scan of the dense matrix for them; the library reads them through
+    :func:`_geometry`, which keeps the result on the matrix."""
     n = a.n
     closing_row = _closing_row(a)
     opening_col = a.rows[closing_row - 1].index(-1) + 1
@@ -124,8 +137,60 @@ def geometry(a: AsmMatrix) -> CellGeometry:
     )
 
 
+_TUPLE_ONLY = frozenset((tuple,))
+
+
+def _keep(value, parts, **facts) -> None:
+    """Store ``facts``, pure functions of the frozen dataclass ``value``,
+    on it as attributes outside its fields.  They are stored only when
+    ``parts``, the sequences ``value`` is built from, is a tuple of
+    tuples, so that nothing can change under them; a value built over
+    lists computes its facts anew at every call.  Two threads that race
+    here store equal facts."""
+    if type(parts) is tuple and _TUPLE_ONLY.issuperset(map(type, parts)):
+        for name, fact in facts.items():
+            object.__setattr__(value, name, fact)
+
+
+def _geometry(a: AsmMatrix) -> CellGeometry:
+    """:func:`geometry` of ``a``, scanned on the first call and kept."""
+    g = a.__dict__.get("_geometry")
+    if g is None:
+        g = geometry(a)
+        _keep(a, a.rows, _geometry=g)
+    return g
+
+
+def _reflect(a: AsmMatrix, g: CellGeometry) -> AsmMatrix:
+    """``reflect(a)`` with its geometry kept, read off the geometry ``g``
+    of ``a`` by mirroring columns instead of scanning the copy.  The
+    leading 1 of the reflection mirrors the first 1 right of the opening
+    column below the opening row: that of an enclosed row, else the
+    closing 1.  The cell sums of a neutral ``a``, if kept, are mirrored
+    too: reflection swaps ell and c, and below the opening row the
+    opening column sums to 0, so the left side holds ``n - k - x``."""
+    m = a.n + 1
+    enclosed = [row.index(1) + 1 for row in a.rows[g.opening_row : g.closing_row - 1]]
+    right = next((col for col in enclosed if col > g.opening_col), g.closing_col)
+    out = reflect(a)
+    facts = {"_geometry": CellGeometry(
+        opening_row=g.opening_row,
+        opening_col=m - g.opening_col,
+        closing_row=g.closing_row,
+        left_one_col=m - g.closing_col,
+        closing_col=m - g.left_one_col,
+        leading_col=m - right,
+        enclosed_rows=g.enclosed_rows,
+    )}
+    sums = a.__dict__.get("_sums")
+    if sums is not None and not g.enclosed_rows:
+        facts["_sums"] = CellSums(ell=sums.c, c=sums.ell, x=m - 1 - g.opening_row - sums.x)
+    _keep(out, out.rows, **facts)
+    return out
+
+
 # The readers below take the geometry of ``a`` so that a caller holding it
-# does not scan the matrix again; each public function scans once.
+# does not look it up again.
 
 
 def _sign_class(a: AsmMatrix, g: CellGeometry) -> SignClass:
@@ -136,18 +201,25 @@ def _sign_class(a: AsmMatrix, g: CellGeometry) -> SignClass:
 
 
 def _cell_sums(a: AsmMatrix, g: CellGeometry) -> CellSums:
-    """Cell sums of a matrix already known to be non-negative."""
-    n = a.n
-    ell = box_sum(a, g.opening_row + 1, n, g.leading_col + 1, g.opening_col - 1)
-    c = box_sum(a, g.closing_row + 1, n, g.opening_col + 1, g.closing_col - 1)
-    x = box_sum(a, g.opening_row + 1, n, g.opening_col + 1, n)
-    return CellSums(ell=ell, c=c, x=x)
+    """Cell sums of a matrix already known to be non-negative, summed on
+    the first call and kept."""
+    sums = a.__dict__.get("_sums")
+    if sums is None:
+        n = a.n
+        sums = CellSums(
+            ell=box_sum(a, g.opening_row + 1, n, g.leading_col + 1, g.opening_col - 1),
+            c=box_sum(a, g.closing_row + 1, n, g.opening_col + 1, g.closing_col - 1),
+            x=box_sum(a, g.opening_row + 1, n, g.opening_col + 1, n),
+        )
+        _keep(a, a.rows, _sums=sums)
+    return sums
 
 
 def _charges(a: AsmMatrix, g: CellGeometry) -> ChargeParams:
     cls = _sign_class(a, g)
     if cls is SignClass.NEGATIVE:
-        mirror = charges(reflect(a))
+        r = _reflect(a, g)
+        mirror = _charges(r, _geometry(r))
         return ChargeParams(
             ell=mirror.ell, c=mirror.c, x=mirror.x,
             e=-mirror.e, b=-mirror.b, j=mirror.j,
@@ -169,7 +241,7 @@ def _charges(a: AsmMatrix, g: CellGeometry) -> ChargeParams:
 def sign_class(a: AsmMatrix) -> SignClass:
     """Neutral, positive or negative, by the side of the lowest enclosed
     row's 1."""
-    return _sign_class(a, geometry(a))
+    return _sign_class(a, _geometry(a))
 
 
 def cell_sums(a: AsmMatrix) -> CellSums:
@@ -177,7 +249,7 @@ def cell_sums(a: AsmMatrix) -> CellSums:
 
     Raises :class:`NegativeClass` on negative matrices; reflect first.
     """
-    g = geometry(a)
+    g = _geometry(a)
     if _sign_class(a, g) is SignClass.NEGATIVE:
         raise NegativeClass("cell sums are defined on non-negative matrices; reflect first")
     return _cell_sums(a, g)
@@ -185,4 +257,4 @@ def cell_sums(a: AsmMatrix) -> CellSums:
 
 def charges(a: AsmMatrix) -> ChargeParams:
     """The charge triple (E, B, J) together with the cell sums behind it."""
-    return _charges(a, geometry(a))
+    return _charges(a, _geometry(a))

@@ -31,7 +31,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cells import CellGeometry, SignClass, _charges, _sign_class, geometry
+from .cells import (
+    CellGeometry,
+    CellSums,
+    SignClass,
+    _charges,
+    _geometry,
+    _keep,
+    _sign_class,
+)
 from .displacement import Point, Region, _dense, _displace
 from .errors import (
     BadArgument,
@@ -110,7 +118,7 @@ def _right_side(word: tuple[int, ...], k: int) -> int:
 
 def _non_negative_geometry(a: AsmMatrix) -> CellGeometry:
     """The geometry of ``a``, after checking that ``a`` is not negative."""
-    g = geometry(a)
+    g = _geometry(a)
     if _sign_class(a, g) is SignClass.NEGATIVE:
         raise NegativeClass("discharging is defined on non-negative matrices; reflect first")
     return g
@@ -166,7 +174,7 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
 
     Kept as an independent oracle for the full four-step path.
     """
-    g = geometry(a)
+    g = _geometry(a)
     if _sign_class(a, g) is not SignClass.NEUTRAL:
         raise NegativeClass("shortcut applies to neutral matrices only")
     closing_cell = Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col)
@@ -202,6 +210,8 @@ def tuple_valid(t: DischargeTuple) -> TupleCheck:
     2. the matrix component is a permutation matrix;
     3. row k's 1 lies strictly right of row k+1's 1;
     4. ``c >= 0``, ``E >= 0`` and ``c + E < x``.
+
+    Condition 0 flags a k, c or E that is not an ``int``.
     """
     return _word_valid(t.perm.n, _word(t.perm), t.opening_row, t.closing_sum, t.charge)
 
@@ -209,6 +219,8 @@ def tuple_valid(t: DischargeTuple) -> TupleCheck:
 def _word_valid(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> TupleCheck:
     """:func:`tuple_valid` on the one-line word of the matrix component
     (None when that is not a permutation matrix)."""
+    if type(k) is not int or type(c) is not int or type(e) is not int:
+        return TupleCheck(False, 0, "entries must be integers")
     if not 1 <= k <= n - 2:
         return TupleCheck(False, 1, f"k={k} outside [1, {n - 2}]")
     if word is None:
@@ -281,4 +293,27 @@ def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> A
     grid = _dense(points, n, n)
     grid[closing_row - 1][j - 1] = -1
     grid[closing_row - 1][closing_col - 1] = 1
-    return validate_asm(grid)
+    out = validate_asm(grid)
+
+    # the landmarks and cell sums of ``out``, read off its points: below
+    # the opening row each row keeps one point, the left 1 on the closing
+    # row, and the -1 and the closing 1 lie in and right of column j
+    cols = dict(points)
+    lower = [cols[q] for q in range(k + 1, n + 1)]
+    leading_col = [col for col in lower if col < j][0]
+    g = CellGeometry(
+        opening_row=k,
+        opening_col=j,
+        closing_row=closing_row,
+        left_one_col=cols[closing_row],
+        closing_col=closing_col,
+        leading_col=leading_col,
+        enclosed_rows=range(k + 1, closing_row),
+    )
+    sums = CellSums(
+        ell=len([col for col in lower if leading_col < col < j]),
+        c=len([col for col in lower[closing_row - k :] if j < col < closing_col]),
+        x=len([col for col in lower if col > j]) + 1,
+    )
+    _keep(out, out.rows, _geometry=g, _sums=sums)
+    return out

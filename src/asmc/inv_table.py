@@ -30,10 +30,17 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .cells import geometry
+from .cells import CellGeometry, _geometry, _keep
 from .discharge import TupleCheck as TableCheck
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
-from .matrix import AsmMatrix, _require_permutation, _text_ints, json_int, validate_asm
+from .matrix import (
+    _INT_ONLY,
+    AsmMatrix,
+    _require_permutation,
+    _text_ints,
+    json_int,
+    validate_asm,
+)
 from .neutral import NeutralPair
 
 
@@ -166,8 +173,11 @@ def table_from_json(obj: dict) -> GenInvTable:
 
 def table_valid(t: GenInvTable) -> TableCheck:
     """Test the four characterization conditions, reporting the first
-    failure."""
+    failure; condition 0 flags entries that are not non-negative ``int``."""
     n = t.n
+    if not (type(t.k) is int and type(t.b) is int and type(t.beta) is int
+            and _INT_ONLY.issuperset(map(type, t.a))):
+        return TableCheck(False, 0, "entries must be integers")
     if t.b < 0 or t.beta < 0 or any(v < 0 for v in t.a):
         return TableCheck(False, 0, "entries must be non-negative")
     if not 3 <= t.k <= n:
@@ -195,7 +205,7 @@ def gen_table(pair: NeutralPair) -> GenInvTable:
     """Generalized inversion table of a neutral pair; :func:`_walk` reads
     ``a_{k-1}`` at the left 1 of the closing row."""
     m = pair.matrix
-    k = m.n + 1 - geometry(m).opening_row
+    k = m.n + 1 - _geometry(m).opening_row
     sums = pair.sums
     table = GenInvTable(k=k, a=_walk(m), b=sums.c, beta=pair.charge + sums.ell)
     check = table_valid(table)
@@ -210,7 +220,9 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     The matrix is constructed row by row from the top: each table entry
     pins the column of the row's (leftmost) 1 through the running column
     sums, the -1 goes under the opening 1, and the closing 1 is placed so
-    the closing cell sums to ``b``.
+    the closing cell sums to ``b``.  The geometry of the matrix is kept
+    on it as it is built: the closing row lies just below the opening
+    row, so the leading 1 is the left 1.
     """
     _require_table(t)
     n = t.n
@@ -239,6 +251,15 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
             if q == opening_row:
                 opening_col = col
     matrix = validate_asm(grid)
+    _keep(matrix, matrix.rows, _geometry=CellGeometry(
+        opening_row=opening_row,
+        opening_col=opening_col,
+        closing_row=closing_row,
+        left_one_col=left_col,
+        closing_col=closing_col,
+        leading_col=left_col,
+        enclosed_rows=range(opening_row + 1, closing_row),
+    ))
     charge = _block_charges(t.a[t.k - 2], t.a[t.k - 1], t.b, t.beta)[0]
     return NeutralPair(matrix, charge)
 

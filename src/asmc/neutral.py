@@ -12,16 +12,23 @@ to the opening row).
 
 Both directions discharge and recharge on the one-line word of the
 permutation in between; only the matrix returned is built and validated.
+Every landmark is read through the memo of :mod:`asmc.cells`
+(``cells._keep``): ``discharge._recharge`` and
+``inv_table.pair_from_table`` seed the geometry of the matrices they
+build, the former also their cell sums, so :class:`NeutralPair` checks
+its invariants from facts already known.  A negative matrix is taken
+through ``cells._reflect``, which mirrors the column indices of its
+geometry instead of scanning the reflected copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellSums, SignClass, _cell_sums, _charges, _sign_class, geometry
+from .cells import CellSums, SignClass, _cell_sums, _charges, _geometry, _reflect, _sign_class
 from .discharge import _discharge_word, _recharge
 from .errors import InvalidPair, NotOneMinus
-from .matrix import AsmMatrix, json_int, matrix_from_json, matrix_to_json, reflect
+from .matrix import AsmMatrix, json_int, matrix_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -31,15 +38,17 @@ class NeutralPair:
     may assume them.
 
     The cell sums of the matrix, computed for the range check, are kept
-    on the instance outside the dataclass fields, so equality and
-    hashing see only ``matrix`` and ``charge``."""
+    on the matrix outside its dataclass fields, so equality and hashing
+    see only ``matrix`` and ``charge``."""
 
     matrix: AsmMatrix
     charge: int
 
     def __post_init__(self):
+        if type(self.charge) is not int:
+            raise InvalidPair(f"charge must be an integer, got {self.charge!r}")
         try:
-            g = geometry(self.matrix)
+            g = _geometry(self.matrix)
         except NotOneMinus as exc:
             raise InvalidPair(f"pair matrix must have exactly one -1: {exc}") from exc
         cls = _sign_class(self.matrix, g)
@@ -50,11 +59,10 @@ class NeutralPair:
             raise InvalidPair(
                 f"charge {self.charge} outside [{-sums.ell}, {sums.c}]"
             )
-        object.__setattr__(self, "_sums", sums)
 
     @property
     def sums(self) -> CellSums:
-        return self._sums
+        return _cell_sums(self.matrix, _geometry(self.matrix))
 
     def to_json(self) -> dict:
         return {"N": matrix_to_json(self.matrix), "E": self.charge}
@@ -71,13 +79,14 @@ def pair_from_json(obj: dict) -> NeutralPair:
 
 def neutralize(a: AsmMatrix) -> NeutralPair:
     """Encode a one-minus ASM as a (neutral matrix, charge) pair."""
-    g = geometry(a)  # raises NotOneMinus
+    g = _geometry(a)  # raises NotOneMinus
     cls = _sign_class(a, g)
     if cls is SignClass.NEUTRAL:
         return NeutralPair(a, 0)
     if cls is SignClass.NEGATIVE:
-        mirrored = neutralize(reflect(a))
-        return NeutralPair(reflect(mirrored.matrix), -mirrored.charge)
+        mirrored = neutralize(_reflect(a, g))
+        m = mirrored.matrix
+        return NeutralPair(_reflect(m, _geometry(m)), -mirrored.charge)
     ch = _charges(a, g)
     neutral = _recharge(a.n, _discharge_word(a, g), g.opening_row, ch.c + ch.e, 0)
     return NeutralPair(neutral, ch.e)
@@ -87,12 +96,14 @@ def restore(pair: NeutralPair) -> AsmMatrix:
     """Inverse of :func:`neutralize`."""
     if pair.charge == 0:
         return pair.matrix
+    m = pair.matrix
+    g = _geometry(m)
     if pair.charge < 0:
-        return reflect(restore(NeutralPair(reflect(pair.matrix), -pair.charge)))
+        back = restore(NeutralPair(_reflect(m, g), -pair.charge))
+        return _reflect(back, _geometry(back))
     # the pair's matrix is neutral: its discharge has charge 0 and closing sum c
-    n, g = pair.matrix.n, geometry(pair.matrix)
-    word = _discharge_word(pair.matrix, g)
-    return _recharge(n, word, g.opening_row, pair.sums.c - pair.charge, pair.charge)
+    word = _discharge_word(m, g)
+    return _recharge(m.n, word, g.opening_row, pair.sums.c - pair.charge, pair.charge)
 
 
 def flip_charge(pair: NeutralPair) -> NeutralPair:

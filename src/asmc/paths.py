@@ -38,6 +38,7 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
+from .cells import _keep
 from .errors import (
     InternalInvariantViolation,
     MalformedConfiguration,
@@ -154,6 +155,10 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
     levels, Left steps before Right ones) is at most n.  Two parts meet
     only if two of their runs on one level overlap.  The vertices of a
     path are walked only to name a problem these checks have found.
+
+    A configuration found valid is marked (see ``cells._keep``), so the
+    decoders do not validate it again; a valid one has tuple starts and
+    string steps, so a tuple of its paths cannot change under the mark.
     """
     problems: list[str] = []
     n = cfg.n
@@ -197,6 +202,8 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
                     )
                 else:
                     seen[v] = i
+    if not problems:
+        _keep(cfg, (cfg.paths,), _valid=True)
     return problems
 
 
@@ -229,9 +236,12 @@ def _overlap(runs: list[Run]) -> bool:
 
 
 def _require_valid(cfg: MixedConfiguration) -> None:
-    problems = validate_config(cfg)
-    if problems:
-        raise MalformedConfiguration("; ".join(problems))
+    """Raise unless ``cfg`` is valid; a configuration that has passed
+    :func:`validate_config` is marked and not validated again."""
+    if not cfg.__dict__.get("_valid"):
+        problems = validate_config(cfg)
+        if problems:
+            raise MalformedConfiguration("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from . import inv_table as it
 from . import matrix as mx
 from . import neutral as nz
 from . import paths as pt
-from .cells import SignClass, cell_sums, geometry
+from .cells import SignClass, _geometry, cell_sums
 from .discharge import (
     DischargeTuple,
     _partial_discharge_neutral_shortcut,
@@ -365,6 +365,8 @@ def _neutralize_transport(rec: _Record):
         return f"B(N)={cn.b} != B(A)+E(A)={cm.b + cm.e}"
     if cn.j != cm.j:
         return "neutralizing changed J"
+    if rec.cls is not SignClass.NEGATIVE and cn.x != cm.x:
+        return f"x(N)={cn.x} != x(A)={cm.x}"
     if (pair.charge > 0) - (pair.charge < 0) != _SIGN_OF[rec.cls]:
         return "sign of the charge does not match the class"
 
@@ -401,7 +403,7 @@ def _charge_swap(rec: _Record):
     pm, ps = rec.params, swapped.params
     if (pm.r, pm.i, cm.j) != (ps.r, ps.i, cs.j):
         return "charge swap changed r, i or J"
-    k = geometry(rec.m).opening_row
+    k = _geometry(rec.m).opening_row
     if swapped.m.rows[:k] != rec.m.rows[:k]:
         return "charge swap changed rows 1..k"
 

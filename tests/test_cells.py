@@ -128,10 +128,12 @@ class TestCharges:
 
 class TestLandmarkScans:
     """Average ``geometry`` calls per matrix over all order-7 one-minus
-    matrices: each call reuses the landmarks it has already found."""
+    matrices, each operation on a fresh copy: the first read scans the
+    matrix, and every later one, on it or on a matrix the operation
+    builds or reflects, reads landmarks kept or seeded on the value."""
 
-    @pytest.mark.parametrize("name, budget", list(ORDER7_SCANS.items()))
-    def test_scans_per_matrix_at_order_7(self, order7_calls, name, budget):
+    @pytest.mark.parametrize("name", list(ORDER7_SCANS))
+    def test_scans_per_matrix_at_order_7(self, order7_calls, name):
         assert asmc.cells in order7_calls.wrapped["geometry"]
         assert order7_calls.matrices == 29400
-        assert 0 < order7_calls.scans[name] / order7_calls.matrices <= budget
+        assert 0 < order7_calls.scans[name] / order7_calls.matrices <= ORDER7_SCANS[name]

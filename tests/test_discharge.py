@@ -110,6 +110,20 @@ class TestDischargeTuple:
         check = tuple_valid(DischargeTuple(3, perm12, -1, 0))
         assert not check and check.condition == 4
 
+    @pytest.mark.parametrize("field, value", [
+        ("opening_row", 3.0), ("opening_row", True), ("closing_sum", 0.0),
+        ("closing_sum", False), ("charge", 0.0), ("charge", True),
+    ])
+    def test_non_int_field_fails_condition_zero(self, perm12, field, value):
+        t = DischargeTuple(**{"opening_row": 3, "perm": perm12, "closing_sum": 4,
+                              "charge": 0, field: value})
+        check = tuple_valid(t)
+        assert not check and check.condition == 0
+        assert check.message == "entries must be integers"
+        with pytest.raises(InvalidTuple) as info:
+            recharge(t)
+        assert info.value.condition == 0
+
 
 class TestRecharge:
     def test_worked_example_inverses(self, neutral12, charged12, perm12):

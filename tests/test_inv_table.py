@@ -150,6 +150,22 @@ class TestTableValidity:
         check = table_valid(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=-1))
         assert not check and check.condition == 0
 
+    @pytest.mark.parametrize("table", [
+        GenInvTable(k=3, a=(0, 0.0, 1), b=0, beta=0),
+        GenInvTable(k=3, a=(0, False, 1), b=0, beta=0),
+        GenInvTable(k=3.0, a=(0, 0, 1), b=0, beta=0),
+        GenInvTable(k=3, a=(0, 0, 1), b=0.0, beta=0),
+        GenInvTable(k=3, a=(0, 0, 1), b=0, beta=False),
+    ])
+    def test_non_int_entries_fail_condition_zero(self, table):
+        check = table_valid(table)
+        assert not check and check.condition == 0
+        assert check.message == "entries must be integers"
+        for decode in (pair_from_table, table_params, dual_table):
+            with pytest.raises(InvalidTable) as info:
+                decode(table)
+            assert info.value.condition == 0
+
     def test_oversized_entry_fails_condition_two(self):
         check = table_valid(GenInvTable(k=3, a=(1, 0, 1), b=0, beta=0))
         assert not check and check.condition == 2

@@ -1,0 +1,163 @@
+"""Facts kept on values by ``cells._keep``: the landmarks and cell sums of
+a matrix, seeded by the builders that know them, and the mark of a mixed
+configuration that has passed validation.
+
+Every kept fact must equal a fresh computation on an unmemoized copy, and
+no kept fact may change what a value is: equality, hashing and repr see
+only the dataclass fields, and a value built over lists keeps nothing.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from asmc import (
+    AsmMatrix,
+    MalformedConfiguration,
+    MixedConfiguration,
+    NeutralPair,
+    SignClass,
+    cell_sums,
+    charges,
+    config_from_pair,
+    config_params,
+    dual_config,
+    gen_table,
+    geometry,
+    neutralize,
+    pair_from_config,
+    pair_from_table,
+    reflect,
+    restore,
+    sign_class,
+    swap_charges,
+    validate_config,
+)
+from conftest import one_minus, random_valid_table
+
+FACTS = {"_geometry", "_sums", "_valid"}
+
+
+def kept_facts(value) -> set[str]:
+    """Check each fact kept on ``value`` (a matrix, the matrix of a pair,
+    or a configuration) against a fresh computation on an unmemoized copy;
+    returns the names of the facts found."""
+    if isinstance(value, NeutralPair):
+        value = value.matrix
+    kept = {name: fact for name, fact in vars(value).items() if name.startswith("_")}
+    assert set(kept) <= FACTS
+    if "_geometry" in kept:
+        assert kept["_geometry"] == geometry(AsmMatrix(value.rows))
+    if "_sums" in kept:
+        assert kept["_sums"] == cell_sums(AsmMatrix(value.rows))
+    if "_valid" in kept:
+        assert kept["_valid"] is True
+        assert validate_config(MixedConfiguration(value.paths)) == []
+    return set(kept)
+
+
+def outputs(m: AsmMatrix):
+    """``(name, value)`` for the outputs of ``neutralize``, ``restore``,
+    ``swap_charges``, ``pair_from_table`` and ``dual_config`` on fresh
+    copies of ``m`` and of its encodings."""
+    pair = neutralize(AsmMatrix(m.rows))
+    yield "neutralize", pair
+    yield "restore", restore(NeutralPair(AsmMatrix(pair.matrix.rows), pair.charge))
+    yield "swap_charges", swap_charges(AsmMatrix(m.rows))
+    yield "pair_from_table", pair_from_table(gen_table(pair))
+    yield "dual_config", dual_config(config_from_pair(pair))
+
+
+# the facts each output holds however it was built: a pair's matrix has
+# passed the pair's checks, and a dual configuration its self-check
+EXPECTED = {
+    "neutralize": {"_geometry", "_sums"},
+    "restore": {"_geometry"},
+    "swap_charges": {"_geometry"},
+    "pair_from_table": {"_geometry", "_sums"},
+    "dual_config": {"_valid"},
+}
+
+
+def check_outputs(m: AsmMatrix, found: Counter) -> None:
+    for name, value in outputs(m):
+        facts = kept_facts(value)
+        assert EXPECTED[name] <= facts, (name, m.rows)
+        found.update(facts)
+
+
+class TestKeptFactsOracle:
+    def test_every_one_minus_matrix_up_to_order_6(self):
+        found = Counter()
+        matrices = 0
+        for n in range(3, 7):
+            for m in one_minus(n):
+                check_outputs(m, found)
+                matrices += 1
+        assert matrices == 2617
+        # rebuilt positive matrices keep their cell sums as well
+        assert found["_sums"] > 2 * matrices
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_tables_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            pair = pair_from_table(random_valid_table(rng, n))
+            assert kept_facts(pair) == {"_geometry", "_sums"}
+            m = restore(pair)
+            assert "_geometry" in kept_facts(m)
+            found = Counter()
+            check_outputs(m, found)
+            check_outputs(reflect(m), found)
+            assert found["_valid"] == 2
+
+
+class TestValueSemantics:
+    def test_kept_facts_stay_out_of_equality_hash_and_repr(self, charged12):
+        pair = neutralize(AsmMatrix(charged12.rows))
+        m = restore(pair)
+        cfg = config_from_pair(pair)
+        config_params(cfg)
+        assert kept_facts(m) == {"_geometry", "_sums"}
+        assert kept_facts(cfg) == {"_valid"}
+        twins = (
+            (m, AsmMatrix(m.rows)),
+            (pair, NeutralPair(AsmMatrix(pair.matrix.rows), pair.charge)),
+            (cfg, MixedConfiguration(cfg.paths)),
+        )
+        for value, twin in twins:
+            assert value == twin and hash(value) == hash(twin)
+            assert repr(value) == repr(twin)
+        assert repr(m) == f"AsmMatrix(rows={m.rows!r})"
+        assert vars(pair).keys() == {"matrix", "charge"}
+
+    @pytest.mark.parametrize("frame", [list, tuple])
+    def test_matrix_over_lists_follows_its_rows(self, frame):
+        by_class = {sign_class(m): m for m in one_minus(4)}
+        first, second = by_class[SignClass.POSITIVE], by_class[SignClass.NEGATIVE]
+        rows = frame([list(row) for row in first.rows])
+        m = AsmMatrix(rows)
+        assert charges(m) == charges(first)
+        assert geometry(m) == geometry(first)
+        assert tuple(map(tuple, neutralize(m).matrix.rows)) == neutralize(first).matrix.rows
+        for row, new in zip(rows, second.rows):
+            row[:] = new
+        assert charges(m) == charges(second)
+        assert sign_class(m) is SignClass.NEGATIVE
+        assert tuple(map(tuple, swap_charges(m).rows)) == swap_charges(second).rows
+        assert vars(m).keys() == {"rows"}
+
+    def test_configuration_over_a_list_is_validated_again(self, pair12):
+        cfg = config_from_pair(pair12)
+        paths = list(cfg.paths)
+        loose = MixedConfiguration(paths)
+        assert config_params(loose) == config_params(cfg)
+        assert pair_from_config(loose) == pair12
+        assert vars(loose).keys() == {"paths"}
+        paths[0], paths[1] = paths[1], paths[0]
+        assert validate_config(loose)
+        with pytest.raises(MalformedConfiguration):
+            config_params(loose)
+        with pytest.raises(MalformedConfiguration):
+            pair_from_config(loose)

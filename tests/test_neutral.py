@@ -75,6 +75,11 @@ class TestPairInvariants:
         with pytest.raises(InvalidPair):
             NeutralPair(neutral12, 5)
 
+    @pytest.mark.parametrize("charge", [0.0, False, 1.0, True, "1"])
+    def test_non_int_charge_rejected(self, neutral12, charge):
+        with pytest.raises(InvalidPair):
+            NeutralPair(neutral12, charge)
+
     def test_charged_matrix_rejected(self, charged12):
         with pytest.raises(InvalidPair):
             NeutralPair(charged12, 0)
