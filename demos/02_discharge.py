@@ -12,6 +12,7 @@ from asmc import (
     apply_in_region,
     discharge,
     geometry,
+    h_shift,
     matrix_to_text,
     pair_from_table,
     partial_discharge,
@@ -36,7 +37,7 @@ grid[g.closing_row - 1][g.closing_col - 1] = 0
 print("Step 2: shift the extended closing cell one slot to the right")
 print(f"        (rows {g.closing_row + 1}..{n}, columns {g.opening_col}..{g.closing_col}):\n")
 region = Region(g.closing_row + 1, n, g.opening_col, g.closing_col)
-shifted = apply_in_region(grid, region, "h")
+shifted = apply_in_region(grid, region, h_shift)
 print(matrix_to_text(validate_asm(shifted)))
 
 print("On a neutral matrix the two remaining steps cancel, so this already")

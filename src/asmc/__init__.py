@@ -25,7 +25,6 @@ from .cells import (
 )
 from .discharge import (
     DischargeTuple,
-    TupleCheck,
     discharge,
     partial_discharge,
     recharge,
@@ -60,7 +59,6 @@ from .errors import (
 from .inv_table import (
     GenInvTable,
     ParamVector,
-    TableCheck,
     dual_table,
     gen_table,
     pair_from_table,

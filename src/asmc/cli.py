@@ -50,6 +50,7 @@ from .neutral import neutralize, pair_from_json, restore, swap_charges
 from .paths import (
     config_from_json,
     config_from_pair,
+    config_from_table,
     config_params,
     dual_config,
     pair_from_config,
@@ -123,11 +124,11 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _params_dict(m) -> dict:
-    p = classical_params(m)
+def _params_dict(p, ch) -> dict:
+    """r, s, i from the classical params ``p`` and, unless ``ch`` is None,
+    E, B, J from the charges ``ch``."""
     out = {"r": p.r, "s": p.s, "i": p.i}
-    if p.s == 1:
-        ch = charges(m)
+    if ch is not None:
         out.update({"E": ch.e, "B": ch.b, "J": ch.j})
     return out
 
@@ -144,7 +145,7 @@ def _pipeline_bundle(m) -> dict:
     cross-checked for agreement before emitting."""
     pair = neutralize(m)
     table = gen_table(pair)
-    cfg = config_from_pair(pair)
+    cfg = config_from_table(table)
     p, ch = classical_params(m), charges(m)
     stats = (p.r, p.i, ch.e, ch.b, ch.j)
     for label, vec in (
@@ -160,7 +161,7 @@ def _pipeline_bundle(m) -> dict:
         "pair": pair.to_json(),
         "table": table.to_json(),
         "paths": cfg.to_json(),
-        "params": _params_dict(m),
+        "params": _params_dict(p, ch),
     }
 
 
@@ -232,7 +233,8 @@ def _dispatch(args) -> int:
         _write(args, f"ok: n={m.n} s={minus_count(m)}\n")
     elif cmd == "params":
         m = _read_matrix(args)
-        params = _params_dict(m)
+        p = classical_params(m)
+        params = _params_dict(p, charges(m) if p.s == 1 else None)
         if args.format == "json":
             _write(args, json.dumps(params) + "\n")
         else:
@@ -308,9 +310,7 @@ def _dispatch(args) -> int:
 
 
 def _emit_config(args, cfg) -> None:
-    problems = validate_config(cfg)
-    if problems:
-        raise AsmcError(f"configuration invalid: {problems[0]}")
+    validate_config(cfg)
     if args.format == "ascii":
         _write(args, render_ascii(cfg))
     elif args.format == "svg":

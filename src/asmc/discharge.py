@@ -55,8 +55,8 @@ class DischargeTuple:
     """(k, P, c, E): opening row, discharged permutation matrix,
     closing-cell sum and electric charge.
 
-    Instances are plain records; :func:`tuple_valid` checks membership in
-    the image of :func:`discharge`.
+    Instances are plain records; :func:`tuple_valid` returns one that
+    lies in the image of :func:`discharge` and raises on any other.
     """
 
     opening_row: int
@@ -88,21 +88,6 @@ def tuple_from_json(obj: dict) -> DischargeTuple:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"discharge tuple JSON needs integer k, c, E and matrix P: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class TupleCheck:
-    """Diagnostic result of a membership test, :func:`tuple_valid` or
-    :func:`asmc.inv_table.table_valid` (which names it ``TableCheck``):
-    the first failed condition and why; condition 0 flags structural
-    problems such as negative entries."""
-
-    ok: bool
-    condition: int | None = None
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def right_side_sum(perm: AsmMatrix, k: int) -> int:
@@ -203,50 +188,58 @@ def _word(perm: AsmMatrix) -> tuple[int, ...] | None:
         return None
 
 
-def tuple_valid(t: DischargeTuple) -> TupleCheck:
-    """Check the four membership conditions, reporting the first failure.
+def tuple_valid(t: DischargeTuple) -> DischargeTuple:
+    """Return ``t`` if it meets the four membership conditions; raise
+    :class:`InvalidTuple` with the first that fails as ``.condition``.
 
     1. ``1 <= k <= n-2``;
     2. the matrix component is a permutation matrix;
     3. row k's 1 lies strictly right of row k+1's 1;
     4. ``c >= 0``, ``E >= 0`` and ``c + E < x``.
 
-    Condition 0 flags a k, c or E that is not an ``int``.
+    Condition 0 flags a k, c or E that is not an ``int`` and a matrix
+    component that is not an :class:`AsmMatrix`.
     """
-    return _word_valid(t.perm.n, _word(t.perm), t.opening_row, t.closing_sum, t.charge)
+    _word_valid(*_fields(t))
+    return t
 
 
-def _word_valid(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> TupleCheck:
+def _fields(t: DischargeTuple) -> tuple[int, tuple[int, ...] | None, int, int, int]:
+    """``(n, word of P, k, c, E)``, the arguments of :func:`_word_valid`
+    and :func:`_recharge`."""
+    if not isinstance(t.perm, AsmMatrix):
+        raise InvalidTuple(0, f"matrix component must be an AsmMatrix, got {type(t.perm).__name__}")
+    return t.perm.n, _word(t.perm), t.opening_row, t.closing_sum, t.charge
+
+
+def _word_valid(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> None:
     """:func:`tuple_valid` on the one-line word of the matrix component
     (None when that is not a permutation matrix)."""
     if type(k) is not int or type(c) is not int or type(e) is not int:
-        return TupleCheck(False, 0, "entries must be integers")
+        raise InvalidTuple(0, "entries must be integers")
     if not 1 <= k <= n - 2:
-        return TupleCheck(False, 1, f"k={k} outside [1, {n - 2}]")
+        raise InvalidTuple(1, f"k={k} outside [1, {n - 2}]")
     if word is None:
-        return TupleCheck(False, 2, "matrix component is not a permutation matrix")
+        raise InvalidTuple(2, "matrix component is not a permutation matrix")
     j, m = word[k - 1], word[k]
     if m >= j:
-        return TupleCheck(False, 3, f"row {k + 1}'s 1 (column {m}) is not left of row {k}'s (column {j})")
+        raise InvalidTuple(3, f"row {k + 1}'s 1 (column {m}) is not left of row {k}'s (column {j})")
     if c < 0 or e < 0:
-        return TupleCheck(False, 4, "c and E must be non-negative")
+        raise InvalidTuple(4, "c and E must be non-negative")
     x = _right_side(word, k)
     if c + e >= x:
-        return TupleCheck(False, 4, f"c + E = {c + e} must be < x = {x}")
-    return TupleCheck(True)
+        raise InvalidTuple(4, f"c + E = {c + e} must be < x = {x}")
 
 
 def recharge(t: DischargeTuple) -> AsmMatrix:
     """Inverse of :func:`discharge`; raises :class:`InvalidTuple` when the
     tuple fails a membership condition."""
-    return _recharge(t.perm.n, _word(t.perm), t.opening_row, t.closing_sum, t.charge)
+    return _recharge(*_fields(t))
 
 
 def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> AsmMatrix:
     """:func:`recharge` of ``(k, P, c, E)`` given the one-line word of P."""
-    check = _word_valid(n, word, k, c, e)
-    if not check:
-        raise InvalidTuple(check.condition, check.message)
+    _word_valid(n, word, k, c, e)
     j = word[k - 1]  # opening column
 
     # closing row: topmost row below k where the right-side count reaches E

@@ -146,7 +146,7 @@ def v_unshift(grid: Sequence[Sequence[int]]) -> IntGrid:
 class Region:
     """A non-empty rectangular window of a host matrix.
 
-    Bounds are 1-based and inclusive.
+    Bounds are 1-based, inclusive and ``int``.
     """
 
     top: int
@@ -155,6 +155,8 @@ class Region:
     right: int
 
     def __post_init__(self):
+        if not (type(self.top) is type(self.bottom) is type(self.left) is type(self.right) is int):
+            raise PreconditionFailed(f"region bounds must be integers, got {self}")
         if self.top < 1 or self.left < 1 or self.top > self.bottom or self.left > self.right:
             raise PreconditionFailed(f"empty or negative region {self}")
 
@@ -166,17 +168,17 @@ class Region:
 def apply_in_region(
     host: Sequence[Sequence[int]],
     region: Region,
-    f: str | Callable[[Sequence[Sequence[int]]], IntGrid],
+    f: Callable[[Sequence[Sequence[int]]], IntGrid],
 ) -> IntGrid:
     """Apply ``h_shift`` or ``v_shift`` to a window of ``host``.
 
-    ``f`` is one of the two displacement primitives (the function itself
-    or the key ``"h"`` / ``"v"``); no other function is accepted.  The
-    host must be a rectangle of ``int`` entries, outside the window too,
-    and the window content must satisfy the primitive's precondition;
-    failures are re-raised with the region attached.
+    ``f`` is one of the two displacement primitives; no other function
+    is accepted.  The host must be a rectangle of ``int`` entries,
+    outside the window too, and the window content must satisfy the
+    primitive's precondition; failures are re-raised with the region
+    attached.
     """
-    if f not in ("h", "v", h_shift, v_shift):
+    if f is not h_shift and f is not v_shift:
         raise PreconditionFailed("only h_shift and v_shift may be applied in a region")
     try:
         rows = _as_grid(host)
@@ -193,7 +195,7 @@ def apply_in_region(
     for i, j in ones:
         out[i - 1][j - 1] = 0
     try:
-        shifted = _displace(ones, region, columns=f in ("h", h_shift), inverse=False)
+        shifted = _displace(ones, region, columns=f is h_shift, inverse=False)
     except PreconditionFailed as exc:
         raise PreconditionFailed(f"{exc} (in region {region})") from exc
     for i, j in shifted:

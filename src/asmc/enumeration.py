@@ -39,7 +39,10 @@ DISTRIBUTION_KEYS = ("r", "s", "i", "E", "B", "J")
 
 
 def formula_count(n: int) -> int:
-    """Closed-form number of order-n alternating sign matrices."""
+    """Closed-form number of order-n alternating sign matrices; raises
+    :class:`BadArgument` on an order that is not a non-negative ``int``."""
+    if type(n) is not int or n < 0:
+        raise BadArgument(f"order must be a non-negative int, got {n!r}")
     num = den = 1
     for k in range(n):
         num *= factorial(3 * k + 1)
@@ -82,7 +85,11 @@ def _row_moves(n: int, state: int) -> tuple[tuple[tuple[int, ...], int, int, int
     return tuple(out)
 
 
-def _check_order(n: int, cap: int | None) -> None:
+def _check_order(n: int, cap: int | None, s: int | None = None) -> None:
+    if type(n) is not int:
+        raise BadArgument(f"order must be an int, got {n!r}")
+    if s is not None and type(s) is not int:
+        raise BadArgument(f"s must be an int, got {s!r}")
     if n < 1:
         raise BadArgument(f"order must be >= 1, got {n}")
     if cap is not None and n > cap:
@@ -101,7 +108,7 @@ def enumerate_asm(
     (which requires ``s=1``) restricts to one sign class.  Orders above
     ``cap`` raise :class:`CapExceeded`, eagerly.
     """
-    _check_order(n, cap)
+    _check_order(n, cap, s)
     if sign is not None and s != 1:
         raise BadArgument("a sign-class filter requires s=1")
     return _generate(n, s, sign)

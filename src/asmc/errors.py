@@ -87,7 +87,15 @@ class NotOneNStep(AsmcError):
 
 
 class MalformedConfiguration(AsmcError):
-    """A path configuration violates the grid or path structure."""
+    """A path configuration violates the grid or path structure.
+
+    ``problems`` lists each problem found, in order: all that
+    :func:`asmc.paths.validate_config` found, or the one a decoder names.
+    """
+
+    def __init__(self, *problems: str):
+        self.problems = list(problems)
+        super().__init__("; ".join(problems))
 
 
 class BadArgument(AsmcError, ValueError):

@@ -16,8 +16,10 @@ sequence of non-negative integers arises this way exactly when
 3. ``a_{k-1} < a_k``;
 4. ``a_{k-1} + beta < a_k + b <= k-2``;
 
-and the pair is then unique.  Complementing both halves of the encoding
-(table duality) corresponds to vertical reflection of the matrix.
+and the pair is then unique; :func:`table_valid` returns a table that
+meets them and raises :class:`InvalidTable` on any other.
+Complementing both halves of the encoding (table duality) corresponds
+to vertical reflection of the matrix.
 
 Permutation tables are read by the generalized walk: one bottom-up pass
 over column sums, :func:`_walk`, reads both kinds of table.
@@ -31,7 +33,6 @@ from operator import add
 from typing import NamedTuple, Sequence
 
 from .cells import CellGeometry, _geometry, _keep
-from .discharge import TupleCheck as TableCheck
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
 from .matrix import (
     _INT_ONLY,
@@ -125,8 +126,8 @@ def perm_from_table(a: Sequence[int]) -> AsmMatrix:
 class GenInvTable:
     """The encoding ``(k; a_1..a_n; b, beta)`` of a neutral pair.
 
-    Instances are plain records; use :func:`table_valid` to test the
-    characterization.
+    Instances are plain records; :func:`table_valid` returns one that
+    meets the characterization and raises on any other.
     """
 
     k: int
@@ -171,34 +172,39 @@ def table_from_json(obj: dict) -> GenInvTable:
         raise ParseError(f"table JSON needs k, a, b, beta: {exc}") from exc
 
 
-def table_valid(t: GenInvTable) -> TableCheck:
-    """Test the four characterization conditions, reporting the first
-    failure; condition 0 flags entries that are not non-negative ``int``."""
+def table_valid(t: GenInvTable) -> GenInvTable:
+    """Return ``t`` if it meets the four characterization conditions;
+    raise :class:`InvalidTable` with the first that fails as
+    ``.condition``.  Condition 0 flags an ``a`` that is not a tuple and
+    entries that are not non-negative ``int``.
+
+    >>> table_valid(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0))
+    GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)
+    >>> table_valid(GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0))
+    Traceback (most recent call last):
+    asmc.errors.InvalidTable: condition 3: a_2=1 not < a_3=1
+    """
+    if not isinstance(t.a, tuple):
+        raise InvalidTable(0, f"a must be a tuple, got {type(t.a).__name__}")
     n = t.n
     if not (type(t.k) is int and type(t.b) is int and type(t.beta) is int
             and _INT_ONLY.issuperset(map(type, t.a))):
-        return TableCheck(False, 0, "entries must be integers")
+        raise InvalidTable(0, "entries must be integers")
     if t.b < 0 or t.beta < 0 or any(v < 0 for v in t.a):
-        return TableCheck(False, 0, "entries must be non-negative")
+        raise InvalidTable(0, "entries must be non-negative")
     if not 3 <= t.k <= n:
-        return TableCheck(False, 1, f"k={t.k} outside [3, {n}]")
+        raise InvalidTable(1, f"k={t.k} outside [3, {n}]")
     for i, v in enumerate(t.a, start=1):
         if v > i - 1:
-            return TableCheck(False, 2, f"a_{i}={v} exceeds {i - 1}")
+            raise InvalidTable(2, f"a_{i}={v} exceeds {i - 1}")
     ak1, ak = t.a[t.k - 2], t.a[t.k - 1]
     if not ak1 < ak:
-        return TableCheck(False, 3, f"a_{t.k - 1}={ak1} not < a_{t.k}={ak}")
+        raise InvalidTable(3, f"a_{t.k - 1}={ak1} not < a_{t.k}={ak}")
     if not ak1 + t.beta < ak + t.b:
-        return TableCheck(False, 4, f"a_{t.k - 1}+beta={ak1 + t.beta} not < a_{t.k}+b={ak + t.b}")
+        raise InvalidTable(4, f"a_{t.k - 1}+beta={ak1 + t.beta} not < a_{t.k}+b={ak + t.b}")
     if not ak + t.b <= t.k - 2:
-        return TableCheck(False, 4, f"a_{t.k}+b={ak + t.b} exceeds k-2={t.k - 2}")
-    return TableCheck(True)
-
-
-def _require_table(t: GenInvTable) -> None:
-    check = table_valid(t)
-    if not check:
-        raise InvalidTable(check.condition, check.message)
+        raise InvalidTable(4, f"a_{t.k}+b={ak + t.b} exceeds k-2={t.k - 2}")
+    return t
 
 
 def gen_table(pair: NeutralPair) -> GenInvTable:
@@ -207,11 +213,10 @@ def gen_table(pair: NeutralPair) -> GenInvTable:
     m = pair.matrix
     k = m.n + 1 - _geometry(m).opening_row
     sums = pair.sums
-    table = GenInvTable(k=k, a=_walk(m), b=sums.c, beta=pair.charge + sums.ell)
-    check = table_valid(table)
-    if not check:
-        raise InternalInvariantViolation(f"encoded table is invalid: {check.message}")
-    return table
+    try:
+        return table_valid(GenInvTable(k=k, a=_walk(m), b=sums.c, beta=pair.charge + sums.ell))
+    except InvalidTable as exc:
+        raise InternalInvariantViolation(f"encoded table is invalid: {exc}") from exc
 
 
 def pair_from_table(t: GenInvTable) -> NeutralPair:
@@ -224,7 +229,7 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     on it as it is built: the closing row lies just below the opening
     row, so the leading 1 is the left 1.
     """
-    _require_table(t)
+    table_valid(t)
     n = t.n
     opening_row = n + 1 - t.k
     closing_row = opening_row + 1
@@ -272,7 +277,7 @@ def _block_charges(ak1: int, ak: int, b: int, beta: int) -> tuple[int, int, int]
 
 def table_params(t: GenInvTable) -> ParamVector:
     """Read the five statistics straight off a table."""
-    _require_table(t)
+    table_valid(t)
     return ParamVector(
         t.a[-1], sum(t.a) + t.b + 1, *_block_charges(t.a[t.k - 2], t.a[t.k - 1], t.b, t.beta)
     )
@@ -329,17 +334,16 @@ def dual_table(t: GenInvTable) -> GenInvTable:
     Complements every ``a_i`` except at position k-1, which pairs with
     the closing data instead; an involution on valid tables.
     """
-    _require_table(t)
+    table_valid(t)
     ak1, ak = t.a[t.k - 2], t.a[t.k - 1]
     abar = [i - 1 - v for i, v in enumerate(t.a, start=1)]
     abar[t.k - 2] = t.k - 2 - ak - t.b
-    out = GenInvTable(
-        k=t.k,
-        a=tuple(abar),
-        b=ak - 1 - ak1,
-        beta=ak + t.b - ak1 - t.beta - 1,
-    )
-    back = table_valid(out)
-    if not back:
-        raise InternalInvariantViolation(f"dual table is invalid: {back.message}")
-    return out
+    try:
+        return table_valid(GenInvTable(
+            k=t.k,
+            a=tuple(abar),
+            b=ak - 1 - ak1,
+            beta=ak + t.b - ak1 - t.beta - 1,
+        ))
+    except InvalidTable as exc:
+        raise InternalInvariantViolation(f"dual table is invalid: {exc}") from exc

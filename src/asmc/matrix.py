@@ -208,13 +208,13 @@ def perm_matrix(word: Sequence[int]) -> AsmMatrix:
     """Permutation matrix from a 1-based one-line word.
 
     The n 1s are written into zero rows, so building the rows is linear
-    in n; an entry outside ``1..n`` leaves its row zero, which
-    :func:`validate_asm` then rejects.
+    in n; an entry that is not an ``int`` in ``1..n`` leaves its row zero,
+    which :func:`validate_asm` then rejects.
     """
     n = len(word)
     rows = [[0] * n for _ in word]
     for row, c in zip(rows, word):
-        if 1 <= c <= n:
+        if type(c) is int and 1 <= c <= n:
             row[c - 1] = 1
     return validate_asm(rows)
 

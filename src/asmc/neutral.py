@@ -45,6 +45,8 @@ class NeutralPair:
     charge: int
 
     def __post_init__(self):
+        if not isinstance(self.matrix, AsmMatrix):
+            raise InvalidPair(f"pair matrix must be an AsmMatrix, got {type(self.matrix).__name__}")
         if type(self.charge) is not int:
             raise InvalidPair(f"charge must be an integer, got {self.charge!r}")
         try:

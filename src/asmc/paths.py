@@ -41,11 +41,12 @@ from itertools import accumulate, chain
 from .cells import _keep
 from .errors import (
     InternalInvariantViolation,
+    InvalidTable,
     MalformedConfiguration,
     NotOneNStep,
     ParseError,
 )
-from .inv_table import GenInvTable, ParamVector, gen_table, pair_from_table, table_valid
+from .inv_table import GenInvTable, ParamVector, gen_table, pair_from_table
 from .matrix import json_int
 from .neutral import NeutralPair
 
@@ -142,8 +143,10 @@ def config_from_json(obj: dict | str) -> MixedConfiguration:
 # validation
 
 
-def validate_config(cfg: MixedConfiguration) -> list[str]:
-    """Full diagnostic check; returns a list of problems (empty = valid).
+def validate_config(cfg: MixedConfiguration) -> MixedConfiguration:
+    """Return ``cfg`` if it is a valid configuration; raise
+    :class:`MalformedConfiguration` listing every problem found as
+    ``.problems`` otherwise.
 
     Checks the grid bounds, start vertices, Left-before-Right step order,
     the endpoint permutation and vertex-disjointness of the Left and the
@@ -156,20 +159,29 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
     only if two of their runs on one level overlap.  The vertices of a
     path are walked only to name a problem these checks have found.
 
-    A configuration found valid is marked (see ``cells._keep``), so the
-    decoders do not validate it again; a valid one has tuple starts and
+    A configuration found valid is marked (see ``cells._keep``) and
+    returned at once when checked again; a valid one has tuple starts and
     string steps, so a tuple of its paths cannot change under the mark.
     """
+    if cfg.__dict__.get("_valid"):
+        return cfg
+    if not isinstance(cfg.paths, (tuple, list)) or not all(isinstance(p, MixedPath) for p in cfg.paths):
+        raise MalformedConfiguration("paths must be a tuple of MixedPath")
     problems: list[str] = []
     n = cfg.n
     ends, runs = [], []  # end vertex and (Left, Right) runs of each path
     for i, p in enumerate(cfg.paths, start=1):
+        if type(p.steps) is not str:
+            problems.append(f"path {i}: steps {p.steps!r} are not a string")
+            raise MalformedConfiguration(*problems)
         if not STEP_DELTAS.keys() >= set(p.steps):
             s = next(s for s in p.steps if s not in STEP_DELTAS)
             problems.append(f"path {i}: unknown step {s!r}")
-            return problems
+            raise MalformedConfiguration(*problems)
         if p.start != (0, i):
             problems.append(f"path {i} starts at {p.start}, expected (0, {i})")
+            if type(p.start) is not tuple or list(map(type, p.start)) != [int, int]:
+                raise MalformedConfiguration(*problems)
         left = p.left_len
         late = p.steps[left:].lstrip(RIGHT_STEPS)  # starts at the first Left step after a Right one
         if late:
@@ -182,7 +194,7 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
         ends.append((x1, l1))
         runs.append(_runs(p, left))
     if problems:
-        return problems
+        raise MalformedConfiguration(*problems)
     sigma = [level for _, level in ends]
     if sorted(sigma) != list(range(1, n + 1)):
         problems.append(f"end levels {sigma} are not a permutation of 1..{n}")
@@ -202,9 +214,10 @@ def validate_config(cfg: MixedConfiguration) -> list[str]:
                     )
                 else:
                     seen[v] = i
-    if not problems:
-        _keep(cfg, (cfg.paths,), _valid=True)
-    return problems
+    if problems:
+        raise MalformedConfiguration(*problems)
+    _keep(cfg, (cfg.paths,), _valid=True)
+    return cfg
 
 
 def _runs(p: MixedPath, left: int) -> tuple[list[Run], list[Run]]:
@@ -233,15 +246,6 @@ def _overlap(runs: list[Run]) -> bool:
     vertex; if any two do, two neighbours in the order do."""
     return any(l1 == l2 and first <= last
                for (l1, _, last), (l2, first, _) in zip(runs, runs[1:]))
-
-
-def _require_valid(cfg: MixedConfiguration) -> None:
-    """Raise unless ``cfg`` is valid; a configuration that has passed
-    :func:`validate_config` is marked and not validated again."""
-    if not cfg.__dict__.get("_valid"):
-        problems = validate_config(cfg)
-        if problems:
-            raise MalformedConfiguration("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +294,9 @@ def _special_k(cfg: MixedConfiguration) -> int:
     the one S-step and path k-1 the N-step.  Raises unless ``cfg`` is a
     valid configuration of that shape; an S-step on path 1 would leave
     the grid, so ``k >= 2``."""
-    n_steps = cfg.step_count("N")
+    n_steps = validate_config(cfg).step_count("N")
     if n_steps != 1:
         raise NotOneNStep(n_steps)
-    _require_valid(cfg)
     if cfg.step_count("S") != 1:
         raise MalformedConfiguration("expected exactly one S-step")
     k = next(i for i, p in enumerate(cfg.paths, start=1) if "S" in p.steps)
@@ -314,11 +317,10 @@ def _special_vertices(cfg: MixedConfiguration, k: int) -> tuple[Vertex, Vertex]:
 
 def pair_from_config(cfg: MixedConfiguration) -> NeutralPair:
     """Decode a one-N configuration back to its neutral pair."""
-    t = table_from_config(cfg)
-    check = table_valid(t)
-    if not check:
-        raise MalformedConfiguration(f"decoded table is invalid: {check.message}")
-    return pair_from_table(t)
+    try:
+        return pair_from_table(table_from_config(cfg))
+    except InvalidTable as exc:
+        raise MalformedConfiguration(f"decoded table is invalid: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +364,13 @@ def dual_config(cfg: MixedConfiguration) -> MixedConfiguration:
     :func:`_mirror`; an involution matching vertical reflection of the
     underlying matrix.  Defined for configurations with zero or one
     N-step."""
-    n_steps = cfg.step_count("N")
+    n_steps = validate_config(cfg).step_count("N")
     if n_steps == 1:
         k = _special_k(cfg)
-    else:
-        _require_valid(cfg)
-        if n_steps:
-            raise MalformedConfiguration(
-                f"duality is defined for at most one N-step, got {n_steps}"
-            )
+    elif n_steps:
+        raise MalformedConfiguration(
+            f"duality is defined for at most one N-step, got {n_steps}"
+        )
     a = [_mirror(p.junction)[0] for p in cfg.paths]
     if n_steps == 0:
         out = MixedConfiguration(tuple(
@@ -383,10 +383,10 @@ def dual_config(cfg: MixedConfiguration) -> MixedConfiguration:
         out = config_from_table(GenInvTable(
             k=k, a=tuple(a), b=top - a[k - 1], beta=_mirror(n_end)[0] - new_ak1 - 1
         ))
-    problems = validate_config(out)
-    if problems:
-        raise InternalInvariantViolation(f"dual configuration invalid: {problems[0]}")
-    return out
+    try:
+        return validate_config(out)
+    except MalformedConfiguration as exc:
+        raise InternalInvariantViolation(f"dual configuration invalid: {exc.problems[0]}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .discharge import (
     tuple_valid,
 )
 from .enumeration import DEFAULT_CAP, enumerate_asm, formula_count
-from .errors import AsmcError, BadArgument, CapExceeded
+from .errors import AsmcError, BadArgument, CapExceeded, InvalidTable
 from .inv_table import (
     GenInvTable,
     dual_table,
@@ -185,8 +185,11 @@ def _iter_valid_tables(n: int) -> Iterable[GenInvTable]:
             for b in range(max(top, 0) + 1):
                 for beta in range(max(a[k - 1] + b - a[k - 2], 0)):
                     t = GenInvTable(k=k, a=a, b=b, beta=beta)
-                    if table_valid(t):
-                        yield t
+                    try:
+                        table_valid(t)
+                    except InvalidTable:
+                        continue
+                    yield t
 
 
 def _valid_tuples(n: int, cap: int):
@@ -342,9 +345,7 @@ def _discharge_neutral_shortcut(rec: _Record):
 
 
 def _discharge_bijection(rec: _Record):
-    t = discharge(rec.m)
-    if not tuple_valid(t):
-        return f"discharge produced invalid tuple: {tuple_valid(t).message}"
+    t = tuple_valid(discharge(rec.m))
     if recharge(t) != rec.m:
         return "recharge does not invert discharge"
 
@@ -414,9 +415,7 @@ def _charge_swap_reflect(rec: _Record):
 
 
 def _table_roundtrip(rec: _Record):
-    pair, t = rec.pair, rec.table
-    if not table_valid(t):
-        return f"encoded table fails validity: {table_valid(t).message}"
+    pair, t = rec.pair, table_valid(rec.table)
     if pair_from_table(t) != pair:
         return f"table {t.to_text()} does not rebuild the pair"
     pv = table_params(t)
@@ -428,9 +427,7 @@ def _table_roundtrip(rec: _Record):
 
 
 def _table_characterization(rec: _Record):
-    t = rec.table
-    if not table_valid(t):
-        return f"encoded table fails validity: {table_valid(t).message}"
+    t = table_valid(rec.table)
     if nz.restore(pair_from_table(t)) != rec.m:
         return f"table {t.to_text()} does not rebuild the matrix"
 
@@ -452,10 +449,7 @@ def _table_duality(rec: _Record):
 
 
 def _paths_roundtrip(rec: _Record):
-    cfg, t, n = rec.config, rec.table, rec.m.n
-    problems = validate_config(cfg)
-    if problems:
-        return f"encoded configuration invalid: {problems[0]}"
+    cfg, t, n = validate_config(rec.config), rec.table, rec.m.n
     if cfg.step_count("N") != 1 or cfg.step_count("S") != 1:
         return "configuration does not have exactly one N and one S"
     if "N" not in cfg.paths[t.k - 2].steps or "S" not in cfg.paths[t.k - 1].steps:
@@ -707,6 +701,8 @@ def run_property(name: str, n_values: Iterable[int], cap: int = DEFAULT_CAP) -> 
 def verify_suite(n_max: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     """Run every registered property exhaustively for 3 <= n <= n_max,
     enumerating each order once for all the per-matrix properties."""
+    if type(n_max) is not int:
+        raise BadArgument(f"n_max must be an int, got {n_max!r}")
     if n_max > cap:
         raise CapExceeded(n_max, cap)
     results, orders = _sweep([name for name, _, _ in PROPERTIES], range(3, n_max + 1), cap)

@@ -84,31 +84,37 @@ class TestDischargeTuple:
         assert (t.opening_row, t.closing_sum, t.charge) == (1, 0, 0)
 
     def test_valid_example(self, perm12):
-        assert tuple_valid(DischargeTuple(3, perm12, 4, 0))
+        t = DischargeTuple(3, perm12, 4, 0)
+        assert tuple_valid(t) is t
 
     def test_condition_four_boundary(self, perm12):
         x = right_side_sum(perm12, 3)
-        check = tuple_valid(DischargeTuple(3, perm12, x - 1, 1))
-        assert not check and check.condition == 4
+        with pytest.raises(InvalidTuple) as info:
+            tuple_valid(DischargeTuple(3, perm12, x - 1, 1))
+        assert info.value.condition == 4
         assert tuple_valid(DischargeTuple(3, perm12, x - 1, 0))
 
     def test_condition_one(self):
         p = perm_matrix((4, 3, 2, 1))
-        check = tuple_valid(DischargeTuple(3, p, 0, 0))
-        assert not check and check.condition == 1
+        with pytest.raises(InvalidTuple) as info:
+            tuple_valid(DischargeTuple(3, p, 0, 0))
+        assert info.value.condition == 1
 
     def test_condition_two(self, diamond):
-        check = tuple_valid(DischargeTuple(1, diamond, 0, 0))
-        assert not check and check.condition == 2
+        with pytest.raises(InvalidTuple) as info:
+            tuple_valid(DischargeTuple(1, diamond, 0, 0))
+        assert info.value.condition == 2
 
     def test_condition_three(self):
         p = perm_matrix((1, 2, 4, 3))
-        check = tuple_valid(DischargeTuple(1, p, 0, 0))
-        assert not check and check.condition == 3
+        with pytest.raises(InvalidTuple) as info:
+            tuple_valid(DischargeTuple(1, p, 0, 0))
+        assert info.value.condition == 3
 
     def test_negative_counts_fail_condition_four(self, perm12):
-        check = tuple_valid(DischargeTuple(3, perm12, -1, 0))
-        assert not check and check.condition == 4
+        with pytest.raises(InvalidTuple) as info:
+            tuple_valid(DischargeTuple(3, perm12, -1, 0))
+        assert info.value.condition == 4
 
     @pytest.mark.parametrize("field, value", [
         ("opening_row", 3.0), ("opening_row", True), ("closing_sum", 0.0),
@@ -117,9 +123,10 @@ class TestDischargeTuple:
     def test_non_int_field_fails_condition_zero(self, perm12, field, value):
         t = DischargeTuple(**{"opening_row": 3, "perm": perm12, "closing_sum": 4,
                               "charge": 0, field: value})
-        check = tuple_valid(t)
-        assert not check and check.condition == 0
-        assert check.message == "entries must be integers"
+        with pytest.raises(InvalidTuple) as info:
+            tuple_valid(t)
+        assert info.value.condition == 0
+        assert str(info.value) == "condition 0: entries must be integers"
         with pytest.raises(InvalidTuple) as info:
             recharge(t)
         assert info.value.condition == 0

@@ -192,7 +192,6 @@ class TestRegion:
         grid = ((1, 0, 0), (0, 1, 0))
         region = Region(1, 2, 1, 3)
         assert apply_in_region(grid, region, h_shift) == h_shift(grid)
-        assert apply_in_region(grid, region, "h") == h_shift(grid)
 
     def test_all_zero_region_fails_with_context(self):
         grid = ((1, 0, 0), (0, 0, 1))
@@ -236,8 +235,6 @@ class TestNonIntegerEntries:
     def test_apply_in_region_checks_the_host_outside_the_window(self):
         with pytest.raises(PreconditionFailed, match="not an integer.*region"):
             apply_in_region(((9.5, 1, 0), (True, 1, 0)), Region(1, 2, 2, 3), h_shift)
-        with pytest.raises(PreconditionFailed, match="not an integer.*region"):
-            apply_in_region(((9, 1, 0), (True, 1, 0)), Region(1, 2, 2, 3), "h")
 
 
 class TestErrorsNameTheLine:

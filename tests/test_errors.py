@@ -1,0 +1,81 @@
+"""Public operations reject malformed records and arguments with an
+``AsmcError`` subclass; no raw ``TypeError`` or ``AttributeError``
+escapes, and no argument is coerced."""
+
+import pytest
+
+from asmc import (
+    DischargeTuple,
+    GenInvTable,
+    InvalidPair,
+    InvalidTable,
+    InvalidTuple,
+    MalformedConfiguration,
+    MixedConfiguration,
+    MixedPath,
+    NeutralPair,
+    PreconditionFailed,
+    Region,
+    SumViolation,
+    distribution,
+    dual_config,
+    enumerate_asm,
+    formula_count,
+    pair_from_config,
+    perm_matrix,
+    recharge,
+    table_valid,
+    tuple_valid,
+    validate_config,
+    verify_suite,
+)
+from asmc.errors import BadArgument
+
+DIAMOND_ROWS = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (NeutralPair, (DIAMOND_ROWS, 0), InvalidPair),
+    (NeutralPair, (None, 0), InvalidPair),
+    (table_valid, (GenInvTable(3, None, 0, 0),), InvalidTable),
+    (tuple_valid, (DischargeTuple(1, None, 0, 0),), InvalidTuple),
+    (recharge, (DischargeTuple(1, None, 0, 0),), InvalidTuple),
+    (validate_config, (MixedConfiguration(None),), MalformedConfiguration),
+    (validate_config, (MixedConfiguration((MixedPath((0, 1), None),)),), MalformedConfiguration),
+    (validate_config, (MixedConfiguration((MixedPath(None, ""),)),), MalformedConfiguration),
+    (pair_from_config, (MixedConfiguration(None),), MalformedConfiguration),
+    (dual_config, (MixedConfiguration((MixedPath((0, 1), None),)),), MalformedConfiguration),
+], ids=[
+    "pair-of-rows", "pair-of-none", "table-a-none", "tuple-perm-none",
+    "recharge-perm-none", "config-paths-none", "config-steps-none", "config-start-none",
+    "decode-paths-none", "dual-steps-none",
+])
+def test_record_of_the_wrong_container_is_rejected(call, args, error):
+    with pytest.raises(error) as info:
+        call(*args)
+    if error in (InvalidTable, InvalidTuple):
+        assert info.value.condition == 0
+    if error is MalformedConfiguration:
+        assert info.value.problems
+
+
+@pytest.mark.parametrize("call, args, kwargs, error", [
+    (enumerate_asm, (True,), {}, BadArgument),
+    (enumerate_asm, (3,), {"s": 1.0}, BadArgument),
+    (enumerate_asm, (3,), {"s": "1"}, BadArgument),
+    (distribution, (3.0, ["r"]), {}, BadArgument),
+    (verify_suite, (3.5,), {}, BadArgument),
+    (formula_count, (2.5,), {}, BadArgument),
+    (formula_count, (-1,), {}, BadArgument),
+    (perm_matrix, ([1.0, 2],), {}, SumViolation),
+    (perm_matrix, (["a"],), {}, SumViolation),
+    (Region, (1.5, 2, 1, 2), {}, PreconditionFailed),
+    (Region, ("a", 2, 1, 2), {}, PreconditionFailed),
+], ids=[
+    "enumerate-bool-order", "enumerate-float-s", "enumerate-str-s", "distribution-float-order",
+    "verify-float-order", "formula-float-order", "formula-negative-order",
+    "perm-float-entry", "perm-str-entry", "region-float-bound", "region-str-bound",
+])
+def test_integer_argument_is_not_coerced(call, args, kwargs, error):
+    with pytest.raises(error):
+        call(*args, **kwargs)

@@ -124,31 +124,30 @@ class TestGenTable:
 
 class TestTableValidity:
     def test_worked_example_is_valid(self):
-        assert table_valid(TABLE12)
+        assert table_valid(TABLE12) is TABLE12
 
     def test_order_two_table_impossible(self):
-        check = table_valid(GenInvTable(k=2, a=(0, 1), b=0, beta=0))
-        assert not check and check.condition == 1
+        with pytest.raises(InvalidTable) as info:
+            table_valid(GenInvTable(k=2, a=(0, 1), b=0, beta=0))
+        assert info.value.condition == 1
 
     def test_equal_middle_entries_fail_condition_three(self):
-        check = table_valid(GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0))
-        assert not check and check.condition == 3
-
-    def test_one_check_type_for_tables_and_tuples(self):
-        from asmc import TableCheck, TupleCheck
-
-        assert TableCheck is TupleCheck
-        assert type(table_valid(TABLE12)) is TupleCheck
+        with pytest.raises(InvalidTable) as info:
+            table_valid(GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0))
+        assert info.value.condition == 3
 
     def test_condition_four_both_clauses(self):
-        too_large = table_valid(GenInvTable(k=3, a=(0, 0, 1), b=1, beta=0))
-        assert not too_large and too_large.condition == 4  # a_k + b > k-2
-        no_gap = table_valid(GenInvTable(k=4, a=(0, 0, 0, 1), b=1, beta=2))
-        assert not no_gap and no_gap.condition == 4  # a_{k-1}+beta >= a_k+b
+        with pytest.raises(InvalidTable) as too_large:
+            table_valid(GenInvTable(k=3, a=(0, 0, 1), b=1, beta=0))
+        assert too_large.value.condition == 4  # a_k + b > k-2
+        with pytest.raises(InvalidTable) as no_gap:
+            table_valid(GenInvTable(k=4, a=(0, 0, 0, 1), b=1, beta=2))
+        assert no_gap.value.condition == 4  # a_{k-1}+beta >= a_k+b
 
     def test_negative_entries_fail_structurally(self):
-        check = table_valid(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=-1))
-        assert not check and check.condition == 0
+        with pytest.raises(InvalidTable) as info:
+            table_valid(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=-1))
+        assert info.value.condition == 0
 
     @pytest.mark.parametrize("table", [
         GenInvTable(k=3, a=(0, 0.0, 1), b=0, beta=0),
@@ -158,17 +157,19 @@ class TestTableValidity:
         GenInvTable(k=3, a=(0, 0, 1), b=0, beta=False),
     ])
     def test_non_int_entries_fail_condition_zero(self, table):
-        check = table_valid(table)
-        assert not check and check.condition == 0
-        assert check.message == "entries must be integers"
+        with pytest.raises(InvalidTable) as info:
+            table_valid(table)
+        assert info.value.condition == 0
+        assert str(info.value) == "condition 0: entries must be integers"
         for decode in (pair_from_table, table_params, dual_table):
             with pytest.raises(InvalidTable) as info:
                 decode(table)
             assert info.value.condition == 0
 
     def test_oversized_entry_fails_condition_two(self):
-        check = table_valid(GenInvTable(k=3, a=(1, 0, 1), b=0, beta=0))
-        assert not check and check.condition == 2
+        with pytest.raises(InvalidTable) as info:
+            table_valid(GenInvTable(k=3, a=(1, 0, 1), b=0, beta=0))
+        assert info.value.condition == 2
 
 
 class TestPairFromTable:

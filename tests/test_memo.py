@@ -53,7 +53,8 @@ def kept_facts(value) -> set[str]:
         assert kept["_sums"] == cell_sums(AsmMatrix(value.rows))
     if "_valid" in kept:
         assert kept["_valid"] is True
-        assert validate_config(MixedConfiguration(value.paths)) == []
+        fresh = MixedConfiguration(value.paths)
+        assert validate_config(fresh) is fresh
     return set(kept)
 
 
@@ -156,7 +157,8 @@ class TestValueSemantics:
         assert pair_from_config(loose) == pair12
         assert vars(loose).keys() == {"paths"}
         paths[0], paths[1] = paths[1], paths[0]
-        assert validate_config(loose)
+        with pytest.raises(MalformedConfiguration):
+            validate_config(loose)
         with pytest.raises(MalformedConfiguration):
             config_params(loose)
         with pytest.raises(MalformedConfiguration):

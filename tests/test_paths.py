@@ -159,7 +159,7 @@ class TestDecoding:
                 MixedPath((0, 4), "ESS"),
             )
         )
-        assert validate_config(cfg) == []
+        assert validate_config(cfg) is cfg
         with pytest.raises(NotOneNStep) as info:
             pair_from_config(cfg)
         assert info.value.count == 2
@@ -171,43 +171,44 @@ class TestDecoding:
         )
         with pytest.raises(NotOneNStep):
             pair_from_config(flat)
-        assert validate_config(flat) == []  # still a valid zero-rise configuration
-        assert validate_config(cfg) == []
+        assert validate_config(flat) is flat  # still a valid zero-rise configuration
+        assert validate_config(cfg) is cfg
 
 
 class TestValidation:
     def test_encoded_configurations_are_valid(self):
         for m in one_minus(4):
-            assert validate_config(config_from_pair(neutralize(m))) == []
+            cfg = config_from_pair(neutralize(m))
+            assert validate_config(cfg) is cfg
 
     def test_horizontal_identity_configuration(self):
         cfg = MixedConfiguration(
             tuple(MixedPath((0, i), "E" * (i - 1)) for i in range(1, 5))
         )
-        assert validate_config(cfg) == []
+        assert validate_config(cfg) is cfg
 
     def test_left_collision_reported(self):
         # equal junction abscissas in the two special paths
         bad = config_from_table(GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0))
-        problems = validate_config(bad)
+        problems = problems_of(bad)
         assert any("Left parts" in p for p in problems)
 
     def test_right_collision_reported(self):
         bad = config_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=1))
-        problems = validate_config(bad)
+        problems = problems_of(bad)
         assert any("Right parts" in p for p in problems)
 
     def test_wrong_start_reported(self):
         cfg = MixedConfiguration((MixedPath((0, 2), ""), MixedPath((0, 2), "F")))
-        assert any("starts at" in p for p in validate_config(cfg))
+        assert any("starts at" in p for p in problems_of(cfg))
 
     def test_out_of_grid_reported(self):
         cfg = MixedConfiguration((MixedPath((0, 1), "E"), MixedPath((0, 2), "F")))
-        assert any("leaves the grid" in p for p in validate_config(cfg))
+        assert any("leaves the grid" in p for p in problems_of(cfg))
 
     def test_left_after_right_reported(self):
         cfg = MixedConfiguration((MixedPath((0, 1), ""), MixedPath((0, 2), "FS")))
-        assert any("after a Right step" in p for p in validate_config(cfg))
+        assert any("after a Right step" in p for p in problems_of(cfg))
 
 
 class TestDuality:
@@ -340,6 +341,17 @@ class TestJson:
             config_from_json({"paths": [{"start": start, "steps": ""}]})
 
 
+def problems_of(cfg):
+    """The problems :func:`validate_config` raises on ``cfg``, or [] when
+    it returns ``cfg``."""
+    try:
+        assert validate_config(cfg) is cfg
+    except MalformedConfiguration as exc:
+        assert str(exc) == "; ".join(exc.problems)
+        return exc.problems
+    return []
+
+
 def validate_config_by_vertices(cfg):
     """Reference oracle: every vertex of every path as a tuple, the bounds
     checked vertex by vertex and disjointness by a set of the vertices of
@@ -433,7 +445,7 @@ class TestValidationByRuns:
         for n in (3, 4, 5):
             for t in _iter_valid_tables(n):
                 cfg = config_from_table(t)
-                assert validate_config(cfg) == validate_config_by_vertices(cfg) == []
+                assert problems_of(cfg) == validate_config_by_vertices(cfg) == []
                 count += 1
         assert count == 1 + 16 + 200
 
@@ -444,7 +456,7 @@ class TestValidationByRuns:
             cfg = config_from_table(random_valid_table(rng, rng.randint(3, 40)))
             for _ in range(rng.randint(1, 2)):
                 cfg = mutate(cfg, rng)
-            found = validate_config(cfg)
+            found = problems_of(cfg)
             assert found == validate_config_by_vertices(cfg), cfg
             problems += bool(found)
             meets += any("meet" in p for p in found)
@@ -457,7 +469,7 @@ class TestValidationByRuns:
             t = random_valid_table(rng, n)
             cfg = config_from_table(t)
             dual = dual_config(cfg)
-            assert validate_config(cfg) == validate_config_by_vertices(cfg) == []
+            assert problems_of(cfg) == validate_config_by_vertices(cfg) == []
             assert validate_config_by_vertices(dual) == []
             assert config_params(cfg) == table_params(t)
             assert dual == config_from_table(dual_table(t))
@@ -484,7 +496,7 @@ class TestNoVertexWalks:
         rng = random.Random(60)
         for _ in range(5):
             cfg = config_from_table(random_valid_table(rng, 60))
-            assert validate_config(cfg) == []
+            assert validate_config(cfg) is cfg
             config_params(cfg)
             dual_config(cfg)
         assert calls == 0
