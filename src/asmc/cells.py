@@ -24,22 +24,33 @@ charge is ``B = c - ell`` and ``J = c + ell + |E| + 1``.  All three
 extend to negative matrices through vertical reflection: ``E`` and ``B``
 change sign, ``J`` is invariant.
 
+A matrix with one -1 is fixed by its *points form*: ``first``, the
+column of the first 1 of every row (the left 1 on the closing row), the
+closing row, the column of the -1 and the column of the closing 1.
+Below the opening row every row but the closing row holds one 1, so
+every landmark and every cell sum is a count of points in a rectangle.
+:func:`_read` is the one reader of these facts: O(n), it returns the
+landmarks, the sign class, ``ell``, ``c``, ``x`` and ``E`` together, and
+reads a negative matrix through the mirrored points form (``first'[q] =
+n+1-first[q]``, the closing row taking ``n+1`` minus the closing
+column).  :func:`_points` is the one scan of the dense rows; it finds
+the points form and :func:`geometry` feeds it to the reader.
+
 Each fact about a matrix is computed once per value.  :func:`_keep`, the
 one memo helper, stores a fact on the frozen value it describes, outside
 the dataclass fields, so equality, hashing and repr never see it: the
-geometry of an :class:`AsmMatrix` (scanned only by :func:`geometry`), its
-non-negative cell sums, and the mark of a mixed configuration that has
-passed validation.  The builders seed the facts they already know:
-``discharge._recharge`` the geometry and cell sums of the matrix it
-rebuilds, ``inv_table.pair_from_table`` the geometry of its matrix, and
-:func:`_reflect` the geometry of a reflection, read off the original by
-mirroring columns.
+reader's result on an :class:`AsmMatrix`, and the mark of a mixed
+configuration that has passed validation.  The builders hand the reader
+the points they already hold: ``discharge._recharge`` those of the
+matrix it rebuilds, ``inv_table.pair_from_table`` those of its matrix,
+and :func:`_reflect` the mirrored points form of the original.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
 from .matrix import AsmMatrix, minus_count, reflect
@@ -90,6 +101,69 @@ class ChargeParams:
     j: int  # c + ell + |e| + 1, invariant under reflection
 
 
+# (first, closing row, column of the -1, column of the closing 1)
+_PointsForm = tuple[tuple[int, ...], int, int, int]
+
+
+class _Cells(NamedTuple):
+    """What :func:`_read` reads off the points form of a one-minus matrix.
+    For a negative matrix ``sums`` are those of its reflection and ``e``
+    is minus the reflection's charge."""
+
+    first: tuple[int, ...]  # column of the first 1 of each row
+    geometry: CellGeometry
+    sign: SignClass
+    sums: CellSums
+    e: int
+
+    @property
+    def points(self) -> _PointsForm:
+        g = self.geometry
+        return self.first, g.closing_row, g.opening_col, g.closing_col
+
+
+def _read(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> _Cells:
+    """Every landmark and cell sum of the one-minus matrix with points form
+    ``(first, closing_row, opening_col, closing_col)``, in O(n).  The
+    opening 1 is the highest point of the opening column, and the leading
+    1 the first point below it left of that column (the left 1 if no
+    enclosed row has one)."""
+    opening_row = first.index(opening_col) + 1
+    below = first[opening_row:]
+    enclosed = below[: closing_row - opening_row - 1]
+    left_one_col = first[closing_row - 1]
+    leading_col = next(col for col in below if col < opening_col)
+    g = CellGeometry(
+        opening_row=opening_row,
+        opening_col=opening_col,
+        closing_row=closing_row,
+        left_one_col=left_one_col,
+        closing_col=closing_col,
+        leading_col=leading_col,
+        enclosed_rows=range(opening_row + 1, closing_row),
+    )
+    if enclosed and enclosed[-1] < opening_col:
+        mirror = _read(*_mirror(first, closing_row, opening_col, closing_col))
+        return _Cells(first, g, SignClass.NEGATIVE, mirror.sums, -mirror.e)
+    sums = CellSums(
+        ell=len([col for col in below if leading_col < col < opening_col]),
+        c=len([col for col in first[closing_row:] if opening_col < col < closing_col]),
+        x=len([col for col in below if col > opening_col]) + 1,  # + the closing 1
+    )
+    # the charged cell, which holds the lowest enclosed 1 of a positive matrix
+    e = len([col for col in enclosed if col > opening_col])
+    return _Cells(first, g, SignClass.POSITIVE if e else SignClass.NEUTRAL, sums, e)
+
+
+def _mirror(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> _PointsForm:
+    """The points form of the vertical reflection: every column ``j``
+    becomes ``n+1-j``, and the closing 1 turns into the left 1."""
+    m = len(first) + 1
+    mirrored = [m - col for col in first]
+    mirrored[closing_row - 1] = m - closing_col
+    return tuple(mirrored), closing_row, m - opening_col, m - first[closing_row - 1]
+
+
 def _closing_row(a: AsmMatrix) -> int:
     """The 1-based row holding the only -1 of ``a``, found in the same pass
     that shows there is no other; raises :class:`NotOneMinus` otherwise."""
@@ -104,37 +178,20 @@ def _closing_row(a: AsmMatrix) -> int:
     return found
 
 
-def box_sum(a: AsmMatrix, top: int, bottom: int, left: int, right: int) -> int:
-    """Sum of entries in rows top..bottom, columns left..right (1-based,
-    inclusive; empty ranges sum to 0)."""
-    return sum(sum(row[left - 1 : right]) for row in a.rows[top - 1 : bottom])
+def _points(a: AsmMatrix) -> _PointsForm:
+    """The points form of ``a``: the one scan of the dense matrix."""
+    closing_row = _closing_row(a)
+    line = a.rows[closing_row - 1]
+    opening_col = line.index(-1) + 1
+    first = tuple([row.index(1) + 1 for row in a.rows])  # final length, as in validate_asm
+    return first, closing_row, opening_col, line.index(1, opening_col) + 1
 
 
 def geometry(a: AsmMatrix) -> CellGeometry:
-    """Locate the opening/closing landmarks of a one-minus ASM.  The one
-    scan of the dense matrix for them; the library reads them through
-    :func:`_geometry`, which keeps the result on the matrix."""
-    n = a.n
-    closing_row = _closing_row(a)
-    opening_col = a.rows[closing_row - 1].index(-1) + 1
-    opening_row = next(i + 1 for i in range(n) if a.rows[i][opening_col - 1] == 1)
-    closing_line = a.rows[closing_row - 1]
-    left_one_col = closing_line.index(1) + 1
-    closing_col = closing_line.index(1, opening_col) + 1
-    leading_col = next(
-        row[: opening_col - 1].index(1) + 1
-        for row in a.rows[opening_row:]
-        if 1 in row[: opening_col - 1]
-    )
-    return CellGeometry(
-        opening_row=opening_row,
-        opening_col=opening_col,
-        closing_row=closing_row,
-        left_one_col=left_one_col,
-        closing_col=closing_col,
-        leading_col=leading_col,
-        enclosed_rows=range(opening_row + 1, closing_row),
-    )
+    """Locate the opening/closing landmarks of a one-minus ASM, scanning
+    its rows afresh; the library reads them through :func:`_cells`, which
+    keeps them on the matrix."""
+    return _read(*_points(a)).geometry
 
 
 _TUPLE_ONLY = frozenset((tuple,))
@@ -152,96 +209,28 @@ def _keep(value, parts, **facts) -> None:
             object.__setattr__(value, name, fact)
 
 
-def _geometry(a: AsmMatrix) -> CellGeometry:
-    """:func:`geometry` of ``a``, scanned on the first call and kept."""
-    g = a.__dict__.get("_geometry")
-    if g is None:
-        g = geometry(a)
-        _keep(a, a.rows, _geometry=g)
-    return g
+def _cells(a: AsmMatrix) -> _Cells:
+    """:func:`_read` of the points of ``a``, scanned on the first call and
+    kept."""
+    cells = a.__dict__.get("_cells")
+    if cells is None:
+        cells = _read(*_points(a))
+        _keep(a, a.rows, _cells=cells)
+    return cells
 
 
-def _reflect(a: AsmMatrix, g: CellGeometry) -> AsmMatrix:
-    """``reflect(a)`` with its geometry kept, read off the geometry ``g``
-    of ``a`` by mirroring columns instead of scanning the copy.  The
-    leading 1 of the reflection mirrors the first 1 right of the opening
-    column below the opening row: that of an enclosed row, else the
-    closing 1.  The cell sums of a neutral ``a``, if kept, are mirrored
-    too: reflection swaps ell and c, and below the opening row the
-    opening column sums to 0, so the left side holds ``n - k - x``."""
-    m = a.n + 1
-    enclosed = [row.index(1) + 1 for row in a.rows[g.opening_row : g.closing_row - 1]]
-    right = next((col for col in enclosed if col > g.opening_col), g.closing_col)
+def _reflect(a: AsmMatrix) -> AsmMatrix:
+    """``reflect(a)`` with the reader's result on the mirrored points form
+    of ``a`` kept on it, instead of a scan of the copy."""
     out = reflect(a)
-    facts = {"_geometry": CellGeometry(
-        opening_row=g.opening_row,
-        opening_col=m - g.opening_col,
-        closing_row=g.closing_row,
-        left_one_col=m - g.closing_col,
-        closing_col=m - g.left_one_col,
-        leading_col=m - right,
-        enclosed_rows=g.enclosed_rows,
-    )}
-    sums = a.__dict__.get("_sums")
-    if sums is not None and not g.enclosed_rows:
-        facts["_sums"] = CellSums(ell=sums.c, c=sums.ell, x=m - 1 - g.opening_row - sums.x)
-    _keep(out, out.rows, **facts)
+    _keep(out, out.rows, _cells=_read(*_mirror(*_cells(a).points)))
     return out
-
-
-# The readers below take the geometry of ``a`` so that a caller holding it
-# does not look it up again.
-
-
-def _sign_class(a: AsmMatrix, g: CellGeometry) -> SignClass:
-    if not g.enclosed_rows:
-        return SignClass.NEUTRAL
-    lowest = a.rows[g.enclosed_rows[-1] - 1]
-    return SignClass.POSITIVE if lowest.index(1) + 1 > g.opening_col else SignClass.NEGATIVE
-
-
-def _cell_sums(a: AsmMatrix, g: CellGeometry) -> CellSums:
-    """Cell sums of a matrix already known to be non-negative, summed on
-    the first call and kept."""
-    sums = a.__dict__.get("_sums")
-    if sums is None:
-        n = a.n
-        sums = CellSums(
-            ell=box_sum(a, g.opening_row + 1, n, g.leading_col + 1, g.opening_col - 1),
-            c=box_sum(a, g.closing_row + 1, n, g.opening_col + 1, g.closing_col - 1),
-            x=box_sum(a, g.opening_row + 1, n, g.opening_col + 1, n),
-        )
-        _keep(a, a.rows, _sums=sums)
-    return sums
-
-
-def _charges(a: AsmMatrix, g: CellGeometry) -> ChargeParams:
-    cls = _sign_class(a, g)
-    if cls is SignClass.NEGATIVE:
-        r = _reflect(a, g)
-        mirror = _charges(r, _geometry(r))
-        return ChargeParams(
-            ell=mirror.ell, c=mirror.c, x=mirror.x,
-            e=-mirror.e, b=-mirror.b, j=mirror.j,
-        )
-    sums = _cell_sums(a, g)
-    e = 0
-    if cls is SignClass.POSITIVE:  # the charged cell: enclosed rows x right side
-        e = box_sum(a, g.enclosed_rows[0], g.enclosed_rows[-1], g.opening_col + 1, a.n)
-    return ChargeParams(
-        ell=sums.ell,
-        c=sums.c,
-        x=sums.x,
-        e=e,
-        b=sums.c - sums.ell,
-        j=sums.c + sums.ell + abs(e) + 1,
-    )
 
 
 def sign_class(a: AsmMatrix) -> SignClass:
     """Neutral, positive or negative, by the side of the lowest enclosed
     row's 1."""
-    return _sign_class(a, _geometry(a))
+    return _cells(a).sign
 
 
 def cell_sums(a: AsmMatrix) -> CellSums:
@@ -249,12 +238,22 @@ def cell_sums(a: AsmMatrix) -> CellSums:
 
     Raises :class:`NegativeClass` on negative matrices; reflect first.
     """
-    g = _geometry(a)
-    if _sign_class(a, g) is SignClass.NEGATIVE:
+    cells = _cells(a)
+    if cells.sign is SignClass.NEGATIVE:
         raise NegativeClass("cell sums are defined on non-negative matrices; reflect first")
-    return _cell_sums(a, g)
+    return cells.sums
 
 
 def charges(a: AsmMatrix) -> ChargeParams:
     """The charge triple (E, B, J) together with the cell sums behind it."""
-    return _charges(a, _geometry(a))
+    cells = _cells(a)
+    s, e = cells.sums, cells.e
+    b = s.c - s.ell
+    return ChargeParams(
+        ell=s.ell,
+        c=s.c,
+        x=s.x,
+        e=e,
+        b=-b if cells.sign is SignClass.NEGATIVE else b,
+        j=s.c + s.ell + abs(e) + 1,
+    )

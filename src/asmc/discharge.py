@@ -22,8 +22,12 @@ all four steps so there is a single code path to verify.
 
 After step 1 every row holds one 1, so the steps act on the list of the
 n 1s of the matrix as ``(row, column)`` points, and end on the one-line
-word of the permutation; each step is linear in n.  Only a matrix that
-is returned is written out densely and validated.
+word of the permutation; each step is linear in n.  Those points are the
+``first`` of the matrix's points form, which :mod:`asmc.cells` keeps
+with its landmarks and cell sums, so step 1 scans no row.  Only a matrix
+that is returned is written out densely and validated; recharging hands
+the points it has placed to the one reader of :mod:`asmc.cells`
+(``cells._read``), which keeps every landmark and cell sum on it.
 """
 
 from __future__ import annotations
@@ -31,15 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cells import (
-    CellGeometry,
-    CellSums,
-    SignClass,
-    _charges,
-    _geometry,
-    _keep,
-    _sign_class,
-)
+from .cells import SignClass, _Cells, _cells, _keep, _read
 from .displacement import Point, Region, _dense, _displace
 from .errors import (
     BadArgument,
@@ -101,30 +97,31 @@ def _right_side(word: tuple[int, ...], k: int) -> int:
     return sum(1 for col in word[k:] if col > j)
 
 
-def _non_negative_geometry(a: AsmMatrix) -> CellGeometry:
-    """The geometry of ``a``, after checking that ``a`` is not negative."""
-    g = _geometry(a)
-    if _sign_class(a, g) is SignClass.NEGATIVE:
+def _non_negative(a: AsmMatrix) -> _Cells:
+    """The cells of ``a``, after checking that ``a`` is not negative."""
+    cells = _cells(a)
+    if cells.sign is SignClass.NEGATIVE:
         raise NegativeClass("discharging is defined on non-negative matrices; reflect first")
-    return g
+    return cells
 
 
 def partial_discharge(a: AsmMatrix) -> AsmMatrix:
     """Run the four discharge steps; returns a permutation matrix."""
-    return perm_matrix(_discharge_word(a, _non_negative_geometry(a)))
+    return perm_matrix(_discharge_word(_non_negative(a)))
 
 
-def _erase(a: AsmMatrix) -> list[Point]:
+def _erase(cells: _Cells) -> list[Point]:
     """Step 1: erase the -1 and the closing 1.  What is left is the first
     1 of every row (the left 1 on the closing row)."""
-    return [(i, row.index(1) + 1) for i, row in enumerate(a.rows, start=1)]
+    return list(enumerate(cells.first, start=1))
 
 
-def _discharge_word(a: AsmMatrix, g: CellGeometry) -> tuple[int, ...]:
-    """The four steps on the 1s of ``a``; returns the one-line word of the
-    permutation matrix they leave."""
-    n = a.n
-    points = _erase(a)
+def _discharge_word(cells: _Cells) -> tuple[int, ...]:
+    """The four steps on the 1s of the matrix with these cells; returns
+    the one-line word of the permutation matrix they leave."""
+    g = cells.geometry
+    n = len(cells.first)
+    points = _erase(cells)
 
     # step 2: shift the extended closing cell right
     closing_cell = Region(g.closing_row + 1, n, g.opening_col, g.closing_col)
@@ -159,23 +156,23 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
 
     Kept as an independent oracle for the full four-step path.
     """
-    g = _geometry(a)
-    if _sign_class(a, g) is not SignClass.NEUTRAL:
+    cells = _cells(a)
+    if cells.sign is not SignClass.NEUTRAL:
         raise NegativeClass("shortcut applies to neutral matrices only")
+    g = cells.geometry
     closing_cell = Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col)
-    points = _displace(_erase(a), closing_cell, columns=True, inverse=False)
+    points = _displace(_erase(cells), closing_cell, columns=True, inverse=False)
     return validate_asm(_dense(points, a.n, a.n))
 
 
 def discharge(a: AsmMatrix) -> DischargeTuple:
     """Full discharge: ``(k, partial_discharge(a), c, E)``."""
-    g = _non_negative_geometry(a)
-    ch = _charges(a, g)
+    cells = _non_negative(a)
     return DischargeTuple(
-        opening_row=g.opening_row,
-        perm=perm_matrix(_discharge_word(a, g)),
-        closing_sum=ch.c,
-        charge=ch.e,
+        opening_row=cells.geometry.opening_row,
+        perm=perm_matrix(_discharge_word(cells)),
+        closing_sum=cells.sums.c,
+        charge=cells.e,
     )
 
 
@@ -197,8 +194,9 @@ def tuple_valid(t: DischargeTuple) -> DischargeTuple:
     3. row k's 1 lies strictly right of row k+1's 1;
     4. ``c >= 0``, ``E >= 0`` and ``c + E < x``.
 
-    Condition 0 flags a k, c or E that is not an ``int`` and a matrix
-    component that is not an :class:`AsmMatrix`.
+    Condition 0 flags an argument that is not a :class:`DischargeTuple`,
+    a k, c or E that is not an ``int`` and a matrix component that is not
+    an :class:`AsmMatrix`.
     """
     _word_valid(*_fields(t))
     return t
@@ -207,6 +205,8 @@ def tuple_valid(t: DischargeTuple) -> DischargeTuple:
 def _fields(t: DischargeTuple) -> tuple[int, tuple[int, ...] | None, int, int, int]:
     """``(n, word of P, k, c, E)``, the arguments of :func:`_word_valid`
     and :func:`_recharge`."""
+    if not isinstance(t, DischargeTuple):
+        raise InvalidTuple(0, f"expected a DischargeTuple, got {type(t).__name__}")
     if not isinstance(t.perm, AsmMatrix):
         raise InvalidTuple(0, f"matrix component must be an AsmMatrix, got {type(t.perm).__name__}")
     return t.perm.n, _word(t.perm), t.opening_row, t.closing_sum, t.charge
@@ -287,26 +287,7 @@ def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> A
     grid[closing_row - 1][j - 1] = -1
     grid[closing_row - 1][closing_col - 1] = 1
     out = validate_asm(grid)
-
-    # the landmarks and cell sums of ``out``, read off its points: below
-    # the opening row each row keeps one point, the left 1 on the closing
-    # row, and the -1 and the closing 1 lie in and right of column j
-    cols = dict(points)
-    lower = [cols[q] for q in range(k + 1, n + 1)]
-    leading_col = [col for col in lower if col < j][0]
-    g = CellGeometry(
-        opening_row=k,
-        opening_col=j,
-        closing_row=closing_row,
-        left_one_col=cols[closing_row],
-        closing_col=closing_col,
-        leading_col=leading_col,
-        enclosed_rows=range(k + 1, closing_row),
-    )
-    sums = CellSums(
-        ell=len([col for col in lower if leading_col < col < j]),
-        c=len([col for col in lower[closing_row - k :] if j < col < closing_col]),
-        x=len([col for col in lower if col > j]) + 1,
-    )
-    _keep(out, out.rows, _geometry=g, _sums=sums)
+    # the points left are the first 1 of every row of ``out``
+    first = tuple([col for _, col in sorted(points)])
+    _keep(out, out.rows, _cells=_read(first, closing_row, j, closing_col))
     return out

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .cells import CellGeometry, _geometry, _keep
+from .cells import _cells, _keep, _read
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
 from .matrix import (
     _INT_ONLY,
@@ -175,8 +175,9 @@ def table_from_json(obj: dict) -> GenInvTable:
 def table_valid(t: GenInvTable) -> GenInvTable:
     """Return ``t`` if it meets the four characterization conditions;
     raise :class:`InvalidTable` with the first that fails as
-    ``.condition``.  Condition 0 flags an ``a`` that is not a tuple and
-    entries that are not non-negative ``int``.
+    ``.condition``.  Condition 0 flags an argument that is not a
+    :class:`GenInvTable`, an ``a`` that is not a tuple and entries that
+    are not non-negative ``int``.
 
     >>> table_valid(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0))
     GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)
@@ -184,6 +185,8 @@ def table_valid(t: GenInvTable) -> GenInvTable:
     Traceback (most recent call last):
     asmc.errors.InvalidTable: condition 3: a_2=1 not < a_3=1
     """
+    if not isinstance(t, GenInvTable):
+        raise InvalidTable(0, f"expected a GenInvTable, got {type(t).__name__}")
     if not isinstance(t.a, tuple):
         raise InvalidTable(0, f"a must be a tuple, got {type(t.a).__name__}")
     n = t.n
@@ -211,7 +214,7 @@ def gen_table(pair: NeutralPair) -> GenInvTable:
     """Generalized inversion table of a neutral pair; :func:`_walk` reads
     ``a_{k-1}`` at the left 1 of the closing row."""
     m = pair.matrix
-    k = m.n + 1 - _geometry(m).opening_row
+    k = m.n + 1 - _cells(m).geometry.opening_row
     sums = pair.sums
     try:
         return table_valid(GenInvTable(k=k, a=_walk(m), b=sums.c, beta=pair.charge + sums.ell))
@@ -225,46 +228,34 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     The matrix is constructed row by row from the top: each table entry
     pins the column of the row's (leftmost) 1 through the running column
     sums, the -1 goes under the opening 1, and the closing 1 is placed so
-    the closing cell sums to ``b``.  The geometry of the matrix is kept
-    on it as it is built: the closing row lies just below the opening
-    row, so the leading 1 is the left 1.
+    the closing cell sums to ``b``.  The points placed are handed to the
+    reader of :mod:`asmc.cells`, whose facts are kept on the matrix.
     """
     table_valid(t)
     n = t.n
     opening_row = n + 1 - t.k
-    closing_row = opening_row + 1
+    closing_row = opening_row + 1  # its entry a_{k-1} places the left 1
     colsum = [0] * n
     grid = [[0] * n for _ in range(n)]
-    opening_col = None
+    first = []
     for q in range(1, n + 1):
-        if q == closing_row:
-            left_col = _place_one(colsum, t.a[t.k - 2])
-            if left_col >= opening_col:
+        col = _place_one(colsum, t.a[n - q])
+        grid[q - 1][col - 1] = 1
+        colsum[col - 1] += 1
+        first.append(col)
+        if q == opening_row:
+            opening_col = col
+        elif q == closing_row:
+            if col >= opening_col:
                 raise InternalInvariantViolation("left 1 not in the left side")
-            grid[q - 1][left_col - 1] = 1
-            colsum[left_col - 1] += 1
             grid[q - 1][opening_col - 1] = -1
             colsum[opening_col - 1] -= 1
             # right of the -1, the closing 1 is placed as the others are
             closing_col = opening_col + _place_one(colsum[opening_col:], t.b)
             grid[q - 1][closing_col - 1] = 1
             colsum[closing_col - 1] += 1
-        else:
-            col = _place_one(colsum, t.a[n - q])
-            grid[q - 1][col - 1] = 1
-            colsum[col - 1] += 1
-            if q == opening_row:
-                opening_col = col
     matrix = validate_asm(grid)
-    _keep(matrix, matrix.rows, _geometry=CellGeometry(
-        opening_row=opening_row,
-        opening_col=opening_col,
-        closing_row=closing_row,
-        left_one_col=left_col,
-        closing_col=closing_col,
-        leading_col=left_col,
-        enclosed_rows=range(opening_row + 1, closing_row),
-    ))
+    _keep(matrix, matrix.rows, _cells=_read(tuple(first), closing_row, opening_col, closing_col))
     charge = _block_charges(t.a[t.k - 2], t.a[t.k - 1], t.b, t.beta)[0]
     return NeutralPair(matrix, charge)
 
@@ -313,11 +304,11 @@ def _table_space_distribution(n: int, keys: tuple[str, ...]) -> Counter:
             for ak in range(ak1 + 1, k - 1):
                 for b in range(k - 1 - ak):  # a_k + b <= k-2
                     for beta in range(ak + b - ak1):  # a_{k-1} + beta < a_k + b
-                        block[
+                        block[(
                             ak * want_r if k == n else 0,
                             (ak1 + ak + b + 1) * want_i,
                             *_block_charges(ak1, ak, b, beta),
-                        ] += 1
+                        )] += 1
         joint: Counter = Counter()
         for (r, total), count in free.items():
             for (rb, ib, e, bb, j), cb in block.items():

@@ -12,20 +12,21 @@ to the opening row).
 
 Both directions discharge and recharge on the one-line word of the
 permutation in between; only the matrix returned is built and validated.
-Every landmark is read through the memo of :mod:`asmc.cells`
-(``cells._keep``): ``discharge._recharge`` and
-``inv_table.pair_from_table`` seed the geometry of the matrices they
-build, the former also their cell sums, so :class:`NeutralPair` checks
-its invariants from facts already known.  A negative matrix is taken
-through ``cells._reflect``, which mirrors the column indices of its
-geometry instead of scanning the reflected copy.
+Every landmark and cell sum is read off the points form of a matrix by
+the one reader of :mod:`asmc.cells` and kept on the matrix
+(``cells._cells``): ``discharge._recharge`` and
+``inv_table.pair_from_table`` hand the reader the points of the matrices
+they build, so :class:`NeutralPair` checks its invariants from facts
+already known.  A negative matrix is taken through ``cells._reflect``,
+which reads the mirrored points form instead of scanning the reflected
+copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellSums, SignClass, _cell_sums, _charges, _geometry, _reflect, _sign_class
+from .cells import CellSums, SignClass, _cells, _reflect
 from .discharge import _discharge_word, _recharge
 from .errors import InvalidPair, NotOneMinus
 from .matrix import AsmMatrix, json_int, matrix_from_json, matrix_to_json
@@ -50,13 +51,12 @@ class NeutralPair:
         if type(self.charge) is not int:
             raise InvalidPair(f"charge must be an integer, got {self.charge!r}")
         try:
-            g = _geometry(self.matrix)
+            cells = _cells(self.matrix)
         except NotOneMinus as exc:
             raise InvalidPair(f"pair matrix must have exactly one -1: {exc}") from exc
-        cls = _sign_class(self.matrix, g)
-        if cls is not SignClass.NEUTRAL:
-            raise InvalidPair(f"pair matrix must be neutral, got {cls.value}")
-        sums = _cell_sums(self.matrix, g)
+        if cells.sign is not SignClass.NEUTRAL:
+            raise InvalidPair(f"pair matrix must be neutral, got {cells.sign.value}")
+        sums = cells.sums
         if not -sums.ell <= self.charge <= sums.c:
             raise InvalidPair(
                 f"charge {self.charge} outside [{-sums.ell}, {sums.c}]"
@@ -64,7 +64,7 @@ class NeutralPair:
 
     @property
     def sums(self) -> CellSums:
-        return _cell_sums(self.matrix, _geometry(self.matrix))
+        return _cells(self.matrix).sums
 
     def to_json(self) -> dict:
         return {"N": matrix_to_json(self.matrix), "E": self.charge}
@@ -81,17 +81,15 @@ def pair_from_json(obj: dict) -> NeutralPair:
 
 def neutralize(a: AsmMatrix) -> NeutralPair:
     """Encode a one-minus ASM as a (neutral matrix, charge) pair."""
-    g = _geometry(a)  # raises NotOneMinus
-    cls = _sign_class(a, g)
-    if cls is SignClass.NEUTRAL:
+    cells = _cells(a)  # raises NotOneMinus
+    if cells.sign is SignClass.NEUTRAL:
         return NeutralPair(a, 0)
-    if cls is SignClass.NEGATIVE:
-        mirrored = neutralize(_reflect(a, g))
-        m = mirrored.matrix
-        return NeutralPair(_reflect(m, _geometry(m)), -mirrored.charge)
-    ch = _charges(a, g)
-    neutral = _recharge(a.n, _discharge_word(a, g), g.opening_row, ch.c + ch.e, 0)
-    return NeutralPair(neutral, ch.e)
+    if cells.sign is SignClass.NEGATIVE:
+        mirrored = neutralize(_reflect(a))
+        return NeutralPair(_reflect(mirrored.matrix), -mirrored.charge)
+    k = cells.geometry.opening_row
+    neutral = _recharge(a.n, _discharge_word(cells), k, cells.sums.c + cells.e, 0)
+    return NeutralPair(neutral, cells.e)
 
 
 def restore(pair: NeutralPair) -> AsmMatrix:
@@ -99,13 +97,12 @@ def restore(pair: NeutralPair) -> AsmMatrix:
     if pair.charge == 0:
         return pair.matrix
     m = pair.matrix
-    g = _geometry(m)
     if pair.charge < 0:
-        back = restore(NeutralPair(_reflect(m, g), -pair.charge))
-        return _reflect(back, _geometry(back))
+        return _reflect(restore(NeutralPair(_reflect(m), -pair.charge)))
     # the pair's matrix is neutral: its discharge has charge 0 and closing sum c
-    word = _discharge_word(m, g)
-    return _recharge(m.n, word, g.opening_row, pair.sums.c - pair.charge, pair.charge)
+    cells = _cells(m)
+    word = _discharge_word(cells)
+    return _recharge(m.n, word, cells.geometry.opening_row, cells.sums.c - pair.charge, pair.charge)
 
 
 def flip_charge(pair: NeutralPair) -> NeutralPair:

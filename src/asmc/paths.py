@@ -163,6 +163,8 @@ def validate_config(cfg: MixedConfiguration) -> MixedConfiguration:
     returned at once when checked again; a valid one has tuple starts and
     string steps, so a tuple of its paths cannot change under the mark.
     """
+    if not isinstance(cfg, MixedConfiguration):
+        raise MalformedConfiguration(f"expected a MixedConfiguration, got {type(cfg).__name__}")
     if cfg.__dict__.get("_valid"):
         return cfg
     if not isinstance(cfg.paths, (tuple, list)) or not all(isinstance(p, MixedPath) for p in cfg.paths):
@@ -399,9 +401,10 @@ def render_ascii(cfg: MixedConfiguration) -> str:
     One line per level from n (top) down to 1, interleaved with connector
     lines; grid vertices are two columns apart.  Characters: ``o`` vertex
     on a path, ``.`` unused grid vertex, ``-`` E-step, ``=`` F-step,
-    ``|`` S-step, ``/`` N-step.
+    ``|`` S-step, ``/`` N-step.  Raises :class:`MalformedConfiguration`
+    on a configuration :func:`validate_config` rejects.
     """
-    n = cfg.n
+    n = validate_config(cfg).n
     level_chars = {level: ["."] * (2 * level - 1) for level in range(1, n + 1)}
     for level, chars in level_chars.items():
         for x in range(level - 1):
@@ -451,8 +454,9 @@ _SVG_STYLE = """\
 
 def render_svg(cfg: MixedConfiguration) -> str:
     """Standalone SVG document with labeled start/end vertices and one
-    stroke class per step kind."""
-    n = cfg.n
+    stroke class per step kind.  Raises :class:`MalformedConfiguration`
+    on a configuration :func:`validate_config` rejects."""
+    n = validate_config(cfg).n
     scale, margin = 40, 40
 
     def px(v: Vertex) -> tuple[float, float]:

@@ -36,7 +36,7 @@ from . import inv_table as it
 from . import matrix as mx
 from . import neutral as nz
 from . import paths as pt
-from .cells import SignClass, _geometry, cell_sums
+from .cells import SignClass, _cells, cell_sums
 from .discharge import (
     DischargeTuple,
     _partial_discharge_neutral_shortcut,
@@ -404,7 +404,7 @@ def _charge_swap(rec: _Record):
     pm, ps = rec.params, swapped.params
     if (pm.r, pm.i, cm.j) != (ps.r, ps.i, cs.j):
         return "charge swap changed r, i or J"
-    k = _geometry(rec.m).opening_row
+    k = _cells(rec.m).geometry.opening_row
     if swapped.m.rows[:k] != rec.m.rows[:k]:
         return "charge swap changed rows 1..k"
 

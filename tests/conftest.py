@@ -19,10 +19,14 @@ import asmc.cells
 import asmc.matrix
 from asmc import (
     AsmMatrix,
+    CellGeometry,
+    CellSums,
     GenInvTable,
+    SignClass,
     enumerate_asm,
     pair_from_table,
     partial_discharge,
+    reflect,
     restore,
     validate_asm,
 )
@@ -69,6 +73,62 @@ def one_minus(n: int) -> tuple[AsmMatrix, ...]:
     return tuple(enumerate_asm(n, s=1))
 
 
+# ---------------------------------------------------------------------------
+# the landmarks and cell sums of a one-minus matrix by definition, searched
+# and summed on its dense rows: the oracle of the points-form reader
+
+
+def box_sum(a: AsmMatrix, top: int, bottom: int, left: int, right: int) -> int:
+    """Sum of entries in rows top..bottom, columns left..right (1-based,
+    inclusive; empty ranges sum to 0)."""
+    return sum(sum(row[left - 1 : right]) for row in a.rows[top - 1 : bottom])
+
+
+def dense_geometry(a: AsmMatrix) -> CellGeometry:
+    """The landmarks of a one-minus matrix, searched on its rows."""
+    closing_row = next(i for i, row in enumerate(a.rows, start=1) if -1 in row)
+    closing_line = a.rows[closing_row - 1]
+    opening_col = closing_line.index(-1) + 1
+    opening_row = next(i + 1 for i in range(a.n) if a.rows[i][opening_col - 1] == 1)
+    leading_col = next(
+        row[: opening_col - 1].index(1) + 1
+        for row in a.rows[opening_row:]
+        if 1 in row[: opening_col - 1]
+    )
+    return CellGeometry(
+        opening_row=opening_row,
+        opening_col=opening_col,
+        closing_row=closing_row,
+        left_one_col=closing_line.index(1) + 1,
+        closing_col=closing_line.index(1, opening_col) + 1,
+        leading_col=leading_col,
+        enclosed_rows=range(opening_row + 1, closing_row),
+    )
+
+
+def dense_cells(a: AsmMatrix) -> tuple:
+    """``(first, geometry, sign class, cell sums, E)`` of a one-minus
+    matrix by definition; a negative matrix gives the cell sums of its
+    reflection and minus the reflection's E."""
+    g = dense_geometry(a)
+    first = tuple(row.index(1) + 1 for row in a.rows)
+    sign = SignClass.NEUTRAL
+    if g.enclosed_rows:
+        lowest = a.rows[g.enclosed_rows[-1] - 1].index(1) + 1
+        sign = SignClass.POSITIVE if lowest > g.opening_col else SignClass.NEGATIVE
+    if sign is SignClass.NEGATIVE:
+        _, _, _, sums, e = dense_cells(reflect(a))
+        return first, g, sign, sums, -e
+    n = a.n
+    sums = CellSums(
+        ell=box_sum(a, g.opening_row + 1, n, g.leading_col + 1, g.opening_col - 1),
+        c=box_sum(a, g.closing_row + 1, n, g.opening_col + 1, g.closing_col - 1),
+        x=box_sum(a, g.opening_row + 1, n, g.opening_col + 1, n),
+    )
+    e = box_sum(a, g.opening_row + 1, g.closing_row - 1, g.opening_col + 1, n)
+    return first, g, sign, sums, e
+
+
 def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
     """A valid table of order ``n``: free ``a_i`` in ``[0, i-1]`` (condition
     2), then the block at k drawn inside conditions 3 and 4."""
@@ -82,8 +142,9 @@ def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
     return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
 
 
-# geometry calls per matrix, on average, allowed to each operation on a
-# fresh copy of the matrix: each scans once (1.0 measured), with 15% headroom
+# dense scans (``cells._points`` calls) per matrix, on average, allowed to
+# each operation on a fresh copy of the matrix: each scans once (1.0
+# measured), with 15% headroom
 ORDER7_SCANS = {"charges": 1.15, "neutralize": 1.15, "swap_charges": 1.15}
 # validate_asm calls allowed to one call of each operation
 ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
@@ -91,33 +152,34 @@ ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
 
 @pytest.fixture(scope="session")
 def order7_calls():
-    """One walk over all order-7 one-minus matrices, counting ``geometry``
-    and ``validate_asm`` calls in every ``asmc`` module that binds them.
+    """One walk over all order-7 one-minus matrices, counting ``_points``
+    (the one dense scan of a one-minus matrix) and ``validate_asm`` calls
+    in every ``asmc`` module that binds them.
 
     Returns the modules wrapped for each name, the number of matrices,
-    the total ``geometry`` calls of each operation in ``ORDER7_SCANS`` and
+    the total ``_points`` calls of each operation in ``ORDER7_SCANS`` and
     the most ``validate_asm`` calls of one call of each operation in
     ``ORDER7_VALIDATIONS``. The wrapping is undone before the tests read it.
     Each operation takes a fresh copy of the matrix, so the landmarks one
     operation keeps on it do not hide the scans of the next.
     """
-    calls = {"geometry": 0, "validate_asm": 0}
+    calls = {"_points": 0, "validate_asm": 0}
     wrapped = {}
     scans = dict.fromkeys(ORDER7_SCANS, 0)
     most = dict.fromkeys(ORDER7_VALIDATIONS, 0)
 
     def run(name, arg):
-        calls.update(geometry=0, validate_asm=0)
+        calls.update(_points=0, validate_asm=0)
         out = getattr(asmc, name)(arg)
         if name in scans:
-            scans[name] += calls["geometry"]
+            scans[name] += calls["_points"]
         if name in most:
             most[name] = max(most[name], calls["validate_asm"])
         return out
 
     matrices = 0
     with pytest.MonkeyPatch.context() as mp:
-        for module, name in ((asmc.cells, "geometry"), (asmc.matrix, "validate_asm")):
+        for module, name in ((asmc.cells, "_points"), (asmc.matrix, "validate_asm")):
             real = getattr(module, name)
 
             def counting(arg, real=real, name=name):

@@ -1,10 +1,13 @@
 """Cell geometry, sign classes and the charge statistics."""
 
+import random
+
 import pytest
 
 import asmc
 import asmc.cells
 from asmc import (
+    AsmMatrix,
     NegativeClass,
     NotOneMinus,
     SignClass,
@@ -12,11 +15,51 @@ from asmc import (
     charges,
     enumerate_asm,
     geometry,
+    pair_from_table,
     reflect,
+    restore,
     sign_class,
     validate_asm,
 )
-from conftest import ORDER7_SCANS, one_minus
+from asmc.cells import _mirror, _points, _read, _reflect
+from conftest import ORDER7_SCANS, dense_cells, one_minus, random_valid_table
+
+
+def check_reader(a: AsmMatrix) -> None:
+    """The points-form reader, the public readers and ``_reflect`` on ``a``
+    against the landmarks and sums searched on the dense rows."""
+    expected = dense_cells(a)
+    first, g, sign, sums, e = expected
+    points = _points(a)
+    assert points[0] == first
+    assert tuple(_read(*points)) == expected
+    assert geometry(a) == g and sign_class(a) is sign
+    ch = charges(a)
+    assert (ch.ell, ch.c, ch.x, ch.e) == (sums.ell, sums.c, sums.x, e)
+    if sign is not SignClass.NEGATIVE:
+        assert cell_sums(a) == sums
+    mirror = reflect(a)
+    assert _mirror(*points) == _points(mirror)
+    assert tuple(vars(_reflect(AsmMatrix(a.rows)))["_cells"]) == dense_cells(mirror)
+
+
+class TestPointsReader:
+    def test_every_one_minus_matrix_and_its_reflection_up_to_order_6(self):
+        matrices = 0
+        for n in range(3, 7):
+            for m in one_minus(n):
+                check_reader(m)
+                check_reader(reflect(m))
+                matrices += 1
+        assert matrices == 2617
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_tables_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            m = restore(pair_from_table(random_valid_table(rng, n)))
+            check_reader(AsmMatrix(m.rows))
+            check_reader(reflect(m))
 
 
 class TestGeometry:
@@ -127,13 +170,13 @@ class TestCharges:
 
 
 class TestLandmarkScans:
-    """Average ``geometry`` calls per matrix over all order-7 one-minus
-    matrices, each operation on a fresh copy: the first read scans the
-    matrix, and every later one, on it or on a matrix the operation
-    builds or reflects, reads landmarks kept or seeded on the value."""
+    """Average dense scans (``cells._points`` calls) per matrix over all
+    order-7 one-minus matrices, each operation on a fresh copy: the first
+    read scans the matrix, and every later one, on it or on a matrix the
+    operation builds or reflects, reads the facts kept on the value."""
 
     @pytest.mark.parametrize("name", list(ORDER7_SCANS))
     def test_scans_per_matrix_at_order_7(self, order7_calls, name):
-        assert asmc.cells in order7_calls.wrapped["geometry"]
+        assert asmc.cells in order7_calls.wrapped["_points"]
         assert order7_calls.matrices == 29400
         assert 0 < order7_calls.scans[name] / order7_calls.matrices <= ORDER7_SCANS[name]

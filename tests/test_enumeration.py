@@ -136,7 +136,7 @@ def _census(n: int) -> Counter:
     for m in enumerate_asm(n):
         cp = classical_params(m)
         ch = charges(m) if cp.s == 1 else None
-        counts[cp.r, cp.s, cp.i, *((ch.e, ch.b, ch.j) if ch else (None,) * 3)] += 1
+        counts[(cp.r, cp.s, cp.i, *((ch.e, ch.b, ch.j) if ch else (None,) * 3))] += 1
     return counts
 
 

@@ -24,6 +24,8 @@ from asmc import (
     pair_from_config,
     perm_matrix,
     recharge,
+    render_ascii,
+    render_svg,
     table_valid,
     tuple_valid,
     validate_config,
@@ -45,10 +47,17 @@ DIAMOND_ROWS = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
     (validate_config, (MixedConfiguration((MixedPath(None, ""),)),), MalformedConfiguration),
     (pair_from_config, (MixedConfiguration(None),), MalformedConfiguration),
     (dual_config, (MixedConfiguration((MixedPath((0, 1), None),)),), MalformedConfiguration),
+    (validate_config, (None,), MalformedConfiguration),
+    (validate_config, (MixedPath((0, 1), ""),), MalformedConfiguration),
+    (table_valid, (None,), InvalidTable),
+    (table_valid, ((3, (0, 0, 1), 0, 0),), InvalidTable),
+    (tuple_valid, (None,), InvalidTuple),
+    (recharge, ((1, None, 0, 0),), InvalidTuple),
 ], ids=[
     "pair-of-rows", "pair-of-none", "table-a-none", "tuple-perm-none",
     "recharge-perm-none", "config-paths-none", "config-steps-none", "config-start-none",
-    "decode-paths-none", "dual-steps-none",
+    "decode-paths-none", "dual-steps-none", "config-none", "config-of-a-path",
+    "table-none", "table-of-a-tuple", "tuple-none", "recharge-of-a-tuple",
 ])
 def test_record_of_the_wrong_container_is_rejected(call, args, error):
     with pytest.raises(error) as info:
@@ -79,3 +88,15 @@ def test_record_of_the_wrong_container_is_rejected(call, args, error):
 def test_integer_argument_is_not_coerced(call, args, kwargs, error):
     with pytest.raises(error):
         call(*args, **kwargs)
+
+
+@pytest.mark.parametrize("render", [render_ascii, render_svg])
+@pytest.mark.parametrize("cfg", [
+    MixedConfiguration(None),
+    MixedConfiguration((MixedPath((0, 1), "Q"),)),
+    MixedConfiguration((MixedPath((0, 1), "EE"),)),
+], ids=["paths-none", "unknown-step", "off-grid"])
+def test_malformed_configuration_is_not_rendered(render, cfg):
+    with pytest.raises(MalformedConfiguration) as info:
+        render(cfg)
+    assert info.value.problems

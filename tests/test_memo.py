@@ -1,10 +1,13 @@
-"""Facts kept on values by ``cells._keep``: the landmarks and cell sums of
-a matrix, seeded by the builders that know them, and the mark of a mixed
-configuration that has passed validation.
+"""Facts kept on values by ``cells._keep``: what the points-form reader
+of ``asmc.cells`` reads off a matrix (its points form, landmarks, sign
+class, cell sums and charge), handed the points by the builders that hold
+them, and the mark of a mixed configuration that has passed validation.
 
-Every kept fact must equal a fresh computation on an unmemoized copy, and
-no kept fact may change what a value is: equality, hashing and repr see
-only the dataclass fields, and a value built over lists keeps nothing.
+Every kept matrix fact must equal the landmarks and cell sums searched and
+summed by definition on the dense rows (``conftest.dense_cells``), and a
+kept mark a fresh validation; no kept fact may change what a value is:
+equality, hashing and repr see only the dataclass fields, and a value
+built over lists keeps nothing.
 """
 
 import random
@@ -18,7 +21,6 @@ from asmc import (
     MixedConfiguration,
     NeutralPair,
     SignClass,
-    cell_sums,
     charges,
     config_from_pair,
     config_params,
@@ -34,23 +36,21 @@ from asmc import (
     swap_charges,
     validate_config,
 )
-from conftest import one_minus, random_valid_table
+from conftest import dense_cells, one_minus, random_valid_table
 
-FACTS = {"_geometry", "_sums", "_valid"}
+FACTS = {"_cells", "_valid"}
 
 
 def kept_facts(value) -> set[str]:
     """Check each fact kept on ``value`` (a matrix, the matrix of a pair,
-    or a configuration) against a fresh computation on an unmemoized copy;
-    returns the names of the facts found."""
+    or a configuration) against the dense oracle or a fresh validation of
+    an unmemoized copy; returns the names of the facts found."""
     if isinstance(value, NeutralPair):
         value = value.matrix
     kept = {name: fact for name, fact in vars(value).items() if name.startswith("_")}
     assert set(kept) <= FACTS
-    if "_geometry" in kept:
-        assert kept["_geometry"] == geometry(AsmMatrix(value.rows))
-    if "_sums" in kept:
-        assert kept["_sums"] == cell_sums(AsmMatrix(value.rows))
+    if "_cells" in kept:
+        assert tuple(kept["_cells"]) == dense_cells(AsmMatrix(value.rows))
     if "_valid" in kept:
         assert kept["_valid"] is True
         fresh = MixedConfiguration(value.paths)
@@ -73,10 +73,10 @@ def outputs(m: AsmMatrix):
 # the facts each output holds however it was built: a pair's matrix has
 # passed the pair's checks, and a dual configuration its self-check
 EXPECTED = {
-    "neutralize": {"_geometry", "_sums"},
-    "restore": {"_geometry"},
-    "swap_charges": {"_geometry"},
-    "pair_from_table": {"_geometry", "_sums"},
+    "neutralize": {"_cells"},
+    "restore": {"_cells"},
+    "swap_charges": {"_cells"},
+    "pair_from_table": {"_cells"},
     "dual_config": {"_valid"},
 }
 
@@ -97,17 +97,16 @@ class TestKeptFactsOracle:
                 check_outputs(m, found)
                 matrices += 1
         assert matrices == 2617
-        # rebuilt positive matrices keep their cell sums as well
-        assert found["_sums"] > 2 * matrices
+        assert found == {"_cells": 4 * matrices, "_valid": matrices}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sampled_tables_at_large_n(self, seed):
         rng = random.Random(seed)
         for n in (25, rng.randint(26, 199), 200):
             pair = pair_from_table(random_valid_table(rng, n))
-            assert kept_facts(pair) == {"_geometry", "_sums"}
+            assert kept_facts(pair) == {"_cells"}
             m = restore(pair)
-            assert "_geometry" in kept_facts(m)
+            assert kept_facts(m) == {"_cells"}
             found = Counter()
             check_outputs(m, found)
             check_outputs(reflect(m), found)
@@ -120,7 +119,7 @@ class TestValueSemantics:
         m = restore(pair)
         cfg = config_from_pair(pair)
         config_params(cfg)
-        assert kept_facts(m) == {"_geometry", "_sums"}
+        assert kept_facts(m) == {"_cells"}
         assert kept_facts(cfg) == {"_valid"}
         twins = (
             (m, AsmMatrix(m.rows)),
