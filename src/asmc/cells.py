@@ -35,15 +35,18 @@ reads a negative matrix through the mirrored points form (``first'[q] =
 n+1-first[q]``, the closing row taking ``n+1`` minus the closing
 column).  :func:`_points` is the one scan of the dense rows; it finds
 the points form and :func:`geometry` feeds it to the reader.
+:func:`_write` is the one writer: it writes the rows of a points form,
+validates them once and keeps the reader's result on the matrix.
 
 Each fact about a matrix is computed once per value.  :func:`_keep`, the
 one memo helper, stores a fact on the frozen value it describes, outside
 the dataclass fields, so equality, hashing and repr never see it: the
 reader's result on an :class:`AsmMatrix`, and the mark of a mixed
-configuration that has passed validation.  The builders hand the reader
-the points they already hold: ``discharge._recharge`` those of the
-matrix it rebuilds, ``inv_table.pair_from_table`` those of its matrix,
-and :func:`_reflect` the mirrored points form of the original.
+configuration that has passed validation.  The builders hold the points
+of what they build: ``discharge._recharge`` and
+``inv_table.pair_from_table`` hand them to :func:`_write`, and
+:func:`_reflect` keeps the reader's result on the mirrored points form
+of the original.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
-from .matrix import AsmMatrix, minus_count, reflect
+from .matrix import AsmMatrix, minus_count, reflect, validate_asm
 
 
 class SignClass(Enum):
@@ -217,6 +220,21 @@ def _cells(a: AsmMatrix) -> _Cells:
         cells = _read(*_points(a))
         _keep(a, a.rows, _cells=cells)
     return cells
+
+
+def _write(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
+    """The one writer of a one-minus matrix: the rows of the matrix with
+    points form ``(first, closing_row, opening_col, closing_col)``,
+    validated once, with :func:`_read` of the form kept on it."""
+    rows = [[0] * len(first) for _ in first]
+    for row, col in zip(rows, first):
+        row[col - 1] = 1
+    line = rows[closing_row - 1]
+    line[opening_col - 1] = -1
+    line[closing_col - 1] = 1
+    out = validate_asm(rows)
+    _keep(out, out.rows, _cells=_read(first, closing_row, opening_col, closing_col))
+    return out
 
 
 def _reflect(a: AsmMatrix) -> AsmMatrix:

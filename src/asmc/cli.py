@@ -230,7 +230,10 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "validate":
         m = _read_matrix(args)
-        _write(args, f"ok: n={m.n} s={minus_count(m)}\n")
+        if args.format == "json":
+            _write(args, json.dumps({"n": m.n, "s": minus_count(m)}) + "\n")
+        else:
+            _write(args, f"ok: n={m.n} s={minus_count(m)}\n")
     elif cmd == "params":
         m = _read_matrix(args)
         p = classical_params(m)

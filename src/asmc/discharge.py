@@ -25,9 +25,10 @@ n 1s of the matrix as ``(row, column)`` points, and end on the one-line
 word of the permutation; each step is linear in n.  Those points are the
 ``first`` of the matrix's points form, which :mod:`asmc.cells` keeps
 with its landmarks and cell sums, so step 1 scans no row.  Only a matrix
-that is returned is written out densely and validated; recharging hands
-the points it has placed to the one reader of :mod:`asmc.cells`
-(``cells._read``), which keeps every landmark and cell sum on it.
+that is returned is written out densely and validated, by the one writer
+of each kind: ``matrix.perm_matrix`` for a permutation, and
+``cells._write`` for a recharged matrix, which keeps on it every landmark
+and cell sum of the points it was handed.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cells import SignClass, _Cells, _cells, _keep, _read
-from .displacement import Point, Region, _dense, _displace
+from .cells import SignClass, _Cells, _cells, _write
+from .displacement import Point, Region, _displace
 from .errors import (
     BadArgument,
     InternalInvariantViolation,
     InvalidTuple,
     NegativeClass,
 )
-from .matrix import AsmMatrix, perm_matrix, perm_one_line, validate_asm
+from .matrix import AsmMatrix, perm_matrix, perm_one_line
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,8 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
         raise NegativeClass("shortcut applies to neutral matrices only")
     g = cells.geometry
     closing_cell = Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col)
-    points = _displace(_erase(cells), closing_cell, columns=True, inverse=False)
-    return validate_asm(_dense(points, a.n, a.n))
+    cols = dict(_displace(_erase(cells), closing_cell, columns=True, inverse=False))
+    return perm_matrix([cols.get(q) for q in range(1, a.n + 1)])
 
 
 def discharge(a: AsmMatrix) -> DischargeTuple:
@@ -283,11 +284,5 @@ def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> A
     points = _displace(points, closing_cell, columns=True, inverse=True)
     if {(closing_row, j), (closing_row, closing_col)} & set(points):
         raise InternalInvariantViolation("closing row positions are not free")
-    grid = _dense(points, n, n)
-    grid[closing_row - 1][j - 1] = -1
-    grid[closing_row - 1][closing_col - 1] = 1
-    out = validate_asm(grid)
-    # the points left are the first 1 of every row of ``out``
-    first = tuple([col for _, col in sorted(points)])
-    _keep(out, out.rows, _cells=_read(first, closing_row, j, closing_col))
-    return out
+    # the points left are the first 1 of every row of the matrix
+    return _write(tuple([col for _, col in sorted(points)]), closing_row, j, closing_col)

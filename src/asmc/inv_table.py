@@ -21,27 +21,26 @@ meets them and raises :class:`InvalidTable` on any other.
 Complementing both halves of the encoding (table duality) corresponds
 to vertical reflection of the matrix.
 
-Permutation tables are read by the generalized walk: one bottom-up pass
-over column sums, :func:`_walk`, reads both kinds of table.
+Both kinds of table are read and written on lists of columns, never
+on dense rows.  :func:`_walk` reads a table off a points form (see
+:mod:`asmc.cells`; a permutation is its one-line word, with no closing
+row) bottom-up, keeping the sorted columns whose entries below the row
+sum to 1, so each ``a_i`` is a ``bisect``.  Decoding reads rows top-down,
+keeping the sorted columns with no 1 above the row, so each ``a_i`` pops
+the row's column.  ``matrix.perm_matrix`` writes a permutation and
+``cells._write`` a one-minus matrix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
 from typing import NamedTuple, Sequence
 
-from .cells import _cells, _keep, _read
+from .cells import _cells, _write
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
-from .matrix import (
-    _INT_ONLY,
-    AsmMatrix,
-    _require_permutation,
-    _text_ints,
-    json_int,
-    validate_asm,
-)
+from .matrix import _INT_ONLY, AsmMatrix, _text_ints, json_int, perm_matrix, perm_one_line
 from .neutral import NeutralPair
 
 
@@ -67,36 +66,26 @@ def perm_table(p: AsmMatrix) -> tuple[int, ...]:
     >>> perm_table(perm_matrix([3, 2, 1]))
     (0, 1, 2)
     """
-    _require_permutation(p)
-    return _walk(p)
+    return _walk(perm_one_line(p))
 
 
-def _walk(m: AsmMatrix) -> tuple[int, ...]:
-    """``a_1..a_n``: walks the rows bottom-up, keeping the column sums of
-    the rows below the current one; ``a_i`` is the sum of those left of
-    the row's leftmost 1."""
+def _walk(
+    first: tuple[int, ...], closing_row: int = 0, opening_col: int = 0, closing_col: int = 0
+) -> tuple[int, ...]:
+    """``a_1..a_n`` of the matrix with this points form (a permutation has
+    no closing row): walks the rows bottom-up, keeping the sorted columns
+    whose entries below the current row sum to 1; ``a_i`` is the number of
+    those left of the row's first 1."""
+    below: list[int] = []
     a = []
-    below = [0] * m.n
-    for row in reversed(m.rows):
-        a.append(sum(below[: row.index(1)]))
-        below = list(map(add, below, row))
+    for q in range(len(first), 0, -1):
+        col = first[q - 1]
+        a.append(bisect_left(below, col))
+        insort(below, col)
+        if q == closing_row:
+            below.remove(opening_col)
+            insort(below, closing_col)
     return tuple(a)
-
-
-def _place_one(colsum: Sequence[int], target: int) -> int:
-    """Column (1-based) for a new 1 so that the signed sum of the columns
-    left of it, over the rows still to come, equals ``target``.
-
-    Columns with a pending 1 (running sum 1) are not available; the
-    running sums make ``(col - 1) - sum(colsum[:col-1])`` strictly
-    increasing over available columns, so the choice is unique.
-    """
-    prefix = 0
-    for col in range(1, len(colsum) + 1):
-        if colsum[col - 1] == 0 and (col - 1) - prefix == target:
-            return col
-        prefix += colsum[col - 1]
-    raise InternalInvariantViolation(f"no admissible column for target {target}")
 
 
 def perm_from_table(a: Sequence[int]) -> AsmMatrix:
@@ -109,13 +98,8 @@ def perm_from_table(a: Sequence[int]) -> AsmMatrix:
             raise InvalidTable(2, f"a_{i}={v!r} is not an integer")
         if not 0 <= v <= i - 1:
             raise InvalidTable(2, f"a_{i}={v} outside [0, {i - 1}]")
-    colsum = [0] * n
-    grid = [[0] * n for _ in range(n)]
-    for q in range(1, n + 1):
-        col = _place_one(colsum, a[n - q])
-        grid[q - 1][col - 1] = 1
-        colsum[col - 1] = 1
-    return AsmMatrix(tuple(tuple(row) for row in grid))
+    free = list(range(1, n + 1))  # the columns with no 1 above the row
+    return perm_matrix([free.pop(v) for v in reversed(a)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +197,11 @@ def table_valid(t: GenInvTable) -> GenInvTable:
 def gen_table(pair: NeutralPair) -> GenInvTable:
     """Generalized inversion table of a neutral pair; :func:`_walk` reads
     ``a_{k-1}`` at the left 1 of the closing row."""
-    m = pair.matrix
-    k = m.n + 1 - _cells(m).geometry.opening_row
-    sums = pair.sums
+    cells = _cells(pair.matrix)
+    k = len(cells.first) + 1 - cells.geometry.opening_row
+    a, sums = _walk(*cells.points), cells.sums
     try:
-        return table_valid(GenInvTable(k=k, a=_walk(m), b=sums.c, beta=pair.charge + sums.ell))
+        return table_valid(GenInvTable(k=k, a=a, b=sums.c, beta=pair.charge + sums.ell))
     except InvalidTable as exc:
         raise InternalInvariantViolation(f"encoded table is invalid: {exc}") from exc
 
@@ -225,39 +209,27 @@ def gen_table(pair: NeutralPair) -> GenInvTable:
 def pair_from_table(t: GenInvTable) -> NeutralPair:
     """Rebuild the unique neutral pair with table ``t``.
 
-    The matrix is constructed row by row from the top: each table entry
-    pins the column of the row's (leftmost) 1 through the running column
-    sums, the -1 goes under the opening 1, and the closing 1 is placed so
-    the closing cell sums to ``b``.  The points placed are handed to the
-    reader of :mod:`asmc.cells`, whose facts are kept on the matrix.
+    The points form is read row by row from the top, keeping the sorted
+    columns with no 1 above the row: each table entry counts those left of
+    the row's (leftmost) 1, which it pops.  On the closing row the -1
+    frees the opening column again, and the closing 1 takes the free
+    column that leaves ``b`` of them strictly between the two.  The one
+    writer of :mod:`asmc.cells` writes the matrix.
     """
     table_valid(t)
-    n = t.n
-    opening_row = n + 1 - t.k
+    opening_row = t.n + 1 - t.k
     closing_row = opening_row + 1  # its entry a_{k-1} places the left 1
-    colsum = [0] * n
-    grid = [[0] * n for _ in range(n)]
-    first = []
-    for q in range(1, n + 1):
-        col = _place_one(colsum, t.a[n - q])
-        grid[q - 1][col - 1] = 1
-        colsum[col - 1] += 1
-        first.append(col)
-        if q == opening_row:
-            opening_col = col
-        elif q == closing_row:
-            if col >= opening_col:
-                raise InternalInvariantViolation("left 1 not in the left side")
-            grid[q - 1][opening_col - 1] = -1
-            colsum[opening_col - 1] -= 1
-            # right of the -1, the closing 1 is placed as the others are
-            closing_col = opening_col + _place_one(colsum[opening_col:], t.b)
-            grid[q - 1][closing_col - 1] = 1
-            colsum[closing_col - 1] += 1
-    matrix = validate_asm(grid)
-    _keep(matrix, matrix.rows, _cells=_read(tuple(first), closing_row, opening_col, closing_col))
+    entries = t.a[::-1]  # top row first
+    free = list(range(1, t.n + 1))
+    first = [free.pop(v) for v in entries[:closing_row]]
+    opening_col = first[opening_row - 1]
+    if first[-1] >= opening_col:
+        raise InternalInvariantViolation("left 1 not in the left side")
+    insort(free, opening_col)
+    closing_col = free.pop(bisect_right(free, opening_col) + t.b)
+    first += [free.pop(v) for v in entries[closing_row:]]
     charge = _block_charges(t.a[t.k - 2], t.a[t.k - 1], t.b, t.beta)[0]
-    return NeutralPair(matrix, charge)
+    return NeutralPair(_write(tuple(first), closing_row, opening_col, closing_col), charge)
 
 
 def _block_charges(ak1: int, ak: int, b: int, beta: int) -> tuple[int, int, int]:

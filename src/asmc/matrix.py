@@ -43,10 +43,16 @@ class AsmMatrix:
     """A validated alternating sign matrix.
 
     The constructor does *not* re-check the alternating law; use
-    :func:`validate_asm` to build one from untrusted data.
+    :func:`validate_asm` to build one from untrusted data.  It only
+    rejects rows that are not given as a tuple or list, with
+    :class:`NotSquare`.
     """
 
     rows: Grid
+
+    def __post_init__(self):
+        if not isinstance(self.rows, (tuple, list)):
+            raise NotSquare(f"expected the rows as a tuple or list, got {type(self.rows).__name__}")
 
     @property
     def n(self) -> int:

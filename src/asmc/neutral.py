@@ -15,11 +15,11 @@ permutation in between; only the matrix returned is built and validated.
 Every landmark and cell sum is read off the points form of a matrix by
 the one reader of :mod:`asmc.cells` and kept on the matrix
 (``cells._cells``): ``discharge._recharge`` and
-``inv_table.pair_from_table`` hand the reader the points of the matrices
-they build, so :class:`NeutralPair` checks its invariants from facts
-already known.  A negative matrix is taken through ``cells._reflect``,
-which reads the mirrored points form instead of scanning the reflected
-copy.
+``inv_table.pair_from_table`` build their matrices from points through
+``cells._write``, which keeps those facts, so :class:`NeutralPair`
+checks its invariants from facts already known.  A negative matrix is
+taken through ``cells._reflect``, which reads the mirrored points form
+instead of scanning the reflected copy.
 """
 
 from __future__ import annotations

@@ -129,6 +129,64 @@ def dense_cells(a: AsmMatrix) -> tuple:
     return first, g, sign, sums, e
 
 
+# ---------------------------------------------------------------------------
+# inversion tables by definition, read and written on dense rows through
+# running column sums: the oracle of the table codecs on column lists
+
+
+def dense_table(m: AsmMatrix) -> tuple[int, ...]:
+    """``a_1..a_n`` of a permutation or one-minus matrix: walks the rows
+    bottom-up, keeping the column sums of the rows below the current one;
+    ``a_i`` is the sum of those left of the row's leftmost 1."""
+    a = []
+    below = [0] * m.n
+    for row in reversed(m.rows):
+        a.append(sum(below[: row.index(1)]))
+        below = [x + y for x, y in zip(below, row)]
+    return tuple(a)
+
+
+def _place_one(colsum: list[int], target: int) -> int:
+    """Column (1-based) for a new 1 so that the signed sum of the columns
+    left of it, over the rows still to come, equals ``target``: columns
+    with a pending 1 (running sum 1) are not available, and the running
+    sums make ``(col - 1) - sum(colsum[:col-1])`` strictly increasing over
+    the available ones."""
+    prefix = 0
+    for col in range(1, len(colsum) + 1):
+        if colsum[col - 1] == 0 and (col - 1) - prefix == target:
+            return col
+        prefix += colsum[col - 1]
+    raise AssertionError(f"no admissible column for target {target}")
+
+
+def dense_from_table(t) -> AsmMatrix:
+    """The matrix with table ``t``, a :class:`GenInvTable` or the plain
+    inversion table of a permutation, written on a grid row by row from
+    the top: each entry places the row's (leftmost) 1, the -1 goes under
+    the opening 1, and the closing 1 is placed right of it as the others
+    are, so that the closing cell sums to ``b``."""
+    generalized = isinstance(t, GenInvTable)
+    a = t.a if generalized else tuple(t)
+    n = len(a)
+    opening_row = n + 1 - t.k if generalized else 0
+    colsum = [0] * n
+    grid = [[0] * n for _ in range(n)]
+    for q in range(1, n + 1):
+        col = _place_one(colsum, a[n - q])
+        grid[q - 1][col - 1] = 1
+        colsum[col - 1] += 1
+        if q == opening_row:
+            opening_col = col
+        elif opening_row and q == opening_row + 1:
+            grid[q - 1][opening_col - 1] = -1
+            colsum[opening_col - 1] -= 1
+            closing_col = opening_col + _place_one(colsum[opening_col:], t.b)
+            grid[q - 1][closing_col - 1] = 1
+            colsum[closing_col - 1] += 1
+    return validate_asm(grid)
+
+
 def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
     """A valid table of order ``n``: free ``a_i`` in ``[0, i-1]`` (condition
     2), then the block at k drawn inside conditions 3 and 4."""

@@ -34,6 +34,11 @@ class TestBasics:
         assert code == 0
         assert out == "ok: n=3 s=1\n"
 
+    def test_validate_json(self, monkeypatch, capsys):
+        code, out, _ = run_cli(["validate", "--format", "json"], DIAMOND_TEXT, monkeypatch, capsys)
+        assert code == 0
+        assert json.loads(out) == {"n": 3, "s": 1}
+
     def test_params_text_block(self, monkeypatch, capsys):
         code, out, _ = run_cli(["params"], DIAMOND_TEXT, monkeypatch, capsys)
         assert code == 0

@@ -5,6 +5,7 @@ escapes, and no argument is coerced."""
 import pytest
 
 from asmc import (
+    AsmMatrix,
     DischargeTuple,
     GenInvTable,
     InvalidPair,
@@ -14,15 +15,18 @@ from asmc import (
     MixedConfiguration,
     MixedPath,
     NeutralPair,
+    NotSquare,
     PreconditionFailed,
     Region,
     SumViolation,
+    charges,
     distribution,
     dual_config,
     enumerate_asm,
     formula_count,
     pair_from_config,
     perm_matrix,
+    perm_table,
     recharge,
     render_ascii,
     render_svg,
@@ -66,6 +70,17 @@ def test_record_of_the_wrong_container_is_rejected(call, args, error):
         assert info.value.condition == 0
     if error is MalformedConfiguration:
         assert info.value.problems
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tuple_valid(DischargeTuple(1, AsmMatrix(None), 0, 0)),
+    lambda: NeutralPair(AsmMatrix(None), 0),
+    lambda: charges(AsmMatrix(None)),
+    lambda: perm_table(AsmMatrix(None)),
+], ids=["tuple", "pair", "charges", "perm-table"])
+def test_matrix_without_rows_is_rejected(call):
+    with pytest.raises(NotSquare):
+        call()
 
 
 @pytest.mark.parametrize("call, args, kwargs, error", [

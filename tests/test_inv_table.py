@@ -30,8 +30,10 @@ from asmc import (
     table_params,
     table_valid,
 )
-from asmc.errors import BadArgument
-from conftest import TABLE12, one_minus, random_valid_table
+from asmc.cells import _cells
+from asmc.errors import BadArgument, NotSquare
+from asmc.inv_table import _walk
+from conftest import TABLE12, dense_from_table, dense_table, one_minus, random_valid_table
 
 
 class TestPermTables:
@@ -60,6 +62,10 @@ class TestPermTables:
     def test_invalid_table_rejected(self):
         with pytest.raises(InvalidTable):
             perm_from_table((0, 2, 0))
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(NotSquare):
+            perm_from_table(())
 
     def test_matrix_with_a_minus_rejected(self):
         for n in (3, 4, 5):
@@ -120,6 +126,45 @@ class TestGenTable:
             t = gen_table(neutralize(m))
             assert t.b >= 0 and t.beta >= 0
             assert all(v >= 0 for v in t.a)
+
+
+class TestDenseOracles:
+    """The codecs on column lists against the tables read and written on
+    dense rows (``conftest.dense_table`` and ``dense_from_table``)."""
+
+    def test_every_one_minus_matrix_and_its_reflection_up_to_order_6(self):
+        matrices = 0
+        for n in range(3, 7):
+            for m in one_minus(n):
+                for a in (m, reflect(m)):
+                    assert _walk(*_cells(a).points) == dense_table(a)
+                    pair = neutralize(a)
+                    t = gen_table(pair)
+                    assert t.a == dense_table(pair.matrix)
+                    assert pair_from_table(t).matrix == dense_from_table(t) == pair.matrix
+                matrices += 1
+        assert matrices == 2617
+
+    def test_every_permutation_up_to_order_6(self):
+        for n in range(1, 7):
+            for word in itertools.permutations(range(1, n + 1)):
+                p = perm_matrix(word)
+                t = perm_table(p)
+                assert t == dense_table(p)
+                assert perm_from_table(t) == dense_from_table(t) == p
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_tables_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            t = random_valid_table(rng, n)
+            pair = pair_from_table(t)
+            assert pair.matrix == dense_from_table(t)
+            assert gen_table(pair) == t and dense_table(pair.matrix) == t.a
+            plain = tuple(rng.randint(0, i - 1) for i in range(1, n + 1))
+            p = perm_from_table(plain)
+            assert p == dense_from_table(plain)
+            assert perm_table(p) == dense_table(p) == plain
 
 
 class TestTableValidity:

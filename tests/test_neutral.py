@@ -145,6 +145,6 @@ class TestValidationsPerCall:
     discharging and recharging in between act on the permutation word."""
 
     def test_at_most_one_per_returned_matrix_at_order_7(self, order7_calls):
-        assert {asmc.matrix, sys.modules["asmc.discharge"]} <= order7_calls.wrapped["validate_asm"]
+        assert {asmc.matrix, sys.modules["asmc.cells"]} <= order7_calls.wrapped["validate_asm"]
         assert order7_calls.matrices == 29400
         assert order7_calls.most == ORDER7_VALIDATIONS
