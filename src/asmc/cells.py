@@ -35,8 +35,9 @@ reads a negative matrix through the mirrored points form (``first'[q] =
 n+1-first[q]``, the closing row taking ``n+1`` minus the closing
 column).  :func:`_points` is the one scan of the dense rows; it finds
 the points form and :func:`geometry` feeds it to the reader.
-:func:`_write` is the one writer: it writes the rows of a points form,
-validates them once and keeps the reader's result on the matrix.
+:func:`_write` is the one writer: it checks a points form against the
+alternating laws in O(n log n) (:func:`_is_points_form`), writes its
+rows and keeps the reader's result on the matrix.
 
 Each fact about a matrix is computed once per value.  :func:`_keep`, the
 one memo helper, stores a fact on the frozen value it describes, outside
@@ -56,7 +57,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
-from .matrix import AsmMatrix, minus_count, reflect, validate_asm
+from .matrix import _INT_ONLY, AsmMatrix, _refuse, _unit_rows, minus_count, reflect
 
 
 class SignClass(Enum):
@@ -222,17 +223,38 @@ def _cells(a: AsmMatrix) -> _Cells:
     return cells
 
 
+def _is_points_form(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> bool:
+    """Whether ``(first, closing_row, opening_col, closing_col)`` is the
+    points form of a one-minus ASM, in O(n log n).  Every row but the
+    closing row holds one 1, and the closing row holds 1, -1, 1 in
+    increasing columns, so the rows alternate; every column holds one 1
+    but the opening column, whose -1 on the closing row alternates when
+    its two 1s lie one above and one below it."""
+    n = len(first)
+    return (
+        _INT_ONLY.issuperset(map(type, (*first, closing_row, opening_col, closing_col)))
+        and 1 < closing_row < n
+        and first[closing_row - 1] < opening_col < closing_col <= n
+        and sorted((*first, closing_col)) == [*range(1, opening_col + 1), *range(opening_col, n + 1)]
+        and opening_col in first[: closing_row - 1]
+        and opening_col in first[closing_row:]
+    )
+
+
 def _write(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
     """The one writer of a one-minus matrix: the rows of the matrix with
-    points form ``(first, closing_row, opening_col, closing_col)``,
-    validated once, with :func:`_read` of the form kept on it."""
-    rows = [[0] * len(first) for _ in first]
-    for row, col in zip(rows, first):
-        row[col - 1] = 1
-    line = rows[closing_row - 1]
+    points form ``(first, closing_row, opening_col, closing_col)``, checked
+    on the form (:func:`_is_points_form`), with :func:`_read` of the form
+    kept on it.  The rows of a form the check rejects are handed to
+    ``validate_asm``, which names what is wrong."""
+    rows = _unit_rows(first, len(first))
+    line = list(rows[closing_row - 1])
     line[opening_col - 1] = -1
     line[closing_col - 1] = 1
-    out = validate_asm(rows)
+    rows[closing_row - 1] = tuple(line)
+    if not _is_points_form(first, closing_row, opening_col, closing_col):
+        _refuse(rows)
+    out = AsmMatrix(tuple(rows))
     _keep(out, out.rows, _cells=_read(first, closing_row, opening_col, closing_col))
     return out
 

@@ -25,10 +25,10 @@ n 1s of the matrix as ``(row, column)`` points, and end on the one-line
 word of the permutation; each step is linear in n.  Those points are the
 ``first`` of the matrix's points form, which :mod:`asmc.cells` keeps
 with its landmarks and cell sums, so step 1 scans no row.  Only a matrix
-that is returned is written out densely and validated, by the one writer
-of each kind: ``matrix.perm_matrix`` for a permutation, and
-``cells._write`` for a recharged matrix, which keeps on it every landmark
-and cell sum of the points it was handed.
+that is returned is written out densely, by the one writer of each
+kind, which checks it on the points it was handed: ``matrix.perm_matrix``
+for a permutation, and ``cells._write`` for a recharged matrix, which
+keeps on it every landmark and cell sum of those points.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ row) bottom-up, keeping the sorted columns whose entries below the row
 sum to 1, so each ``a_i`` is a ``bisect``.  Decoding reads rows top-down,
 keeping the sorted columns with no 1 above the row, so each ``a_i`` pops
 the row's column.  ``matrix.perm_matrix`` writes a permutation and
-``cells._write`` a one-minus matrix.
+``cells._write`` a one-minus matrix, each checking it on its points
+rather than on the dense rows.
 """
 
 from __future__ import annotations

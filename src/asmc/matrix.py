@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     AlternationViolation,
     BadArgument,
     BadEntry,
+    InternalInvariantViolation,
     NotSquare,
     ParseError,
     SumViolation,
@@ -42,10 +43,20 @@ _INT_ONLY = {int}
 class AsmMatrix:
     """A validated alternating sign matrix.
 
-    The constructor does *not* re-check the alternating law; use
-    :func:`validate_asm` to build one from untrusted data.  It only
+    The constructor does *not* re-check the alternating law; it only
     rejects rows that are not given as a tuple or list, with
-    :class:`NotSquare`.
+    :class:`NotSquare`.  The writers check what they are given:
+
+    * :func:`validate_asm` checks a grid entry by entry, and is the only
+      check on caller input (the text and JSON readers and the CLI go
+      through it);
+    * :func:`perm_matrix` checks that a one-line word is a permutation;
+    * ``cells._write`` checks the points form of a one-minus matrix.
+
+    The last two check in O(n log n) and then write the rows straight
+    from the word or form; on one they reject they raise what
+    :func:`validate_asm` raises on its dense rows.  :func:`reflect` and
+    ``enumerate_asm`` build matrices valid by construction.
     """
 
     rows: Grid
@@ -171,20 +182,26 @@ def inversions(a: AsmMatrix) -> int:
     For each nonzero entry, sum the entries strictly below and strictly to
     its left, and accumulate the product.  On permutation matrices this is
     the usual inversion count of the one-line word.
+
+    The rows are walked bottom-up with the column sums of the rows below
+    in a Fenwick tree (Knuth, *TAOCP* vol. 3, 5.1.1), so the Python work
+    is O(log n) per nonzero entry; a row's nonzero entries are taken right
+    to left, so the entries of the row itself never count.
     """
     n = a.n
+    tree = [0] * (n + 1)  # tree[k] sums the columns k - (k & -k) + 1 .. k
     total = 0
-    below = [0] * n  # column sums over the rows already visited (from the bottom)
-    for i in range(n - 1, -1, -1):
-        row = a.rows[i]
-        prefix = 0  # sum of below[l] for l < current column
-        for j in range(n):
-            if row[j]:
-                total += row[j] * prefix
-            prefix += below[j]
-        for j in range(n):
-            if row[j]:
-                below[j] += row[j]
+    cols = range(n, 0, -1)
+    for row in reversed(a.rows):
+        for j in compress(cols, reversed(row)):
+            v = row[j - 1]
+            k = j - 1
+            while k:  # the sum over the columns left of j
+                total += v * tree[k]
+                k &= k - 1
+            while j <= n:
+                tree[j] += v
+                j += j & -j
     return total
 
 
@@ -213,16 +230,45 @@ def _require_permutation(a: AsmMatrix) -> None:
 def perm_matrix(word: Sequence[int]) -> AsmMatrix:
     """Permutation matrix from a 1-based one-line word.
 
-    The n 1s are written into zero rows, so building the rows is linear
-    in n; an entry that is not an ``int`` in ``1..n`` leaves its row zero,
-    which :func:`validate_asm` then rejects.
+    The word is checked to be a permutation of ``1..n`` made of ``int``s,
+    in O(n log n), and the rows are written as unit tuples.  Any other
+    word is written densely, an entry that is not an ``int`` in ``1..n``
+    leaving its row zero, and :func:`validate_asm` names what is wrong.
     """
-    n = len(word)
+    try:
+        n = len(word)
+    except TypeError as exc:
+        raise NotSquare(f"expected a one-line word, got {type(word).__name__}") from exc
+    if n and _INT_ONLY.issuperset(map(type, word)) and sorted(word) == list(range(1, n + 1)):
+        return AsmMatrix(tuple(_unit_rows(word, n)))
     rows = [[0] * n for _ in word]
     for row, c in zip(rows, word):
         if type(c) is int and 1 <= c <= n:
             row[c - 1] = 1
-    return validate_asm(rows)
+    _refuse(rows)
+
+
+def _unit_rows(cols: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """The rows of order ``n`` holding a single 1, one in each of the
+    1-based columns ``cols``."""
+    line = [0] * n  # one zero line, snapshot with each 1 in turn
+    rows = []
+    for c in cols:
+        line[c - 1] = 1
+        rows.append(tuple(line))
+        line[c - 1] = 0
+    return rows
+
+
+def _refuse(rows: list[Sequence[int]]) -> NoReturn:
+    """Raise what :func:`validate_asm` raises on ``rows``, the dense rows of
+    an input a writer's own check rejected.  Should it accept them, raise
+    :class:`InternalInvariantViolation`: the rows are an ASM but not the
+    one the input stands for (a points form whose writes land on one
+    position, or whose closing 1 is given left of the -1), or the check is
+    too strict."""
+    validate_asm(rows)
+    raise InternalInvariantViolation("the rows are an ASM, but the writer's check rejected its input")
 
 
 # ---------------------------------------------------------------------------

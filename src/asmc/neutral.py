@@ -11,10 +11,10 @@ magnetic charge while fixing everything else (r, i, J and the rows down
 to the opening row).
 
 Both directions discharge and recharge on the one-line word of the
-permutation in between; only the matrix returned is built and validated.
-Every landmark and cell sum is read off the points form of a matrix by
-the one reader of :mod:`asmc.cells` and kept on the matrix
-(``cells._cells``): ``discharge._recharge`` and
+permutation in between; only the matrix returned is built, and it is
+checked on its points.  Every landmark and cell sum is read off the
+points form of a matrix by the one reader of :mod:`asmc.cells` and kept
+on the matrix (``cells._cells``): ``discharge._recharge`` and
 ``inv_table.pair_from_table`` build their matrices from points through
 ``cells._write``, which keeps those facts, so :class:`NeutralPair`
 checks its invariants from facts already known.  A negative matrix is

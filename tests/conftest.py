@@ -18,10 +18,12 @@ import asmc
 import asmc.cells
 import asmc.matrix
 from asmc import (
+    AsmcError,
     AsmMatrix,
     CellGeometry,
     CellSums,
     GenInvTable,
+    InternalInvariantViolation,
     SignClass,
     enumerate_asm,
     pair_from_table,
@@ -187,6 +189,79 @@ def dense_from_table(t) -> AsmMatrix:
     return validate_asm(grid)
 
 
+# ---------------------------------------------------------------------------
+# the writers and the inversion count on dense rows: the oracles of the
+# points checks of ``cells._write`` and ``perm_matrix`` and of the Fenwick
+# count of ``inversions``
+
+
+def dense_write(first, closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
+    """The one-minus matrix with this points form, written on zero rows
+    and checked by ``validate_asm``.  Rows that are an ASM but whose
+    points form, read back off them, is not the one given raise
+    :class:`InternalInvariantViolation`: writes that landed on one
+    position, or a closing row given with its two 1s swapped."""
+    form = (first, closing_row, opening_col, closing_col)
+    rows = [[0] * len(first) for _ in first]
+    for row, col in zip(rows, first):
+        row[col - 1] = 1
+    line = rows[closing_row - 1]
+    line[opening_col - 1] = -1
+    line[closing_col - 1] = 1
+    a = validate_asm(rows)
+    lines = [i for i, row in enumerate(a.rows, start=1) if -1 in row]
+    if lines:
+        line = a.rows[lines[0] - 1]
+        minus = line.index(-1) + 1
+        back = tuple(row.index(1) + 1 for row in a.rows), lines[0], minus, line.index(1, minus) + 1
+    if not lines or back != form:
+        raise InternalInvariantViolation(f"{form} is not the points form of the rows it writes")
+    return a
+
+
+def dense_perm_matrix(word) -> AsmMatrix:
+    """The permutation matrix of a one-line word, written on zero rows (an
+    entry that is not an ``int`` in ``1..n`` leaves its row zero) and
+    checked by ``validate_asm``."""
+    n = len(word)
+    rows = [[0] * n for _ in word]
+    for row, c in zip(rows, word):
+        if type(c) is int and 1 <= c <= n:
+            row[c - 1] = 1
+    return validate_asm(rows)
+
+
+def dense_inversions(a: AsmMatrix) -> int:
+    """The inversion number of ``a``: walks every entry of the rows
+    bottom-up, keeping the column sums of the rows below."""
+    n = a.n
+    total = 0
+    below = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a.rows[i]
+        prefix = 0  # sum of below[l] for l < current column
+        for j in range(n):
+            if row[j]:
+                total += row[j] * prefix
+            prefix += below[j]
+        for j in range(n):
+            if row[j]:
+                below[j] += row[j]
+    return total
+
+
+def outcome(call, *args) -> tuple:
+    """``(None, value)`` of ``call(*args)``, or the class and the message of
+    the error it raises; an :class:`InternalInvariantViolation`, which
+    names no law of the input, gives its class alone."""
+    try:
+        return None, call(*args)
+    except InternalInvariantViolation:
+        return InternalInvariantViolation, None
+    except AsmcError as exc:
+        return type(exc), str(exc)
+
+
 def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
     """A valid table of order ``n``: free ``a_i`` in ``[0, i-1]`` (condition
     2), then the block at k drawn inside conditions 3 and 4."""
@@ -204,45 +279,51 @@ def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
 # each operation on a fresh copy of the matrix: each scans once (1.0
 # measured), with 15% headroom
 ORDER7_SCANS = {"charges": 1.15, "neutralize": 1.15, "swap_charges": 1.15}
-# validate_asm calls allowed to one call of each operation
+# points checks (``cells._is_points_form`` calls) allowed to one call of
+# each operation: one per matrix it returns
 ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
 
 
 @pytest.fixture(scope="session")
 def order7_calls():
     """One walk over all order-7 one-minus matrices, counting ``_points``
-    (the one dense scan of a one-minus matrix) and ``validate_asm`` calls
-    in every ``asmc`` module that binds them.
+    (the one dense scan of a one-minus matrix), ``_is_points_form`` (the
+    check of a written one) and ``validate_asm`` calls in every ``asmc``
+    module that binds them.
 
     Returns the modules wrapped for each name, the number of matrices,
-    the total ``_points`` calls of each operation in ``ORDER7_SCANS`` and
-    the most ``validate_asm`` calls of one call of each operation in
+    the total ``_points`` calls of each operation in ``ORDER7_SCANS``, and
+    the most ``_is_points_form`` calls (``most``) and ``validate_asm``
+    calls (``dense``) of one call of each operation in
     ``ORDER7_VALIDATIONS``. The wrapping is undone before the tests read it.
     Each operation takes a fresh copy of the matrix, so the landmarks one
     operation keeps on it do not hide the scans of the next.
     """
-    calls = {"_points": 0, "validate_asm": 0}
+    counted = ((asmc.cells, "_points"), (asmc.cells, "_is_points_form"), (asmc.matrix, "validate_asm"))
+    calls = dict.fromkeys([name for _, name in counted], 0)
     wrapped = {}
     scans = dict.fromkeys(ORDER7_SCANS, 0)
     most = dict.fromkeys(ORDER7_VALIDATIONS, 0)
+    dense = dict.fromkeys(ORDER7_VALIDATIONS, 0)
 
     def run(name, arg):
-        calls.update(_points=0, validate_asm=0)
+        calls.update(dict.fromkeys(calls, 0))
         out = getattr(asmc, name)(arg)
         if name in scans:
             scans[name] += calls["_points"]
         if name in most:
-            most[name] = max(most[name], calls["validate_asm"])
+            most[name] = max(most[name], calls["_is_points_form"])
+            dense[name] = max(dense[name], calls["validate_asm"])
         return out
 
     matrices = 0
     with pytest.MonkeyPatch.context() as mp:
-        for module, name in ((asmc.cells, "_points"), (asmc.matrix, "validate_asm")):
+        for module, name in counted:
             real = getattr(module, name)
 
-            def counting(arg, real=real, name=name):
+            def counting(*args, real=real, name=name):
                 calls[name] += 1
-                return real(arg)
+                return real(*args)
 
             bound = {mod for key, mod in sys.modules.items()
                      if key.split(".")[0] == "asmc" and getattr(mod, name, None) is real}
@@ -254,4 +335,4 @@ def order7_calls():
             run("restore", run("neutralize", AsmMatrix(m.rows)))
             run("swap_charges", AsmMatrix(m.rows))
             matrices += 1
-    return SimpleNamespace(wrapped=wrapped, matrices=matrices, scans=scans, most=most)
+    return SimpleNamespace(wrapped=wrapped, matrices=matrices, scans=scans, most=most, dense=dense)

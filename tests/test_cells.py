@@ -1,5 +1,6 @@
 """Cell geometry, sign classes and the charge statistics."""
 
+import itertools
 import random
 
 import pytest
@@ -21,8 +22,8 @@ from asmc import (
     sign_class,
     validate_asm,
 )
-from asmc.cells import _mirror, _points, _read, _reflect
-from conftest import ORDER7_SCANS, dense_cells, one_minus, random_valid_table
+from asmc.cells import _cells, _mirror, _points, _read, _reflect, _write
+from conftest import ORDER7_SCANS, dense_cells, dense_write, one_minus, outcome, random_valid_table
 
 
 def check_reader(a: AsmMatrix) -> None:
@@ -60,6 +61,51 @@ class TestPointsReader:
             m = restore(pair_from_table(random_valid_table(rng, n)))
             check_reader(AsmMatrix(m.rows))
             check_reader(reflect(m))
+
+
+class TestWriter:
+    """``_write`` checks the points form, not the rows it writes; it must
+    accept exactly the forms ``dense_write`` accepts (their dense rows
+    pass ``validate_asm`` and read back to the form), write the same
+    matrix, and raise the same error on the others."""
+
+    def test_every_form_in_range_up_to_order_4(self):
+        forms = accepted = 0
+        for n in range(1, 5):
+            cols = range(1, n + 1)
+            for first in itertools.product(cols, repeat=n):
+                for closing_row, opening_col, closing_col in itertools.product(cols, repeat=3):
+                    form = (first, closing_row, opening_col, closing_col)
+                    got = outcome(_write, *form)
+                    assert got == outcome(dense_write, *form), form
+                    forms += 1
+                    accepted += got[0] is None
+        assert forms == 1 + 32 + 729 + 16384
+        assert accepted == len(one_minus(3)) + len(one_minus(4))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_corrupted_forms_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            m = restore(pair_from_table(random_valid_table(rng, n)))
+            for a in (m, reflect(m)):
+                form = _cells(a).points
+                assert _write(*form) == a
+                for _ in range(20):
+                    first, closing_row, opening_col, closing_col = form
+                    first = list(first)
+                    kind = rng.randrange(4)
+                    if kind == 0:  # move one point
+                        first[rng.randrange(n)] = rng.randint(1, n)
+                    elif kind == 1:  # swap two rows
+                        p, q = rng.sample(range(n), 2)
+                        first[p], first[q] = first[q], first[p]
+                    elif kind == 2:
+                        closing_row = rng.randint(1, n)
+                    else:
+                        opening_col, closing_col = rng.randint(1, n), rng.randint(1, n)
+                    corrupted = (tuple(first), closing_row, opening_col, closing_col)
+                    assert outcome(_write, *corrupted) == outcome(dense_write, *corrupted), corrupted
 
 
 class TestGeometry:

@@ -93,12 +93,15 @@ def test_matrix_without_rows_is_rejected(call):
     (formula_count, (-1,), {}, BadArgument),
     (perm_matrix, ([1.0, 2],), {}, SumViolation),
     (perm_matrix, (["a"],), {}, SumViolation),
+    (perm_matrix, (None,), {}, NotSquare),
+    (perm_matrix, (3,), {}, NotSquare),
     (Region, (1.5, 2, 1, 2), {}, PreconditionFailed),
     (Region, ("a", 2, 1, 2), {}, PreconditionFailed),
 ], ids=[
     "enumerate-bool-order", "enumerate-float-s", "enumerate-str-s", "distribution-float-order",
     "verify-float-order", "formula-float-order", "formula-negative-order",
-    "perm-float-entry", "perm-str-entry", "region-float-bound", "region-str-bound",
+    "perm-float-entry", "perm-str-entry", "perm-none-word", "perm-int-word",
+    "region-float-bound", "region-str-bound",
 ])
 def test_integer_argument_is_not_coerced(call, args, kwargs, error):
     with pytest.raises(error):

@@ -1,6 +1,7 @@
 """Validation, reflection and the classical statistics."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -17,12 +18,23 @@ from asmc import (
     matrix_from_text,
     matrix_to_json,
     matrix_to_text,
+    pair_from_table,
     perm_matrix,
     perm_one_line,
     reflect,
+    restore,
     validate_asm,
 )
-from conftest import DIAMOND_ROWS, all_asm, one_minus
+from asmc.matrix import inversions
+from conftest import (
+    DIAMOND_ROWS,
+    all_asm,
+    dense_inversions,
+    dense_perm_matrix,
+    one_minus,
+    outcome,
+    random_valid_table,
+)
 
 
 def line_alternates(values):
@@ -144,8 +156,19 @@ class TestClassicalParams:
                 for l in range(j)
             )
 
-        for m in one_minus(4) + all_asm(3):
-            assert classical_params(m).i == double_sum(m)
+        for n in range(1, 5):
+            for m in all_asm(n):
+                assert classical_params(m).i == double_sum(m)
+
+    def test_inversions_match_the_dense_walk(self):
+        matrices = [m for n in range(1, 6) for m in all_asm(n)] + list(one_minus(6))
+        rng = random.Random(0)
+        for n in (25, rng.randint(26, 199), 200):
+            m = restore(pair_from_table(random_valid_table(rng, n)))
+            matrices += [m, reflect(m)]
+        for m in matrices:
+            assert inversions(m) == dense_inversions(m)
+        assert len(matrices) == 1 + 2 + 7 + 42 + 429 + len(one_minus(6)) + 6
 
     def test_permutation_inversions_match_pairwise_count(self):
         for word in itertools.permutations(range(1, 5)):
@@ -166,6 +189,37 @@ class TestClassicalParams:
             1 for a in range(7) for b in range(a + 1, 7) if word[a] > word[b]
         )
         assert classical_params(m).i == pairwise
+
+
+class TestPermMatrix:
+    """``perm_matrix`` checks the word, not the rows it writes; it must
+    accept exactly the words whose dense rows ``validate_asm`` accepts,
+    write the same matrix, and raise the same error on the others."""
+
+    def test_every_word_up_to_order_5(self):
+        accepted = 0
+        for n in range(6):
+            for word in itertools.product(range(1, n + 1), repeat=n):
+                got = outcome(perm_matrix, word)
+                assert got == outcome(dense_perm_matrix, word), word
+                accepted += got[0] is None
+        assert accepted == 1 + 2 + 6 + 24 + 120
+
+    def test_words_with_entries_out_of_range_or_not_int(self):
+        for n in range(1, 5):
+            for word in itertools.product((0, *range(1, n + 2), True, 1.0), repeat=n):
+                assert outcome(perm_matrix, word) == outcome(dense_perm_matrix, word), word
+
+    def test_corrupted_words_at_large_n(self):
+        rng = random.Random(0)
+        for n in (25, rng.randint(26, 199), 200):
+            word = rng.sample(range(1, n + 1), n)
+            assert perm_one_line(perm_matrix(word)) == tuple(word)
+            for _ in range(20):
+                bad = list(word)
+                p, q = rng.sample(range(n), 2)
+                bad[p], bad[q] = rng.choice([bad[q], rng.randint(0, n + 1), True, 1.0]), bad[p]
+                assert outcome(perm_matrix, bad) == outcome(dense_perm_matrix, bad), bad
 
 
 class TestFormats:
