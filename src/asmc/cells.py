@@ -43,7 +43,10 @@ Each fact about a matrix is computed once per value.  :func:`_keep`, the
 one memo helper, stores a fact on the frozen value it describes, outside
 the dataclass fields, so equality, hashing and repr never see it: the
 reader's result on an :class:`AsmMatrix`, and the mark of a mixed
-configuration that has passed validation.  The builders hold the points
+configuration known to be valid, set by ``paths.validate_config`` once
+its paths pass and by ``paths.config_from_table`` and
+``paths.dual_config`` on what they build from a table that passes
+``inv_table.table_valid``.  The builders hold the points
 of what they build: ``discharge._recharge`` and
 ``inv_table.pair_from_table`` hand them to :func:`_write`, and
 :func:`_reflect` keeps the reader's result on the mirrored points form

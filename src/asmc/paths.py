@@ -29,7 +29,16 @@ O(n) Python work on the O(n) runs of a configuration, beyond string
 operations on its step strings.  Only the renderers and the naming of a
 problem that validation has already found walk the vertices.  The
 special pair is located in one place, :func:`_special_k`, which also
-runs every check of a one-N configuration.
+checks that a configuration is valid and of the one-N shape.
+
+A configuration built from a table is valid exactly when the table is,
+so what this module builds is checked on its table instead of its paths:
+:func:`config_from_table` and :func:`dual_config` run the O(n)
+:func:`table_valid` and mark their output valid, and
+:func:`validate_config` returns a marked configuration at once.  The
+path check itself, :func:`_check_paths`, runs on caller input
+(:func:`config_from_json`, the CLI) and ignores the mark, so the
+exhaustive sweep still walks every configuration it builds.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from .errors import (
     NotOneNStep,
     ParseError,
 )
-from .inv_table import GenInvTable, ParamVector, gen_table, pair_from_table
+from .inv_table import GenInvTable, ParamVector, gen_table, pair_from_table, table_valid
 from .matrix import json_int
 from .neutral import NeutralPair
 
@@ -150,7 +159,23 @@ def validate_config(cfg: MixedConfiguration) -> MixedConfiguration:
 
     Checks the grid bounds, start vertices, Left-before-Right step order,
     the endpoint permutation and vertex-disjointness of the Left and the
-    Right sub-configurations.
+    Right sub-configurations, by :func:`_check_paths`.
+
+    A configuration found valid is marked (see ``cells._keep``) and
+    returned at once when checked again; a valid one has tuple starts and
+    string steps, so a tuple of its paths cannot change under the mark.
+    :func:`config_from_table` and :func:`dual_config` mark what they build
+    from a valid table without walking its paths.
+    """
+    if isinstance(cfg, MixedConfiguration) and cfg.__dict__.get("_valid"):
+        return cfg
+    return _marked(_check_paths(cfg))
+
+
+def _check_paths(cfg: MixedConfiguration) -> MixedConfiguration:
+    """The checks of :func:`validate_config` on the paths of ``cfg``,
+    whether or not it is marked; returns ``cfg`` or raises
+    :class:`MalformedConfiguration`.
 
     Every step moves x up or keeps it, and none lowers ``x - level``, so a
     path stays in the grid when its start has ``x >= 0``, its end has
@@ -158,15 +183,9 @@ def validate_config(cfg: MixedConfiguration) -> MixedConfiguration:
     levels, Left steps before Right ones) is at most n.  Two parts meet
     only if two of their runs on one level overlap.  The vertices of a
     path are walked only to name a problem these checks have found.
-
-    A configuration found valid is marked (see ``cells._keep``) and
-    returned at once when checked again; a valid one has tuple starts and
-    string steps, so a tuple of its paths cannot change under the mark.
     """
     if not isinstance(cfg, MixedConfiguration):
         raise MalformedConfiguration(f"expected a MixedConfiguration, got {type(cfg).__name__}")
-    if cfg.__dict__.get("_valid"):
-        return cfg
     if not isinstance(cfg.paths, (tuple, list)) or not all(isinstance(p, MixedPath) for p in cfg.paths):
         raise MalformedConfiguration("paths must be a tuple of MixedPath")
     problems: list[str] = []
@@ -218,7 +237,6 @@ def validate_config(cfg: MixedConfiguration) -> MixedConfiguration:
                     seen[v] = i
     if problems:
         raise MalformedConfiguration(*problems)
-    _keep(cfg, (cfg.paths,), _valid=True)
     return cfg
 
 
@@ -262,8 +280,39 @@ def config_from_pair(pair: NeutralPair) -> MixedConfiguration:
 
 def config_from_table(t: GenInvTable) -> MixedConfiguration:
     """Build the configuration straight from a generalized inversion
-    table (table validity is the caller's concern for round-trips; an
-    invalid table simply yields an invalid configuration)."""
+    table.
+
+    A configuration built this way is valid exactly when its table is, so
+    the table check (:func:`table_valid`, O(n)) stands in for the walk of
+    its paths: the configuration of a valid table is marked valid (see
+    :func:`validate_config`).  A table failing conditions 1-4 yields an
+    unmarked configuration that :func:`validate_config` rejects; one
+    failing condition 0 (not a table, or entries that are not
+    non-negative ``int``) raises :class:`InvalidTable`.
+
+    >>> cfg = config_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0))
+    >>> [p.steps for p in cfg.paths], vars(cfg)["_valid"]
+    (['', 'NF', 'ES'], True)
+    >>> bad = config_from_table(GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0))
+    >>> validate_config(bad)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    asmc.errors.MalformedConfiguration: Left parts of paths 2 and 3 meet at (1, 2); ...
+    >>> config_from_table(None)
+    Traceback (most recent call last):
+    asmc.errors.InvalidTable: condition 0: expected a GenInvTable, got NoneType
+    """
+    try:
+        table_valid(t)
+    except InvalidTable as exc:
+        if exc.condition == 0:
+            raise
+        return _build(t)
+    return _marked(_build(t))
+
+
+def _build(t: GenInvTable) -> MixedConfiguration:
+    """The paths of table ``t``, one per entry of ``a``; a valid
+    configuration exactly when ``t`` is a valid table."""
     n, k = t.n, t.k
     paths = []
     for i in range(1, n + 1):
@@ -276,6 +325,12 @@ def config_from_table(t: GenInvTable) -> MixedConfiguration:
             steps = "E" * a + "F" * (i - 1 - a)
         paths.append(MixedPath((0, i), steps))
     return MixedConfiguration(tuple(paths))
+
+
+def _marked(cfg: MixedConfiguration) -> MixedConfiguration:
+    """``cfg``, known to be valid, marked so (see :func:`validate_config`)."""
+    _keep(cfg, (cfg.paths,), _valid=True)
+    return cfg
 
 
 def table_from_config(cfg: MixedConfiguration) -> GenInvTable:
@@ -365,7 +420,14 @@ def dual_config(cfg: MixedConfiguration) -> MixedConfiguration:
     """Path duality: junctions, S-starts and N-ends move through
     :func:`_mirror`; an involution matching vertical reflection of the
     underlying matrix.  Defined for configurations with zero or one
-    N-step."""
+    N-step.
+
+    The dual is read off the junctions and special vertices of ``cfg``
+    and checked as a table, not by walking its paths: the dual table must
+    pass :func:`table_valid`, and with no N-step the mirrored junction x
+    of each path i must have ``0 <= x < i``.  Either failure is an
+    :class:`InternalInvariantViolation`; the output is marked valid.
+    """
     n_steps = validate_config(cfg).step_count("N")
     if n_steps == 1:
         k = _special_k(cfg)
@@ -375,20 +437,21 @@ def dual_config(cfg: MixedConfiguration) -> MixedConfiguration:
         )
     a = [_mirror(p.junction)[0] for p in cfg.paths]
     if n_steps == 0:
-        out = MixedConfiguration(tuple(
+        bad = next((i for i, x in enumerate(a, start=1) if not 0 <= x < i), None)
+        if bad is not None:
+            raise InternalInvariantViolation(f"dual junction of path {bad} is off the grid")
+        return _marked(MixedConfiguration(tuple(
             MixedPath((0, i), "E" * x + "F" * (i - 1 - x)) for i, x in enumerate(a, start=1)
-        ))
-    else:
-        s_start, n_end = _special_vertices(cfg, k)
-        new_ak1, top = sorted(a[k - 2 : k])
-        a[k - 2 : k] = new_ak1, _mirror(s_start)[0]
-        out = config_from_table(GenInvTable(
-            k=k, a=tuple(a), b=top - a[k - 1], beta=_mirror(n_end)[0] - new_ak1 - 1
-        ))
+        )))
+    s_start, n_end = _special_vertices(cfg, k)
+    new_ak1, top = sorted(a[k - 2 : k])
+    a[k - 2 : k] = new_ak1, _mirror(s_start)[0]
+    dual = GenInvTable(k=k, a=tuple(a), b=top - a[k - 1], beta=_mirror(n_end)[0] - new_ak1 - 1)
     try:
-        return validate_config(out)
-    except MalformedConfiguration as exc:
-        raise InternalInvariantViolation(f"dual configuration invalid: {exc.problems[0]}") from exc
+        table_valid(dual)
+    except InvalidTable as exc:
+        raise InternalInvariantViolation(f"dual table is invalid: {exc}") from exc
+    return _marked(_build(dual))
 
 
 # ---------------------------------------------------------------------------

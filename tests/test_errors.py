@@ -20,6 +20,7 @@ from asmc import (
     Region,
     SumViolation,
     charges,
+    config_from_table,
     distribution,
     dual_config,
     enumerate_asm,
@@ -57,11 +58,18 @@ DIAMOND_ROWS = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
     (table_valid, ((3, (0, 0, 1), 0, 0),), InvalidTable),
     (tuple_valid, (None,), InvalidTuple),
     (recharge, ((1, None, 0, 0),), InvalidTuple),
+    (config_from_table, (None,), InvalidTable),
+    (config_from_table, (GenInvTable(3, (0, 0, 1.0), 0, 0),), InvalidTable),
+    (config_from_table, (GenInvTable(3, (0, 0, True), 0, 0),), InvalidTable),
+    (config_from_table, (GenInvTable(3, [0, 0, 1], 0, 0),), InvalidTable),
+    (config_from_table, (GenInvTable(3, (0, 0, 1), -1, 0),), InvalidTable),
 ], ids=[
     "pair-of-rows", "pair-of-none", "table-a-none", "tuple-perm-none",
     "recharge-perm-none", "config-paths-none", "config-steps-none", "config-start-none",
     "decode-paths-none", "dual-steps-none", "config-none", "config-of-a-path",
     "table-none", "table-of-a-tuple", "tuple-none", "recharge-of-a-tuple",
+    "config-table-none", "config-table-float-entry", "config-table-bool-entry",
+    "config-table-list-a", "config-table-negative-b",
 ])
 def test_record_of_the_wrong_container_is_rejected(call, args, error):
     with pytest.raises(error) as info:

@@ -1,7 +1,8 @@
 """Facts kept on values by ``cells._keep``: what the points-form reader
 of ``asmc.cells`` reads off a matrix (its points form, landmarks, sign
 class, cell sums and charge), handed the points by the builders that hold
-them, and the mark of a mixed configuration that has passed validation.
+them, and the mark of a mixed configuration that has passed validation
+or was built from a valid table.
 
 Every kept matrix fact must equal the landmarks and cell sums searched and
 summed by definition on the dense rows (``conftest.dense_cells``), and a
@@ -17,12 +18,15 @@ import pytest
 
 from asmc import (
     AsmMatrix,
+    GenInvTable,
+    InvalidTable,
     MalformedConfiguration,
     MixedConfiguration,
     NeutralPair,
     SignClass,
     charges,
     config_from_pair,
+    config_from_table,
     config_params,
     dual_config,
     gen_table,
@@ -34,6 +38,7 @@ from asmc import (
     restore,
     sign_class,
     swap_charges,
+    table_valid,
     validate_config,
 )
 from conftest import dense_cells, one_minus, random_valid_table
@@ -60,23 +65,26 @@ def kept_facts(value) -> set[str]:
 
 def outputs(m: AsmMatrix):
     """``(name, value)`` for the outputs of ``neutralize``, ``restore``,
-    ``swap_charges``, ``pair_from_table`` and ``dual_config`` on fresh
-    copies of ``m`` and of its encodings."""
+    ``swap_charges``, ``pair_from_table``, ``config_from_pair`` and
+    ``dual_config`` on fresh copies of ``m`` and of its encodings."""
     pair = neutralize(AsmMatrix(m.rows))
     yield "neutralize", pair
     yield "restore", restore(NeutralPair(AsmMatrix(pair.matrix.rows), pair.charge))
     yield "swap_charges", swap_charges(AsmMatrix(m.rows))
     yield "pair_from_table", pair_from_table(gen_table(pair))
-    yield "dual_config", dual_config(config_from_pair(pair))
+    cfg = config_from_pair(NeutralPair(AsmMatrix(pair.matrix.rows), pair.charge))
+    yield "config_from_pair", cfg
+    yield "dual_config", dual_config(cfg)
 
 
 # the facts each output holds however it was built: a pair's matrix has
-# passed the pair's checks, and a dual configuration its self-check
+# passed the pair's checks, and a configuration the check of its table
 EXPECTED = {
     "neutralize": {"_cells"},
     "restore": {"_cells"},
     "swap_charges": {"_cells"},
     "pair_from_table": {"_cells"},
+    "config_from_pair": {"_valid"},
     "dual_config": {"_valid"},
 }
 
@@ -97,7 +105,7 @@ class TestKeptFactsOracle:
                 check_outputs(m, found)
                 matrices += 1
         assert matrices == 2617
-        assert found == {"_cells": 4 * matrices, "_valid": matrices}
+        assert found == {"_cells": 4 * matrices, "_valid": 2 * matrices}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sampled_tables_at_large_n(self, seed):
@@ -110,7 +118,24 @@ class TestKeptFactsOracle:
             found = Counter()
             check_outputs(m, found)
             check_outputs(reflect(m), found)
-            assert found["_valid"] == 2
+            assert found["_valid"] == 4
+
+    @pytest.mark.parametrize("t, condition", [
+        (GenInvTable(k=2, a=(0, 1, 0), b=0, beta=0), 1),
+        (GenInvTable(k=4, a=(0, 2, 0, 1), b=0, beta=0), 2),
+        (GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0), 3),
+        (GenInvTable(k=3, a=(0, 0, 1), b=0, beta=1), 4),
+        (GenInvTable(k=4, a=(0, 1, 0, 1), b=2, beta=0), 4),
+    ], ids=["condition-1", "condition-2", "condition-3", "condition-4-lower", "condition-4-upper"])
+    def test_configuration_of_an_invalid_table_keeps_nothing(self, t, condition):
+        with pytest.raises(InvalidTable) as info:
+            table_valid(t)
+        assert info.value.condition == condition
+        cfg = config_from_table(t)
+        assert kept_facts(cfg) == set()
+        with pytest.raises(MalformedConfiguration):
+            validate_config(cfg)
+        assert kept_facts(cfg) == set()
 
 
 class TestValueSemantics:

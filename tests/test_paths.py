@@ -2,7 +2,8 @@
 
 import hashlib
 import random
-from itertools import chain
+from collections import Counter
+from itertools import chain, product
 
 import pytest
 
@@ -10,6 +11,7 @@ import asmc.paths
 
 from asmc import (
     GenInvTable,
+    InvalidTable,
     MalformedConfiguration,
     MixedConfiguration,
     MixedPath,
@@ -26,6 +28,7 @@ from asmc import (
     gen_table,
     neutralize,
     pair_from_config,
+    pair_from_table,
     perm_table,
     perm_matrix,
     reflect,
@@ -33,9 +36,10 @@ from asmc import (
     render_ascii,
     render_svg,
     table_from_config,
+    table_valid,
     validate_config,
 )
-from asmc.verify import _iter_valid_tables
+from asmc.verify import _iter_valid_tables, run_property
 from conftest import TABLE12, one_minus, random_valid_table
 
 DIAMOND_TABLE = GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)
@@ -179,7 +183,10 @@ class TestValidation:
     def test_encoded_configurations_are_valid(self):
         for m in one_minus(4):
             cfg = config_from_pair(neutralize(m))
-            assert validate_config(cfg) is cfg
+            assert vars(cfg).get("_valid") is True
+            fresh = MixedConfiguration(cfg.paths)
+            assert validate_config(fresh) is fresh
+            assert asmc.paths._check_paths(cfg) is cfg
 
     def test_horizontal_identity_configuration(self):
         cfg = MixedConfiguration(
@@ -342,10 +349,12 @@ class TestJson:
 
 
 def problems_of(cfg):
-    """The problems :func:`validate_config` raises on ``cfg``, or [] when
-    it returns ``cfg``."""
+    """The problems :func:`validate_config` raises on an unmarked copy of
+    ``cfg``, or [] when it returns the copy: a configuration built from a
+    valid table is marked valid and would pass unchecked."""
+    fresh = MixedConfiguration(cfg.paths)
     try:
-        assert validate_config(cfg) is cfg
+        assert validate_config(fresh) is fresh
     except MalformedConfiguration as exc:
         assert str(exc) == "; ".join(exc.problems)
         return exc.problems
@@ -481,7 +490,8 @@ class TestValidationByRuns:
 
 class TestNoVertexWalks:
     """Validation, parameters and duality read valid configurations by
-    runs and step counts, without building their vertices."""
+    runs and step counts, without building their vertices; each call
+    takes an unmarked copy, so that validation runs."""
 
     def test_no_vertices_call_on_valid_configurations(self, monkeypatch):
         calls = 0
@@ -495,10 +505,144 @@ class TestNoVertexWalks:
         monkeypatch.setattr(MixedPath, "vertices", counting)
         rng = random.Random(60)
         for _ in range(5):
-            cfg = config_from_table(random_valid_table(rng, 60))
+            paths = config_from_table(random_valid_table(rng, 60)).paths
+            cfg = MixedConfiguration(paths)
             assert validate_config(cfg) is cfg
-            config_params(cfg)
-            dual_config(cfg)
+            config_params(MixedConfiguration(paths))
+            dual_config(MixedConfiguration(paths))
         assert calls == 0
         cfg.paths[-1].vertices()  # the counter sees a call
         assert calls == 1
+
+
+def table_outcome(t):
+    """The condition ``t`` fails, or None when :func:`table_valid` passes."""
+    try:
+        table_valid(t)
+    except InvalidTable as exc:
+        return exc.condition
+    return None
+
+
+def table_agrees_with_paths(t) -> bool:
+    """Whether ``config_from_table(t)`` is marked valid, and an unmarked
+    copy of it passes the path walk and has the one-N shape, exactly when
+    ``t`` passes :func:`table_valid`; returns whether it does."""
+    built = config_from_table(t)
+    ok = table_outcome(t) is None
+    assert vars(built).get("_valid") is (True if ok else None), t
+    assert ok == paths_pass(MixedConfiguration(built.paths)), t
+    return ok
+
+
+def paths_pass(cfg) -> bool:
+    """Whether ``cfg`` passes the path walk and has the one-N shape."""
+    try:
+        asmc.paths._check_paths(cfg)
+        asmc.paths._special_k(cfg)
+    except (MalformedConfiguration, NotOneNStep):
+        return False
+    return True
+
+
+def in_range_tables(n):
+    """Every table with 2 <= k <= n, 0 <= a_i < i and 0 <= b, beta < n."""
+    for a in product(*(range(i) for i in range(1, n + 1))):
+        for k, b, beta in product(range(2, n + 1), range(n), range(n)):
+            yield GenInvTable(k=k, a=a, b=b, beta=beta)
+
+
+def corrupt(t, rng):
+    """One seeded edit of a table keeping its entries non-negative ints:
+    k, one entry of a (mostly a_{k-1} or a_k), b or beta moved by a step
+    or onto the bound of its condition."""
+    n, k, a, b, beta = t.n, t.k, list(t.a), t.b, t.beta
+    kind = rng.randrange(4)
+    if kind == 0:
+        k = rng.choice((k - 1, k + 1, 2, n, n + 1, n + 2))
+    elif kind == 1:
+        i = rng.choice((k - 1, k, k, rng.randint(1, n)))
+        a[i - 1] = max(0, rng.choice((a[i - 1] - 1, a[i - 1] + 1, i - 1, i, i + 1, 0, a[k - 2])))
+    elif kind == 2:
+        b = max(0, rng.choice((b - 1, b + 1, k - 1 - a[k - 1])))
+    else:
+        beta = max(0, rng.choice((beta - 1, beta + 1, a[k - 1] + b - a[k - 2])))
+    return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
+
+
+class TestTableCheck:
+    """A configuration built from a table is valid exactly when the table
+    is, so the table check may stand in for the walk of its paths, and
+    marks the configuration of a valid table only."""
+
+    def test_every_in_range_table_up_to_order_5(self):
+        valid, seen = Counter(), 0
+        for n in (3, 4, 5):
+            for t in in_range_tables(n):
+                valid[n] += table_agrees_with_paths(t)
+                seen += 1
+        assert seen == 13260
+        assert valid == {3: 1, 4: 16, 5: 200}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_tables_at_large_n(self, seed):
+        rng = random.Random(seed)
+        outcomes = Counter()
+        for n in (25, rng.randint(26, 199), 200):
+            for _ in range(30):
+                t = corrupt(random_valid_table(rng, n), rng)
+                table_agrees_with_paths(t)
+                outcomes[table_outcome(t)] += 1
+        assert outcomes.keys() == {None, 1, 2, 3, 4}
+
+
+class TestPathWalks:
+    """The library walks no path of what it builds: ``config_from_pair``,
+    ``config_params``, ``dual_config`` and ``table_from_config`` run no
+    ``_check_paths`` on built configurations, and the paths-roundtrip
+    sweep runs one per matrix."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        count = Counter()
+        real = asmc.paths._check_paths
+
+        def counting(cfg):
+            count["walks"] += 1
+            return real(cfg)
+
+        monkeypatch.setattr(asmc.paths, "_check_paths", counting)
+        return count
+
+    @staticmethod
+    def encode(pair):
+        cfg = config_from_pair(pair)
+        dual = dual_config(cfg)
+        return config_params(cfg), table_from_config(cfg), table_from_config(dual)
+
+    def test_none_on_every_matrix_up_to_order_6(self, walks):
+        matrices = 0
+        for n in range(3, 7):
+            for m in one_minus(n):
+                self.encode(neutralize(m))
+                matrices += 1
+        assert matrices == 2617
+        assert walks["walks"] == 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_none_on_sampled_matrices_at_large_n(self, seed, walks):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            t = random_valid_table(rng, n)
+            params, table, dual = self.encode(pair_from_table(t))
+            assert (params, table, dual) == (table_params(t), t, dual_table(t))
+        assert walks["walks"] == 0
+
+    def test_one_per_record_in_the_roundtrip_sweep(self, walks):
+        result = run_property("paths-roundtrip", range(3, 6))
+        assert result.ok and result.checked == 217
+        assert walks["walks"] == 217
+        # the caller's own check still walks a marked configuration
+        cfg = config_from_table(TABLE12)
+        assert asmc.paths._check_paths(cfg) is cfg and validate_config(cfg) is cfg
+        assert walks["walks"] == 218
