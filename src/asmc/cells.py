@@ -36,8 +36,11 @@ n+1-first[q]``, the closing row taking ``n+1`` minus the closing
 column).  :func:`_points` is the one scan of the dense rows; it finds
 the points form and :func:`geometry` feeds it to the reader.
 :func:`_write` is the one writer: it checks a points form against the
-alternating laws in O(n log n) (:func:`_is_points_form`), writes its
-rows and keeps the reader's result on the matrix.
+alternating laws in O(n log n) (:func:`_is_points_form`), keeps the
+reader's result on the matrix it returns, and leaves its rows to be
+written by :func:`_rows` when first read (``matrix._OnDemand``).  Vertical
+reflection is a relabelling of the columns of the points form
+(:func:`_mirror`), so nothing here copies a reflected matrix.
 
 Each fact about a matrix is computed once per value.  :func:`_keep`, the
 one memo helper, stores a fact on the frozen value it describes, outside
@@ -46,21 +49,21 @@ reader's result on an :class:`AsmMatrix`, and the mark of a mixed
 configuration known to be valid, set by ``paths.validate_config`` once
 its paths pass and by ``paths.config_from_table`` and
 ``paths.dual_config`` on what they build from a table that passes
-``inv_table.table_valid``.  The builders hold the points
-of what they build: ``discharge._recharge`` and
-``inv_table.pair_from_table`` hand them to :func:`_write`, and
-:func:`_reflect` keeps the reader's result on the mirrored points form
-of the original.
+``inv_table.table_valid``.  The builders hold the points of what they
+build: the points forms of ``discharge._recharge`` and of
+``inv_table.pair_from_table`` go to :func:`_write`, and ``neutral``
+takes a negative matrix through the reader of its mirrored points form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
-from .matrix import _INT_ONLY, AsmMatrix, _refuse, _unit_rows, minus_count, reflect
+from .matrix import _INT_ONLY, AsmMatrix, _on_demand, _refuse, _unit_rows, minus_count
 
 
 class SignClass(Enum):
@@ -244,30 +247,29 @@ def _is_points_form(first: tuple[int, ...], closing_row: int, opening_col: int, 
     )
 
 
-def _write(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
-    """The one writer of a one-minus matrix: the rows of the matrix with
-    points form ``(first, closing_row, opening_col, closing_col)``, checked
-    on the form (:func:`_is_points_form`), with :func:`_read` of the form
-    kept on it.  The rows of a form the check rejects are handed to
-    ``validate_asm``, which names what is wrong."""
+def _rows(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> list[tuple[int, ...]]:
+    """The dense rows of the points form ``(first, closing_row,
+    opening_col, closing_col)``, written as given, whether or not it is
+    one."""
     rows = _unit_rows(first, len(first))
     line = list(rows[closing_row - 1])
     line[opening_col - 1] = -1
     line[closing_col - 1] = 1
     rows[closing_row - 1] = tuple(line)
-    if not _is_points_form(first, closing_row, opening_col, closing_col):
-        _refuse(rows)
-    out = AsmMatrix(tuple(rows))
-    _keep(out, out.rows, _cells=_read(first, closing_row, opening_col, closing_col))
-    return out
+    return rows
 
 
-def _reflect(a: AsmMatrix) -> AsmMatrix:
-    """``reflect(a)`` with the reader's result on the mirrored points form
-    of ``a`` kept on it, instead of a scan of the copy."""
-    out = reflect(a)
-    _keep(out, out.rows, _cells=_read(*_mirror(*_cells(a).points)))
-    return out
+def _write(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
+    """The one writer of a one-minus matrix: the matrix with points form
+    ``(first, closing_row, opening_col, closing_col)``, checked on the form
+    (:func:`_is_points_form`), its rows written by :func:`_rows` when first
+    read, with :func:`_read` of the form kept on it.  The rows of a form
+    the check rejects are handed to ``validate_asm``, which names what is
+    wrong."""
+    form = (tuple(first), closing_row, opening_col, closing_col)
+    if not _is_points_form(*form):
+        _refuse(_rows(*form))
+    return _on_demand(partial(_rows, *form), len(first), _cells=_read(*form))
 
 
 def sign_class(a: AsmMatrix) -> SignClass:

@@ -24,11 +24,14 @@ After step 1 every row holds one 1, so the steps act on the list of the
 n 1s of the matrix as ``(row, column)`` points, and end on the one-line
 word of the permutation; each step is linear in n.  Those points are the
 ``first`` of the matrix's points form, which :mod:`asmc.cells` keeps
-with its landmarks and cell sums, so step 1 scans no row.  Only a matrix
-that is returned is written out densely, by the one writer of each
-kind, which checks it on the points it was handed: ``matrix.perm_matrix``
-for a permutation, and ``cells._write`` for a recharged matrix, which
-keeps on it every landmark and cell sum of those points.
+with its landmarks and cell sums, so step 1 scans no row.  Recharging
+ends on the points form of the matrix it rebuilds (:func:`_recharge`),
+which ``neutral`` works on without writing it.  Only a matrix that is
+returned is built, by the one writer of each kind, which checks it on
+the points it was handed: ``matrix.perm_matrix`` for a permutation, and
+``cells._write`` for a recharged matrix, which keeps on it every
+landmark and cell sum of those points.  Neither writes the dense rows
+until they are read.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cells import SignClass, _Cells, _cells, _write
+from .cells import SignClass, _Cells, _cells, _PointsForm, _write
 from .displacement import Point, Region, _displace
 from .errors import (
     BadArgument,
@@ -235,11 +238,12 @@ def _word_valid(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) ->
 def recharge(t: DischargeTuple) -> AsmMatrix:
     """Inverse of :func:`discharge`; raises :class:`InvalidTuple` when the
     tuple fails a membership condition."""
-    return _recharge(*_fields(t))
+    return _write(*_recharge(*_fields(t)))
 
 
-def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> AsmMatrix:
-    """:func:`recharge` of ``(k, P, c, E)`` given the one-line word of P."""
+def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> _PointsForm:
+    """The points form of :func:`recharge` of ``(k, P, c, E)`` given the
+    one-line word of P."""
     _word_valid(n, word, k, c, e)
     j = word[k - 1]  # opening column
 
@@ -285,4 +289,4 @@ def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> A
     if {(closing_row, j), (closing_row, closing_col)} & set(points):
         raise InternalInvariantViolation("closing row positions are not free")
     # the points left are the first 1 of every row of the matrix
-    return _write(tuple([col for _, col in sorted(points)]), closing_row, j, closing_col)
+    return tuple([col for _, col in sorted(points)]), closing_row, j, closing_col

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     AlternationViolation,
@@ -53,10 +54,21 @@ class AsmMatrix:
     * :func:`perm_matrix` checks that a one-line word is a permutation;
     * ``cells._write`` checks the points form of a one-minus matrix.
 
-    The last two check in O(n log n) and then write the rows straight
-    from the word or form; on one they reject they raise what
-    :func:`validate_asm` raises on its dense rows.  :func:`reflect` and
-    ``enumerate_asm`` build matrices valid by construction.
+    The last two check in O(n log n); on an input they reject they raise
+    what :func:`validate_asm` raises on its dense rows.  On one they
+    accept they return a matrix whose rows are written from the word or
+    form the first time ``rows`` is read (:class:`_OnDemand`): the row
+    writer and the order are kept outside the dataclass fields, and
+    equality, hashing and repr read ``rows``, so a matrix means the same
+    however it was built.  :func:`reflect` and ``enumerate_asm`` build
+    matrices valid by construction.
+
+    >>> from asmc import GenInvTable, pair_from_table
+    >>> m = pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)).matrix
+    >>> 'rows' in vars(m), m.n
+    (False, 3)
+    >>> m == AsmMatrix(((0, 1, 0), (1, -1, 1), (0, 1, 0))), 'rows' in vars(m)
+    (True, True)
     """
 
     rows: Grid
@@ -231,7 +243,8 @@ def perm_matrix(word: Sequence[int]) -> AsmMatrix:
     """Permutation matrix from a 1-based one-line word.
 
     The word is checked to be a permutation of ``1..n`` made of ``int``s,
-    in O(n log n), and the rows are written as unit tuples.  Any other
+    in O(n log n), and the rows are written as unit tuples when first
+    read (see :class:`AsmMatrix`).  Any other
     word is written densely, an entry that is not an ``int`` in ``1..n``
     leaving its row zero, and :func:`validate_asm` names what is wrong.
     """
@@ -240,7 +253,7 @@ def perm_matrix(word: Sequence[int]) -> AsmMatrix:
     except TypeError as exc:
         raise NotSquare(f"expected a one-line word, got {type(word).__name__}") from exc
     if n and _INT_ONLY.issuperset(map(type, word)) and sorted(word) == list(range(1, n + 1)):
-        return AsmMatrix(tuple(_unit_rows(word, n)))
+        return _on_demand(partial(_unit_rows, tuple(word), n), n)
     rows = [[0] * n for _ in word]
     for row, c in zip(rows, word):
         if type(c) is int and 1 <= c <= n:
@@ -258,6 +271,58 @@ def _unit_rows(cols: Iterable[int], n: int) -> list[tuple[int, ...]]:
         rows.append(tuple(line))
         line[c - 1] = 0
     return rows
+
+
+class _OnDemand(AsmMatrix):
+    """An :class:`AsmMatrix` whose rows are not written yet.  It keeps a
+    row writer (``_writer``) and its order (``_n``) outside the dataclass
+    fields; the first read of ``rows``, and equality, hashing and repr,
+    which read them, write the rows, store them, and make the value a
+    plain :class:`AsmMatrix` (:func:`_written`).  Two threads that race
+    there store equal rows.
+
+    The ``__getattr__`` hook lives on this class and not on
+    :class:`AsmMatrix`: on a class with the hook CPython reads every
+    attribute of an instance the slow way, so the ``rows`` of every dense
+    matrix would be read several times slower.
+    """
+
+    def __getattr__(self, name: str):
+        # reached only when ``name`` is missing from the instance
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return _written(self).rows
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    def __eq__(self, other):
+        return _written(self) == other
+
+    def __hash__(self) -> int:
+        return hash(_written(self))
+
+    def __repr__(self) -> str:
+        return repr(_written(self))
+
+
+def _on_demand(writer: Callable[[], list[tuple[int, ...]]], n: int, **facts) -> AsmMatrix:
+    """The order ``n`` matrix whose rows ``writer()`` writes on their first
+    read, a writer that pickles (a ``partial`` of a module-level function
+    of values that cannot change), with ``facts`` kept on it as
+    ``cells._keep`` keeps them."""
+    a = object.__new__(_OnDemand)
+    vars(a).update(_writer=writer, _n=n, **facts)
+    return a
+
+
+def _written(a: _OnDemand) -> AsmMatrix:
+    """``a`` with its rows written and stored, now a plain
+    :class:`AsmMatrix`."""
+    object.__setattr__(a, "rows", tuple(a._writer()))  # through a list, as in validate_asm
+    object.__setattr__(a, "__class__", AsmMatrix)
+    return a
 
 
 def _refuse(rows: list[Sequence[int]]) -> NoReturn:

@@ -10,23 +10,23 @@ involution; conjugated back to matrices it swaps the electric and the
 magnetic charge while fixing everything else (r, i, J and the rows down
 to the opening row).
 
-Both directions discharge and recharge on the one-line word of the
-permutation in between; only the matrix returned is built, and it is
-checked on its points.  Every landmark and cell sum is read off the
-points form of a matrix by the one reader of :mod:`asmc.cells` and kept
-on the matrix (``cells._cells``): ``discharge._recharge`` and
-``inv_table.pair_from_table`` build their matrices from points through
-``cells._write``, which keeps those facts, so :class:`NeutralPair`
-checks its invariants from facts already known.  A negative matrix is
-taken through ``cells._reflect``, which reads the mirrored points form
-instead of scanning the reflected copy.
+Both directions run on points forms from end to end: they discharge
+and recharge on the one-line word of the permutation in between, and
+only the matrix returned is built, by ``cells._write``, which checks it
+on its points and writes its rows when they are first read.  Every
+landmark and cell sum is read off the points form of a matrix by the one
+reader of :mod:`asmc.cells` and kept on the matrix (``cells._cells``),
+so :class:`NeutralPair` checks its invariants from facts already known.
+A negative matrix, or a negative charge, is taken through the mirrored
+points form (``cells._mirror``): the non-negative path runs on it and
+its result is mirrored back, so no reflected matrix is ever written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellSums, SignClass, _cells, _reflect
+from .cells import CellSums, SignClass, _Cells, _cells, _mirror, _PointsForm, _read, _write
 from .discharge import _discharge_word, _recharge
 from .errors import InvalidPair, NotOneMinus
 from .matrix import AsmMatrix, json_int, matrix_from_json, matrix_to_json
@@ -84,25 +84,35 @@ def neutralize(a: AsmMatrix) -> NeutralPair:
     cells = _cells(a)  # raises NotOneMinus
     if cells.sign is SignClass.NEUTRAL:
         return NeutralPair(a, 0)
+    return NeutralPair(_write(*_neutralized(cells)), cells.e)
+
+
+def _neutralized(cells: _Cells) -> _PointsForm:
+    """The points form of the neutral matrix of :func:`neutralize`, for a
+    positive or negative matrix with these cells; a negative one through
+    its mirrored points form."""
     if cells.sign is SignClass.NEGATIVE:
-        mirrored = neutralize(_reflect(a))
-        return NeutralPair(_reflect(mirrored.matrix), -mirrored.charge)
+        return _mirror(*_neutralized(_read(*_mirror(*cells.points))))
     k = cells.geometry.opening_row
-    neutral = _recharge(a.n, _discharge_word(cells), k, cells.sums.c + cells.e, 0)
-    return NeutralPair(neutral, cells.e)
+    return _recharge(len(cells.first), _discharge_word(cells), k, cells.sums.c + cells.e, 0)
 
 
 def restore(pair: NeutralPair) -> AsmMatrix:
     """Inverse of :func:`neutralize`."""
     if pair.charge == 0:
         return pair.matrix
-    m = pair.matrix
-    if pair.charge < 0:
-        return _reflect(restore(NeutralPair(_reflect(m), -pair.charge)))
-    # the pair's matrix is neutral: its discharge has charge 0 and closing sum c
-    cells = _cells(m)
+    return _write(*_restored(_cells(pair.matrix), pair.charge))
+
+
+def _restored(cells: _Cells, charge: int) -> _PointsForm:
+    """The points form of :func:`restore` of the pair of the neutral
+    matrix with these cells and a nonzero charge; a negative charge
+    through the mirrored points form, where it is positive."""
+    if charge < 0:
+        return _mirror(*_restored(_read(*_mirror(*cells.points)), -charge))
+    # the matrix is neutral: its discharge has charge 0 and closing sum c
     word = _discharge_word(cells)
-    return _recharge(m.n, word, cells.geometry.opening_row, cells.sums.c - pair.charge, pair.charge)
+    return _recharge(len(cells.first), word, cells.geometry.opening_row, cells.sums.c - charge, charge)
 
 
 def flip_charge(pair: NeutralPair) -> NeutralPair:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from typing import Iterator
 
 from .cells import _keep
 from .errors import (
@@ -80,11 +81,15 @@ class MixedPath:
         # tuple built straight from zip is grown by resizing, and once freed
         # it joins CPython's free list for its length (up to 2,000 per
         # length), which only a full garbage collection empties.
+        return tuple(list(self._walk()))
+
+    def _walk(self) -> Iterator[Vertex]:
+        """The vertices, one at a time."""
         x, level = self.start
-        return tuple(list(zip(
+        return zip(
             accumulate(map(_DX.__getitem__, self.steps), initial=x),
             accumulate(map(_DL.__getitem__, self.steps), initial=level),
-        )))
+        )
 
     def vertex_at(self, pos: int) -> Vertex:
         """The vertex reached after the first ``pos`` steps, read off the
@@ -182,7 +187,8 @@ def _check_paths(cfg: MixedConfiguration) -> MixedConfiguration:
     ``x < level`` and its top level (the higher of its start and end
     levels, Left steps before Right ones) is at most n.  Two parts meet
     only if two of their runs on one level overlap.  The vertices of a
-    path are walked only to name a problem these checks have found.
+    path are walked only to name a problem these checks have found, and
+    an off-grid path only up to its first vertex off the grid.
     """
     if not isinstance(cfg, MixedConfiguration):
         raise MalformedConfiguration(f"expected a MixedConfiguration, got {type(cfg).__name__}")
@@ -209,7 +215,7 @@ def _check_paths(cfg: MixedConfiguration) -> MixedConfiguration:
             problems.append(f"path {i}: Left step {late[0]!r} after a Right step")
         (x0, l0), (x1, l1) = p.start, p.end
         if late or x0 < 0 or x1 >= l1 or max(l0, l1) > n:
-            bad = next((v for v in p.vertices() if not 0 <= v[0] < v[1] <= n), None)
+            bad = next((v for v in p._walk() if not 0 <= v[0] < v[1] <= n), None)
             if bad is not None:
                 problems.append(f"path {i} leaves the grid at ({bad[0]},{bad[1]})")
         ends.append((x1, l1))

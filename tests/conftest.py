@@ -288,23 +288,30 @@ ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
 def order7_calls():
     """One walk over all order-7 one-minus matrices, counting ``_points``
     (the one dense scan of a one-minus matrix), ``_is_points_form`` (the
-    check of a written one) and ``validate_asm`` calls in every ``asmc``
-    module that binds them.
+    check of a written one), ``validate_asm`` and ``reflect`` (a dense
+    reflected copy) calls in every ``asmc`` module that binds them.
 
     Returns the modules wrapped for each name, the number of matrices,
     the total ``_points`` calls of each operation in ``ORDER7_SCANS``, and
-    the most ``_is_points_form`` calls (``most``) and ``validate_asm``
-    calls (``dense``) of one call of each operation in
-    ``ORDER7_VALIDATIONS``. The wrapping is undone before the tests read it.
+    the most ``_is_points_form`` calls (``most``), ``validate_asm`` calls
+    (``dense``) and ``reflect`` calls (``reflects``) of one call of each
+    operation in ``ORDER7_VALIDATIONS``. The wrapping is undone before the
+    tests read it.
     Each operation takes a fresh copy of the matrix, so the landmarks one
     operation keeps on it do not hide the scans of the next.
     """
-    counted = ((asmc.cells, "_points"), (asmc.cells, "_is_points_form"), (asmc.matrix, "validate_asm"))
+    counted = (
+        (asmc.cells, "_points"),
+        (asmc.cells, "_is_points_form"),
+        (asmc.matrix, "validate_asm"),
+        (asmc.matrix, "reflect"),
+    )
     calls = dict.fromkeys([name for _, name in counted], 0)
     wrapped = {}
     scans = dict.fromkeys(ORDER7_SCANS, 0)
     most = dict.fromkeys(ORDER7_VALIDATIONS, 0)
     dense = dict.fromkeys(ORDER7_VALIDATIONS, 0)
+    reflects = dict.fromkeys(ORDER7_VALIDATIONS, 0)
 
     def run(name, arg):
         calls.update(dict.fromkeys(calls, 0))
@@ -314,6 +321,7 @@ def order7_calls():
         if name in most:
             most[name] = max(most[name], calls["_is_points_form"])
             dense[name] = max(dense[name], calls["validate_asm"])
+            reflects[name] = max(reflects[name], calls["reflect"])
         return out
 
     matrices = 0
@@ -335,4 +343,6 @@ def order7_calls():
             run("restore", run("neutralize", AsmMatrix(m.rows)))
             run("swap_charges", AsmMatrix(m.rows))
             matrices += 1
-    return SimpleNamespace(wrapped=wrapped, matrices=matrices, scans=scans, most=most, dense=dense)
+    return SimpleNamespace(
+        wrapped=wrapped, matrices=matrices, scans=scans, most=most, dense=dense, reflects=reflects
+    )

@@ -22,13 +22,14 @@ from asmc import (
     sign_class,
     validate_asm,
 )
-from asmc.cells import _cells, _mirror, _points, _read, _reflect, _write
+from asmc.cells import _cells, _mirror, _points, _read, _write
 from conftest import ORDER7_SCANS, dense_cells, dense_write, one_minus, outcome, random_valid_table
 
 
 def check_reader(a: AsmMatrix) -> None:
-    """The points-form reader, the public readers and ``_reflect`` on ``a``
-    against the landmarks and sums searched on the dense rows."""
+    """The points-form reader, the public readers and the reader of the
+    mirrored points form on ``a`` against the landmarks and sums searched
+    on the dense rows."""
     expected = dense_cells(a)
     first, g, sign, sums, e = expected
     points = _points(a)
@@ -41,7 +42,7 @@ def check_reader(a: AsmMatrix) -> None:
         assert cell_sums(a) == sums
     mirror = reflect(a)
     assert _mirror(*points) == _points(mirror)
-    assert tuple(vars(_reflect(AsmMatrix(a.rows)))["_cells"]) == dense_cells(mirror)
+    assert tuple(_read(*_mirror(*_points(AsmMatrix(a.rows))))) == dense_cells(mirror)
 
 
 class TestPointsReader:

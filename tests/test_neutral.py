@@ -143,7 +143,8 @@ class TestChargeSwap:
 class TestValidationsPerCall:
     """The points check runs only on the matrices an encoding returns:
     discharging and recharging in between act on the permutation word,
-    and no encoding runs the dense ``validate_asm``."""
+    and no encoding runs the dense ``validate_asm`` or reflects a dense
+    matrix."""
 
     def test_at_most_one_per_returned_matrix_at_order_7(self, order7_calls):
         assert sys.modules["asmc.cells"] in order7_calls.wrapped["_is_points_form"]
@@ -151,3 +152,9 @@ class TestValidationsPerCall:
         assert order7_calls.matrices == 29400
         assert order7_calls.most == ORDER7_VALIDATIONS
         assert order7_calls.dense == dict.fromkeys(ORDER7_VALIDATIONS, 0)
+
+    def test_no_reflected_copy_at_order_7(self, order7_calls):
+        """A negative matrix is taken through its mirrored points form."""
+        assert asmc.matrix in order7_calls.wrapped["reflect"]
+        assert order7_calls.matrices == 29400
+        assert order7_calls.reflects == dict.fromkeys(ORDER7_VALIDATIONS, 0)

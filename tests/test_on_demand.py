@@ -1,0 +1,235 @@
+"""Matrices written on demand: ``cells._write`` and ``perm_matrix`` check
+a points form or a one-line word and return a matrix whose dense rows are
+written the first time ``rows`` is read.
+
+Those rows must be the rows the dense writers of ``conftest`` write, the
+matrix must mean what its dense twin means (equality, hashing, repr,
+pickling and copying), and the encodings must write no rows and reflect
+no matrix before a caller reads one.
+"""
+
+import copy
+import dataclasses
+import pickle
+import random
+import sys
+import threading
+from collections import Counter
+
+import pytest
+
+import asmc
+import asmc.cells
+import asmc.matrix
+from asmc import (
+    AsmMatrix,
+    NeutralPair,
+    SignClass,
+    neutralize,
+    pair_from_table,
+    partial_discharge,
+    perm_matrix,
+    perm_one_line,
+    reflect,
+    restore,
+    sign_class,
+    swap_charges,
+)
+from asmc.cells import _cells, _write
+from asmc.matrix import _OnDemand
+from conftest import dense_perm_matrix, dense_write, one_minus, random_valid_table
+
+
+def unread(a: AsmMatrix) -> bool:
+    return "rows" not in vars(a)
+
+
+def check_written(a: AsmMatrix) -> None:
+    """``a`` is a one-minus matrix written on demand and not read yet; its
+    rows, and those of the permutation its discharge leaves, equal the
+    dense writers' rows."""
+    assert unread(a)
+    form = _cells(a).points
+    assert a.n == len(form[0]) and unread(a)
+    assert a.rows == dense_write(*form).rows
+    if sign_class(a) is not SignClass.NEGATIVE:
+        p = partial_discharge(a)
+        assert unread(p)
+        assert p.rows == dense_perm_matrix(perm_one_line(p)).rows
+
+
+def check_outputs(m: AsmMatrix) -> None:
+    """The points form of ``m`` written again, and the outputs of the
+    encodings on a dense copy of ``m``, against the dense writers."""
+    check_written(_write(*_cells(m).points))
+    pair = neutralize(AsmMatrix(m.rows))
+    if pair.charge:
+        check_written(pair.matrix)
+        check_written(restore(NeutralPair(AsmMatrix(pair.matrix.rows), pair.charge)))
+        check_written(swap_charges(AsmMatrix(m.rows)))
+
+
+class TestRowsOracle:
+    def test_every_one_minus_matrix_and_its_reflection_up_to_order_6(self):
+        matrices = 0
+        for n in range(3, 7):
+            for m in one_minus(n):
+                check_outputs(m)
+                check_outputs(reflect(m))
+                matrices += 1
+        assert matrices == 2617
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_tables_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            m = restore(pair_from_table(random_valid_table(rng, n)))
+            check_written(m)
+            check_outputs(m)
+            check_outputs(reflect(m))
+
+    def test_permutation_words_up_to_order_5(self):
+        rng = random.Random(5)
+        for n in range(1, 6):
+            for _ in range(20):
+                word = rng.sample(range(1, n + 1), n)
+                p = perm_matrix(word)
+                word.reverse()  # the matrix keeps its own copy of the word
+                assert unread(p) and p.n == n
+                assert p.rows == dense_perm_matrix(word[::-1]).rows
+
+
+@pytest.fixture(scope="module")
+def written():
+    """Builders of a one-minus matrix and of a permutation matrix written
+    on demand, each with its dense twin."""
+    m = restore(pair_from_table(random_valid_table(random.Random(2), 40)))
+    form = _cells(m).points
+    word = perm_one_line(partial_discharge(m if sign_class(m) is SignClass.POSITIVE else reflect(m)))
+    return (
+        (lambda: _write(*form), dense_write(*form)),
+        (lambda: perm_matrix(word), dense_perm_matrix(word)),
+    )
+
+
+class TestValueSemantics:
+    def test_equals_its_dense_twin_with_equal_hash_and_repr(self, written):
+        for build, twin in written:
+            assert unread(build())
+            assert build() == twin and twin == build() and build() == build()
+            assert not build() != twin and not twin != build()
+            assert hash(build()) == hash(twin)
+            assert repr(build()) == repr(twin)
+            assert str(build()) == str(twin)
+            assert list(build()) == list(twin.rows)
+            assert build().entry(2, 3) == twin.entry(2, 3)
+            assert (build(), 1) == (twin, 1) and {build(), twin} == {twin}
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy", "replace"])
+    def test_round_trips(self, written, how, read):
+        for build, twin in written:
+            b = build()
+            if read:
+                b.rows
+            c = {
+                "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                "deepcopy": copy.deepcopy,
+                "replace": dataclasses.replace,
+            }[how](b)
+            assert isinstance(c, AsmMatrix)
+            if how != "replace":
+                assert unread(c) is unread(b)
+            assert c == twin and hash(c) == hash(twin) and c.n == twin.n
+
+    def test_threads_read_the_rows_at_once(self, written):
+        """More readers than cores, switching often: every read returns the
+        dense rows and none raises."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for build, twin in written:
+                for _ in range(10):
+                    b = build()
+                    start = threading.Barrier(4)
+                    got, errors = [], []
+
+                    def read():
+                        try:
+                            start.wait(timeout=10)
+                            got.append(b.rows)
+                        except Exception as exc:  # reported below
+                            errors.append(exc)
+
+                    threads = [threading.Thread(target=read) for _ in range(4)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=10)
+                    assert not any(t.is_alive() for t in threads)
+                    assert errors == [] and got == [twin.rows] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_missing_attributes_still_raise(self, written):
+        a = written[0][0]()
+        with pytest.raises(AttributeError):
+            a.columns
+        assert not hasattr(a, "__deepcopy__")
+        with pytest.raises(AttributeError):
+            object.__new__(_OnDemand).rows  # no writer
+
+
+class TestNoDenseWork:
+    """At n=500 the encodings build every matrix on its points: they write
+    no dense rows (``_unit_rows`` calls) and reflect no matrix, and each
+    matrix they return writes its rows once, on the first read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((asmc.matrix, "_unit_rows"), (asmc.matrix, "reflect")):
+            real = getattr(module, name)
+
+            def counting(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            bound = [mod for key, mod in sys.modules.items()
+                     if key.split(".")[0] == "asmc" and getattr(mod, name, None) is real]
+            assert asmc.matrix in bound
+            for mod in bound:
+                monkeypatch.setattr(mod, name, counting)
+        assert asmc.cells._unit_rows is asmc.matrix._unit_rows
+        return calls
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_tables_at_order_500(self, seed, calls):
+        rng = random.Random(seed)
+        t = random_valid_table(rng, rng.randint(490, 510))
+        signs = Counter()
+
+        def built(value) -> AsmMatrix:
+            a = value.matrix if isinstance(value, NeutralPair) else value
+            assert calls == {} and unread(a)
+            a.rows
+            assert calls == {"_unit_rows": 1}
+            a.rows
+            assert calls == {"_unit_rows": 1}
+            calls.clear()
+            return a
+
+        pair = pair_from_table(t)
+        assert pair.charge
+        built(pair)
+        m = built(restore(pair))
+        mirror = reflect(m)
+        calls.clear()
+        for a in (m, mirror):
+            signs[sign_class(a)] += 1
+            dense = AsmMatrix(a.rows)
+            image = neutralize(dense)
+            built(image)
+            built(restore(NeutralPair(AsmMatrix(image.matrix.rows), image.charge)))
+            built(swap_charges(dense))
+        assert signs == {SignClass.POSITIVE: 1, SignClass.NEGATIVE: 1}

@@ -514,6 +514,18 @@ class TestNoVertexWalks:
         cfg.paths[-1].vertices()  # the counter sees a call
         assert calls == 1
 
+    def test_off_grid_path_named_without_building_its_vertices(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("vertices built")
+
+        monkeypatch.setattr(MixedPath, "vertices", refuse)
+        # a_1 = 10**6 draws path 1 a million E-steps long; its first step
+        # leaves the grid
+        cfg = config_from_table(GenInvTable(3, (10**6, 0, 1), 0, 0))
+        with pytest.raises(MalformedConfiguration) as exc:
+            validate_config(cfg)
+        assert "path 1 leaves the grid at (1,1)" in exc.value.problems
+
 
 def table_outcome(t):
     """The condition ``t`` fails, or None when :func:`table_valid` passes."""
