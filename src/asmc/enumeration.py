@@ -17,25 +17,42 @@ row also records the column of its first 1 and the inversions it makes
 with the rows above, whose column sums are the state's bits.  A key
 among E, B and J restricts the count to one-minus matrices, which it
 sums over the space of generalized inversion tables instead
-(:mod:`asmc.inv_table`).  The enumeration stays the oracle that both
-counts are tested against.
+(:mod:`asmc.inv_table`), in closed form per value of J.  The enumeration
+stays the oracle that both counts are tested against.
+
+Both counts carry the distribution of i as one packed ``int``, the
+q-counting of Mills, Robbins and Rumsey (1983): the coefficient of
+``q^i`` sits in bits ``[width*i, width*(i+1))``, where ``width`` is one
+bit more than the bit length of a bound on every coefficient
+(``formula_count(n)`` for the transfer count, ``n! C(n,3)/6`` for the
+table space).  Multiplying by ``q^m`` is then
+a left shift by ``width*m`` and adding two distributions is ``+``, both
+in C; :func:`_unpack` reads the coefficients into the result once.  When
+i is not asked for, width is 0: q = 1 and every polynomial is a count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .cells import SignClass, sign_class
 from .errors import BadArgument, CapExceeded
-from .inv_table import _table_space_distribution
+from .inv_table import _table_space_distribution, _width
 from .matrix import AsmMatrix
 
 DEFAULT_CAP = 7
 
 DISTRIBUTION_KEYS = ("r", "s", "i", "E", "B", "J")
+
+# the most keys a distribution may predict; see distribution
+MAX_DISTRIBUTION_KEYS = 10**7
+
+# coefficients per chunk of a packed polynomial; see _unpack
+_CHUNK = 64
 
 
 def formula_count(n: int) -> int:
@@ -141,7 +158,17 @@ def distribution(
 
     ``keys`` is a subset of r, s, i, E, B, J (in the order the result
     tuples use them).  Requesting any of E/B/J restricts the count to
-    matrices with exactly one -1, where those statistics live.
+    matrices with exactly one -1, where those statistics live.  A request
+    whose predicted number of keys (the product of the value ranges of
+    the statistics asked for) exceeds ``MAX_DISTRIBUTION_KEYS`` raises
+    :class:`BadArgument` before any counting.
+
+    >>> sorted(distribution(4, ["r"]).items())
+    [((0,), 7), ((1,), 14), ((2,), 14), ((3,), 7)]
+    >>> sorted(distribution(4, ["E", "B"]).items())
+    [((-1, 0), 2), ((0, -1), 2), ((0, 0), 8), ((0, 1), 2), ((1, 0), 2)]
+    >>> sum(distribution(4, ["J"]).values())
+    16
     """
     keys = tuple(keys)
     for key in keys:
@@ -150,36 +177,97 @@ def distribution(
     if not keys:
         raise BadArgument("at least one statistic is required")
     _check_order(n, cap)
-    if any(k in ("E", "B", "J") for k in keys):
-        return _table_space_distribution(n, keys)
-    return _transfer_distribution(n, keys)
+    predicted = _predicted_keys(n, keys)
+    if predicted > MAX_DISTRIBUTION_KEYS:
+        raise BadArgument(
+            f"distribution({n}, {keys}) predicts {predicted} keys, over {MAX_DISTRIBUTION_KEYS}"
+        )
+    charged = any(k in ("E", "B", "J") for k in keys)
+    engine = _table_space_distribution if charged else _transfer_distribution
+    return _unpack(*engine(n, keys), keys)
 
 
-def _transfer_distribution(n: int, keys: tuple[str, ...]) -> Counter:
-    """:func:`distribution` over r, s and i, by a transfer count.
+def _predicted_keys(n: int, keys: tuple[str, ...]) -> int:
+    """A bound on the number of keys :func:`distribution` returns: the
+    product of the value ranges of the distinct statistics asked for,
+    s being 1 under a charge key.  Over order-n ASMs r lies in [0, n-1],
+    s in [0, (n-1)^2/4] and i in [0, C(n,2)]; over one-minus ones E and B
+    lie in [3-n, n-3] and J in [1, n-2]."""
+    charged = any(k in ("E", "B", "J") for k in keys)
+    sizes = {
+        "r": n,
+        "s": 1 if charged else (n - 1) ** 2 // 4 + 1,
+        "i": n * (n - 1) // 2 + 1,
+        "E": 2 * n - 5,
+        "B": 2 * n - 5,
+        "J": n - 2,
+    }
+    return prod(max(sizes[k], 0) for k in set(keys))
+
+
+def _unpack(joint: dict, width: int, keys: tuple[str, ...]) -> Counter:
+    """The result of :func:`distribution` from an engine's ``joint``, which
+    maps ``(r, s, E, B, J)`` to the packed i-polynomial: the coefficient
+    of ``q^i`` sits in bits ``[width*i, width*(i+1))``, and with width 0
+    the polynomial is a plain count at i = 0.
+
+    The engines leave 0 in every statistic not asked for, so no two
+    coefficients land on one key.  A polynomial is cut into chunks of
+    ``_CHUNK`` coefficients and each chunk into coefficients by shifts,
+    which keeps the work linear in its length; zero coefficients add no
+    key."""
+    at = [DISTRIBUTION_KEYS.index(k) for k in keys]
+    pick = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+    out: Counter = Counter()
+    if not width:
+        for (r, s, e, b, j), count in joint.items():
+            out[pick((r, s, 0, e, b, j))] = count
+        return out
+    mask, chunk_mask = (1 << width) - 1, (1 << _CHUNK * width) - 1
+    for (r, s, e, b, j), packed in joint.items():
+        base = 0
+        while packed:
+            part, packed, i = packed & chunk_mask, packed >> _CHUNK * width, base
+            while part:
+                count = part & mask
+                if count:
+                    out[pick((r, s, i, e, b, j))] = count
+                part >>= width
+                i += 1
+            base += _CHUNK
+    return out
+
+
+def _transfer_distribution(n: int, keys: tuple[str, ...]) -> tuple[dict, int]:
+    """The ``(joint, width)`` of :func:`distribution` over r, s and i (see
+    :func:`_unpack`), by a transfer count.
 
     Going up from the bottom row, each column-sum state (whose depth is
-    its number of set bits) gets the counts of the (s, i) values of the
-    rows that can complete it; a statistic not asked for stays 0.  The
-    first row, whose 1 gives r, is added last.
+    its number of set bits) gets, per value of s, the packed i-polynomial
+    of the rows that can complete it; s stays 0 when not asked for, and
+    width is 0 when i is not, which makes each polynomial a count.  A
+    row's inversion share is never negative (each -1 pairs with the 1 to
+    its left, which has at least as many column sums to its right), so it
+    is a left shift.  The first row, whose 1 gives r, is added last.
     """
-    track_s, track_i = "s" in keys, "i" in keys
-    below = {(1 << n) - 1: {(0, 0): 1}}
+    want_r, track_s = "r" in keys, "s" in keys
+    width = _width(formula_count(n)) if "i" in keys else 0
+    below = {(1 << n) - 1: {0: 1}}
     for depth in range(n - 1, 0, -1):
         layer = {}
         for state in range(1 << n):
             if state.bit_count() != depth:
                 continue
-            counts: Counter = Counter()
+            polys: dict = {}
             for _, new_state, minuses, _, inv in _row_moves(n, state):
-                ds, di = minuses * track_s, inv * track_i
-                for (s, i), count in below[new_state].items():
-                    counts[s + ds, i + di] += count
-            layer[state] = counts
+                ds, shift = minuses * track_s, inv * width
+                for s, packed in below[new_state].items():
+                    polys[s + ds] = polys.get(s + ds, 0) + (packed << shift)
+            layer[state] = polys
         below = layer
-    out: Counter = Counter()
+    joint: dict = {}
     for _, new_state, _, r, _ in _row_moves(n, 0):
-        for (s, i), count in below[new_state].items():
-            values = {"r": r, "s": s, "i": i}
-            out[tuple(values[k] for k in keys)] += count
-    return out
+        for s, packed in below[new_state].items():
+            key = r * want_r, s, 0, 0, 0
+            joint[key] = joint.get(key, 0) + packed
+    return joint, width

@@ -37,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from .cells import _cells, _write
@@ -247,49 +248,82 @@ def table_params(t: GenInvTable) -> ParamVector:
     )
 
 
-def _table_space_distribution(n: int, keys: tuple[str, ...]) -> Counter:
+def _table_space_distribution(n: int, keys: tuple[str, ...]) -> tuple[dict, int]:
     """Count the valid order-n tables per tuple of the statistics ``keys``
     (names from r, s, i, E, B, J, checked by the caller), as read by
-    :func:`table_params`; ``s`` is 1 on every table.
+    :func:`table_params`; ``s`` is 1 on every table.  Returns
+    ``(joint, width)``: ``joint`` maps ``(r, s, E, B, J)`` to the packed
+    i-polynomial of those tables (``enumeration._unpack``), a statistic
+    not asked for staying 0, and ``width`` is the bits per coefficient: 0
+    when i is not asked for, which sets q = 1 and makes every polynomial
+    a plain count.
 
     For each k the entries ``a_i``, i not in {k-1, k}, range freely over
-    [0, i-1] (condition 2), ``a_n`` giving r unless k = n; conditions 3-4
-    couple only the block ``(a_{k-1}, a_k, b, beta)``.  So the count is a
-    sum over k of the free entries convolved with the block.  When r or i
-    is not asked for it stays 0, which merges the terms that differ only
-    in it.
+    [0, i-1] (condition 2), so they give the product of the ``[i]_q``;
+    ``a_n`` gives r and ``q^r`` unless k = n.  Conditions 3-4 couple only
+    the block ``(a_{k-1}, a_k, b, beta)``.  Write ``t = a_{k-1}`` and
+    ``d = a_k - t``: then ``E = beta+1-d``, ``B = b-beta`` and
+    ``J = d+b``, so (E, B, J) fixes (d, b, beta), which range over
+    ``1 <= d <= J``, ``b = J-d`` and ``0 <= beta < J``.  The block adds
+    ``2t + J + 1`` to i, and condition 4 leaves ``0 <= t <= k-2-J``, so
+    the sum over ``a_{k-1}`` is ``q^(J+1) [k-1-J]_{q^2}``: the same for
+    every (d, beta).  Summed over k, ``G_J = sum_k F_k [k-1-J]_{q^2}``
+    (``F_k`` the free product) obeys ``G_J = S_{J+2} + q^2 G_{J+1}`` with
+    ``S_m`` the sum of ``F_k`` over ``k >= m``, so the whole sum takes
+    O(n) polynomial operations and O(n^3) charge tuples.  When r is asked
+    for, k = n is summed apart, as there ``r = a_n = t + d``.
     """
-    want_r, want_i = "r" in keys, "i" in keys
-    out: Counter = Counter()
-    for k in range(3, n + 1):
-        # (r, sum of the free entries), r taken from a_n when it is free
-        free: Counter = Counter({(0, 0): 1})
-        for i in range(1, n + 1):
-            if i in (k - 1, k):
-                continue
-            step = Counter()
-            for (r, total), count in free.items():
-                for v in range(i):
-                    step[v * want_r if i == n else r, total + v * want_i] += count
-            free = step
-        block: Counter = Counter()
-        for ak1 in range(k - 1):
-            for ak in range(ak1 + 1, k - 1):
-                for b in range(k - 1 - ak):  # a_k + b <= k-2
-                    for beta in range(ak + b - ak1):  # a_{k-1} + beta < a_k + b
-                        block[(
-                            ak * want_r if k == n else 0,
-                            (ak1 + ak + b + 1) * want_i,
-                            *_block_charges(ak1, ak, b, beta),
-                        )] += 1
-        joint: Counter = Counter()
-        for (r, total), count in free.items():
-            for (rb, ib, e, bb, j), cb in block.items():
-                joint[r + rb, total + ib, e, bb, j] += count * cb
-        for (r, i, e, b, j), count in joint.items():
-            values = {"r": r, "s": 1, "i": i, "E": e, "B": b, "J": j}
-            out[tuple(values[key] for key in keys)] += count
-    return out
+    if n < 3:
+        return {}, 0
+    want_r, want_e, want_b, want_j = (key in keys for key in ("r", "E", "B", "J"))
+    width = _width(factorial(n) * comb(n, 3) // 6) if "i" in keys else 0
+    last = n - want_r  # the sum over k runs over 3..last
+    prefix = [1]  # prefix[j] = [1]_q ... [j]_q
+    for i in range(1, n - 1):
+        prefix.append(prefix[-1] * _q_int(i, width))
+    suffix = [1] * (last + 2)  # suffix[j] = [j]_q ... [last]_q, read at j >= 4
+    for i in range(last, 3, -1):
+        suffix[i] = suffix[i + 1] * _q_int(i, width)
+    joint: dict = {}
+
+    def add(r: int, charges: Counter, j: int, poly: int) -> None:
+        for (e, b), count in charges.items():
+            key = r, 1, e, b, j * want_j
+            joint[key] = joint.get(key, 0) + poly * count
+
+    def projected(j: int, ds) -> Counter:
+        """The (E, B) values of the blocks with this J and d in ``ds``,
+        0 where not asked for."""
+        return Counter(
+            ((beta + 1 - d) * want_e, (j - d - beta) * want_b) for d in ds for beta in range(j)
+        )
+
+    total = series = 0
+    for j in range(last - 2, 0, -1):
+        total += prefix[j] * suffix[j + 3]  # k = j + 2 joins the sum
+        series = total + (series << 2 * width)
+        charges = projected(j, range(1, j + 1))
+        for r in range(n) if want_r else (0,):
+            add(r, charges, j, series << width * (j + 1 + r))
+    if want_r:  # k = n: a_n = a_{n-1} + d
+        for j in range(1, n - 1):
+            for d in range(1, j + 1):
+                charges = projected(j, (d,))
+                for t in range(n - 1 - j):
+                    add(t + d, charges, j, prefix[n - 2] << width * (j + 1 + 2 * t))
+    return joint, width
+
+
+def _width(bound: int) -> int:
+    """Bits per coefficient of a packed polynomial whose coefficients are
+    at most ``bound``: one more than its bit length."""
+    return bound.bit_length() + 1
+
+
+def _q_int(m: int, width: int) -> int:
+    """``[m]_q = 1 + q + ... + q^(m-1)`` packed at ``width``; with width 0
+    (q = 1), the count m."""
+    return sum(1 << width * j for j in range(m))
 
 
 def dual_table(t: GenInvTable) -> GenInvTable:

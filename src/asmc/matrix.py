@@ -229,14 +229,15 @@ def is_permutation_matrix(a: AsmMatrix) -> bool:
 
 def perm_one_line(a: AsmMatrix) -> tuple[int, ...]:
     """One-line word of a permutation matrix: 1-based column of each row's
-    1; raises :class:`BadArgument` on a matrix with a -1."""
-    _require_permutation(a)
-    return tuple(row.index(1) + 1 for row in a.rows)
-
-
-def _require_permutation(a: AsmMatrix) -> None:
-    if not is_permutation_matrix(a):
-        raise BadArgument(f"expected a permutation matrix, got one with s={minus_count(a)}")
+    1; raises :class:`BadArgument` on a matrix with a -1.  A matrix built
+    by :func:`perm_matrix` gives back the word it keeps, unread rows
+    staying unwritten."""
+    word = a.__dict__.get("_word")
+    if word is None:
+        if not is_permutation_matrix(a):
+            raise BadArgument(f"expected a permutation matrix, got one with s={minus_count(a)}")
+        word = tuple(row.index(1) + 1 for row in a.rows)
+    return word
 
 
 def perm_matrix(word: Sequence[int]) -> AsmMatrix:
@@ -244,7 +245,8 @@ def perm_matrix(word: Sequence[int]) -> AsmMatrix:
 
     The word is checked to be a permutation of ``1..n`` made of ``int``s,
     in O(n log n), and the rows are written as unit tuples when first
-    read (see :class:`AsmMatrix`).  Any other
+    read (see :class:`AsmMatrix`); the matrix keeps the checked word for
+    :func:`perm_one_line`.  Any other
     word is written densely, an entry that is not an ``int`` in ``1..n``
     leaving its row zero, and :func:`validate_asm` names what is wrong.
     """
@@ -253,7 +255,8 @@ def perm_matrix(word: Sequence[int]) -> AsmMatrix:
     except TypeError as exc:
         raise NotSquare(f"expected a one-line word, got {type(word).__name__}") from exc
     if n and _INT_ONLY.issuperset(map(type, word)) and sorted(word) == list(range(1, n + 1)):
-        return _on_demand(partial(_unit_rows, tuple(word), n), n)
+        word = tuple(word)
+        return _on_demand(partial(_unit_rows, word, n), n, _word=word)
     rows = [[0] * n for _ in word]
     for row, c in zip(rows, word):
         if type(c) is int and 1 <= c <= n:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -32,6 +33,8 @@ from asmc import (
     restore,
     validate_asm,
 )
+from asmc.enumeration import _row_moves
+from asmc.inv_table import _block_charges
 
 # the smallest ASM with a -1
 DIAMOND_ROWS = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
@@ -248,6 +251,75 @@ def dense_inversions(a: AsmMatrix) -> int:
             if row[j]:
                 below[j] += row[j]
     return total
+
+
+# ---------------------------------------------------------------------------
+# the census counted with one Counter entry per (state or block, value) pair:
+# the oracles of the packed-polynomial counts of ``distribution``
+
+
+def counter_transfer_distribution(n: int, keys: tuple[str, ...]) -> Counter:
+    """``distribution`` over r, s and i by a transfer count: going up from
+    the bottom row, each column-sum state gets the counts of the (s, i)
+    values of the rows that can complete it; the first row, whose 1 gives
+    r, is added last."""
+    track_s, track_i = "s" in keys, "i" in keys
+    below = {(1 << n) - 1: {(0, 0): 1}}
+    for depth in range(n - 1, 0, -1):
+        layer = {}
+        for state in range(1 << n):
+            if state.bit_count() != depth:
+                continue
+            counts: Counter = Counter()
+            for _, new_state, minuses, _, inv in _row_moves(n, state):
+                ds, di = minuses * track_s, inv * track_i
+                for (s, i), count in below[new_state].items():
+                    counts[s + ds, i + di] += count
+            layer[state] = counts
+        below = layer
+    out: Counter = Counter()
+    for _, new_state, _, r, _ in _row_moves(n, 0):
+        for (s, i), count in below[new_state].items():
+            values = {"r": r, "s": s, "i": i}
+            out[tuple(values[k] for k in keys)] += count
+    return out
+
+
+def counter_table_space_distribution(n: int, keys: tuple[str, ...]) -> Counter:
+    """``distribution`` over the valid order-n tables: for each k the free
+    entries ``a_i``, i not in {k-1, k}, convolved with every block
+    ``(a_{k-1}, a_k, b, beta)`` one by one, which is O(n^5)."""
+    want_r, want_i = "r" in keys, "i" in keys
+    out: Counter = Counter()
+    for k in range(3, n + 1):
+        # (r, sum of the free entries), r taken from a_n when it is free
+        free: Counter = Counter({(0, 0): 1})
+        for i in range(1, n + 1):
+            if i in (k - 1, k):
+                continue
+            step = Counter()
+            for (r, total), count in free.items():
+                for v in range(i):
+                    step[v * want_r if i == n else r, total + v * want_i] += count
+            free = step
+        block: Counter = Counter()
+        for ak1 in range(k - 1):
+            for ak in range(ak1 + 1, k - 1):
+                for b in range(k - 1 - ak):  # a_k + b <= k-2
+                    for beta in range(ak + b - ak1):  # a_{k-1} + beta < a_k + b
+                        block[(
+                            ak * want_r if k == n else 0,
+                            (ak1 + ak + b + 1) * want_i,
+                            *_block_charges(ak1, ak, b, beta),
+                        )] += 1
+        joint: Counter = Counter()
+        for (r, total), count in free.items():
+            for (rb, ib, e, bb, j), cb in block.items():
+                joint[r + rb, total + ib, e, bb, j] += count * cb
+        for (r, i, e, b, j), count in joint.items():
+            values = {"r": r, "s": 1, "i": i, "E": e, "B": b, "J": j}
+            out[tuple(values[key] for key in keys)] += count
+    return out
 
 
 def outcome(call, *args) -> tuple:

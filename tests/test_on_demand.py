@@ -25,11 +25,14 @@ from asmc import (
     AsmMatrix,
     NeutralPair,
     SignClass,
+    discharge,
     neutralize,
     pair_from_table,
     partial_discharge,
     perm_matrix,
     perm_one_line,
+    perm_table,
+    recharge,
     reflect,
     restore,
     sign_class,
@@ -37,7 +40,7 @@ from asmc import (
 )
 from asmc.cells import _cells, _write
 from asmc.matrix import _OnDemand
-from conftest import dense_perm_matrix, dense_write, one_minus, random_valid_table
+from conftest import dense_perm_matrix, dense_table, dense_write, one_minus, random_valid_table
 
 
 def unread(a: AsmMatrix) -> bool:
@@ -233,3 +236,20 @@ class TestNoDenseWork:
             built(restore(NeutralPair(AsmMatrix(image.matrix.rows), image.charge)))
             built(swap_charges(dense))
         assert signs == {SignClass.POSITIVE: 1, SignClass.NEGATIVE: 1}
+
+    def test_permutation_words_at_order_500(self, calls):
+        """A permutation built by ``perm_matrix`` gives its one-line word
+        back without writing its rows, so recharging a discharge and
+        tabulating a permutation write none."""
+        rng = random.Random(3)
+        m = restore(pair_from_table(random_valid_table(rng, 500)))
+        while sign_class(m) is SignClass.NEGATIVE:
+            m = restore(pair_from_table(random_valid_table(rng, 500)))
+        calls.clear()
+        t = discharge(m)
+        back = recharge(t)
+        word = perm_one_line(t.perm)
+        table = perm_table(perm_matrix(word))
+        assert calls == {} and unread(t.perm) and unread(back)
+        assert t.perm == dense_perm_matrix(word) and back == m
+        assert table == dense_table(dense_perm_matrix(word))
