@@ -24,46 +24,40 @@ charge is ``B = c - ell`` and ``J = c + ell + |E| + 1``.  All three
 extend to negative matrices through vertical reflection: ``E`` and ``B``
 change sign, ``J`` is invariant.
 
-A matrix with one -1 is fixed by its *points form*: ``first``, the
-column of the first 1 of every row (the left 1 on the closing row), the
-closing row, the column of the -1 and the column of the closing 1.
-Below the opening row every row but the closing row holds one 1, so
-every landmark and every cell sum is a count of points in a rectangle.
-:func:`_read` is the one reader of these facts: O(n), it returns the
-landmarks, the sign class, ``ell``, ``c``, ``x`` and ``E`` together, and
-reads a negative matrix through the mirrored points form (``first'[q] =
-n+1-first[q]``, the closing row taking ``n+1`` minus the closing
-column).  :func:`_points` is the one scan of the dense rows; it finds
-the points form and :func:`geometry` feeds it to the reader.
-:func:`_write` is the one writer: it checks a points form against the
-alternating laws in O(n log n) (:func:`_is_points_form`), keeps the
-reader's result on the matrix it returns, and leaves its rows to be
-written by :func:`_rows` when first read (``matrix._OnDemand``).  Vertical
-reflection is a relabelling of the columns of the points form
-(:func:`_mirror`), so nothing here copies a reflected matrix.
+A matrix with one -1 is fixed by its points form (see
+``matrix.AsmMatrix``).  Below the opening row every row but the closing
+row holds one 1, so every landmark and every cell sum is a count of
+points in a rectangle.  :func:`_read` is the one reader of these facts:
+O(n), it returns the landmarks, the sign class, ``ell``, ``c``, ``x``
+and ``E`` together, and reads a negative matrix through the mirrored
+points form (``matrix._mirror``, which relabels column ``j`` as
+``n+1-j``).  :func:`_points` is the one scan of the dense rows; it
+finds the points form of a matrix given by its entries.  :func:`_write`
+is the one writer: it checks a points form against the alternating laws
+in O(n log n) (:func:`_is_points_form`) and returns a matrix that keeps
+it; ``discharge._recharge`` and ``inv_table.pair_from_table`` build
+their matrices through it.
 
-Each fact about a matrix is computed once per value.  :func:`_keep`, the
-one memo helper, stores a fact on the frozen value it describes, outside
-the dataclass fields, so equality, hashing and repr never see it: the
-reader's result on an :class:`AsmMatrix`, and the mark of a mixed
-configuration known to be valid, set by ``paths.validate_config`` once
-its paths pass and by ``paths.config_from_table`` and
-``paths.dual_config`` on what they build from a table that passes
-``inv_table.table_valid``.  The builders hold the points of what they
-build: the points forms of ``discharge._recharge`` and of
-``inv_table.pair_from_table`` go to :func:`_write`, and ``neutral``
-takes a negative matrix through the reader of its mirrored points form.
+Each fact about a matrix is computed once per value and kept on the
+frozen value, outside the dataclass fields, so equality, hashing and
+repr never see it.  :func:`_cells` reads a matrix once, off the form it
+keeps or off the one scan of its rows, and keeps the result.
+:func:`_keep`, the one memo helper for values built by callers, keeps a
+fact only on a value built from tuples: the reader's result on a dense
+matrix, and the mark of a mixed configuration known to be valid, set by
+``paths.validate_config`` once its paths pass and by
+``paths.config_from_table`` and ``paths.dual_config`` on what they
+build from a table that passes ``inv_table.table_valid``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
-from .matrix import _INT_ONLY, AsmMatrix, _on_demand, _refuse, _unit_rows, minus_count
+from .matrix import _INT_ONLY, AsmMatrix, _mirror, _on_demand, _PointsForm, _refuse, _rows, minus_count
 
 
 class SignClass(Enum):
@@ -109,10 +103,6 @@ class ChargeParams:
     e: int  # electric charge, anti-invariant under reflection
     b: int  # magnetic charge c - ell, anti-invariant under reflection
     j: int  # c + ell + |e| + 1, invariant under reflection
-
-
-# (first, closing row, column of the -1, column of the closing 1)
-_PointsForm = tuple[tuple[int, ...], int, int, int]
 
 
 class _Cells(NamedTuple):
@@ -165,15 +155,6 @@ def _read(first: tuple[int, ...], closing_row: int, opening_col: int, closing_co
     return _Cells(first, g, SignClass.POSITIVE if e else SignClass.NEUTRAL, sums, e)
 
 
-def _mirror(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> _PointsForm:
-    """The points form of the vertical reflection: every column ``j``
-    becomes ``n+1-j``, and the closing 1 turns into the left 1."""
-    m = len(first) + 1
-    mirrored = [m - col for col in first]
-    mirrored[closing_row - 1] = m - closing_col
-    return tuple(mirrored), closing_row, m - opening_col, m - first[closing_row - 1]
-
-
 def _closing_row(a: AsmMatrix) -> int:
     """The 1-based row holding the only -1 of ``a``, found in the same pass
     that shows there is no other; raises :class:`NotOneMinus` otherwise."""
@@ -220,12 +201,17 @@ def _keep(value, parts, **facts) -> None:
 
 
 def _cells(a: AsmMatrix) -> _Cells:
-    """:func:`_read` of the points of ``a``, scanned on the first call and
-    kept."""
+    """:func:`_read` of the points of ``a``, off the form it keeps or the
+    one scan of its rows, on the first call and kept."""
     cells = a.__dict__.get("_cells")
     if cells is None:
-        cells = _read(*_points(a))
-        _keep(a, a.rows, _cells=cells)
+        form = a.__dict__.get("_form")
+        if form is not None and form[1]:  # a permutation's form has no closing row
+            cells = _read(*form)
+            object.__setattr__(a, "_cells", cells)
+        else:
+            cells = _read(*_points(a))
+            _keep(a, a.rows, _cells=cells)
     return cells
 
 
@@ -247,29 +233,17 @@ def _is_points_form(first: tuple[int, ...], closing_row: int, opening_col: int, 
     )
 
 
-def _rows(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> list[tuple[int, ...]]:
-    """The dense rows of the points form ``(first, closing_row,
-    opening_col, closing_col)``, written as given, whether or not it is
-    one."""
-    rows = _unit_rows(first, len(first))
-    line = list(rows[closing_row - 1])
-    line[opening_col - 1] = -1
-    line[closing_col - 1] = 1
-    rows[closing_row - 1] = tuple(line)
-    return rows
-
-
 def _write(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
     """The one writer of a one-minus matrix: the matrix with points form
     ``(first, closing_row, opening_col, closing_col)``, checked on the form
-    (:func:`_is_points_form`), its rows written by :func:`_rows` when first
-    read, with :func:`_read` of the form kept on it.  The rows of a form
-    the check rejects are handed to ``validate_asm``, which names what is
-    wrong."""
+    (:func:`_is_points_form`), which it keeps; ``matrix._rows`` writes its
+    rows when first read, and :func:`_cells` reads the form when first
+    asked.  The rows of a form the check rejects are handed to
+    ``validate_asm``, which names what is wrong."""
     form = (tuple(first), closing_row, opening_col, closing_col)
     if not _is_points_form(*form):
         _refuse(_rows(*form))
-    return _on_demand(partial(_rows, *form), len(first), _cells=_read(*form))
+    return _on_demand(form)
 
 
 def sign_class(a: AsmMatrix) -> SignClass:

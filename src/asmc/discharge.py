@@ -23,15 +23,12 @@ all four steps so there is a single code path to verify.
 After step 1 every row holds one 1, so the steps act on the list of the
 n 1s of the matrix as ``(row, column)`` points, and end on the one-line
 word of the permutation; each step is linear in n.  Those points are the
-``first`` of the matrix's points form, which :mod:`asmc.cells` keeps
-with its landmarks and cell sums, so step 1 scans no row.  Recharging
-ends on the points form of the matrix it rebuilds (:func:`_recharge`),
-which ``neutral`` works on without writing it.  Only a matrix that is
-returned is built, by the one writer of each kind, which checks it on
-the points it was handed: ``matrix.perm_matrix`` for a permutation, and
-``cells._write`` for a recharged matrix, which keeps on it every
-landmark and cell sum of those points.  Neither writes the dense rows
-until they are read.
+``first`` of the matrix's points form (see ``matrix.AsmMatrix``), so
+step 1 scans no row, and recharging ends on the points form of the
+matrix it rebuilds (:func:`_recharge`), which ``neutral`` works on
+without writing it.  Only a matrix that is returned is built, by
+``matrix.perm_matrix`` or ``cells._write``, which check it on its
+points and keep them; neither writes the rows until they are read.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cells import SignClass, _Cells, _cells, _PointsForm, _write
+from .cells import SignClass, _Cells, _cells, _write
 from .displacement import Point, Region, _displace
 from .errors import (
     BadArgument,
@@ -47,7 +44,7 @@ from .errors import (
     InvalidTuple,
     NegativeClass,
 )
-from .matrix import AsmMatrix, perm_matrix, perm_one_line
+from .matrix import AsmMatrix, _PointsForm, perm_matrix, perm_one_line
 
 
 @dataclass(frozen=True)

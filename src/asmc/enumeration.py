@@ -51,6 +51,9 @@ DISTRIBUTION_KEYS = ("r", "s", "i", "E", "B", "J")
 # the most keys a distribution may predict; see distribution
 MAX_DISTRIBUTION_KEYS = 10**7
 
+# the most column-sum states (2^n at order n) the transfer count may visit
+MAX_TRANSFER_STATES = 2**12
+
 # coefficients per chunk of a packed polynomial; see _unpack
 _CHUNK = 64
 
@@ -160,8 +163,10 @@ def distribution(
     tuples use them).  Requesting any of E/B/J restricts the count to
     matrices with exactly one -1, where those statistics live.  A request
     whose predicted number of keys (the product of the value ranges of
-    the statistics asked for) exceeds ``MAX_DISTRIBUTION_KEYS`` raises
-    :class:`BadArgument` before any counting.
+    the statistics asked for) exceeds ``MAX_DISTRIBUTION_KEYS``, or one
+    with no charge key at an order whose ``2^n`` column-sum states exceed
+    ``MAX_TRANSFER_STATES``, raises :class:`BadArgument` before any
+    counting.
 
     >>> sorted(distribution(4, ["r"]).items())
     [((0,), 7), ((1,), 14), ((2,), 14), ((3,), 7)]
@@ -183,6 +188,10 @@ def distribution(
             f"distribution({n}, {keys}) predicts {predicted} keys, over {MAX_DISTRIBUTION_KEYS}"
         )
     charged = any(k in ("E", "B", "J") for k in keys)
+    if not charged and 1 << n > MAX_TRANSFER_STATES:
+        raise BadArgument(
+            f"distribution({n}, {keys}) walks 2^{n} column-sum states, over {MAX_TRANSFER_STATES}"
+        )
     engine = _table_space_distribution if charged else _transfer_distribution
     return _unpack(*engine(n, keys), keys)
 

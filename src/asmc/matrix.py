@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     AlternationViolation,
@@ -55,13 +54,16 @@ class AsmMatrix:
     * ``cells._write`` checks the points form of a one-minus matrix.
 
     The last two check in O(n log n); on an input they reject they raise
-    what :func:`validate_asm` raises on its dense rows.  On one they
-    accept they return a matrix whose rows are written from the word or
-    form the first time ``rows`` is read (:class:`_OnDemand`): the row
-    writer and the order are kept outside the dataclass fields, and
-    equality, hashing and repr read ``rows``, so a matrix means the same
-    however it was built.  :func:`reflect` and ``enumerate_asm`` build
-    matrices valid by construction.
+    what :func:`validate_asm` raises on its dense rows.  A matrix they
+    accept keeps one fact outside the dataclass fields, its *points form*
+    ``(first, closing_row, opening_col, closing_col)``: the column of the
+    first 1 of every row (the left 1 on the closing row), the closing
+    row, the column of the -1 and that of the closing 1; a permutation's
+    is ``(word, 0, 0, 0)``.  :func:`_rows` writes its rows from the form
+    the first time ``rows`` is read (:class:`_OnDemand`); equality,
+    hashing and repr read ``rows``, so a matrix means the same however it
+    was built.  :func:`reflect` mirrors the form of such a matrix, and
+    ``enumerate_asm`` builds dense matrices valid by construction.
 
     >>> from asmc import GenInvTable, pair_from_table
     >>> m = pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)).matrix
@@ -179,12 +181,19 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
 
 
 def reflect(a: AsmMatrix) -> AsmMatrix:
-    """Vertical reflection: entry (i, j) of the result is entry (i, n+1-j)."""
+    """Vertical reflection: entry (i, j) of the result is entry (i, n+1-j).
+    A built matrix is reflected on its points form, in O(n) (:func:`_mirror`)."""
+    form = a.__dict__.get("_form")
+    if form is not None:
+        return _on_demand(_mirror(*form))
     return AsmMatrix(tuple([tuple(reversed(row)) for row in a.rows]))  # as in validate_asm
 
 
 def minus_count(a: AsmMatrix) -> int:
     """Number of entries equal to -1 (the statistic ``s``)."""
+    form = a.__dict__.get("_form")
+    if form is not None:
+        return 1 if form[1] else 0  # only a one-minus form has a closing row
     return sum(row.count(-1) for row in a.rows)
 
 
@@ -230,33 +239,31 @@ def is_permutation_matrix(a: AsmMatrix) -> bool:
 def perm_one_line(a: AsmMatrix) -> tuple[int, ...]:
     """One-line word of a permutation matrix: 1-based column of each row's
     1; raises :class:`BadArgument` on a matrix with a -1.  A matrix built
-    by :func:`perm_matrix` gives back the word it keeps, unread rows
-    staying unwritten."""
-    word = a.__dict__.get("_word")
-    if word is None:
-        if not is_permutation_matrix(a):
-            raise BadArgument(f"expected a permutation matrix, got one with s={minus_count(a)}")
-        word = tuple(row.index(1) + 1 for row in a.rows)
-    return word
+    by :func:`perm_matrix` gives back the word of the points form it
+    keeps, unread rows staying unwritten."""
+    if not is_permutation_matrix(a):
+        raise BadArgument(f"expected a permutation matrix, got one with s={minus_count(a)}")
+    form = a.__dict__.get("_form")
+    return form[0] if form is not None else tuple(row.index(1) + 1 for row in a.rows)
 
 
 def perm_matrix(word: Sequence[int]) -> AsmMatrix:
     """Permutation matrix from a 1-based one-line word.
 
     The word is checked to be a permutation of ``1..n`` made of ``int``s,
-    in O(n log n), and the rows are written as unit tuples when first
-    read (see :class:`AsmMatrix`); the matrix keeps the checked word for
-    :func:`perm_one_line`.  Any other
-    word is written densely, an entry that is not an ``int`` in ``1..n``
-    leaving its row zero, and :func:`validate_asm` names what is wrong.
+    in O(n log n), and the matrix keeps the points form ``(word, 0, 0,
+    0)``, a permutation having no closing row: :func:`perm_one_line`
+    reads the word off it, and :func:`_rows` writes the rows when first
+    read (see :class:`AsmMatrix`).  Any other word is written densely, an
+    entry that is not an ``int`` in ``1..n`` leaving its row zero, and
+    :func:`validate_asm` names what is wrong.
     """
     try:
         n = len(word)
     except TypeError as exc:
         raise NotSquare(f"expected a one-line word, got {type(word).__name__}") from exc
     if n and _INT_ONLY.issuperset(map(type, word)) and sorted(word) == list(range(1, n + 1)):
-        word = tuple(word)
-        return _on_demand(partial(_unit_rows, word, n), n, _word=word)
+        return _on_demand((tuple(word), 0, 0, 0))
     rows = [[0] * n for _ in word]
     for row, c in zip(rows, word):
         if type(c) is int and 1 <= c <= n:
@@ -264,25 +271,48 @@ def perm_matrix(word: Sequence[int]) -> AsmMatrix:
     _refuse(rows)
 
 
-def _unit_rows(cols: Iterable[int], n: int) -> list[tuple[int, ...]]:
-    """The rows of order ``n`` holding a single 1, one in each of the
-    1-based columns ``cols``."""
-    line = [0] * n  # one zero line, snapshot with each 1 in turn
+# ---------------------------------------------------------------------------
+# matrices built on their points form (see AsmMatrix)
+
+_PointsForm = tuple[tuple[int, ...], int, int, int]
+
+
+def _rows(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> list[tuple[int, ...]]:
+    """The dense rows of a points form, written as given, whether or not
+    it is one: a single 1 in column ``first[q-1]`` of each row ``q``, and
+    on the closing row, if there is one, the -1 and the closing 1."""
+    line = [0] * len(first)  # one zero line, snapshot with each 1 in turn
     rows = []
-    for c in cols:
+    for c in first:
         line[c - 1] = 1
         rows.append(tuple(line))
         line[c - 1] = 0
+    if closing_row:
+        line = list(rows[closing_row - 1])
+        line[opening_col - 1] = -1
+        line[closing_col - 1] = 1
+        rows[closing_row - 1] = tuple(line)
     return rows
 
 
+def _mirror(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> _PointsForm:
+    """The points form of the vertical reflection: every column ``j``
+    becomes ``n+1-j``, and the closing 1 turns into the left 1."""
+    m = len(first) + 1
+    mirrored = [m - col for col in first]
+    if not closing_row:
+        return tuple(mirrored), 0, 0, 0
+    mirrored[closing_row - 1] = m - closing_col
+    return tuple(mirrored), closing_row, m - opening_col, m - first[closing_row - 1]
+
+
 class _OnDemand(AsmMatrix):
-    """An :class:`AsmMatrix` whose rows are not written yet.  It keeps a
-    row writer (``_writer``) and its order (``_n``) outside the dataclass
-    fields; the first read of ``rows``, and equality, hashing and repr,
-    which read them, write the rows, store them, and make the value a
-    plain :class:`AsmMatrix` (:func:`_written`).  Two threads that race
-    there store equal rows.
+    """An :class:`AsmMatrix` whose rows are not written yet.  It keeps its
+    points form (``_form``) outside the dataclass fields; the first read
+    of ``rows``, and equality, hashing and repr, which read them, write
+    the rows with :func:`_rows`, store them, and make the value a plain
+    :class:`AsmMatrix` that still keeps the form (:func:`_written`).  Two
+    threads that race there store equal rows.
 
     The ``__getattr__`` hook lives on this class and not on
     :class:`AsmMatrix`: on a class with the hook CPython reads every
@@ -298,7 +328,7 @@ class _OnDemand(AsmMatrix):
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._form[0])
 
     def __eq__(self, other):
         return _written(self) == other
@@ -310,20 +340,18 @@ class _OnDemand(AsmMatrix):
         return repr(_written(self))
 
 
-def _on_demand(writer: Callable[[], list[tuple[int, ...]]], n: int, **facts) -> AsmMatrix:
-    """The order ``n`` matrix whose rows ``writer()`` writes on their first
-    read, a writer that pickles (a ``partial`` of a module-level function
-    of values that cannot change), with ``facts`` kept on it as
-    ``cells._keep`` keeps them."""
+def _on_demand(form: _PointsForm) -> AsmMatrix:
+    """The matrix of a checked points form, its rows written on their
+    first read."""
     a = object.__new__(_OnDemand)
-    vars(a).update(_writer=writer, _n=n, **facts)
+    object.__setattr__(a, "_form", form)
     return a
 
 
 def _written(a: _OnDemand) -> AsmMatrix:
     """``a`` with its rows written and stored, now a plain
     :class:`AsmMatrix`."""
-    object.__setattr__(a, "rows", tuple(a._writer()))  # through a list, as in validate_asm
+    object.__setattr__(a, "rows", tuple(_rows(*a._form)))  # through a list, as in validate_asm
     object.__setattr__(a, "__class__", AsmMatrix)
     return a
 

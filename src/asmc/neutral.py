@@ -10,26 +10,25 @@ involution; conjugated back to matrices it swaps the electric and the
 magnetic charge while fixing everything else (r, i, J and the rows down
 to the opening row).
 
-Both directions run on points forms from end to end: they discharge
-and recharge on the one-line word of the permutation in between, and
-only the matrix returned is built, by ``cells._write``, which checks it
-on its points and writes its rows when they are first read.  Every
-landmark and cell sum is read off the points form of a matrix by the one
-reader of :mod:`asmc.cells` and kept on the matrix (``cells._cells``),
-so :class:`NeutralPair` checks its invariants from facts already known.
-A negative matrix, or a negative charge, is taken through the mirrored
-points form (``cells._mirror``): the non-negative path runs on it and
-its result is mirrored back, so no reflected matrix is ever written.
+Both directions are one recharge on points forms (:func:`_recharged`):
+the discharge word of the matrix, recharged with the same ``k`` and
+``c + E`` and the new charge, 0 to neutralize and E to restore.  A
+negative matrix, or a negative charge, is taken through the mirrored
+points form, so no reflected matrix is written.  Only the matrix
+returned is built, by ``cells._write``, which checks it on its points
+and keeps them; its rows are written when first read, and its landmarks
+and cell sums read once off its form (``cells._cells``), which is all
+:class:`NeutralPair` checks its invariants on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellSums, SignClass, _Cells, _cells, _mirror, _PointsForm, _read, _write
+from .cells import CellSums, SignClass, _Cells, _cells, _read, _write
 from .discharge import _discharge_word, _recharge
 from .errors import InvalidPair, NotOneMinus
-from .matrix import AsmMatrix, json_int, matrix_from_json, matrix_to_json
+from .matrix import AsmMatrix, _mirror, _PointsForm, json_int, matrix_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -84,35 +83,25 @@ def neutralize(a: AsmMatrix) -> NeutralPair:
     cells = _cells(a)  # raises NotOneMinus
     if cells.sign is SignClass.NEUTRAL:
         return NeutralPair(a, 0)
-    return NeutralPair(_write(*_neutralized(cells)), cells.e)
-
-
-def _neutralized(cells: _Cells) -> _PointsForm:
-    """The points form of the neutral matrix of :func:`neutralize`, for a
-    positive or negative matrix with these cells; a negative one through
-    its mirrored points form."""
-    if cells.sign is SignClass.NEGATIVE:
-        return _mirror(*_neutralized(_read(*_mirror(*cells.points))))
-    k = cells.geometry.opening_row
-    return _recharge(len(cells.first), _discharge_word(cells), k, cells.sums.c + cells.e, 0)
+    return NeutralPair(_write(*_recharged(cells, 0)), cells.e)
 
 
 def restore(pair: NeutralPair) -> AsmMatrix:
     """Inverse of :func:`neutralize`."""
     if pair.charge == 0:
         return pair.matrix
-    return _write(*_restored(_cells(pair.matrix), pair.charge))
+    return _write(*_recharged(_cells(pair.matrix), pair.charge))
 
 
-def _restored(cells: _Cells, charge: int) -> _PointsForm:
-    """The points form of :func:`restore` of the pair of the neutral
-    matrix with these cells and a nonzero charge; a negative charge
-    through the mirrored points form, where it is positive."""
-    if charge < 0:
-        return _mirror(*_restored(_read(*_mirror(*cells.points)), -charge))
-    # the matrix is neutral: its discharge has charge 0 and closing sum c
-    word = _discharge_word(cells)
-    return _recharge(len(cells.first), word, cells.geometry.opening_row, cells.sums.c - charge, charge)
+def _recharged(cells: _Cells, charge: int) -> _PointsForm:
+    """The points form of the discharge of the matrix with these cells,
+    recharged with the same ``k`` and ``c + E`` and with ``charge``; a
+    negative matrix, or a negative charge on a neutral one, through the
+    mirrored points form, where both are non-negative."""
+    if cells.sign is SignClass.NEGATIVE or charge < 0:
+        return _mirror(*_recharged(_read(*_mirror(*cells.points)), -charge))
+    n, k, total = len(cells.first), cells.geometry.opening_row, cells.sums.c + cells.e
+    return _recharge(n, _discharge_word(cells), k, total - charge, charge)
 
 
 def flip_charge(pair: NeutralPair) -> NeutralPair:

@@ -1,6 +1,7 @@
 """The census past the exhaustive range: ``distribution`` against closed
-forms, the symmetries of the paper, the Counter engines of ``conftest``
-and its guard on the output size."""
+forms, the symmetries of the paper, the Counter engines of ``conftest``,
+its two engines against each other, and its guards on the output size
+and on the work of the transfer count."""
 
 import itertools
 from collections import Counter
@@ -11,7 +12,13 @@ import pytest
 
 import asmc.enumeration
 from asmc import distribution, formula_count
-from asmc.enumeration import DISTRIBUTION_KEYS, MAX_DISTRIBUTION_KEYS, _predicted_keys, _row_moves
+from asmc.enumeration import (
+    DISTRIBUTION_KEYS,
+    MAX_DISTRIBUTION_KEYS,
+    MAX_TRANSFER_STATES,
+    _predicted_keys,
+    _row_moves,
+)
 from asmc.errors import BadArgument
 from conftest import all_asm, counter_table_space_distribution, counter_transfer_distribution
 
@@ -84,6 +91,18 @@ class TestClosedForms:
         assert mirrored == census
 
 
+class TestCrossEngine:
+    @pytest.mark.parametrize("n", range(8, 12))
+    def test_transfer_count_at_one_minus_equals_the_table_space_marginal(self, n):
+        """Matrices with one -1 counted over column-sum states and counted
+        over generalized inversion tables agree on (r, i)."""
+        transfer = distribution(n, ("r", "s", "i"), cap=None)
+        at_one = Counter({(r, i): c for (r, s, i), c in transfer.items() if s == 1})
+        tables = project(distribution(n, ("r", "i", "J"), cap=None), ("r", "i", "J"), ("r", "i"))
+        assert at_one == tables
+        assert sum(at_one.values()) == one_minus_count(n)
+
+
 class TestCounterEngines:
     """The packed counts equal the Counter engines they replace."""
 
@@ -130,6 +149,20 @@ class TestOutputGuard:
     def test_five_keys_at_order_30_raise_before_counting(self, no_work):
         with pytest.raises(BadArgument, match="predicts"):
             distribution(30, FIVE, cap=None)
+
+    def test_transfer_keys_past_order_12_raise_before_counting(self, no_work):
+        assert 1 << 12 <= MAX_TRANSFER_STATES < 1 << 13
+        for keys in SUBSETS + REPEATED:
+            if not any(k in ("E", "B", "J") for k in keys):
+                with pytest.raises(BadArgument, match="column-sum states"):
+                    distribution(13, keys, cap=None)
+        with pytest.raises(BadArgument, match="column-sum states"):
+            distribution(60, ("r", "i"), cap=None)
+
+    def test_charge_keys_are_not_bounded_by_the_states(self, monkeypatch):
+        monkeypatch.setattr(asmc.enumeration, "_table_space_distribution", lambda n, keys: ({}, 0))
+        for keys in (("E",), ("r", "s", "i", "J"), ("B", "i")):
+            assert distribution(60, keys, cap=None) == Counter()
 
     def test_every_key_set_up_to_order_12_is_allowed(self, monkeypatch):
         for engine in ("_table_space_distribution", "_transfer_distribution"):

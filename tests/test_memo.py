@@ -1,14 +1,16 @@
-"""Facts kept on values by ``cells._keep``: what the points-form reader
+"""Facts kept on values outside their dataclass fields: the points form
+a built matrix keeps (``matrix._on_demand``), what the points-form reader
 of ``asmc.cells`` reads off a matrix (its points form, landmarks, sign
-class, cell sums and charge), handed the points by the builders that hold
-them, and the mark of a mixed configuration that has passed validation
-or was built from a valid table.
+class, cell sums and charge), kept by ``cells._cells``, and the mark of a
+mixed configuration that has passed validation or was built from a valid
+table, kept by ``cells._keep``.
 
-Every kept matrix fact must equal the landmarks and cell sums searched and
-summed by definition on the dense rows (``conftest.dense_cells``), and a
-kept mark a fresh validation; no kept fact may change what a value is:
-equality, hashing and repr see only the dataclass fields, and a value
-built over lists keeps nothing.
+A kept points form must equal the one scanned off the dense rows (the
+row-read word for a permutation), every kept matrix fact the landmarks
+and cell sums searched and summed by definition on the dense rows
+(``conftest.dense_cells``), and a kept mark a fresh validation; no kept
+fact may change what a value is: equality, hashing and repr see only the
+dataclass fields, and a value built over lists keeps nothing.
 """
 
 import random
@@ -31,9 +33,11 @@ from asmc import (
     dual_config,
     gen_table,
     geometry,
+    is_permutation_matrix,
     neutralize,
     pair_from_config,
     pair_from_table,
+    perm_one_line,
     reflect,
     restore,
     sign_class,
@@ -41,12 +45,10 @@ from asmc import (
     table_valid,
     validate_config,
 )
+from asmc.cells import _points
 from conftest import dense_cells, one_minus, random_valid_table
 
-FACTS = {"_cells", "_valid"}
-# what a matrix written on demand holds besides its facts: its row writer
-# and its order (``matrix._on_demand``)
-WRITER = {"_writer", "_n"}
+FACTS = {"_form", "_cells", "_valid"}
 
 
 def kept_facts(value) -> set[str]:
@@ -55,8 +57,14 @@ def kept_facts(value) -> set[str]:
     an unmemoized copy; returns the names of the facts found."""
     if isinstance(value, NeutralPair):
         value = value.matrix
-    kept = {name: fact for name, fact in vars(value).items() if name.startswith("_") and name not in WRITER}
+    kept = {name: fact for name, fact in vars(value).items() if name.startswith("_")}
     assert set(kept) <= FACTS
+    if "_form" in kept:
+        dense = AsmMatrix(value.rows)
+        if is_permutation_matrix(dense):
+            assert kept["_form"] == (perm_one_line(dense), 0, 0, 0)
+        else:
+            assert kept["_form"] == _points(dense)
     if "_cells" in kept:
         assert tuple(kept["_cells"]) == dense_cells(AsmMatrix(value.rows))
     if "_valid" in kept:
@@ -80,22 +88,24 @@ def outputs(m: AsmMatrix):
     yield "dual_config", dual_config(cfg)
 
 
-# the facts each output holds however it was built: a pair's matrix has
-# passed the pair's checks, and a configuration the check of its table
+# the facts each output may hold: a matrix built on its points keeps its
+# form, and its cells once a pair has checked it; a dense matrix handed
+# back (a pair's matrix at charge 0) keeps the cells the pair's check
+# read; a configuration holds the mark of its table's check
 EXPECTED = {
-    "neutralize": {"_cells"},
-    "restore": {"_cells"},
-    "swap_charges": {"_cells"},
-    "pair_from_table": {"_cells"},
-    "config_from_pair": {"_valid"},
-    "dual_config": {"_valid"},
+    "neutralize": ({"_cells"}, {"_form", "_cells"}),
+    "restore": ({"_cells"}, {"_form"}),
+    "swap_charges": ({"_cells"}, {"_form", "_cells"}, {"_form"}),
+    "pair_from_table": ({"_form", "_cells"},),
+    "config_from_pair": ({"_valid"},),
+    "dual_config": ({"_valid"},),
 }
 
 
 def check_outputs(m: AsmMatrix, found: Counter) -> None:
     for name, value in outputs(m):
         facts = kept_facts(value)
-        assert EXPECTED[name] <= facts, (name, m.rows)
+        assert facts in EXPECTED[name], (name, m.rows)
         found.update(facts)
 
 
@@ -108,16 +118,17 @@ class TestKeptFactsOracle:
                 check_outputs(m, found)
                 matrices += 1
         assert matrices == 2617
-        assert found == {"_cells": 4 * matrices, "_valid": 2 * matrices}
+        # 1,284 of the matrices are not neutral; see EXPECTED for the rest
+        assert found == {"_form": 7201, "_cells": 7900, "_valid": 2 * matrices}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sampled_tables_at_large_n(self, seed):
         rng = random.Random(seed)
         for n in (25, rng.randint(26, 199), 200):
             pair = pair_from_table(random_valid_table(rng, n))
-            assert kept_facts(pair) == {"_cells"}
+            assert kept_facts(pair) == {"_form", "_cells"}
             m = restore(pair)
-            assert kept_facts(m) == {"_cells"}
+            assert kept_facts(m) == {"_form"}
             found = Counter()
             check_outputs(m, found)
             check_outputs(reflect(m), found)
@@ -147,7 +158,7 @@ class TestValueSemantics:
         m = restore(pair)
         cfg = config_from_pair(pair)
         config_params(cfg)
-        assert kept_facts(m) == {"_cells"}
+        assert kept_facts(m) == {"_form"}
         assert kept_facts(cfg) == {"_valid"}
         twins = (
             (m, AsmMatrix(m.rows)),

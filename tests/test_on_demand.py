@@ -1,6 +1,7 @@
 """Matrices written on demand: ``cells._write`` and ``perm_matrix`` check
-a points form or a one-line word and return a matrix whose dense rows are
-written the first time ``rows`` is read.
+a points form or a one-line word and return a matrix that keeps its
+points form and whose dense rows are written the first time ``rows`` is
+read; ``reflect`` of such a matrix mirrors the form.
 
 Those rows must be the rows the dense writers of ``conftest`` write, the
 matrix must mean what its dense twin means (equality, hashing, repr,
@@ -10,6 +11,7 @@ no matrix before a caller reads one.
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import sys
@@ -26,6 +28,7 @@ from asmc import (
     NeutralPair,
     SignClass,
     discharge,
+    minus_count,
     neutralize,
     pair_from_table,
     partial_discharge,
@@ -101,21 +104,42 @@ class TestRowsOracle:
                 assert unread(p) and p.n == n
                 assert p.rows == dense_perm_matrix(word[::-1]).rows
 
+    def test_reflection_of_every_built_matrix_up_to_order_6(self):
+        """``reflect`` of a one-minus matrix written by ``_write`` and of a
+        permutation matrix written by ``perm_matrix`` mirrors the points
+        form and writes no rows; read, it is the reflected dense twin."""
+        built = 0
+        for n in range(1, 7):
+            words = itertools.permutations(range(1, n + 1))
+            for b in [*(_write(*_cells(m).points) for m in one_minus(n)), *map(perm_matrix, words)]:
+                mirror = reflect(b)
+                assert unread(mirror) and unread(b) and mirror.n == n
+                dense = reflect(AsmMatrix(b.rows))
+                assert mirror == dense and reflect(mirror) == b
+                assert minus_count(mirror) == minus_count(dense)
+                built += 1
+        assert built == 2617 + 873
+
 
 @pytest.fixture(scope="module")
 def written():
     """Builders of a one-minus matrix and of a permutation matrix written
-    on demand, each with its dense twin."""
+    on demand, and of their reflections, each with its dense twin."""
     m = restore(pair_from_table(random_valid_table(random.Random(2), 40)))
     form = _cells(m).points
     word = perm_one_line(partial_discharge(m if sign_class(m) is SignClass.POSITIVE else reflect(m)))
-    return (
+    builders = (
         (lambda: _write(*form), dense_write(*form)),
         (lambda: perm_matrix(word), dense_perm_matrix(word)),
     )
+    return builders + tuple((lambda build=build: reflect(build()), reflect(twin)) for build, twin in builders)
 
 
 class TestValueSemantics:
+    def test_keeps_only_its_points_form_until_read(self, written):
+        for build, _ in written:
+            assert vars(build()).keys() == {"_form"}
+
     def test_equals_its_dense_twin_with_equal_hash_and_repr(self, written):
         for build, twin in written:
             assert unread(build())
@@ -185,13 +209,13 @@ class TestValueSemantics:
 
 class TestNoDenseWork:
     """At n=500 the encodings build every matrix on its points: they write
-    no dense rows (``_unit_rows`` calls) and reflect no matrix, and each
+    no dense rows (``matrix._rows`` calls) and reflect no matrix, and each
     matrix they return writes its rows once, on the first read."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = Counter()
-        for module, name in ((asmc.matrix, "_unit_rows"), (asmc.matrix, "reflect")):
+        for module, name in ((asmc.matrix, "_rows"), (asmc.matrix, "reflect")):
             real = getattr(module, name)
 
             def counting(*args, real=real, name=name):
@@ -203,7 +227,7 @@ class TestNoDenseWork:
             assert asmc.matrix in bound
             for mod in bound:
                 monkeypatch.setattr(mod, name, counting)
-        assert asmc.cells._unit_rows is asmc.matrix._unit_rows
+        assert asmc.cells._rows is asmc.matrix._rows
         return calls
 
     @pytest.mark.parametrize("seed", range(2))
@@ -216,9 +240,9 @@ class TestNoDenseWork:
             a = value.matrix if isinstance(value, NeutralPair) else value
             assert calls == {} and unread(a)
             a.rows
-            assert calls == {"_unit_rows": 1}
+            assert calls == {"_rows": 1}
             a.rows
-            assert calls == {"_unit_rows": 1}
+            assert calls == {"_rows": 1}
             calls.clear()
             return a
 
@@ -226,8 +250,7 @@ class TestNoDenseWork:
         assert pair.charge
         built(pair)
         m = built(restore(pair))
-        mirror = reflect(m)
-        calls.clear()
+        mirror = built(reflect(restore(pair)))
         for a in (m, mirror):
             signs[sign_class(a)] += 1
             dense = AsmMatrix(a.rows)
