@@ -31,12 +31,12 @@ points in a rectangle.  :func:`_read` is the one reader of these facts:
 O(n), it returns the landmarks, the sign class, ``ell``, ``c``, ``x``
 and ``E`` together, and reads a negative matrix through the mirrored
 points form (``matrix._mirror``, which relabels column ``j`` as
-``n+1-j``).  :func:`_points` is the one scan of the dense rows; it
-finds the points form of a matrix given by its entries.  :func:`_write`
-is the one writer: it checks a points form against the alternating laws
-in O(n log n) (:func:`_is_points_form`) and returns a matrix that keeps
-it; ``discharge._recharge`` and ``inv_table.pair_from_table`` build
-their matrices through it.
+``n+1-j``).  :func:`_points` reads the points form off the sparse view
+(``matrix._sparse``): the one scan of a dense matrix, or the form a
+built one keeps.  :func:`_write` is the one writer: it checks a points
+form against the alternating laws in O(n log n) (:func:`_is_points_form`)
+and returns a matrix that keeps it; ``discharge._recharge`` and
+``inv_table.pair_from_table`` build their matrices through it.
 
 Each fact about a matrix is computed once per value and kept on the
 frozen value, outside the dataclass fields, so equality, hashing and
@@ -57,7 +57,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
-from .matrix import _INT_ONLY, AsmMatrix, _mirror, _on_demand, _PointsForm, _refuse, _rows, minus_count
+from .matrix import _INT_ONLY, AsmMatrix, _mirror, _on_demand, _PointsForm, _refuse, _rows, _sparse
 
 
 class SignClass(Enum):
@@ -155,33 +155,19 @@ def _read(first: tuple[int, ...], closing_row: int, opening_col: int, closing_co
     return _Cells(first, g, SignClass.POSITIVE if e else SignClass.NEUTRAL, sums, e)
 
 
-def _closing_row(a: AsmMatrix) -> int:
-    """The 1-based row holding the only -1 of ``a``, found in the same pass
-    that shows there is no other; raises :class:`NotOneMinus` otherwise."""
-    found = 0
-    for i, row in enumerate(a.rows, start=1):
-        if -1 in row:
-            if found or row.count(-1) != 1:
-                raise NotOneMinus(minus_count(a))
-            found = i
-    if not found:
-        raise NotOneMinus(0)
-    return found
-
-
 def _points(a: AsmMatrix) -> _PointsForm:
-    """The points form of ``a``: the one scan of the dense matrix."""
-    closing_row = _closing_row(a)
-    line = a.rows[closing_row - 1]
-    opening_col = line.index(-1) + 1
-    first = tuple([row.index(1) + 1 for row in a.rows])  # final length, as in validate_asm
-    return first, closing_row, opening_col, line.index(1, opening_col) + 1
+    """The points form of ``a``, its sparse view (``matrix._sparse``, the
+    one scan of a dense matrix) with its one extra pair, the -1 and the
+    closing 1; raises :class:`NotOneMinus` on any other number of -1s."""
+    first, extras = _sparse(a)
+    if len(extras) != 1:
+        raise NotOneMinus(len(extras))
+    return (first, *extras[0])
 
 
 def geometry(a: AsmMatrix) -> CellGeometry:
-    """Locate the opening/closing landmarks of a one-minus ASM, scanning
-    its rows afresh; the library reads them through :func:`_cells`, which
-    keeps them on the matrix."""
+    """Locate the opening/closing landmarks of a one-minus ASM afresh; the
+    library reads them through :func:`_cells`, which keeps them."""
     return _read(*_points(a)).geometry
 
 

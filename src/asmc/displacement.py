@@ -15,9 +15,10 @@ A shift only relabels the lines that hold a 1, so it acts on the list
 of a window's 1s as ``(row, column)`` points: the work of one shift is
 linear in the number of points, not in the area of the window.  That
 point core, ``_displace``, is the one displacement core: discharging
-and recharging call it on the n 1s of a matrix, and the public
-primitives are adapters that read the 1s of a dense grid, shift them
-and write the grid back.
+and recharging call it on the n 1s of a matrix.  ``_shift_in`` is the
+one dense adapter: it reads the 1s of a window of a grid, shifts them
+and writes the window back.  The four whole-grid primitives call it on
+the window of the whole grid, and ``apply_in_region`` on the region.
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ def _as_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
             v = next(v for v in row if type(v) is not int)
             raise PreconditionFailed(f"entry {v!r} is not an integer")
     return rows
-
-
-def _check_zero_one(rows: Sequence[Sequence[int]]) -> None:
-    for row in rows:
-        if not _ZERO_ONE.issuperset(row):
-            v = next(v for v in row if v not in _ZERO_ONE)
-            raise PreconditionFailed(f"entry {v!r} is not 0 or 1")
 
 
 def _displace(points: list[Point], region: Region, columns: bool, inverse: bool) -> list[Point]:
@@ -91,11 +85,9 @@ def _displace(points: list[Point], region: Region, columns: bool, inverse: bool)
     return [(target[i], j) if (i, j) in inside else (i, j) for i, j in points]
 
 
-def _ones(rows: Sequence[Sequence[int]], top: int = 1, left: int = 1) -> list[Point]:
-    """The points of the nonzero entries of (0,1) ``rows``, numbered from
-    ``(top, left)``."""
-    return [(i, left + j) for i, row in enumerate(rows, start=top)
-            for j in compress(range(len(row)), row)]
+def _ones(rows: Sequence[Sequence[int]]) -> list[Point]:
+    """The points of the nonzero entries of (0,1) ``rows``."""
+    return [(i, j) for i, row in enumerate(rows, start=1) for j in compress(range(1, len(row) + 1), row)]
 
 
 def _dense(points: Iterable[Point], m: int, n: int) -> list[list[int]]:
@@ -106,13 +98,25 @@ def _dense(points: Iterable[Point], m: int, n: int) -> list[list[int]]:
     return out
 
 
+def _shift_in(rows: IntGrid, region: Region, columns: bool, inverse: bool) -> IntGrid:
+    """The one region shift: the 1s of the (0,1) window ``region`` of
+    ``rows`` displaced (:func:`_displace`) and written back."""
+    top, bottom, left, right = region.top, region.bottom, region.left, region.right
+    window = [row[left - 1 : right] for row in rows[top - 1 : bottom]]
+    for row in window:
+        if not _ZERO_ONE.issuperset(row):
+            v = next(v for v in row if v not in _ZERO_ONE)
+            raise PreconditionFailed(f"entry {v!r} is not 0 or 1")
+    m, n = bottom - top + 1, right - left + 1
+    shifted = _dense(_displace(_ones(window), Region(1, m, 1, n), columns, inverse), m, n)
+    middle = [row[: left - 1] + tuple(new) + row[right:] for row, new in zip(rows[top - 1 : bottom], shifted)]
+    return (*rows[: top - 1], *middle, *rows[bottom:])
+
+
 def _shift(grid: Sequence[Sequence[int]], columns: bool, inverse: bool) -> IntGrid:
-    """The four primitives on a whole dense grid."""
+    """The four primitives: the region shift over the whole grid."""
     rows = _as_grid(grid)
-    _check_zero_one(rows)
-    m, n = len(rows), len(rows[0])
-    shifted = _displace(_ones(rows), Region(1, m, 1, n), columns, inverse)
-    return tuple(map(tuple, _dense(shifted, m, n)))
+    return _shift_in(rows, Region(1, len(rows), 1, len(rows[0])), columns, inverse)
 
 
 def h_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
@@ -185,19 +189,7 @@ def apply_in_region(
     except PreconditionFailed as exc:
         raise PreconditionFailed(f"{exc} (host of region {region})") from exc
     region.check_within(len(rows), len(rows[0]))
-    window = [row[region.left - 1 : region.right] for row in rows[region.top - 1 : region.bottom]]
     try:
-        _check_zero_one(window)
+        return _shift_in(rows, region, columns=f is h_shift, inverse=False)
     except PreconditionFailed as exc:
         raise PreconditionFailed(f"{exc} (in region {region})") from exc
-    ones = _ones(window, region.top, region.left)
-    out = [list(row) for row in rows]
-    for i, j in ones:
-        out[i - 1][j - 1] = 0
-    try:
-        shifted = _displace(ones, region, columns=f is h_shift, inverse=False)
-    except PreconditionFailed as exc:
-        raise PreconditionFailed(f"{exc} (in region {region})") from exc
-    for i, j in shifted:
-        out[i - 1][j - 1] = 1
-    return tuple(map(tuple, out))

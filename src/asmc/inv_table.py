@@ -21,20 +21,20 @@ meets them and raises :class:`InvalidTable` on any other.
 Complementing both halves of the encoding (table duality) corresponds
 to vertical reflection of the matrix.
 
-Both kinds of table are read and written on lists of columns, never
-on dense rows.  :func:`_walk` reads a table off a points form (see
-:mod:`asmc.cells`; a permutation is its one-line word, with no closing
-row) bottom-up, keeping the sorted columns whose entries below the row
-sum to 1, so each ``a_i`` is a ``bisect``.  Decoding reads rows top-down,
-keeping the sorted columns with no 1 above the row, so each ``a_i`` pops
-the row's column.  ``matrix.perm_matrix`` writes a permutation and
-``cells._write`` a one-minus matrix, each checking it on its points
-rather than on the dense rows.
+Both kinds of table are read and written on lists of columns, never on
+dense rows.  A table is read by ``matrix._walk``, the south-west walk
+that also counts ``i``, over the sparse view of a points form (a
+permutation has no extra pair): bottom-up, keeping the sorted columns
+whose entries below the row sum to 1, so each ``a_i`` is a ``bisect``.
+Decoding reads rows top-down, keeping the sorted columns with no 1 above
+the row, so each ``a_i`` pops the row's column.  ``matrix.perm_matrix``
+writes a permutation and ``cells._write`` a one-minus matrix, each
+checking it on its points rather than on the dense rows.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 from .cells import _cells, _write
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
-from .matrix import _INT_ONLY, AsmMatrix, _text_ints, json_int, perm_matrix, perm_one_line
+from .matrix import _INT_ONLY, AsmMatrix, _text_ints, _walk, json_int, perm_matrix, perm_one_line
 from .neutral import NeutralPair
 
 
@@ -68,26 +68,7 @@ def perm_table(p: AsmMatrix) -> tuple[int, ...]:
     >>> perm_table(perm_matrix([3, 2, 1]))
     (0, 1, 2)
     """
-    return _walk(perm_one_line(p))
-
-
-def _walk(
-    first: tuple[int, ...], closing_row: int = 0, opening_col: int = 0, closing_col: int = 0
-) -> tuple[int, ...]:
-    """``a_1..a_n`` of the matrix with this points form (a permutation has
-    no closing row): walks the rows bottom-up, keeping the sorted columns
-    whose entries below the current row sum to 1; ``a_i`` is the number of
-    those left of the row's first 1."""
-    below: list[int] = []
-    a = []
-    for q in range(len(first), 0, -1):
-        col = first[q - 1]
-        a.append(bisect_left(below, col))
-        insort(below, col)
-        if q == closing_row:
-            below.remove(opening_col)
-            insort(below, closing_col)
-    return tuple(a)
+    return _walk(perm_one_line(p))[0]
 
 
 def perm_from_table(a: Sequence[int]) -> AsmMatrix:
@@ -200,8 +181,9 @@ def gen_table(pair: NeutralPair) -> GenInvTable:
     """Generalized inversion table of a neutral pair; :func:`_walk` reads
     ``a_{k-1}`` at the left 1 of the closing row."""
     cells = _cells(pair.matrix)
-    k = len(cells.first) + 1 - cells.geometry.opening_row
-    a, sums = _walk(*cells.points), cells.sums
+    g, sums = cells.geometry, cells.sums
+    a = _walk(cells.first, ((g.closing_row, g.opening_col, g.closing_col),))[0]
+    k = len(cells.first) + 1 - g.opening_row
     try:
         return table_valid(GenInvTable(k=k, a=a, b=sums.c, beta=pair.charge + sums.ell))
     except InvalidTable as exc:

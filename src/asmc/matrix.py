@@ -19,8 +19,9 @@ ClassicalParams(r=1, s=1, i=2)
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
@@ -62,8 +63,8 @@ class AsmMatrix:
     is ``(word, 0, 0, 0)``.  :func:`_rows` writes its rows from the form
     the first time ``rows`` is read (:class:`_OnDemand`); equality,
     hashing and repr read ``rows``, so a matrix means the same however it
-    was built.  :func:`reflect` mirrors the form of such a matrix, and
-    ``enumerate_asm`` builds dense matrices valid by construction.
+    was built.  :func:`reflect` mirrors the form and :func:`_sparse` reads
+    it; ``enumerate_asm`` builds dense matrices valid by construction.
 
     >>> from asmc import GenInvTable, pair_from_table
     >>> m = pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)).matrix
@@ -191,10 +192,7 @@ def reflect(a: AsmMatrix) -> AsmMatrix:
 
 def minus_count(a: AsmMatrix) -> int:
     """Number of entries equal to -1 (the statistic ``s``)."""
-    form = a.__dict__.get("_form")
-    if form is not None:
-        return 1 if form[1] else 0  # only a one-minus form has a closing row
-    return sum(row.count(-1) for row in a.rows)
+    return len(_sparse(a)[1])
 
 
 def inversions(a: AsmMatrix) -> int:
@@ -202,34 +200,25 @@ def inversions(a: AsmMatrix) -> int:
 
     For each nonzero entry, sum the entries strictly below and strictly to
     its left, and accumulate the product.  On permutation matrices this is
-    the usual inversion count of the one-line word.
-
-    The rows are walked bottom-up with the column sums of the rows below
-    in a Fenwick tree (Knuth, *TAOCP* vol. 3, 5.1.1), so the Python work
-    is O(log n) per nonzero entry; a row's nonzero entries are taken right
-    to left, so the entries of the row itself never count.
+    the usual inversion count of the one-line word.  It is the ``i`` of
+    :func:`classical_params`.
     """
-    n = a.n
-    tree = [0] * (n + 1)  # tree[k] sums the columns k - (k & -k) + 1 .. k
-    total = 0
-    cols = range(n, 0, -1)
-    for row in reversed(a.rows):
-        for j in compress(cols, reversed(row)):
-            v = row[j - 1]
-            k = j - 1
-            while k:  # the sum over the columns left of j
-                total += v * tree[k]
-                k &= k - 1
-            while j <= n:
-                tree[j] += v
-                j += j & -j
-    return total
+    return classical_params(a).i
 
 
 def classical_params(a: AsmMatrix) -> ClassicalParams:
-    """Compute the classical triple (r, s, i)."""
-    first_one = a.rows[0].index(1)  # entries left of the first row's 1
-    return ClassicalParams(r=first_one, s=minus_count(a), i=inversions(a))
+    """The classical triple (r, s, i) off the sparse view of ``a``
+    (:func:`_sparse`): ``r`` from the first row's 1, ``s`` the extra pairs
+    and ``i`` one south-west walk (:func:`_walk`), writing no rows.
+
+    >>> from asmc import GenInvTable, pair_from_table, restore
+    >>> m = restore(pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)))
+    >>> classical_params(m), 'rows' in vars(m)
+    (ClassicalParams(r=1, s=1, i=2), False)
+    """
+    first, extras = _sparse(a)
+    counts, extra = _walk(first, extras)
+    return ClassicalParams(r=first[0] - 1, s=len(extras), i=sum(counts) + extra)
 
 
 def is_permutation_matrix(a: AsmMatrix) -> bool:
@@ -237,14 +226,13 @@ def is_permutation_matrix(a: AsmMatrix) -> bool:
 
 
 def perm_one_line(a: AsmMatrix) -> tuple[int, ...]:
-    """One-line word of a permutation matrix: 1-based column of each row's
-    1; raises :class:`BadArgument` on a matrix with a -1.  A matrix built
-    by :func:`perm_matrix` gives back the word of the points form it
-    keeps, unread rows staying unwritten."""
-    if not is_permutation_matrix(a):
-        raise BadArgument(f"expected a permutation matrix, got one with s={minus_count(a)}")
-    form = a.__dict__.get("_form")
-    return form[0] if form is not None else tuple(row.index(1) + 1 for row in a.rows)
+    """One-line word of a permutation matrix: the ``first`` of its sparse
+    view, which a matrix built by :func:`perm_matrix` keeps; raises
+    :class:`BadArgument` on a matrix with a -1."""
+    first, extras = _sparse(a)
+    if extras:
+        raise BadArgument(f"expected a permutation matrix, got one with s={len(extras)}")
+    return first
 
 
 def perm_matrix(word: Sequence[int]) -> AsmMatrix:
@@ -304,6 +292,57 @@ def _mirror(first: tuple[int, ...], closing_row: int, opening_col: int, closing_
         return tuple(mirrored), 0, 0, 0
     mirrored[closing_row - 1] = m - closing_col
     return tuple(mirrored), closing_row, m - opening_col, m - first[closing_row - 1]
+
+
+_Extras = tuple[tuple[int, int, int], ...]
+
+
+def _sparse(a: AsmMatrix) -> tuple[tuple[int, ...], _Extras]:
+    """The sparse view ``(first, extras)`` of ``a``: the column of the
+    first 1 of every row, and ``(row, minus_col, plus_col)`` for each -1,
+    bottom row first, with the 1 right of it (the tail of a one-minus
+    points form).  Read off the points form a built matrix keeps, in O(n),
+    writing no rows; else in one scan of the rows."""
+    form = a.__dict__.get("_form")
+    if form is not None:
+        return form[0], (form[1:],) if form[1] else ()
+    rows = a.rows
+    first = tuple([row.index(1) + 1 for row in rows])  # final length, as in validate_asm
+    extras = []
+    for q, row in enumerate(rows, start=1):
+        if -1 in row:
+            nonzero = iter(compress(range(1, len(row) + 1), row))
+            next(nonzero)  # the first 1
+            extras += zip(repeat(q), nonzero, nonzero)
+    extras.reverse()
+    return first, tuple(extras)
+
+
+def _walk(first: tuple[int, ...], extras: _Extras = ()) -> tuple[tuple[int, ...], int]:
+    """The south-west counts of the sparse view ``(first, extras)``: walks
+    the rows bottom-up, keeping the sorted columns whose entries below the
+    row sum to 1 (in an ASM each such sum is 0 or 1), and counts those left
+    of each nonzero entry (Knuth, *TAOCP* vol. 3, 5.1.1).  Returns the
+    counts at the first 1 of rows n..1 (the inversion table) and the signed
+    sum of those at the extra pairs, taken once the row's first 1 is kept:
+    that adds 1 to both counts of a pair, leaving their difference."""
+    below: list[int] = []
+    counts = []
+    extra = 0
+    pending = iter(extras)
+    row, minus, plus = next(pending, (0, 0, 0))
+    for q in range(len(first), 0, -1):
+        col = first[q - 1]
+        k = bisect_left(below, col)
+        counts.append(k)
+        below.insert(k, col)
+        while q == row:
+            k, k_plus = bisect_left(below, minus), bisect_left(below, plus)
+            extra += k_plus - k
+            del below[k]
+            below.insert(k_plus - 1, plus)
+            row, minus, plus = next(pending, (0, 0, 0))
+    return tuple(counts), extra
 
 
 class _OnDemand(AsmMatrix):

@@ -194,8 +194,9 @@ def dense_from_table(t) -> AsmMatrix:
 
 # ---------------------------------------------------------------------------
 # the writers and the inversion count on dense rows: the oracles of the
-# points checks of ``cells._write`` and ``perm_matrix`` and of the Fenwick
-# count of ``inversions``
+# points checks of ``cells._write`` and ``perm_matrix`` and of the
+# south-west walk (``matrix._walk``) that ``inversions`` and
+# ``classical_params`` run over the sparse view
 
 
 def dense_write(first, closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
@@ -359,9 +360,10 @@ ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
 @pytest.fixture(scope="session")
 def order7_calls():
     """One walk over all order-7 one-minus matrices, counting ``_points``
-    (the one dense scan of a one-minus matrix), ``_is_points_form`` (the
-    check of a written one), ``validate_asm`` and ``reflect`` (a dense
-    reflected copy) calls in every ``asmc`` module that binds them.
+    (the points form off ``matrix._sparse``, the one dense scan of a
+    one-minus matrix), ``_is_points_form`` (the check of a written one),
+    ``validate_asm`` and ``reflect`` (a dense reflected copy) calls in
+    every ``asmc`` module that binds them.
 
     Returns the modules wrapped for each name, the number of matrices,
     the total ``_points`` calls of each operation in ``ORDER7_SCANS``, and

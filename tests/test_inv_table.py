@@ -30,10 +30,9 @@ from asmc import (
     table_params,
     table_valid,
 )
-from asmc.cells import _cells
 from asmc.errors import BadArgument, NotSquare
-from asmc.inv_table import _walk
-from conftest import TABLE12, dense_from_table, dense_table, one_minus, random_valid_table
+from asmc.matrix import _sparse, _walk
+from conftest import TABLE12, dense_from_table, dense_inversions, dense_table, one_minus, random_valid_table
 
 
 class TestPermTables:
@@ -137,7 +136,9 @@ class TestDenseOracles:
         for n in range(3, 7):
             for m in one_minus(n):
                 for a in (m, reflect(m)):
-                    assert _walk(*_cells(a).points) == dense_table(a)
+                    counts, extra = _walk(*_sparse(a))
+                    assert counts == dense_table(a)
+                    assert sum(counts) + extra == dense_inversions(a)
                     pair = neutralize(a)
                     t = gen_table(pair)
                     assert t.a == dense_table(pair.matrix)

@@ -18,6 +18,7 @@ from asmc import (
     matrix_from_text,
     matrix_to_json,
     matrix_to_text,
+    minus_count,
     pair_from_table,
     perm_matrix,
     perm_one_line,
@@ -25,7 +26,8 @@ from asmc import (
     restore,
     validate_asm,
 )
-from asmc.matrix import inversions
+from asmc.errors import BadArgument
+from asmc.matrix import _sparse, inversions
 from conftest import (
     DIAMOND_ROWS,
     all_asm,
@@ -189,6 +191,46 @@ class TestClassicalParams:
             1 for a in range(7) for b in range(a + 1, 7) if word[a] > word[b]
         )
         assert classical_params(m).i == pairwise
+
+
+class TestSparseView:
+    """``matrix._sparse``, the one scan of a dense matrix that ``inversions``,
+    ``classical_params``, ``minus_count`` and ``perm_one_line`` read."""
+
+    @staticmethod
+    def rows_of(n, first, extras):
+        """The dense rows of a sparse view: a 1 at each row's first
+        column, and a -1 and a 1 at each extra pair."""
+        rows = [[0] * n for _ in range(n)]
+        for row, col in zip(rows, first):
+            row[col - 1] = 1
+        for q, minus, plus in extras:
+            rows[q - 1][minus - 1] = -1
+            rows[q - 1][plus - 1] = 1
+        return tuple(map(tuple, rows))
+
+    def test_rebuilds_every_asm_up_to_order_6(self):
+        matrices = 0
+        for n in range(1, 7):
+            for m in all_asm(n):
+                first, extras = _sparse(m)
+                assert self.rows_of(n, first, extras) == m.rows
+                assert list(extras) == sorted(extras, key=lambda pair: -pair[0])
+                assert inversions(m) == dense_inversions(m)
+                s = sum(row.count(-1) for row in m.rows)
+                assert minus_count(m) == classical_params(m).s == s
+                matrices += 1
+        assert matrices == 1 + 2 + 7 + 42 + 429 + 7436
+
+    def test_perm_one_line_names_the_s_of_a_matrix_with_a_minus(self):
+        for n in range(3, 7):
+            for m in all_asm(n):
+                s = sum(row.count(-1) for row in m.rows)
+                if s:
+                    with pytest.raises(BadArgument, match=f"s={s}$"):
+                        perm_one_line(m)
+                else:
+                    assert perm_one_line(m) == tuple(row.index(1) + 1 for row in m.rows)
 
 
 class TestPermMatrix:

@@ -27,7 +27,10 @@ from asmc import (
     AsmMatrix,
     NeutralPair,
     SignClass,
+    classical_params,
     discharge,
+    gen_table,
+    inversions,
     minus_count,
     neutralize,
     pair_from_table,
@@ -42,8 +45,9 @@ from asmc import (
     swap_charges,
 )
 from asmc.cells import _cells, _write
+from asmc.errors import BadArgument
 from asmc.matrix import _OnDemand
-from conftest import dense_perm_matrix, dense_table, dense_write, one_minus, random_valid_table
+from conftest import dense_perm_matrix, dense_table, dense_write, one_minus, outcome, random_valid_table
 
 
 def unread(a: AsmMatrix) -> bool:
@@ -119,6 +123,47 @@ class TestRowsOracle:
                 assert minus_count(mirror) == minus_count(dense)
                 built += 1
         assert built == 2617 + 873
+
+
+def readers(a: AsmMatrix) -> tuple:
+    """What the readers of the sparse view give on ``a``, or raise."""
+    return outcome(classical_params, a), outcome(minus_count, a), outcome(perm_one_line, a)
+
+
+class TestSparseReaders:
+    """``classical_params``, ``minus_count`` and ``perm_one_line`` of a
+    built matrix read its points form, leaving its rows unwritten, and
+    give what they give on its dense twin."""
+
+    @staticmethod
+    def check(b: AsmMatrix) -> bool:
+        """Whether ``b`` is built; if so, its readers against its twin's."""
+        if "_form" not in vars(b):
+            return False  # an input passed through
+        assert unread(b)
+        got = readers(b)
+        assert unread(b)
+        assert got == readers(AsmMatrix(b.rows))
+        return True
+
+    def test_every_built_output_up_to_order_6(self):
+        built = 0
+        for n in range(3, 7):
+            for m in one_minus(n):
+                t = gen_table(neutralize(AsmMatrix(m.rows)))
+                for build in (
+                    lambda: neutralize(AsmMatrix(m.rows)).matrix,
+                    lambda: swap_charges(AsmMatrix(m.rows)),
+                    lambda: pair_from_table(t).matrix,
+                    lambda: restore(pair_from_table(t)),
+                    lambda: reflect(restore(pair_from_table(t))),
+                ):
+                    built += self.check(build())
+            for word in itertools.permutations(range(1, n + 1)):
+                built += self.check(perm_matrix(word)) + self.check(reflect(perm_matrix(word)))
+        # three table builds per matrix and the built encodings of the
+        # charged ones, then every permutation and its reflection
+        assert built == 11151 + 2 * (6 + 24 + 120 + 720)
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +304,24 @@ class TestNoDenseWork:
             built(restore(NeutralPair(AsmMatrix(image.matrix.rows), image.charge)))
             built(swap_charges(dense))
         assert signs == {SignClass.POSITIVE: 1, SignClass.NEGATIVE: 1}
+
+    def test_readers_write_no_rows_at_order_500(self, calls):
+        """``classical_params``, ``inversions``, ``minus_count``,
+        ``perm_one_line`` and ``perm_table`` read an unread built matrix
+        on its points form."""
+        rng = random.Random(4)
+        m = restore(pair_from_table(random_valid_table(rng, 500)))
+        p = perm_matrix(rng.sample(range(1, 501), 500))
+        mirror = reflect(m)
+        calls.clear()
+        for a in (m, mirror, p):
+            params = classical_params(a)
+            assert (minus_count(a), inversions(a)) == (params.s, params.i)
+        assert perm_table(p)[-1] == classical_params(p).r
+        assert perm_one_line(p) and minus_count(m) == 1
+        with pytest.raises(BadArgument, match="s=1$"):
+            perm_one_line(m)
+        assert calls == {} and unread(m) and unread(mirror) and unread(p)
 
     def test_permutation_words_at_order_500(self, calls):
         """A permutation built by ``perm_matrix`` gives its one-line word
