@@ -32,22 +32,22 @@ O(n), it returns the landmarks, the sign class, ``ell``, ``c``, ``x``
 and ``E`` together, and reads a negative matrix through the mirrored
 points form (``matrix._mirror``, which relabels column ``j`` as
 ``n+1-j``).  :func:`_points` reads the points form off the sparse view
-(``matrix._sparse``): the one scan of a dense matrix, or the form a
-built one keeps.  :func:`_write` is the one writer: it checks a points
-form against the alternating laws in O(n log n) (:func:`_is_points_form`)
-and returns a matrix that keeps it; ``discharge._recharge`` and
-``inv_table.pair_from_table`` build their matrices through it.
+(``matrix._sparse``): the form a built or validated matrix keeps, or the
+one scan of any other.  :func:`_write` is the one writer: it checks a
+points form against the alternating laws in O(n log n)
+(:func:`_is_points_form`) and returns a matrix that keeps it, for
+``discharge._recharge`` and ``inv_table.pair_from_table``.
 
 Each fact about a matrix is computed once per value and kept on the
 frozen value, outside the dataclass fields, so equality, hashing and
 repr never see it.  :func:`_cells` reads a matrix once, off the form it
 keeps or off the one scan of its rows, and keeps the result.
-:func:`_keep`, the one memo helper for values built by callers, keeps a
-fact only on a value built from tuples: the reader's result on a dense
-matrix, and the mark of a mixed configuration known to be valid, set by
-``paths.validate_config`` once its paths pass and by
-``paths.config_from_table`` and ``paths.dual_config`` on what they
-build from a table that passes ``inv_table.table_valid``.
+``matrix._keep``, the one memo helper for values built by callers,
+keeps a fact only on a value built from tuples: the sparse view and the
+reader's result on a dense matrix, and the mark of a mixed configuration
+known to be valid, set by ``paths.validate_config`` once its paths pass
+and by ``paths.config_from_table`` and ``paths.dual_config`` on what
+they build from a table that passes ``inv_table.table_valid``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
-from .matrix import _INT_ONLY, AsmMatrix, _mirror, _on_demand, _PointsForm, _refuse, _rows, _sparse
+from .matrix import _INT_ONLY, AsmMatrix, _keep, _mirror, _on_demand, _PointsForm, _refuse, _rows, _sparse
 
 
 class SignClass(Enum):
@@ -169,21 +169,6 @@ def geometry(a: AsmMatrix) -> CellGeometry:
     """Locate the opening/closing landmarks of a one-minus ASM afresh; the
     library reads them through :func:`_cells`, which keeps them."""
     return _read(*_points(a)).geometry
-
-
-_TUPLE_ONLY = frozenset((tuple,))
-
-
-def _keep(value, parts, **facts) -> None:
-    """Store ``facts``, pure functions of the frozen dataclass ``value``,
-    on it as attributes outside its fields.  They are stored only when
-    ``parts``, the sequences ``value`` is built from, is a tuple of
-    tuples, so that nothing can change under them; a value built over
-    lists computes its facts anew at every call.  Two threads that race
-    here store equal facts."""
-    if type(parts) is tuple and _TUPLE_ONLY.issuperset(map(type, parts)):
-        for name, fact in facts.items():
-            object.__setattr__(value, name, fact)
 
 
 def _cells(a: AsmMatrix) -> _Cells:

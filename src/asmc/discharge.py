@@ -20,31 +20,32 @@ electric charge it forms a 4-tuple that determines the input uniquely;
 For neutral inputs steps 3 and 4 cancel; the implementation still runs
 all four steps so there is a single code path to verify.
 
-After step 1 every row holds one 1, so the steps act on the list of the
-n 1s of the matrix as ``(row, column)`` points, and end on the one-line
-word of the permutation; each step is linear in n.  Those points are the
-``first`` of the matrix's points form (see ``matrix.AsmMatrix``), so
-step 1 scans no row, and recharging ends on the points form of the
-matrix it rebuilds (:func:`_recharge`), which ``neutral`` works on
-without writing it.  Only a matrix that is returned is built, by
-``matrix.perm_matrix`` or ``cells._write``, which check it on its
-points and keep them; neither writes the rows until they are read.
+After step 1 every row holds one 1, so the steps act on the one-line
+word of the matrix, the ``first`` of its points form (see
+``matrix.AsmMatrix``): step 2 relabels the columns of the rows below
+the closing row, and steps 3 and 4 run as one pass over rows k..closing
+row, so only rows k..n are touched.  Recharging runs the steps backwards
+on the word and ends on the points form of the matrix it rebuilds
+(:func:`_recharge`), which ``neutral`` works on without writing it.
+Only a matrix that is returned is built, by ``matrix.perm_matrix`` or
+``cells._write``, which check it on its points and keep them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .cells import SignClass, _Cells, _cells, _write
-from .displacement import Point, Region, _displace
+from .displacement import Region, _displace, _targets
 from .errors import (
     BadArgument,
     InternalInvariantViolation,
     InvalidTuple,
     NegativeClass,
+    ParseError,
+    PreconditionFailed,
 )
-from .matrix import AsmMatrix, _PointsForm, perm_matrix, perm_one_line
+from .matrix import AsmMatrix, _PointsForm, json_int, matrix_from_json, matrix_to_json, perm_matrix, perm_one_line
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,6 @@ class DischargeTuple:
     charge: int
 
     def to_json(self) -> dict:
-        from .matrix import matrix_to_json
-
         return {
             "k": self.opening_row,
             "P": matrix_to_json(self.perm),
@@ -73,9 +72,6 @@ class DischargeTuple:
 
 
 def tuple_from_json(obj: dict) -> DischargeTuple:
-    from .errors import ParseError
-    from .matrix import json_int, matrix_from_json
-
     try:
         return DischargeTuple(
             opening_row=json_int(obj["k"], "k"),
@@ -111,45 +107,35 @@ def partial_discharge(a: AsmMatrix) -> AsmMatrix:
     return perm_matrix(_discharge_word(_non_negative(a)))
 
 
-def _erase(cells: _Cells) -> list[Point]:
-    """Step 1: erase the -1 and the closing 1.  What is left is the first
-    1 of every row (the left 1 on the closing row)."""
-    return list(enumerate(cells.first, start=1))
-
-
 def _discharge_word(cells: _Cells) -> tuple[int, ...]:
-    """The four steps on the 1s of the matrix with these cells; returns
-    the one-line word of the permutation matrix they leave."""
+    """The four steps on the one-line word of the 1s of the matrix with
+    these cells (step 1 leaves the first 1 of every row, ``cells.first``);
+    returns the word of the permutation matrix they leave."""
     g = cells.geometry
-    n = len(cells.first)
-    points = _erase(cells)
+    k, oc, cr, cc = g.opening_row, g.opening_col, g.closing_row, g.closing_col
+    word = list(cells.first)
 
-    # step 2: shift the extended closing cell right
-    closing_cell = Region(g.closing_row + 1, n, g.opening_col, g.closing_col)
-    points = _displace(points, closing_cell, columns=True, inverse=False)
+    # step 2: shift the extended closing cell right, relabelling columns
+    tail = word[cr:]
+    target = _targets([col for col in tail if oc <= col <= cc], oc, cc, columns=True, reverse=False)
+    word[cr:] = [target.get(col, col) for col in tail]
 
-    # step 3: shift the extended neutral cell up
-    neutral_cell = Region(g.opening_row, g.closing_row, 1, g.opening_col - 1)
-    points = _displace(points, neutral_cell, columns=False, inverse=False)
+    # steps 3 and 4: each left 1 of rows k..cr moves up to the next left
+    # row (the top one to row k) and drops one row; each right 1 of an
+    # enclosed row drops one row
+    left = word[cr - 1]
+    if left >= oc or word[k - 1] < oc:  # row cr must hold a left 1, row k none
+        raise PreconditionFailed("last row empty" if left >= oc else "first row nonzero")
+    for q in range(cr - 1, k, -1):
+        col = word[q - 1]
+        if col == oc:
+            raise InternalInvariantViolation(f"lowering collided at ({q + 1},{col})")
+        word[q], left = (col, left) if col > oc else (left, col)
+    word[k] = left
 
-    # step 4: lower the 1s of the extended neutral and charged cells
-    top, bottom, j0 = g.opening_row, g.closing_row, g.opening_col
-    moves = sorted((i, j) for i, j in points if top <= i <= bottom and j < j0)
-    moves += sorted((i, j) for i, j in points if top < i < bottom and j > j0)
-    moved = set(moves)
-    points = [p for p in points if p not in moved]
-    staying = set(points)
-    for i, j in moves:
-        if (i + 1, j) in staying:
-            raise InternalInvariantViolation(f"lowering collided at ({i + 1},{j})")
-        points.append((i + 1, j))
-
-    points.sort()
-    word = tuple([j for _, j in points])  # final length, as in validate_asm
-    lines = list(range(1, n + 1))
-    if [i for i, _ in points] != lines or sorted(word) != lines:
+    if sorted(word) != list(range(1, len(word) + 1)):
         raise InternalInvariantViolation("discharge did not produce a permutation matrix")
-    return word
+    return tuple(word)
 
 
 def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
@@ -162,7 +148,8 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
         raise NegativeClass("shortcut applies to neutral matrices only")
     g = cells.geometry
     closing_cell = Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col)
-    cols = dict(_displace(_erase(cells), closing_cell, columns=True, inverse=False))
+    points = list(enumerate(cells.first, start=1))  # step 1
+    cols = dict(_displace(points, closing_cell, columns=True, inverse=False))
     return perm_matrix([cols.get(q) for q in range(1, a.n + 1)])
 
 
@@ -240,50 +227,41 @@ def recharge(t: DischargeTuple) -> AsmMatrix:
 
 def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> _PointsForm:
     """The points form of :func:`recharge` of ``(k, P, c, E)`` given the
-    one-line word of P."""
+    one-line word of P: the steps of :func:`_discharge_word` reversed."""
     _word_valid(n, word, k, c, e)
     j = word[k - 1]  # opening column
 
     # closing row: topmost row below k where the right-side count reaches E
     count = 0
-    closing_row = None
-    for q in range(k + 1, n + 1):
-        if word[q - 1] > j:
-            count += 1
+    for cr in range(k + 1, n):
+        count += word[cr - 1] > j
         if count == e:
-            closing_row = q
             break
-    if closing_row is None or closing_row >= n:
+    else:
         raise InternalInvariantViolation("no admissible closing row found")
 
-    # reverse step 4: raise the single 1 of each row k+1..closing_row
-    points = list(enumerate(word, start=1))
-    staying = {(q, col) for q, col in points if not k < q <= closing_row}
-    for q, col in points[k:closing_row]:
-        if (q - 1, col) in staying:
-            raise InternalInvariantViolation(f"raising collided at ({q - 1},{col})")
-    points = [(q - 1 if k < q <= closing_row else q, col) for q, col in points]
+    # reverse steps 4 and 3: each 1 of rows k+1..cr rises one row; the
+    # left ones then move down to the next left row, the bottom one to cr
+    word = list(word)
+    left = word[k]
+    if left > j:
+        raise PreconditionFailed("first row empty")
+    for q in range(k + 1, cr):
+        col = word[q]
+        if col == j:
+            raise InternalInvariantViolation(f"raising collided at ({q},{col})")
+        word[q - 1], left = (col, left) if col > j else (left, col)
+    word[cr - 1] = left
 
-    # reverse step 3: shift the extended neutral cell back down
-    points = _displace(points, Region(k, closing_row, 1, j - 1), columns=False, inverse=True)
-
-    # closing column: leftmost column right of j where the below-closing
-    # cumulative count reaches c + 1
-    below = Counter(col for q, col in points if q > closing_row)
-    total = 0
-    closing_col = None
-    for col in range(j, n + 1):
-        total += below[col]
-        if col > j and total == c + 1:
-            closing_col = col
-            break
-    if closing_col is None:
+    # closing column: the (c+1)-th column right of j holding a 1 below the
+    # closing row; reverse step 2 shifts those c+1 columns left
+    tail = word[cr:]
+    right = sorted(col for col in tail if col > j)
+    if len(right) <= c:
         raise InternalInvariantViolation("no admissible closing column found")
-
-    # reverse step 2, then restore the erased entries
-    closing_cell = Region(closing_row + 1, n, j, closing_col)
-    points = _displace(points, closing_cell, columns=True, inverse=True)
-    if {(closing_row, j), (closing_row, closing_col)} & set(points):
+    closing_col = right[c]
+    target = _targets(right[: c + 1], j, closing_col, columns=True, reverse=True)
+    word[cr:] = [target.get(col, col) for col in tail]
+    if word[cr - 1] in (j, closing_col):
         raise InternalInvariantViolation("closing row positions are not free")
-    # the points left are the first 1 of every row of the matrix
-    return tuple([col for _, col in sorted(points)]), closing_row, j, closing_col
+    return tuple(word), cr, j, closing_col

@@ -11,14 +11,15 @@ Both primitives are injective and preserve the multiset of line
 contents.  ``apply_in_region`` lets them act on a rectangular window of
 a larger integer matrix, leaving the rest untouched.
 
-A shift only relabels the lines that hold a 1, so it acts on the list
-of a window's 1s as ``(row, column)`` points: the work of one shift is
-linear in the number of points, not in the area of the window.  That
-point core, ``_displace``, is the one displacement core: discharging
-and recharging call it on the n 1s of a matrix.  ``_shift_in`` is the
-one dense adapter: it reads the 1s of a window of a grid, shifts them
-and writes the window back.  The four whole-grid primitives call it on
-the window of the whole grid, and ``apply_in_region`` on the region.
+A shift only relabels the lines that hold a 1 (``_targets``, which
+checks its precondition), so it acts on the list of a window's 1s as
+``(row, column)`` points in time linear in their number.  That point
+core, ``_displace``, is the core of the dense primitives and of the
+neutral shortcut of ``discharge``; the discharge steps themselves run
+``_targets`` on the one-line word.  ``_shift_in`` is the one dense
+adapter: it reads the 1s of a window of a grid, shifts them and writes
+the window back.  The four whole-grid primitives call it on the window
+of the whole grid, and ``apply_in_region`` on the region.
 """
 
 from __future__ import annotations
@@ -51,35 +52,39 @@ def _as_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
     return rows
 
 
+def _targets(lines: Iterable[int], low: int, high: int, columns: bool, reverse: bool) -> dict[int, int]:
+    """Where a shift sends each occupied line of a window spanning lines
+    ``low..high``: the slots run up the lines, or down them if
+    ``reverse``.  Slot 1 must be among ``lines`` and the last slot not;
+    each occupied slot goes to the next occupied one, the last to the
+    final slot."""
+    names = ["column 1", "last column"] if columns else ["first row", "last row"]
+    first, last = (high, low) if reverse else (low, high)
+    empty, nonzero = names[::-1] if reverse else names
+    occupied = sorted(lines, reverse=reverse)
+    if not occupied:
+        raise PreconditionFailed(f"no nonzero {'column' if columns else 'row'}")
+    if occupied[0] != first:
+        raise PreconditionFailed(f"{empty} empty")
+    if occupied[-1] == last:
+        raise PreconditionFailed(f"{nonzero} nonzero")
+    return dict(zip(occupied, occupied[1:] + [last]))
+
+
 def _displace(points: list[Point], region: Region, columns: bool, inverse: bool) -> list[Point]:
     """The displacement core on the 1s of a (0,1)-matrix.
 
     The window's lines are slots in order: columns left to right, or
     rows bottom to top, or (``inverse``) the same lines in the opposite
-    order.  Slot 1 must hold a point of the window and the last slot
-    none; the points of each occupied slot move to the next occupied
-    slot (those of the last one to the final slot), so slot 1 empties.
-    Points outside the window are kept as they are, and the order of
-    the list is kept.
+    order (:func:`_targets`).  The points of each occupied slot move to
+    the next occupied slot, so slot 1 empties.  Points outside the
+    window are kept as they are, and the order of the list is kept.
     """
     top, bottom, left, right = region.top, region.bottom, region.left, region.right
     inside = {p for p in points if top <= p[0] <= bottom and left <= p[1] <= right}
-    if columns:
-        first, last, names = left, right, ["column 1", "last column"]
-    else:
-        first, last, names = top, bottom, ["first row", "last row"]
-    if columns == inverse:  # the slots run from the high index down
-        first, last = last, first
-        names.reverse()
     axis = 1 if columns else 0
-    occupied = sorted({p[axis] for p in inside}, reverse=first > last)
-    if not occupied:
-        raise PreconditionFailed(f"no nonzero {'column' if columns else 'row'}")
-    if occupied[0] != first:
-        raise PreconditionFailed(f"{names[0]} empty")
-    if occupied[-1] == last:
-        raise PreconditionFailed(f"{names[1]} nonzero")
-    target = dict(zip(occupied, occupied[1:] + [last]))
+    low, high = (left, right) if columns else (top, bottom)
+    target = _targets({p[axis] for p in inside}, low, high, columns, reverse=columns == inverse)
     if columns:
         return [(i, target[j]) if (i, j) in inside else (i, j) for i, j in points]
     return [(target[i], j) if (i, j) in inside else (i, j) for i, j in points]

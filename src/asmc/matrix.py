@@ -56,15 +56,18 @@ class AsmMatrix:
 
     The last two check in O(n log n); on an input they reject they raise
     what :func:`validate_asm` raises on its dense rows.  A matrix they
-    accept keeps one fact outside the dataclass fields, its *points form*
+    accept, and one :func:`validate_asm` accepts with at most one -1,
+    keeps one fact outside the dataclass fields, its *points form*
     ``(first, closing_row, opening_col, closing_col)``: the column of the
     first 1 of every row (the left 1 on the closing row), the closing
     row, the column of the -1 and that of the closing 1; a permutation's
-    is ``(word, 0, 0, 0)``.  :func:`_rows` writes its rows from the form
-    the first time ``rows`` is read (:class:`_OnDemand`); equality,
-    hashing and repr read ``rows``, so a matrix means the same however it
-    was built.  :func:`reflect` mirrors the form and :func:`_sparse` reads
-    it; ``enumerate_asm`` builds dense matrices valid by construction.
+    is ``(word, 0, 0, 0)``.  :func:`_rows` writes the rows of a built
+    matrix from the form the first time ``rows`` is read
+    (:class:`_OnDemand`); equality, hashing and repr read ``rows``, so a
+    matrix means the same however it was built.  :func:`reflect` mirrors
+    the form and :func:`_sparse` reads it, so both take O(n) on any built
+    or parsed matrix; ``enumerate_asm`` builds dense matrices valid by
+    construction, whose sparse view is scanned once and kept.
 
     >>> from asmc import GenInvTable, pair_from_table
     >>> m = pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)).matrix
@@ -109,24 +112,33 @@ class ClassicalParams:
     i: int
 
 
-def _alternates(rows: Grid, n: int) -> bool:
-    """Whether every row and column prefix sum of a {-1, 0, 1} grid is 0 or
-    1 and every line sums to 1.  Prefix sums only change at nonzero
+def _alternates(rows: Grid, n: int) -> tuple[tuple[int, ...], _Extras] | None:
+    """The sparse view (:func:`_sparse`) of a {-1, 0, 1} grid whose every
+    row and column prefix sum is 0 or 1 and every line sums to 1, or None
+    if the grid breaks that law.  Prefix sums only change at nonzero
     entries, so only those are visited, row by row, keeping the column
     sums of the rows above."""
     cols = [0] * n
-    for row in rows:
+    first = []
+    extras = []
+    for q, row in enumerate(rows, start=1):
         total = 0
-        for j in compress(range(n), row):
+        for k, j in enumerate(compress(range(n), row)):
             v = row[j]
             total += v
             c = cols[j] + v
             if not (0 <= total <= 1 and 0 <= c <= 1):
-                return False
+                return None
             cols[j] = c
         if total != 1:
-            return False
-    return cols.count(1) == n
+            return None
+        first.append(row.index(1) + 1 if k else j + 1)
+        if k:  # more than one nonzero entry: the first 1, then (-1, 1) pairs
+            nonzero = list(compress(range(1, n + 1), row))
+            extras += zip(repeat(q), nonzero[1::2], nonzero[2::2])
+    if cols.count(1) != n:
+        return None
+    return tuple(first), tuple(reversed(extras))
 
 
 def _check_line(values: Sequence[int], axis: str, index: int) -> None:
@@ -154,7 +166,9 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
     :class:`AlternationViolation` or :class:`SumViolation` on the first
     law the grid breaks (columns are checked before rows).  Entries must
     be ``int`` -1, 0 or 1; booleans, floats and strings are bad entries,
-    not converted.
+    not converted.  The alternation check reads the sparse view on the
+    way (:func:`_alternates`), and a matrix with at most one -1 keeps it
+    as its points form (see :class:`AsmMatrix`).
     """
     try:
         # through a list, so the tuple is allocated at its final length;
@@ -172,13 +186,19 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
             j, v = next((j, v) for j, v in enumerate(row, start=1)
                         if type(v) is not int or v not in _ENTRIES)
             raise BadEntry(i, j, v)
-    if not _alternates(rows, n):
+    view = _alternates(rows, n)
+    if view is None:
         # some line is invalid: walk them one by one to name the first
         for j, column in enumerate(zip(*rows), start=1):
             _check_line(column, "column", j)
         for i, row in enumerate(rows, start=1):
             _check_line(row, "row", i)
-    return AsmMatrix(rows)
+        raise InternalInvariantViolation("the alternation check rejected a grid no line of which breaks it")
+    a = AsmMatrix(rows)
+    first, extras = view
+    if len(extras) < 2:
+        object.__setattr__(a, "_form", (first, *extras[0]) if extras else (first, 0, 0, 0))
+    return a
 
 
 def reflect(a: AsmMatrix) -> AsmMatrix:
@@ -301,21 +321,40 @@ def _sparse(a: AsmMatrix) -> tuple[tuple[int, ...], _Extras]:
     """The sparse view ``(first, extras)`` of ``a``: the column of the
     first 1 of every row, and ``(row, minus_col, plus_col)`` for each -1,
     bottom row first, with the 1 right of it (the tail of a one-minus
-    points form).  Read off the points form a built matrix keeps, in O(n),
-    writing no rows; else in one scan of the rows."""
-    form = a.__dict__.get("_form")
+    points form).  Read off the points form a built or validated matrix
+    keeps, in O(n), writing no rows; else in one scan of the rows, whose
+    result is kept (:func:`_keep`) as ``_view``."""
+    facts = a.__dict__
+    form = facts.get("_form")
     if form is not None:
         return form[0], (form[1:],) if form[1] else ()
+    if "_view" in facts:
+        return facts["_view"]
     rows = a.rows
     first = tuple([row.index(1) + 1 for row in rows])  # final length, as in validate_asm
     extras = []
     for q, row in enumerate(rows, start=1):
         if -1 in row:
-            nonzero = iter(compress(range(1, len(row) + 1), row))
-            next(nonzero)  # the first 1
-            extras += zip(repeat(q), nonzero, nonzero)
+            nonzero = list(compress(range(1, len(row) + 1), row))  # the first 1, then -1, 1 pairs
+            extras += zip(repeat(q), nonzero[1::2], nonzero[2::2])
     extras.reverse()
-    return first, tuple(extras)
+    view = first, tuple(extras)
+    _keep(a, rows, _view=view)
+    return view
+
+
+_TUPLE_ONLY = frozenset((tuple,))
+
+
+def _keep(value, parts, **facts) -> None:
+    """Store ``facts``, pure functions of the frozen dataclass ``value``,
+    on it outside its fields, only when ``parts``, the sequences ``value``
+    is built from, is a tuple of tuples, so nothing can change under them;
+    a value over lists computes its facts anew at every call.  Two threads
+    that race here store equal facts."""
+    if type(parts) is tuple and _TUPLE_ONLY.issuperset(map(type, parts)):
+        for name, fact in facts.items():
+            object.__setattr__(value, name, fact)
 
 
 def _walk(first: tuple[int, ...], extras: _Extras = ()) -> tuple[tuple[int, ...], int]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .cells import CellSums, SignClass, _Cells, _cells, _read, _write
 from .discharge import _discharge_word, _recharge
-from .errors import InvalidPair, NotOneMinus
+from .errors import InvalidPair, NotOneMinus, ParseError
 from .matrix import AsmMatrix, _mirror, _PointsForm, json_int, matrix_from_json, matrix_to_json
 
 
@@ -70,8 +70,6 @@ class NeutralPair:
 
 
 def pair_from_json(obj: dict) -> NeutralPair:
-    from .errors import ParseError
-
     try:
         return NeutralPair(matrix=matrix_from_json(obj["N"]), charge=json_int(obj["E"], "E"))
     except (KeyError, TypeError, ValueError) as exc:

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterator
 
-from .cells import _keep
 from .errors import (
     InternalInvariantViolation,
     InvalidTable,
@@ -57,7 +56,7 @@ from .errors import (
     ParseError,
 )
 from .inv_table import GenInvTable, ParamVector, gen_table, pair_from_table, table_valid
-from .matrix import json_int
+from .matrix import _keep, json_int
 from .neutral import NeutralPair
 
 STEP_DELTAS = {"E": (1, 0), "S": (0, -1), "F": (1, 0), "N": (1, 1)}
@@ -166,7 +165,7 @@ def validate_config(cfg: MixedConfiguration) -> MixedConfiguration:
     the endpoint permutation and vertex-disjointness of the Left and the
     Right sub-configurations, by :func:`_check_paths`.
 
-    A configuration found valid is marked (see ``cells._keep``) and
+    A configuration found valid is marked (see ``matrix._keep``) and
     returned at once when checked again; a valid one has tuple starts and
     string steps, so a tuple of its paths cannot change under the mark.
     :func:`config_from_table` and :func:`dual_config` mark what they build

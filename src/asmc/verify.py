@@ -96,10 +96,6 @@ class _Record:
         return _Record(nz.swap_charges(self.m))
 
     @cached_property
-    def s(self) -> int:
-        return mx.minus_count(self.m)
-
-    @cached_property
     def cls(self) -> SignClass:
         return cells.sign_class(self.m)
 
@@ -149,7 +145,7 @@ class _Each:
     def takes(self, rec: _Record) -> bool:
         if self.s is None:
             return True
-        return rec.s == self.s and (self.s != 1 or rec.cls in self.classes)
+        return rec.params.s == self.s and (self.s != 1 or rec.cls in self.classes)
 
 
 def _cx(m: AsmMatrix, note: str) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -33,6 +34,8 @@ from asmc import (
     restore,
     validate_asm,
 )
+from asmc.discharge import _word_valid
+from asmc.displacement import Region, _displace
 from asmc.enumeration import _row_moves
 from asmc.inv_table import _block_charges
 
@@ -255,6 +258,98 @@ def dense_inversions(a: AsmMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the discharge steps one at a time on the n 1s of a matrix as ``(row,
+# column)`` points, through the displacement core: the oracles of the
+# fused word kernels ``discharge._discharge_word`` and ``_recharge``
+
+
+def points_discharge_word(cells) -> tuple[int, ...]:
+    """The four steps on the points of the matrix with these cells; returns
+    the one-line word of the permutation matrix they leave."""
+    g = cells.geometry
+    n = len(cells.first)
+    points = list(enumerate(cells.first, start=1))  # step 1
+
+    # step 2: shift the extended closing cell right
+    closing_cell = Region(g.closing_row + 1, n, g.opening_col, g.closing_col)
+    points = _displace(points, closing_cell, columns=True, inverse=False)
+
+    # step 3: shift the extended neutral cell up
+    neutral_cell = Region(g.opening_row, g.closing_row, 1, g.opening_col - 1)
+    points = _displace(points, neutral_cell, columns=False, inverse=False)
+
+    # step 4: lower the 1s of the extended neutral and charged cells
+    top, bottom, j0 = g.opening_row, g.closing_row, g.opening_col
+    moves = sorted((i, j) for i, j in points if top <= i <= bottom and j < j0)
+    moves += sorted((i, j) for i, j in points if top < i < bottom and j > j0)
+    moved = set(moves)
+    points = [p for p in points if p not in moved]
+    staying = set(points)
+    for i, j in moves:
+        if (i + 1, j) in staying:
+            raise InternalInvariantViolation(f"lowering collided at ({i + 1},{j})")
+        points.append((i + 1, j))
+
+    points.sort()
+    word = tuple(j for _, j in points)
+    lines = list(range(1, n + 1))
+    if [i for i, _ in points] != lines or sorted(word) != lines:
+        raise InternalInvariantViolation("discharge did not produce a permutation matrix")
+    return word
+
+
+def points_recharge(n: int, word, k: int, c: int, e: int) -> tuple:
+    """The points form of ``recharge`` of ``(k, P, c, E)`` given the
+    one-line word of P, the steps reversed one at a time on points."""
+    _word_valid(n, word, k, c, e)
+    j = word[k - 1]  # opening column
+
+    # closing row: topmost row below k where the right-side count reaches E
+    count = 0
+    closing_row = None
+    for q in range(k + 1, n + 1):
+        if word[q - 1] > j:
+            count += 1
+        if count == e:
+            closing_row = q
+            break
+    if closing_row is None or closing_row >= n:
+        raise InternalInvariantViolation("no admissible closing row found")
+
+    # reverse step 4: raise the single 1 of each row k+1..closing_row
+    points = list(enumerate(word, start=1))
+    staying = {(q, col) for q, col in points if not k < q <= closing_row}
+    for q, col in points[k:closing_row]:
+        if (q - 1, col) in staying:
+            raise InternalInvariantViolation(f"raising collided at ({q - 1},{col})")
+    points = [(q - 1 if k < q <= closing_row else q, col) for q, col in points]
+
+    # reverse step 3: shift the extended neutral cell back down
+    points = _displace(points, Region(k, closing_row, 1, j - 1), columns=False, inverse=True)
+
+    # closing column: leftmost column right of j where the below-closing
+    # cumulative count reaches c + 1
+    below = Counter(col for q, col in points if q > closing_row)
+    total = 0
+    closing_col = None
+    for col in range(j, n + 1):
+        total += below[col]
+        if col > j and total == c + 1:
+            closing_col = col
+            break
+    if closing_col is None:
+        raise InternalInvariantViolation("no admissible closing column found")
+
+    # reverse step 2, then restore the erased entries
+    closing_cell = Region(closing_row + 1, n, j, closing_col)
+    points = _displace(points, closing_cell, columns=True, inverse=True)
+    if {(closing_row, j), (closing_row, closing_col)} & set(points):
+        raise InternalInvariantViolation("closing row positions are not free")
+    # the points left are the first 1 of every row of the matrix
+    return tuple(col for _, col in sorted(points)), closing_row, j, closing_col
+
+
+# ---------------------------------------------------------------------------
 # the census counted with one Counter entry per (state or block, value) pair:
 # the oracles of the packed-polynomial counts of ``distribution``
 
@@ -355,6 +450,38 @@ ORDER7_SCANS = {"charges": 1.15, "neutralize": 1.15, "swap_charges": 1.15}
 # points checks (``cells._is_points_form`` calls) allowed to one call of
 # each operation: one per matrix it returns
 ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
+
+
+@contextmanager
+def dense_reads():
+    """Count the dense reads of matrices while the block runs: the calls of
+    ``matrix._sparse`` that scan rows (on a matrix keeping neither a points
+    form nor a scanned view), per matrix, and the calls of ``matrix._rows``
+    (rows written off a points form), in every ``asmc`` module that binds
+    them.  Yields ``(scans, writes)``: a Counter over the ids of the
+    scanned matrices, which stay alive until the block ends, and a
+    one-entry list with the number of writes."""
+    scans: Counter = Counter()
+    scanned = []
+    writes = [0]
+    real_sparse, real_rows = asmc.matrix._sparse, asmc.matrix._rows
+
+    def sparse(a):
+        if not {"_form", "_view"} & vars(a).keys():
+            scans[id(a)] += 1
+            scanned.append(a)
+        return real_sparse(a)
+
+    def rows(*form):
+        writes[0] += 1
+        return real_rows(*form)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, real, stub in (("_sparse", real_sparse, sparse), ("_rows", real_rows, rows)):
+            for key, mod in list(sys.modules.items()):
+                if key.split(".")[0] == "asmc" and getattr(mod, name, None) is real:
+                    mp.setattr(mod, name, stub)
+        yield scans, writes
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Discharging, the 4-tuple conditions and recharging."""
 
 import importlib
+import random
 import sys
 import types
 
@@ -15,18 +16,22 @@ from asmc import (
     NotOneMinus,
     classical_params,
     discharge,
+    pair_from_table,
     partial_discharge,
     perm_matrix,
     perm_one_line,
     recharge,
     reflect,
+    restore,
     sign_class,
     SignClass,
     tuple_valid,
     validate_asm,
 )
-from asmc.discharge import _partial_discharge_neutral_shortcut, right_side_sum
-from conftest import one_minus
+from asmc.cells import _cells, _read
+from asmc.discharge import _discharge_word, _fields, _partial_discharge_neutral_shortcut, _recharge, right_side_sum
+from asmc.matrix import _mirror
+from conftest import DIAMOND_ROWS, one_minus, outcome, points_discharge_word, points_recharge, random_valid_table
 
 # frozen from the worked example (independently recomputed by hand)
 PERM12_WORD = (7, 8, 4, 1, 10, 3, 2, 5, 11, 12, 6, 9)
@@ -167,6 +172,67 @@ class TestRecharge:
         obj = {**discharge(charged12).to_json(), field: value}
         with pytest.raises(ParseError, match=field):
             tuple_from_json(obj)
+
+
+def kernels_match_oracles(cells) -> int:
+    """Check the word kernels against the points oracles on the matrix
+    with these non-negative cells: its discharge word, and the recharge of
+    that word with each split of ``c + E`` into a closing sum and a charge,
+    as ``neutral`` makes them.  Returns the number of splits."""
+    n, k, total = len(cells.first), cells.geometry.opening_row, cells.sums.c + cells.e
+    word = _discharge_word(cells)
+    assert word == points_discharge_word(cells)
+    assert _recharge(n, word, k, cells.sums.c, cells.e) == cells.points
+    for e in range(total + 1):
+        assert _recharge(n, word, k, total - e, e) == points_recharge(n, word, k, total - e, e)
+    return total + 1
+
+
+class TestWordKernels:
+    """``_discharge_word`` and ``_recharge`` run the steps on the one-line
+    word; the oracles in ``conftest`` run them one at a time on points,
+    through the displacement core."""
+
+    def test_every_non_negative_matrix_up_to_order_7(self):
+        matrices = splits = 0
+        for n in range(3, 8):
+            for m in one_minus(n):
+                cells = _cells(m)
+                if cells.sign is not SignClass.NEGATIVE:
+                    splits += kernels_match_oracles(cells)
+                    matrices += 1
+        assert (matrices, splits) == (22975, 48991)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_tables_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            cells = _cells(restore(pair_from_table(random_valid_table(rng, n))))
+            # a negative matrix is discharged through its mirrored points form
+            for form in (cells.points, _mirror(*cells.points)):
+                read = _read(*form)
+                if read.sign is not SignClass.NEGATIVE:
+                    kernels_match_oracles(read)
+
+    @pytest.mark.parametrize("k, word, c, e, condition", [
+        (3, PERM12_WORD, 4, 2, 4),
+        (3, PERM12_WORD, -1, 0, 4),
+        (3, (4, 3, 2, 1), 0, 0, 1),
+        (11, PERM12_WORD, 0, 0, 1),
+        (1, None, 0, 0, 2),
+        (1, (1, 2, 4, 3), 0, 0, 3),
+        (3.0, PERM12_WORD, 4, 0, 0),
+        (3, PERM12_WORD, True, 0, 0),
+    ])
+    def test_invalid_tuples_raise_the_same_condition(self, k, word, c, e, condition):
+        perm = validate_asm(DIAMOND_ROWS) if word is None else perm_matrix(word)
+        args = _fields(DischargeTuple(k, perm, c, e))
+        got = outcome(_recharge, *args)
+        assert got == outcome(points_recharge, *args)
+        assert got[0] is InvalidTuple and got[1].startswith(f"condition {condition}:")
+        with pytest.raises(InvalidTuple) as info:
+            recharge(DischargeTuple(k, perm, c, e))
+        assert info.value.condition == condition
 
 
 class TestSubmoduleShadowing:

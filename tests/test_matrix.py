@@ -9,28 +9,33 @@ from hypothesis import strategies as st
 
 from asmc import (
     AlternationViolation,
+    AsmMatrix,
     BadEntry,
     NotSquare,
     ParseError,
     SumViolation,
+    charges,
     classical_params,
     matrix_from_json,
     matrix_from_text,
     matrix_to_json,
     matrix_to_text,
     minus_count,
+    neutralize,
     pair_from_table,
     perm_matrix,
     perm_one_line,
     reflect,
     restore,
+    swap_charges,
     validate_asm,
 )
 from asmc.errors import BadArgument
-from asmc.matrix import _sparse, inversions
+from asmc.matrix import _check_line, _sparse, inversions
 from conftest import (
     DIAMOND_ROWS,
     all_asm,
+    dense_reads,
     dense_inversions,
     dense_perm_matrix,
     one_minus,
@@ -113,6 +118,68 @@ class TestValidate:
             except Exception:
                 accepted = False
             assert accepted == grid_is_asm(grid), grid
+
+
+def walk_outcome(grid):
+    """What the line walk of ``validate_asm`` names on a square grid of
+    -1, 0 and 1: the first line that breaks the alternating law, columns
+    before rows, as ``outcome`` gives it, or None."""
+    rows = tuple(map(tuple, grid))
+    lines = [("column", j, col) for j, col in enumerate(zip(*rows), start=1)]
+    lines += [("row", i, row) for i, row in enumerate(rows, start=1)]
+    for axis, index, line in lines:
+        got = outcome(_check_line, line, axis, index)
+        if got[0] is not None:
+            return got
+    return None
+
+
+class TestKeptView:
+    """``validate_asm`` reads the sparse view while it checks the
+    alternating law, and a matrix with at most one -1 keeps it as its
+    points form, which every reader then reads instead of the rows."""
+
+    def test_kept_exactly_when_s_is_at_most_one_up_to_order_6(self):
+        matrices = 0
+        for n in range(1, 7):
+            for m in all_asm(n):
+                v = validate_asm(m.rows)
+                first, extras = _sparse(AsmMatrix(m.rows))
+                if len(extras) > 1:
+                    assert vars(v).keys() == {"rows"}
+                else:
+                    assert vars(v)["_form"] == (first, *(extras[0] if extras else (0, 0, 0)))
+                matrices += 1
+        assert matrices == 7917
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_a_parsed_matrix_is_read_without_its_rows_at_order_500(self, seed):
+        rng = random.Random(seed)
+        m = restore(pair_from_table(random_valid_table(rng, 500)))
+        for a in (m, reflect(m)):
+            parsed = matrix_from_json(matrix_to_json(a))
+            with dense_reads() as (scans, writes):
+                got = classical_params(parsed), charges(parsed), neutralize(parsed), swap_charges(parsed)
+            assert not scans and writes == [0]
+            dense = AsmMatrix(a.rows)
+            assert got == (classical_params(dense), charges(dense), neutralize(dense), swap_charges(dense))
+
+    def test_every_bad_grid_keeps_its_error(self):
+        rng = random.Random(3)
+        grids = [[list(cells[i * 3 : i * 3 + 3]) for i in range(3)]
+                 for cells in itertools.product((-1, 0, 1), repeat=9)]
+        for n in (4, 5, 6):
+            grids += [[rng.choices((-1, 0, 1), (1, 6, 3), k=n) for _ in range(n)] for _ in range(3000)]
+        rejected = 0
+        for grid in grids:
+            expected = walk_outcome(grid)
+            got = outcome(validate_asm, grid)
+            if expected is None:
+                assert got[0] is None and got[1].rows == tuple(map(tuple, grid))
+            else:
+                assert got == expected, grid
+                rejected += 1
+        assert rejected > len(grids) * 0.9
 
 
 class TestReflect:

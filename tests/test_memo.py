@@ -1,12 +1,14 @@
 """Facts kept on values outside their dataclass fields: the points form
-a built matrix keeps (``matrix._on_demand``), what the points-form reader
-of ``asmc.cells`` reads off a matrix (its points form, landmarks, sign
+a built or validated matrix keeps (``matrix._on_demand``,
+``matrix.validate_asm``), the sparse view read off the rows of any other
+matrix (``matrix._sparse``), what the points-form reader of
+``asmc.cells`` reads off a matrix (its points form, landmarks, sign
 class, cell sums and charge), kept by ``cells._cells``, and the mark of a
 mixed configuration that has passed validation or was built from a valid
-table, kept by ``cells._keep``.
+table, kept by ``matrix._keep``.
 
 A kept points form must equal the one scanned off the dense rows (the
-row-read word for a permutation), every kept matrix fact the landmarks
+row-read word for a permutation), a kept view a fresh scan, every kept matrix fact the landmarks
 and cell sums searched and summed by definition on the dense rows
 (``conftest.dense_cells``), and a kept mark a fresh validation; no kept
 fact may change what a value is: equality, hashing and repr see only the
@@ -43,12 +45,14 @@ from asmc import (
     sign_class,
     swap_charges,
     table_valid,
+    validate_asm,
     validate_config,
 )
 from asmc.cells import _points
+from asmc.matrix import _sparse
 from conftest import dense_cells, one_minus, random_valid_table
 
-FACTS = {"_form", "_cells", "_valid"}
+FACTS = {"_form", "_view", "_cells", "_valid"}
 
 
 def kept_facts(value) -> set[str]:
@@ -65,6 +69,8 @@ def kept_facts(value) -> set[str]:
             assert kept["_form"] == (perm_one_line(dense), 0, 0, 0)
         else:
             assert kept["_form"] == _points(dense)
+    if "_view" in kept:
+        assert kept["_view"] == _sparse(AsmMatrix(value.rows))
     if "_cells" in kept:
         assert tuple(kept["_cells"]) == dense_cells(AsmMatrix(value.rows))
     if "_valid" in kept:
@@ -74,38 +80,48 @@ def kept_facts(value) -> set[str]:
     return set(kept)
 
 
-def outputs(m: AsmMatrix):
+def outputs(m: AsmMatrix, copy=AsmMatrix):
     """``(name, value)`` for the outputs of ``neutralize``, ``restore``,
     ``swap_charges``, ``pair_from_table``, ``config_from_pair`` and
-    ``dual_config`` on fresh copies of ``m`` and of its encodings."""
-    pair = neutralize(AsmMatrix(m.rows))
+    ``dual_config`` on fresh copies of ``m`` and of its encodings, made by
+    ``copy`` from their rows: dense, or validated."""
+    pair = neutralize(copy(m.rows))
     yield "neutralize", pair
-    yield "restore", restore(NeutralPair(AsmMatrix(pair.matrix.rows), pair.charge))
-    yield "swap_charges", swap_charges(AsmMatrix(m.rows))
+    yield "restore", restore(NeutralPair(copy(pair.matrix.rows), pair.charge))
+    yield "swap_charges", swap_charges(copy(m.rows))
     yield "pair_from_table", pair_from_table(gen_table(pair))
-    cfg = config_from_pair(NeutralPair(AsmMatrix(pair.matrix.rows), pair.charge))
+    cfg = config_from_pair(NeutralPair(copy(pair.matrix.rows), pair.charge))
     yield "config_from_pair", cfg
     yield "dual_config", dual_config(cfg)
 
 
 # the facts each output may hold: a matrix built on its points keeps its
 # form, and its cells once a pair has checked it; a dense matrix handed
-# back (a pair's matrix at charge 0) keeps the cells the pair's check
-# read; a configuration holds the mark of its table's check
+# back (a pair's matrix at charge 0) keeps the sparse view and the cells
+# the pair's check read; a configuration holds the mark of its table's
+# check
 EXPECTED = {
-    "neutralize": ({"_cells"}, {"_form", "_cells"}),
-    "restore": ({"_cells"}, {"_form"}),
-    "swap_charges": ({"_cells"}, {"_form", "_cells"}, {"_form"}),
+    "neutralize": ({"_view", "_cells"}, {"_form", "_cells"}),
+    "restore": ({"_view", "_cells"}, {"_form"}),
+    "swap_charges": ({"_view", "_cells"}, {"_form", "_cells"}, {"_form"}),
     "pair_from_table": ({"_form", "_cells"},),
     "config_from_pair": ({"_valid"},),
     "dual_config": ({"_valid"},),
 }
+# on validated copies a dense matrix handed back keeps the points form
+# ``validate_asm`` read, instead of a scanned view
+EXPECTED_VALIDATED = {
+    **EXPECTED,
+    "neutralize": ({"_form", "_cells"},),
+    "restore": ({"_form", "_cells"}, {"_form"}),
+    "swap_charges": ({"_form", "_cells"}, {"_form"}),
+}
 
 
-def check_outputs(m: AsmMatrix, found: Counter) -> None:
-    for name, value in outputs(m):
+def check_outputs(m: AsmMatrix, found: Counter, copy=AsmMatrix, expected=EXPECTED) -> None:
+    for name, value in outputs(m, copy):
         facts = kept_facts(value)
-        assert facts in EXPECTED[name], (name, m.rows)
+        assert facts in expected[name], (name, m.rows)
         found.update(facts)
 
 
@@ -119,7 +135,18 @@ class TestKeptFactsOracle:
                 matrices += 1
         assert matrices == 2617
         # 1,284 of the matrices are not neutral; see EXPECTED for the rest
-        assert found == {"_form": 7201, "_cells": 7900, "_valid": 2 * matrices}
+        assert found == {"_form": 7201, "_view": 3267, "_cells": 7900, "_valid": 2 * matrices}
+
+    def test_validated_copies_up_to_order_6(self):
+        found = Counter()
+        matrices = 0
+        for n in range(3, 7):
+            for m in one_minus(n):
+                assert kept_facts(validate_asm(m.rows)) == {"_form"}
+                check_outputs(m, found, validate_asm, EXPECTED_VALIDATED)
+                matrices += 1
+        assert matrices == 2617
+        assert found == {"_form": 10468, "_cells": 7900, "_valid": 2 * matrices}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sampled_tables_at_large_n(self, seed):
@@ -132,7 +159,8 @@ class TestKeptFactsOracle:
             found = Counter()
             check_outputs(m, found)
             check_outputs(reflect(m), found)
-            assert found["_valid"] == 4
+            check_outputs(m, found, validate_asm, EXPECTED_VALIDATED)
+            assert found["_valid"] == 6
 
     @pytest.mark.parametrize("t, condition", [
         (GenInvTable(k=2, a=(0, 1, 0), b=0, beta=0), 1),

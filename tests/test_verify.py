@@ -14,6 +14,7 @@ import asmc.neutral
 import asmc.verify
 from asmc import NeutralPair, enumerate_asm, verify_suite
 from asmc.verify import PROPERTIES, run_property
+from conftest import dense_reads
 
 
 def test_sweep_passes_at_small_order():
@@ -99,6 +100,18 @@ def test_checked_counts_at_order_5():
     assert {r.name: r.checked for r in report.results} == CHECKED_AT_5
     assert [o.n for o in report.orders] == [3, 4, 5]
     assert sum(o.checked for o in report.orders) == sum(CHECKED_AT_5.values())
+
+
+def test_one_dense_scan_per_matrix_at_order_5():
+    """A record reads the sparse view of its matrix once: ``s`` is the
+    ``s`` of its classical parameters, and the view a scan reads is kept
+    for the charges, the encodings and the reflection."""
+    with dense_reads() as (scans, _):
+        assert verify_suite(5).ok
+    # the 478 ASMs of orders 3..5 of the sweep and of the whole-order
+    # properties, and the dense reflections of those with s >= 2
+    assert len(scans) >= 478
+    assert set(scans.values()) == {1}
 
 
 def _result(report, name):
