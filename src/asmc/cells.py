@@ -24,30 +24,30 @@ charge is ``B = c - ell`` and ``J = c + ell + |E| + 1``.  All three
 extend to negative matrices through vertical reflection: ``E`` and ``B``
 change sign, ``J`` is invariant.
 
-A matrix with one -1 is fixed by its points form (see
-``matrix.AsmMatrix``).  Below the opening row every row but the closing
-row holds one 1, so every landmark and every cell sum is a count of
-points in a rectangle.  :func:`_read` is the one reader of these facts:
-O(n), it returns the landmarks, the sign class, ``ell``, ``c``, ``x``
-and ``E`` together, and reads a negative matrix through the mirrored
-points form (``matrix._mirror``, which relabels column ``j`` as
-``n+1-j``).  :func:`_points` reads the points form off the sparse view
-(``matrix._sparse``): the form a built or validated matrix keeps, or the
-one scan of any other.  :func:`_write` is the one writer: it checks a
-points form against the alternating laws in O(n log n)
+A matrix with one -1 is fixed by its sparse view ``(first, ((closing_row,
+opening_col, closing_col),))`` (see ``matrix.AsmMatrix``).  Below the
+opening row every row but the closing row holds one 1, so every landmark
+and every cell sum is a count of points in a rectangle.  :func:`_read`
+is the one reader of these facts: O(n), it returns the landmarks, the
+sign class, ``ell``, ``c``, ``x`` and ``E`` together, and reads a
+negative matrix through the mirrored view (``matrix._mirror``, which
+relabels column ``j`` as ``n+1-j``).  :func:`_points` reads the view
+(``matrix._sparse``: the view a matrix keeps, or the one scan of any
+other) and checks that it has one -1.  :func:`_write` is the one writer:
+it checks a one-minus view against the alternating laws in O(n log n)
 (:func:`_is_points_form`) and returns a matrix that keeps it, for
 ``discharge._recharge`` and ``inv_table.pair_from_table``.
 
 Each fact about a matrix is computed once per value and kept on the
 frozen value, outside the dataclass fields, so equality, hashing and
-repr never see it.  :func:`_cells` reads a matrix once, off the form it
-keeps or off the one scan of its rows, and keeps the result.
+repr never see it.  :func:`_cells` reads a matrix once, off its view,
+and keeps the result exactly when the matrix keeps its view.
 ``matrix._keep``, the one memo helper for values built by callers,
-keeps a fact only on a value built from tuples: the sparse view and the
-reader's result on a dense matrix, and the mark of a mixed configuration
-known to be valid, set by ``paths.validate_config`` once its paths pass
-and by ``paths.config_from_table`` and ``paths.dual_config`` on what
-they build from a table that passes ``inv_table.table_valid``.
+keeps a fact only on a value built from tuples: the sparse view of a
+dense matrix, and the mark of a mixed configuration known to be valid,
+set by ``paths.validate_config`` once its paths pass and by
+``paths.config_from_table`` and ``paths.dual_config`` on what they build
+from a table that passes ``inv_table.table_valid``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
-from .matrix import _INT_ONLY, AsmMatrix, _keep, _mirror, _on_demand, _PointsForm, _refuse, _rows, _sparse
+from .matrix import _INT_ONLY, AsmMatrix, _Extras, _mirror, _on_demand, _refuse, _rows, _sparse, _View
 
 
 class SignClass(Enum):
@@ -106,7 +106,7 @@ class ChargeParams:
 
 
 class _Cells(NamedTuple):
-    """What :func:`_read` reads off the points form of a one-minus matrix.
+    """What :func:`_read` reads off the sparse view of a one-minus matrix.
     For a negative matrix ``sums`` are those of its reflection and ``e``
     is minus the reflection's charge."""
 
@@ -117,17 +117,18 @@ class _Cells(NamedTuple):
     e: int
 
     @property
-    def points(self) -> _PointsForm:
+    def view(self) -> _View:
         g = self.geometry
-        return self.first, g.closing_row, g.opening_col, g.closing_col
+        return self.first, ((g.closing_row, g.opening_col, g.closing_col),)
 
 
-def _read(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> _Cells:
-    """Every landmark and cell sum of the one-minus matrix with points form
-    ``(first, closing_row, opening_col, closing_col)``, in O(n).  The
+def _read(first: tuple[int, ...], extras: _Extras) -> _Cells:
+    """Every landmark and cell sum of the one-minus matrix with sparse view
+    ``(first, ((closing_row, opening_col, closing_col),))``, in O(n).  The
     opening 1 is the highest point of the opening column, and the leading
     1 the first point below it left of that column (the left 1 if no
     enclosed row has one)."""
+    ((closing_row, opening_col, closing_col),) = extras
     opening_row = first.index(opening_col) + 1
     below = first[opening_row:]
     enclosed = below[: closing_row - opening_row - 1]
@@ -143,7 +144,7 @@ def _read(first: tuple[int, ...], closing_row: int, opening_col: int, closing_co
         enclosed_rows=range(opening_row + 1, closing_row),
     )
     if enclosed and enclosed[-1] < opening_col:
-        mirror = _read(*_mirror(first, closing_row, opening_col, closing_col))
+        mirror = _read(*_mirror(first, extras))
         return _Cells(first, g, SignClass.NEGATIVE, mirror.sums, -mirror.e)
     sums = CellSums(
         ell=len([col for col in below if leading_col < col < opening_col]),
@@ -155,14 +156,14 @@ def _read(first: tuple[int, ...], closing_row: int, opening_col: int, closing_co
     return _Cells(first, g, SignClass.POSITIVE if e else SignClass.NEUTRAL, sums, e)
 
 
-def _points(a: AsmMatrix) -> _PointsForm:
-    """The points form of ``a``, its sparse view (``matrix._sparse``, the
-    one scan of a dense matrix) with its one extra pair, the -1 and the
-    closing 1; raises :class:`NotOneMinus` on any other number of -1s."""
-    first, extras = _sparse(a)
-    if len(extras) != 1:
-        raise NotOneMinus(len(extras))
-    return (first, *extras[0])
+def _points(a: AsmMatrix) -> _View:
+    """The sparse view of ``a`` (``matrix._sparse``), which must hold one
+    -1 with its closing 1; raises :class:`NotOneMinus` on any other number
+    of -1s."""
+    view = _sparse(a)
+    if len(view[1]) != 1:
+        raise NotOneMinus(len(view[1]))
+    return view
 
 
 def geometry(a: AsmMatrix) -> CellGeometry:
@@ -172,27 +173,25 @@ def geometry(a: AsmMatrix) -> CellGeometry:
 
 
 def _cells(a: AsmMatrix) -> _Cells:
-    """:func:`_read` of the points of ``a``, off the form it keeps or the
-    one scan of its rows, on the first call and kept."""
-    cells = a.__dict__.get("_cells")
+    """:func:`_read` of the sparse view of ``a`` on the first call, kept
+    when the view is kept (``matrix._sparse``)."""
+    facts = a.__dict__
+    cells = facts.get("_cells")
     if cells is None:
-        form = a.__dict__.get("_form")
-        if form is not None and form[1]:  # a permutation's form has no closing row
-            cells = _read(*form)
+        cells = _read(*_points(a))
+        if "_view" in facts:
             object.__setattr__(a, "_cells", cells)
-        else:
-            cells = _read(*_points(a))
-            _keep(a, a.rows, _cells=cells)
     return cells
 
 
-def _is_points_form(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> bool:
-    """Whether ``(first, closing_row, opening_col, closing_col)`` is the
-    points form of a one-minus ASM, in O(n log n).  Every row but the
+def _is_points_form(first: tuple[int, ...], extras: _Extras) -> bool:
+    """Whether ``(first, ((closing_row, opening_col, closing_col),))`` is
+    the sparse view of a one-minus ASM, in O(n log n).  Every row but the
     closing row holds one 1, and the closing row holds 1, -1, 1 in
     increasing columns, so the rows alternate; every column holds one 1
     but the opening column, whose -1 on the closing row alternates when
     its two 1s lie one above and one below it."""
+    ((closing_row, opening_col, closing_col),) = extras
     n = len(first)
     return (
         _INT_ONLY.issuperset(map(type, (*first, closing_row, opening_col, closing_col)))
@@ -204,17 +203,16 @@ def _is_points_form(first: tuple[int, ...], closing_row: int, opening_col: int, 
     )
 
 
-def _write(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
-    """The one writer of a one-minus matrix: the matrix with points form
-    ``(first, closing_row, opening_col, closing_col)``, checked on the form
+def _write(first: tuple[int, ...], extras: _Extras) -> AsmMatrix:
+    """The one writer of a one-minus matrix: the matrix with sparse view
+    ``(first, extras)``, tuples with one extra pair, checked on the view
     (:func:`_is_points_form`), which it keeps; ``matrix._rows`` writes its
-    rows when first read, and :func:`_cells` reads the form when first
-    asked.  The rows of a form the check rejects are handed to
+    rows when first read, and :func:`_cells` reads the view when first
+    asked.  The rows of a view the check rejects are handed to
     ``validate_asm``, which names what is wrong."""
-    form = (tuple(first), closing_row, opening_col, closing_col)
-    if not _is_points_form(*form):
-        _refuse(_rows(*form))
-    return _on_demand(form)
+    if not _is_points_form(first, extras):
+        _refuse(_rows(first, extras))
+    return _on_demand((first, extras))
 
 
 def sign_class(a: AsmMatrix) -> SignClass:

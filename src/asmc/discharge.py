@@ -21,14 +21,14 @@ For neutral inputs steps 3 and 4 cancel; the implementation still runs
 all four steps so there is a single code path to verify.
 
 After step 1 every row holds one 1, so the steps act on the one-line
-word of the matrix, the ``first`` of its points form (see
+word of the matrix, the ``first`` of its sparse view (see
 ``matrix.AsmMatrix``): step 2 relabels the columns of the rows below
 the closing row, and steps 3 and 4 run as one pass over rows k..closing
 row, so only rows k..n are touched.  Recharging runs the steps backwards
-on the word and ends on the points form of the matrix it rebuilds
+on the word and ends on the sparse view of the matrix it rebuilds
 (:func:`_recharge`), which ``neutral`` works on without writing it.
 Only a matrix that is returned is built, by ``matrix.perm_matrix`` or
-``cells._write``, which check it on its points and keep them.
+``cells._write``, which check it on its view and keep it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
 )
-from .matrix import AsmMatrix, _PointsForm, json_int, matrix_from_json, matrix_to_json, perm_matrix, perm_one_line
+from .matrix import AsmMatrix, _View, json_int, matrix_from_json, matrix_to_json, perm_matrix, perm_one_line
 
 
 @dataclass(frozen=True)
@@ -225,8 +225,8 @@ def recharge(t: DischargeTuple) -> AsmMatrix:
     return _write(*_recharge(*_fields(t)))
 
 
-def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> _PointsForm:
-    """The points form of :func:`recharge` of ``(k, P, c, E)`` given the
+def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> _View:
+    """The sparse view of :func:`recharge` of ``(k, P, c, E)`` given the
     one-line word of P: the steps of :func:`_discharge_word` reversed."""
     _word_valid(n, word, k, c, e)
     j = word[k - 1]  # opening column
@@ -264,4 +264,4 @@ def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> _
     word[cr:] = [target.get(col, col) for col in tail]
     if word[cr - 1] in (j, closing_col):
         raise InternalInvariantViolation("closing row positions are not free")
-    return tuple(word), cr, j, closing_col
+    return tuple(word), ((cr, j, closing_col),)

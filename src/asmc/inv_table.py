@@ -23,13 +23,13 @@ to vertical reflection of the matrix.
 
 Both kinds of table are read and written on lists of columns, never on
 dense rows.  A table is read by ``matrix._walk``, the south-west walk
-that also counts ``i``, over the sparse view of a points form (a
+that also counts ``i``, over the sparse view of the matrix (a
 permutation has no extra pair): bottom-up, keeping the sorted columns
 whose entries below the row sum to 1, so each ``a_i`` is a ``bisect``.
 Decoding reads rows top-down, keeping the sorted columns with no 1 above
 the row, so each ``a_i`` pops the row's column.  ``matrix.perm_matrix``
 writes a permutation and ``cells._write`` a one-minus matrix, each
-checking it on its points rather than on the dense rows.
+checking it on its view rather than on the dense rows.
 """
 
 from __future__ import annotations
@@ -181,9 +181,9 @@ def gen_table(pair: NeutralPair) -> GenInvTable:
     """Generalized inversion table of a neutral pair; :func:`_walk` reads
     ``a_{k-1}`` at the left 1 of the closing row."""
     cells = _cells(pair.matrix)
-    g, sums = cells.geometry, cells.sums
-    a = _walk(cells.first, ((g.closing_row, g.opening_col, g.closing_col),))[0]
-    k = len(cells.first) + 1 - g.opening_row
+    sums = cells.sums
+    a = _walk(*cells.view)[0]
+    k = len(cells.first) + 1 - cells.geometry.opening_row
     try:
         return table_valid(GenInvTable(k=k, a=a, b=sums.c, beta=pair.charge + sums.ell))
     except InvalidTable as exc:
@@ -193,7 +193,7 @@ def gen_table(pair: NeutralPair) -> GenInvTable:
 def pair_from_table(t: GenInvTable) -> NeutralPair:
     """Rebuild the unique neutral pair with table ``t``.
 
-    The points form is read row by row from the top, keeping the sorted
+    The sparse view is read row by row from the top, keeping the sorted
     columns with no 1 above the row: each table entry counts those left of
     the row's (leftmost) 1, which it pops.  On the closing row the -1
     frees the opening column again, and the closing 1 takes the free
@@ -213,7 +213,7 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     closing_col = free.pop(bisect_right(free, opening_col) + t.b)
     first += [free.pop(v) for v in entries[closing_row:]]
     charge = _block_charges(t.a[t.k - 2], t.a[t.k - 1], t.b, t.beta)[0]
-    return NeutralPair(_write(tuple(first), closing_row, opening_col, closing_col), charge)
+    return NeutralPair(_write(tuple(first), ((closing_row, opening_col, closing_col),)), charge)
 
 
 def _block_charges(ak1: int, ak: int, b: int, beta: int) -> tuple[int, int, int]:

@@ -52,22 +52,22 @@ class AsmMatrix:
       check on caller input (the text and JSON readers and the CLI go
       through it);
     * :func:`perm_matrix` checks that a one-line word is a permutation;
-    * ``cells._write`` checks the points form of a one-minus matrix.
+    * ``cells._write`` checks the sparse view of a one-minus matrix.
 
     The last two check in O(n log n); on an input they reject they raise
-    what :func:`validate_asm` raises on its dense rows.  A matrix they
-    accept, and one :func:`validate_asm` accepts with at most one -1,
-    keeps one fact outside the dataclass fields, its *points form*
-    ``(first, closing_row, opening_col, closing_col)``: the column of the
-    first 1 of every row (the left 1 on the closing row), the closing
-    row, the column of the -1 and that of the closing 1; a permutation's
-    is ``(word, 0, 0, 0)``.  :func:`_rows` writes the rows of a built
-    matrix from the form the first time ``rows`` is read
-    (:class:`_OnDemand`); equality, hashing and repr read ``rows``, so a
-    matrix means the same however it was built.  :func:`reflect` mirrors
-    the form and :func:`_sparse` reads it, so both take O(n) on any built
-    or parsed matrix; ``enumerate_asm`` builds dense matrices valid by
-    construction, whose sparse view is scanned once and kept.
+    what :func:`validate_asm` raises on its dense rows.  Every matrix they
+    accept or :func:`validate_asm` accepts keeps one fact outside the
+    dataclass fields, its *sparse view* ``_view = (first, extras)``
+    (:func:`_sparse`): the column of the first 1 of every row, and one
+    ``(row, minus_col, plus_col)`` per -1; a permutation's is ``(word,
+    ())``, a one-minus matrix's ``(first, ((closing_row, opening_col,
+    closing_col),))``.  :func:`_rows` writes the rows of a built matrix
+    from its view the first time ``rows`` is read (:class:`_OnDemand`);
+    equality, hashing and repr read ``rows``, so a matrix means the same
+    however it was built.  :func:`reflect` mirrors the view
+    (:func:`_mirror`) and every reader reads it, so neither writes the
+    rows of a built or parsed matrix; a matrix built on its rows alone, as
+    ``enumerate_asm`` builds them, is scanned once and keeps the view.
 
     >>> from asmc import GenInvTable, pair_from_table
     >>> m = pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)).matrix
@@ -112,7 +112,7 @@ class ClassicalParams:
     i: int
 
 
-def _alternates(rows: Grid, n: int) -> tuple[tuple[int, ...], _Extras] | None:
+def _alternates(rows: Grid, n: int) -> _View | None:
     """The sparse view (:func:`_sparse`) of a {-1, 0, 1} grid whose every
     row and column prefix sum is 0 or 1 and every line sums to 1, or None
     if the grid breaks that law.  Prefix sums only change at nonzero
@@ -167,8 +167,8 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
     law the grid breaks (columns are checked before rows).  Entries must
     be ``int`` -1, 0 or 1; booleans, floats and strings are bad entries,
     not converted.  The alternation check reads the sparse view on the
-    way (:func:`_alternates`), and a matrix with at most one -1 keeps it
-    as its points form (see :class:`AsmMatrix`).
+    way (:func:`_alternates`), and the matrix keeps it (see
+    :class:`AsmMatrix`).
     """
     try:
         # through a list, so the tuple is allocated at its final length;
@@ -195,19 +195,15 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
             _check_line(row, "row", i)
         raise InternalInvariantViolation("the alternation check rejected a grid no line of which breaks it")
     a = AsmMatrix(rows)
-    first, extras = view
-    if len(extras) < 2:
-        object.__setattr__(a, "_form", (first, *extras[0]) if extras else (first, 0, 0, 0))
+    object.__setattr__(a, "_view", view)
     return a
 
 
 def reflect(a: AsmMatrix) -> AsmMatrix:
     """Vertical reflection: entry (i, j) of the result is entry (i, n+1-j).
-    A built matrix is reflected on its points form, in O(n) (:func:`_mirror`)."""
-    form = a.__dict__.get("_form")
-    if form is not None:
-        return _on_demand(_mirror(*form))
-    return AsmMatrix(tuple([tuple(reversed(row)) for row in a.rows]))  # as in validate_asm
+    The sparse view is mirrored (:func:`_mirror`), and the rows are
+    written when first read."""
+    return _on_demand(_mirror(*_sparse(a)))
 
 
 def minus_count(a: AsmMatrix) -> int:
@@ -259,19 +255,18 @@ def perm_matrix(word: Sequence[int]) -> AsmMatrix:
     """Permutation matrix from a 1-based one-line word.
 
     The word is checked to be a permutation of ``1..n`` made of ``int``s,
-    in O(n log n), and the matrix keeps the points form ``(word, 0, 0,
-    0)``, a permutation having no closing row: :func:`perm_one_line`
-    reads the word off it, and :func:`_rows` writes the rows when first
-    read (see :class:`AsmMatrix`).  Any other word is written densely, an
-    entry that is not an ``int`` in ``1..n`` leaving its row zero, and
-    :func:`validate_asm` names what is wrong.
+    in O(n log n), and the matrix keeps the sparse view ``(word, ())``:
+    :func:`perm_one_line` reads the word off it, and :func:`_rows` writes
+    the rows when first read (see :class:`AsmMatrix`).  Any other word is
+    written densely, an entry that is not an ``int`` in ``1..n`` leaving
+    its row zero, and :func:`validate_asm` names what is wrong.
     """
     try:
         n = len(word)
     except TypeError as exc:
         raise NotSquare(f"expected a one-line word, got {type(word).__name__}") from exc
     if n and _INT_ONLY.issuperset(map(type, word)) and sorted(word) == list(range(1, n + 1)):
-        return _on_demand((tuple(word), 0, 0, 0))
+        return _on_demand((tuple(word), ()))
     rows = [[0] * n for _ in word]
     for row, c in zip(rows, word):
         if type(c) is int and 1 <= c <= n:
@@ -280,63 +275,67 @@ def perm_matrix(word: Sequence[int]) -> AsmMatrix:
 
 
 # ---------------------------------------------------------------------------
-# matrices built on their points form (see AsmMatrix)
+# the sparse view of a matrix (see AsmMatrix)
 
-_PointsForm = tuple[tuple[int, ...], int, int, int]
+_Extras = tuple[tuple[int, int, int], ...]
+_View = tuple[tuple[int, ...], _Extras]
 
 
-def _rows(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> list[tuple[int, ...]]:
-    """The dense rows of a points form, written as given, whether or not
-    it is one: a single 1 in column ``first[q-1]`` of each row ``q``, and
-    on the closing row, if there is one, the -1 and the closing 1."""
+def _rows(first: tuple[int, ...], extras: _Extras) -> list[tuple[int, ...]]:
+    """The dense rows of a sparse view, written as given, whether or not
+    it is one: a 1 in column ``first[q-1]`` of each row ``q``, then on
+    row ``q`` of each ``(q, minus_col, plus_col)`` of ``extras`` the -1
+    and the 1 right of it."""
     line = [0] * len(first)  # one zero line, snapshot with each 1 in turn
     rows = []
     for c in first:
         line[c - 1] = 1
         rows.append(tuple(line))
         line[c - 1] = 0
-    if closing_row:
-        line = list(rows[closing_row - 1])
-        line[opening_col - 1] = -1
-        line[closing_col - 1] = 1
-        rows[closing_row - 1] = tuple(line)
+    for q, minus, plus in extras:
+        line = list(rows[q - 1])
+        line[minus - 1] = -1
+        line[plus - 1] = 1
+        rows[q - 1] = tuple(line)
     return rows
 
 
-def _mirror(first: tuple[int, ...], closing_row: int, opening_col: int, closing_col: int) -> _PointsForm:
-    """The points form of the vertical reflection: every column ``j``
-    becomes ``n+1-j``, and the closing 1 turns into the left 1."""
+def _mirror(first: tuple[int, ...], extras: _Extras) -> _View:
+    """The sparse view of the vertical reflection: every column ``j``
+    becomes ``n+1-j`` and each row's nonzero columns are read backwards,
+    so the row's last 1 becomes its first and each -1 pairs with the 1
+    that was left of it."""
     m = len(first) + 1
     mirrored = [m - col for col in first]
-    if not closing_row:
-        return tuple(mirrored), 0, 0, 0
-    mirrored[closing_row - 1] = m - closing_col
-    return tuple(mirrored), closing_row, m - opening_col, m - first[closing_row - 1]
+    pairs = []
+    for q, minus, plus in reversed(extras):  # top row first, each row left to right
+        pairs.append((q, m - minus, mirrored[q - 1]))
+        mirrored[q - 1] = m - plus
+    pairs.sort(reverse=True)  # bottom row first, each row right to left, as scanned
+    return tuple(mirrored), tuple(pairs)
 
 
-_Extras = tuple[tuple[int, int, int], ...]
-
-
-def _sparse(a: AsmMatrix) -> tuple[tuple[int, ...], _Extras]:
+def _sparse(a: AsmMatrix) -> _View:
     """The sparse view ``(first, extras)`` of ``a``: the column of the
     first 1 of every row, and ``(row, minus_col, plus_col)`` for each -1,
-    bottom row first, with the 1 right of it (the tail of a one-minus
-    points form).  Read off the points form a built or validated matrix
-    keeps, in O(n), writing no rows; else in one scan of the rows, whose
-    result is kept (:func:`_keep`) as ``_view``."""
-    facts = a.__dict__
-    form = facts.get("_form")
-    if form is not None:
-        return form[0], (form[1:],) if form[1] else ()
-    if "_view" in facts:
-        return facts["_view"]
+    bottom row first and right to left, with the 1 right of it.  A built,
+    validated or already scanned matrix keeps it (``_view``), and reading
+    it writes no rows; any other is scanned once, the result kept
+    (:func:`_keep`).  Rows the scan cannot read raise what
+    :func:`validate_asm` raises on them."""
+    view = a.__dict__.get("_view")
+    if view is not None:
+        return view
     rows = a.rows
-    first = tuple([row.index(1) + 1 for row in rows])  # final length, as in validate_asm
-    extras = []
-    for q, row in enumerate(rows, start=1):
-        if -1 in row:
-            nonzero = list(compress(range(1, len(row) + 1), row))  # the first 1, then -1, 1 pairs
-            extras += zip(repeat(q), nonzero[1::2], nonzero[2::2])
+    try:
+        first = tuple([row.index(1) + 1 for row in rows])  # final length, as in validate_asm
+        extras = []
+        for q, row in enumerate(rows, start=1):
+            if -1 in row:
+                nonzero = list(compress(range(1, len(row) + 1), row))  # the first 1, then -1, 1 pairs
+                extras += zip(repeat(q), nonzero[1::2], nonzero[2::2])
+    except (AttributeError, TypeError, ValueError):
+        _refuse(rows)
     extras.reverse()
     view = first, tuple(extras)
     _keep(a, rows, _view=view)
@@ -386,10 +385,10 @@ def _walk(first: tuple[int, ...], extras: _Extras = ()) -> tuple[tuple[int, ...]
 
 class _OnDemand(AsmMatrix):
     """An :class:`AsmMatrix` whose rows are not written yet.  It keeps its
-    points form (``_form``) outside the dataclass fields; the first read
+    sparse view (``_view``) outside the dataclass fields; the first read
     of ``rows``, and equality, hashing and repr, which read them, write
     the rows with :func:`_rows`, store them, and make the value a plain
-    :class:`AsmMatrix` that still keeps the form (:func:`_written`).  Two
+    :class:`AsmMatrix` that still keeps the view (:func:`_written`).  Two
     threads that race there store equal rows.
 
     The ``__getattr__`` hook lives on this class and not on
@@ -406,7 +405,7 @@ class _OnDemand(AsmMatrix):
 
     @property
     def n(self) -> int:
-        return len(self._form[0])
+        return len(self._view[0])
 
     def __eq__(self, other):
         return _written(self) == other
@@ -418,18 +417,18 @@ class _OnDemand(AsmMatrix):
         return repr(_written(self))
 
 
-def _on_demand(form: _PointsForm) -> AsmMatrix:
-    """The matrix of a checked points form, its rows written on their
+def _on_demand(view: _View) -> AsmMatrix:
+    """The matrix of a checked sparse view, its rows written on their
     first read."""
     a = object.__new__(_OnDemand)
-    object.__setattr__(a, "_form", form)
+    object.__setattr__(a, "_view", view)
     return a
 
 
 def _written(a: _OnDemand) -> AsmMatrix:
     """``a`` with its rows written and stored, now a plain
     :class:`AsmMatrix`."""
-    object.__setattr__(a, "rows", tuple(_rows(*a._form)))  # through a list, as in validate_asm
+    object.__setattr__(a, "rows", tuple(_rows(*a._view)))  # through a list, as in validate_asm
     object.__setattr__(a, "__class__", AsmMatrix)
     return a
 
@@ -438,9 +437,8 @@ def _refuse(rows: list[Sequence[int]]) -> NoReturn:
     """Raise what :func:`validate_asm` raises on ``rows``, the dense rows of
     an input a writer's own check rejected.  Should it accept them, raise
     :class:`InternalInvariantViolation`: the rows are an ASM but not the
-    one the input stands for (a points form whose writes land on one
-    position, or whose closing 1 is given left of the -1), or the check is
-    too strict."""
+    one the input stands for (a view whose writes land on one position,
+    or whose 1 is given left of its -1), or the check is too strict."""
     validate_asm(rows)
     raise InternalInvariantViolation("the rows are an ASM, but the writer's check rejected its input")
 

@@ -10,14 +10,14 @@ involution; conjugated back to matrices it swaps the electric and the
 magnetic charge while fixing everything else (r, i, J and the rows down
 to the opening row).
 
-Both directions are one recharge on points forms (:func:`_recharged`):
+Both directions are one recharge on sparse views (:func:`_recharged`):
 the discharge word of the matrix, recharged with the same ``k`` and
 ``c + E`` and the new charge, 0 to neutralize and E to restore.  A
 negative matrix, or a negative charge, is taken through the mirrored
-points form, so no reflected matrix is written.  Only the matrix
-returned is built, by ``cells._write``, which checks it on its points
-and keeps them; its rows are written when first read, and its landmarks
-and cell sums read once off its form (``cells._cells``), which is all
+view, so no reflected matrix is written.  Only the matrix returned is
+built, by ``cells._write``, which checks it on its view and keeps it;
+its rows are written when first read, and its landmarks and cell sums
+read once off its view (``cells._cells``), which is all
 :class:`NeutralPair` checks its invariants on.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .cells import CellSums, SignClass, _Cells, _cells, _read, _write
 from .discharge import _discharge_word, _recharge
 from .errors import InvalidPair, NotOneMinus, ParseError
-from .matrix import AsmMatrix, _mirror, _PointsForm, json_int, matrix_from_json, matrix_to_json
+from .matrix import AsmMatrix, _mirror, _View, json_int, matrix_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,13 @@ def restore(pair: NeutralPair) -> AsmMatrix:
     return _write(*_recharged(_cells(pair.matrix), pair.charge))
 
 
-def _recharged(cells: _Cells, charge: int) -> _PointsForm:
-    """The points form of the discharge of the matrix with these cells,
+def _recharged(cells: _Cells, charge: int) -> _View:
+    """The sparse view of the discharge of the matrix with these cells,
     recharged with the same ``k`` and ``c + E`` and with ``charge``; a
     negative matrix, or a negative charge on a neutral one, through the
-    mirrored points form, where both are non-negative."""
+    mirrored view, where both are non-negative."""
     if cells.sign is SignClass.NEGATIVE or charge < 0:
-        return _mirror(*_recharged(_read(*_mirror(*cells.points)), -charge))
+        return _mirror(*_recharged(_read(*_mirror(*cells.view)), -charge))
     n, k, total = len(cells.first), cells.geometry.opening_row, cells.sums.c + cells.e
     return _recharge(n, _discharge_word(cells), k, total - charge, charge)
 

@@ -83,7 +83,7 @@ def one_minus(n: int) -> tuple[AsmMatrix, ...]:
 
 # ---------------------------------------------------------------------------
 # the landmarks and cell sums of a one-minus matrix by definition, searched
-# and summed on its dense rows: the oracle of the points-form reader
+# and summed on its dense rows: the oracle of the sparse-view reader
 
 
 def box_sum(a: AsmMatrix, top: int, bottom: int, left: int, right: int) -> int:
@@ -197,32 +197,34 @@ def dense_from_table(t) -> AsmMatrix:
 
 # ---------------------------------------------------------------------------
 # the writers and the inversion count on dense rows: the oracles of the
-# points checks of ``cells._write`` and ``perm_matrix`` and of the
+# view checks of ``cells._write`` and ``perm_matrix`` and of the
 # south-west walk (``matrix._walk``) that ``inversions`` and
 # ``classical_params`` run over the sparse view
 
 
-def dense_write(first, closing_row: int, opening_col: int, closing_col: int) -> AsmMatrix:
-    """The one-minus matrix with this points form, written on zero rows
-    and checked by ``validate_asm``.  Rows that are an ASM but whose
-    points form, read back off them, is not the one given raise
-    :class:`InternalInvariantViolation`: writes that landed on one
-    position, or a closing row given with its two 1s swapped."""
-    form = (first, closing_row, opening_col, closing_col)
+def dense_write(first, extras) -> AsmMatrix:
+    """The one-minus matrix with this sparse view, ``(first, ((closing_row,
+    opening_col, closing_col),))``, written on zero rows and checked by
+    ``validate_asm``.  Rows that are an ASM but whose view, read back off
+    them, is not the one given raise :class:`InternalInvariantViolation`:
+    writes that landed on one position, a closing row given with its two
+    1s swapped, or no -1 at all."""
+    view = (first, extras)
     rows = [[0] * len(first) for _ in first]
     for row, col in zip(rows, first):
         row[col - 1] = 1
-    line = rows[closing_row - 1]
-    line[opening_col - 1] = -1
-    line[closing_col - 1] = 1
+    for closing_row, opening_col, closing_col in extras:
+        line = rows[closing_row - 1]
+        line[opening_col - 1] = -1
+        line[closing_col - 1] = 1
     a = validate_asm(rows)
     lines = [i for i, row in enumerate(a.rows, start=1) if -1 in row]
     if lines:
         line = a.rows[lines[0] - 1]
         minus = line.index(-1) + 1
-        back = tuple(row.index(1) + 1 for row in a.rows), lines[0], minus, line.index(1, minus) + 1
-    if not lines or back != form:
-        raise InternalInvariantViolation(f"{form} is not the points form of the rows it writes")
+        back = tuple(row.index(1) + 1 for row in a.rows), ((lines[0], minus, line.index(1, minus) + 1),)
+    if not lines or back != view:
+        raise InternalInvariantViolation(f"{view} is not the sparse view of the rows it writes")
     return a
 
 
@@ -299,7 +301,7 @@ def points_discharge_word(cells) -> tuple[int, ...]:
 
 
 def points_recharge(n: int, word, k: int, c: int, e: int) -> tuple:
-    """The points form of ``recharge`` of ``(k, P, c, E)`` given the
+    """The sparse view of ``recharge`` of ``(k, P, c, E)`` given the
     one-line word of P, the steps reversed one at a time on points."""
     _word_valid(n, word, k, c, e)
     j = word[k - 1]  # opening column
@@ -346,7 +348,7 @@ def points_recharge(n: int, word, k: int, c: int, e: int) -> tuple:
     if {(closing_row, j), (closing_row, closing_col)} & set(points):
         raise InternalInvariantViolation("closing row positions are not free")
     # the points left are the first 1 of every row of the matrix
-    return tuple(col for _, col in sorted(points)), closing_row, j, closing_col
+    return tuple(col for _, col in sorted(points)), ((closing_row, j, closing_col),)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +445,11 @@ def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
     return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
 
 
-# dense scans (``cells._points`` calls) per matrix, on average, allowed to
-# each operation on a fresh copy of the matrix: each scans once (1.0
-# measured), with 15% headroom
+# dense scans (``matrix._sparse`` calls on a matrix keeping no view) per
+# matrix, on average, allowed to each operation on a fresh copy of the
+# matrix: each scans once (1.0 measured), with 15% headroom
 ORDER7_SCANS = {"charges": 1.15, "neutralize": 1.15, "swap_charges": 1.15}
-# points checks (``cells._is_points_form`` calls) allowed to one call of
+# view checks (``cells._is_points_form`` calls) allowed to one call of
 # each operation: one per matrix it returns
 ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
 
@@ -455,10 +457,9 @@ ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
 @contextmanager
 def dense_reads():
     """Count the dense reads of matrices while the block runs: the calls of
-    ``matrix._sparse`` that scan rows (on a matrix keeping neither a points
-    form nor a scanned view), per matrix, and the calls of ``matrix._rows``
-    (rows written off a points form), in every ``asmc`` module that binds
-    them.  Yields ``(scans, writes)``: a Counter over the ids of the
+    ``matrix._sparse`` that scan rows (on a matrix keeping no view), per
+    matrix, and the calls of ``matrix._rows`` (rows written off a view),
+    in every ``asmc`` module that binds them.  Yields ``(scans, writes)``: a Counter over the ids of the
     scanned matrices, which stay alive until the block ends, and a
     one-entry list with the number of writes."""
     scans: Counter = Counter()
@@ -467,14 +468,14 @@ def dense_reads():
     real_sparse, real_rows = asmc.matrix._sparse, asmc.matrix._rows
 
     def sparse(a):
-        if not {"_form", "_view"} & vars(a).keys():
+        if "_view" not in vars(a):
             scans[id(a)] += 1
             scanned.append(a)
         return real_sparse(a)
 
-    def rows(*form):
+    def rows(*view):
         writes[0] += 1
-        return real_rows(*form)
+        return real_rows(*view)
 
     with pytest.MonkeyPatch.context() as mp:
         for name, real, stub in (("_sparse", real_sparse, sparse), ("_rows", real_rows, rows)):
@@ -486,14 +487,13 @@ def dense_reads():
 
 @pytest.fixture(scope="session")
 def order7_calls():
-    """One walk over all order-7 one-minus matrices, counting ``_points``
-    (the points form off ``matrix._sparse``, the one dense scan of a
-    one-minus matrix), ``_is_points_form`` (the check of a written one),
-    ``validate_asm`` and ``reflect`` (a dense reflected copy) calls in
-    every ``asmc`` module that binds them.
+    """One walk over all order-7 one-minus matrices, counting the dense
+    scans (``_sparse`` calls on a matrix keeping no view),
+    ``_is_points_form`` (the check of a written matrix), ``validate_asm``
+    and ``reflect`` calls in every ``asmc`` module that binds them.
 
     Returns the modules wrapped for each name, the number of matrices,
-    the total ``_points`` calls of each operation in ``ORDER7_SCANS``, and
+    the total dense scans of each operation in ``ORDER7_SCANS``, and
     the most ``_is_points_form`` calls (``most``), ``validate_asm`` calls
     (``dense``) and ``reflect`` calls (``reflects``) of one call of each
     operation in ``ORDER7_VALIDATIONS``. The wrapping is undone before the
@@ -502,7 +502,7 @@ def order7_calls():
     operation keeps on it do not hide the scans of the next.
     """
     counted = (
-        (asmc.cells, "_points"),
+        (asmc.matrix, "_sparse"),
         (asmc.cells, "_is_points_form"),
         (asmc.matrix, "validate_asm"),
         (asmc.matrix, "reflect"),
@@ -518,7 +518,7 @@ def order7_calls():
         calls.update(dict.fromkeys(calls, 0))
         out = getattr(asmc, name)(arg)
         if name in scans:
-            scans[name] += calls["_points"]
+            scans[name] += calls["_sparse"]
         if name in most:
             most[name] = max(most[name], calls["_is_points_form"])
             dense[name] = max(dense[name], calls["validate_asm"])
@@ -531,7 +531,9 @@ def order7_calls():
             real = getattr(module, name)
 
             def counting(*args, real=real, name=name):
-                calls[name] += 1
+                # a _sparse call counts only when it scans rows
+                if name != "_sparse" or "_view" not in vars(args[0]):
+                    calls[name] += 1
                 return real(*args)
 
             bound = {mod for key, mod in sys.modules.items()

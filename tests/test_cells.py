@@ -27,21 +27,21 @@ from conftest import ORDER7_SCANS, dense_cells, dense_write, one_minus, outcome,
 
 
 def check_reader(a: AsmMatrix) -> None:
-    """The points-form reader, the public readers and the reader of the
-    mirrored points form on ``a`` against the landmarks and sums searched
-    on the dense rows."""
+    """The sparse-view reader, the public readers and the reader of the
+    mirrored view on ``a`` against the landmarks and sums searched on the
+    dense rows."""
     expected = dense_cells(a)
     first, g, sign, sums, e = expected
-    points = _points(a)
-    assert points[0] == first
-    assert tuple(_read(*points)) == expected
+    view = _points(a)
+    assert view[0] == first
+    assert tuple(_read(*view)) == expected
     assert geometry(a) == g and sign_class(a) is sign
     ch = charges(a)
     assert (ch.ell, ch.c, ch.x, ch.e) == (sums.ell, sums.c, sums.x, e)
     if sign is not SignClass.NEGATIVE:
         assert cell_sums(a) == sums
     mirror = reflect(a)
-    assert _mirror(*points) == _points(mirror)
+    assert _mirror(*view) == _points(mirror)
     assert tuple(_read(*_mirror(*_points(AsmMatrix(a.rows))))) == dense_cells(mirror)
 
 
@@ -65,23 +65,23 @@ class TestPointsReader:
 
 
 class TestWriter:
-    """``_write`` checks the points form, not the rows it writes; it must
-    accept exactly the forms ``dense_write`` accepts (their dense rows
-    pass ``validate_asm`` and read back to the form), write the same
+    """``_write`` checks the sparse view, not the rows it writes; it must
+    accept exactly the views ``dense_write`` accepts (their dense rows
+    pass ``validate_asm`` and read back to the view), write the same
     matrix, and raise the same error on the others."""
 
     def test_every_form_in_range_up_to_order_4(self):
-        forms = accepted = 0
+        views = accepted = 0
         for n in range(1, 5):
             cols = range(1, n + 1)
             for first in itertools.product(cols, repeat=n):
-                for closing_row, opening_col, closing_col in itertools.product(cols, repeat=3):
-                    form = (first, closing_row, opening_col, closing_col)
-                    got = outcome(_write, *form)
-                    assert got == outcome(dense_write, *form), form
-                    forms += 1
+                for extra in itertools.product(cols, repeat=3):
+                    view = (first, (extra,))
+                    got = outcome(_write, *view)
+                    assert got == outcome(dense_write, *view), view
+                    views += 1
                     accepted += got[0] is None
-        assert forms == 1 + 32 + 729 + 16384
+        assert views == 1 + 32 + 729 + 16384
         assert accepted == len(one_minus(3)) + len(one_minus(4))
 
     @pytest.mark.parametrize("seed", range(2))
@@ -90,10 +90,10 @@ class TestWriter:
         for n in (25, rng.randint(26, 199), 200):
             m = restore(pair_from_table(random_valid_table(rng, n)))
             for a in (m, reflect(m)):
-                form = _cells(a).points
-                assert _write(*form) == a
+                view = _cells(a).view
+                assert _write(*view) == a
                 for _ in range(20):
-                    first, closing_row, opening_col, closing_col = form
+                    first, ((closing_row, opening_col, closing_col),) = view
                     first = list(first)
                     kind = rng.randrange(4)
                     if kind == 0:  # move one point
@@ -105,7 +105,7 @@ class TestWriter:
                         closing_row = rng.randint(1, n)
                     else:
                         opening_col, closing_col = rng.randint(1, n), rng.randint(1, n)
-                    corrupted = (tuple(first), closing_row, opening_col, closing_col)
+                    corrupted = (tuple(first), ((closing_row, opening_col, closing_col),))
                     assert outcome(_write, *corrupted) == outcome(dense_write, *corrupted), corrupted
 
 
@@ -217,13 +217,14 @@ class TestCharges:
 
 
 class TestLandmarkScans:
-    """Average dense scans (``cells._points`` calls) per matrix over all
-    order-7 one-minus matrices, each operation on a fresh copy: the first
-    read scans the matrix, and every later one, on it or on a matrix the
-    operation builds or reflects, reads the facts kept on the value."""
+    """Average dense scans (``matrix._sparse`` calls on a matrix keeping no
+    view) per matrix over all order-7 one-minus matrices, each operation
+    on a fresh copy: the first read scans the matrix, and every later one,
+    on it or on a matrix the operation builds or reflects, reads the view
+    kept on the value."""
 
     @pytest.mark.parametrize("name", list(ORDER7_SCANS))
     def test_scans_per_matrix_at_order_7(self, order7_calls, name):
-        assert asmc.cells in order7_calls.wrapped["_points"]
+        assert {asmc.matrix, asmc.cells} <= order7_calls.wrapped["_sparse"]
         assert order7_calls.matrices == 29400
         assert 0 < order7_calls.scans[name] / order7_calls.matrices <= ORDER7_SCANS[name]

@@ -182,7 +182,7 @@ def kernels_match_oracles(cells) -> int:
     n, k, total = len(cells.first), cells.geometry.opening_row, cells.sums.c + cells.e
     word = _discharge_word(cells)
     assert word == points_discharge_word(cells)
-    assert _recharge(n, word, k, cells.sums.c, cells.e) == cells.points
+    assert _recharge(n, word, k, cells.sums.c, cells.e) == cells.view
     for e in range(total + 1):
         assert _recharge(n, word, k, total - e, e) == points_recharge(n, word, k, total - e, e)
     return total + 1
@@ -208,9 +208,9 @@ class TestWordKernels:
         rng = random.Random(seed)
         for n in (25, rng.randint(26, 199), 200):
             cells = _cells(restore(pair_from_table(random_valid_table(rng, n))))
-            # a negative matrix is discharged through its mirrored points form
-            for form in (cells.points, _mirror(*cells.points)):
-                read = _read(*form)
+            # a negative matrix is discharged through its mirrored view
+            for view in (cells.view, _mirror(*cells.view)):
+                read = _read(*view)
                 if read.sign is not SignClass.NEGATIVE:
                     kernels_match_oracles(read)
 

@@ -31,7 +31,7 @@ from asmc import (
     validate_asm,
 )
 from asmc.errors import BadArgument
-from asmc.matrix import _check_line, _sparse, inversions
+from asmc.matrix import _check_line, _mirror, _rows, _sparse, inversions
 from conftest import (
     DIAMOND_ROWS,
     all_asm,
@@ -134,23 +134,48 @@ def walk_outcome(grid):
     return None
 
 
+def dense_reflection(a: AsmMatrix) -> AsmMatrix:
+    """``a`` with every row reversed, written densely."""
+    return AsmMatrix(tuple(tuple(reversed(row)) for row in a.rows))
+
+
 class TestKeptView:
     """``validate_asm`` reads the sparse view while it checks the
-    alternating law, and a matrix with at most one -1 keeps it as its
-    points form, which every reader then reads instead of the rows."""
+    alternating law, and the matrix keeps it whatever its number of -1s;
+    every reader, and ``reflect``, then reads it instead of the rows."""
 
-    def test_kept_exactly_when_s_is_at_most_one_up_to_order_6(self):
+    def test_kept_for_every_s_up_to_order_6(self):
+        matrices = several = 0
+        for n in range(1, 7):
+            for m in all_asm(n):
+                v = validate_asm(m.rows)
+                assert vars(v).keys() == {"rows", "_view"}
+                assert vars(v)["_view"] == _sparse(AsmMatrix(m.rows))
+                matrices += 1
+                several += len(vars(v)["_view"][1]) > 1
+        assert (matrices, several) == (7917, 4427)
+
+    def test_reflection_with_several_minus_ones_writes_rows_when_read(self):
+        """``reflect`` of a validated matrix with s >= 2 mirrors the view it
+        keeps: no scan and no row written until the reflection is read,
+        and then it is the dense twin."""
         matrices = 0
         for n in range(1, 7):
             for m in all_asm(n):
                 v = validate_asm(m.rows)
-                first, extras = _sparse(AsmMatrix(m.rows))
-                if len(extras) > 1:
-                    assert vars(v).keys() == {"rows"}
-                else:
-                    assert vars(v)["_form"] == (first, *(extras[0] if extras else (0, 0, 0)))
+                if minus_count(v) < 2:
+                    continue
+                twin = dense_reflection(v)
+                params = classical_params(AsmMatrix(twin.rows))
+                with dense_reads() as (scans, writes):
+                    mirror = reflect(v)
+                    assert "rows" not in vars(mirror) and writes == [0]
+                    assert classical_params(mirror) == params and writes == [0]
+                    assert mirror == twin and writes == [1]
+                    assert reflect(mirror) == v
+                assert not scans
                 matrices += 1
-        assert matrices == 7917
+        assert matrices == 4427
 
     @pytest.mark.parametrize("seed", range(2))
     def test_a_parsed_matrix_is_read_without_its_rows_at_order_500(self, seed):
@@ -262,7 +287,8 @@ class TestClassicalParams:
 
 class TestSparseView:
     """``matrix._sparse``, the one scan of a dense matrix that ``inversions``,
-    ``classical_params``, ``minus_count`` and ``perm_one_line`` read."""
+    ``classical_params``, ``minus_count`` and ``perm_one_line`` read, and
+    the mirror and the row writer on its views."""
 
     @staticmethod
     def rows_of(n, first, extras):
@@ -288,6 +314,27 @@ class TestSparseView:
                 assert minus_count(m) == classical_params(m).s == s
                 matrices += 1
         assert matrices == 1 + 2 + 7 + 42 + 429 + 7436
+
+    def test_mirror_and_rows_of_every_asm_up_to_order_6(self):
+        """``_mirror`` of a view is the scan of the dense reflection, and
+        ``_rows`` of a view writes the rows it was scanned off."""
+        matrices = 0
+        for n in range(1, 7):
+            for m in all_asm(n):
+                view = _sparse(AsmMatrix(m.rows))
+                assert _mirror(*view) == _sparse(dense_reflection(m))
+                assert tuple(_rows(*view)) == m.rows
+                matrices += 1
+        assert matrices == 7917
+
+    @pytest.mark.parametrize(
+        "rows", [((0, 0), (0, 0)), ((0, 2), (1, 0)), (1, 0)], ids=["zero", "entry-2", "not-rows"]
+    )
+    @pytest.mark.parametrize("reader", [reflect, classical_params, minus_count, charges, perm_one_line])
+    def test_rows_the_scan_cannot_read_raise_what_validate_asm_raises(self, rows, reader):
+        expected = outcome(validate_asm, rows)
+        assert expected[0] is not None
+        assert outcome(reader, AsmMatrix(rows)) == expected
 
     def test_perm_one_line_names_the_s_of_a_matrix_with_a_minus(self):
         for n in range(3, 7):

@@ -1,18 +1,18 @@
-"""Facts kept on values outside their dataclass fields: the points form
-a built or validated matrix keeps (``matrix._on_demand``,
-``matrix.validate_asm``), the sparse view read off the rows of any other
-matrix (``matrix._sparse``), what the points-form reader of
-``asmc.cells`` reads off a matrix (its points form, landmarks, sign
-class, cell sums and charge), kept by ``cells._cells``, and the mark of a
-mixed configuration that has passed validation or was built from a valid
+"""Facts kept on values outside their dataclass fields: the sparse view
+of a matrix, kept by the writers (``matrix._on_demand``,
+``matrix.validate_asm``) or by the one scan of any other matrix built on
+tuples (``matrix._sparse``), what the sparse-view reader of
+``asmc.cells`` reads off a matrix (its first 1s, landmarks, sign class,
+cell sums and charge), kept by ``cells._cells``, and the mark of a mixed
+configuration that has passed validation or was built from a valid
 table, kept by ``matrix._keep``.
 
-A kept points form must equal the one scanned off the dense rows (the
-row-read word for a permutation), a kept view a fresh scan, every kept matrix fact the landmarks
-and cell sums searched and summed by definition on the dense rows
-(``conftest.dense_cells``), and a kept mark a fresh validation; no kept
-fact may change what a value is: equality, hashing and repr see only the
-dataclass fields, and a value built over lists keeps nothing.
+A kept view must equal a fresh scan of the dense rows, every kept cells
+fact the landmarks and cell sums searched and summed by definition on
+the dense rows (``conftest.dense_cells``), and a kept mark a fresh
+validation; no kept fact may change what a value is: equality, hashing
+and repr see only the dataclass fields, and a value built over lists
+keeps nothing.
 """
 
 import random
@@ -35,11 +35,9 @@ from asmc import (
     dual_config,
     gen_table,
     geometry,
-    is_permutation_matrix,
     neutralize,
     pair_from_config,
     pair_from_table,
-    perm_one_line,
     reflect,
     restore,
     sign_class,
@@ -48,11 +46,10 @@ from asmc import (
     validate_asm,
     validate_config,
 )
-from asmc.cells import _points
 from asmc.matrix import _sparse
 from conftest import dense_cells, one_minus, random_valid_table
 
-FACTS = {"_form", "_view", "_cells", "_valid"}
+FACTS = {"_view", "_cells", "_valid"}
 
 
 def kept_facts(value) -> set[str]:
@@ -63,12 +60,6 @@ def kept_facts(value) -> set[str]:
         value = value.matrix
     kept = {name: fact for name, fact in vars(value).items() if name.startswith("_")}
     assert set(kept) <= FACTS
-    if "_form" in kept:
-        dense = AsmMatrix(value.rows)
-        if is_permutation_matrix(dense):
-            assert kept["_form"] == (perm_one_line(dense), 0, 0, 0)
-        else:
-            assert kept["_form"] == _points(dense)
     if "_view" in kept:
         assert kept["_view"] == _sparse(AsmMatrix(value.rows))
     if "_cells" in kept:
@@ -95,33 +86,23 @@ def outputs(m: AsmMatrix, copy=AsmMatrix):
     yield "dual_config", dual_config(cfg)
 
 
-# the facts each output may hold: a matrix built on its points keeps its
-# form, and its cells once a pair has checked it; a dense matrix handed
-# back (a pair's matrix at charge 0) keeps the sparse view and the cells
-# the pair's check read; a configuration holds the mark of its table's
-# check
+# the facts each output may hold: every matrix keeps its sparse view,
+# whether built on it, validated or scanned, and its cells once a pair has
+# checked it; a configuration holds the mark of its table's check
 EXPECTED = {
-    "neutralize": ({"_view", "_cells"}, {"_form", "_cells"}),
-    "restore": ({"_view", "_cells"}, {"_form"}),
-    "swap_charges": ({"_view", "_cells"}, {"_form", "_cells"}, {"_form"}),
-    "pair_from_table": ({"_form", "_cells"},),
+    "neutralize": ({"_view", "_cells"},),
+    "restore": ({"_view", "_cells"}, {"_view"}),
+    "swap_charges": ({"_view", "_cells"}, {"_view"}),
+    "pair_from_table": ({"_view", "_cells"},),
     "config_from_pair": ({"_valid"},),
     "dual_config": ({"_valid"},),
 }
-# on validated copies a dense matrix handed back keeps the points form
-# ``validate_asm`` read, instead of a scanned view
-EXPECTED_VALIDATED = {
-    **EXPECTED,
-    "neutralize": ({"_form", "_cells"},),
-    "restore": ({"_form", "_cells"}, {"_form"}),
-    "swap_charges": ({"_form", "_cells"}, {"_form"}),
-}
 
 
-def check_outputs(m: AsmMatrix, found: Counter, copy=AsmMatrix, expected=EXPECTED) -> None:
+def check_outputs(m: AsmMatrix, found: Counter, copy=AsmMatrix) -> None:
     for name, value in outputs(m, copy):
         facts = kept_facts(value)
-        assert facts in expected[name], (name, m.rows)
+        assert facts in EXPECTED[name], (name, m.rows)
         found.update(facts)
 
 
@@ -135,31 +116,31 @@ class TestKeptFactsOracle:
                 matrices += 1
         assert matrices == 2617
         # 1,284 of the matrices are not neutral; see EXPECTED for the rest
-        assert found == {"_form": 7201, "_view": 3267, "_cells": 7900, "_valid": 2 * matrices}
+        assert found == {"_view": 10468, "_cells": 7900, "_valid": 2 * matrices}
 
     def test_validated_copies_up_to_order_6(self):
         found = Counter()
         matrices = 0
         for n in range(3, 7):
             for m in one_minus(n):
-                assert kept_facts(validate_asm(m.rows)) == {"_form"}
-                check_outputs(m, found, validate_asm, EXPECTED_VALIDATED)
+                assert kept_facts(validate_asm(m.rows)) == {"_view"}
+                check_outputs(m, found, validate_asm)
                 matrices += 1
         assert matrices == 2617
-        assert found == {"_form": 10468, "_cells": 7900, "_valid": 2 * matrices}
+        assert found == {"_view": 10468, "_cells": 7900, "_valid": 2 * matrices}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sampled_tables_at_large_n(self, seed):
         rng = random.Random(seed)
         for n in (25, rng.randint(26, 199), 200):
             pair = pair_from_table(random_valid_table(rng, n))
-            assert kept_facts(pair) == {"_form", "_cells"}
+            assert kept_facts(pair) == {"_view", "_cells"}
             m = restore(pair)
-            assert kept_facts(m) == {"_form"}
+            assert kept_facts(m) == {"_view"}
             found = Counter()
             check_outputs(m, found)
             check_outputs(reflect(m), found)
-            check_outputs(m, found, validate_asm, EXPECTED_VALIDATED)
+            check_outputs(m, found, validate_asm)
             assert found["_valid"] == 6
 
     @pytest.mark.parametrize("t, condition", [
@@ -186,7 +167,7 @@ class TestValueSemantics:
         m = restore(pair)
         cfg = config_from_pair(pair)
         config_params(cfg)
-        assert kept_facts(m) == {"_form"}
+        assert kept_facts(m) == {"_view"}
         assert kept_facts(cfg) == {"_valid"}
         twins = (
             (m, AsmMatrix(m.rows)),

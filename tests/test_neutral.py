@@ -154,7 +154,7 @@ class TestValidationsPerCall:
         assert order7_calls.dense == dict.fromkeys(ORDER7_VALIDATIONS, 0)
 
     def test_no_reflected_copy_at_order_7(self, order7_calls):
-        """A negative matrix is taken through its mirrored points form."""
+        """A negative matrix is taken through its mirrored sparse view."""
         assert asmc.matrix in order7_calls.wrapped["reflect"]
         assert order7_calls.matrices == 29400
         assert order7_calls.reflects == dict.fromkeys(ORDER7_VALIDATIONS, 0)

@@ -1,7 +1,7 @@
 """Matrices written on demand: ``cells._write`` and ``perm_matrix`` check
-a points form or a one-line word and return a matrix that keeps its
-points form and whose dense rows are written the first time ``rows`` is
-read; ``reflect`` of such a matrix mirrors the form.
+a sparse view or a one-line word and return a matrix that keeps its
+sparse view and whose dense rows are written the first time ``rows`` is
+read; ``reflect`` of any matrix mirrors its view.
 
 Those rows must be the rows the dense writers of ``conftest`` write, the
 matrix must mean what its dense twin means (equality, hashing, repr,
@@ -43,11 +43,23 @@ from asmc import (
     restore,
     sign_class,
     swap_charges,
+    validate_asm,
 )
 from asmc.cells import _cells, _write
 from asmc.errors import BadArgument
 from asmc.matrix import _OnDemand
 from conftest import dense_perm_matrix, dense_table, dense_write, one_minus, outcome, random_valid_table
+
+# an order-6 ASM with four -1s, two of them on one row, whose reflection
+# is another matrix
+SEVERAL_ROWS = (
+    (0, 0, 1, 0, 0, 0),
+    (0, 1, -1, 1, 0, 0),
+    (1, -1, 1, -1, 1, 0),
+    (0, 1, -1, 1, 0, 0),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 0, 1),
+)
 
 
 def unread(a: AsmMatrix) -> bool:
@@ -59,9 +71,9 @@ def check_written(a: AsmMatrix) -> None:
     rows, and those of the permutation its discharge leaves, equal the
     dense writers' rows."""
     assert unread(a)
-    form = _cells(a).points
-    assert a.n == len(form[0]) and unread(a)
-    assert a.rows == dense_write(*form).rows
+    view = _cells(a).view
+    assert a.n == len(view[0]) and unread(a)
+    assert a.rows == dense_write(*view).rows
     if sign_class(a) is not SignClass.NEGATIVE:
         p = partial_discharge(a)
         assert unread(p)
@@ -69,9 +81,9 @@ def check_written(a: AsmMatrix) -> None:
 
 
 def check_outputs(m: AsmMatrix) -> None:
-    """The points form of ``m`` written again, and the outputs of the
+    """The sparse view of ``m`` written again, and the outputs of the
     encodings on a dense copy of ``m``, against the dense writers."""
-    check_written(_write(*_cells(m).points))
+    check_written(_write(*_cells(m).view))
     pair = neutralize(AsmMatrix(m.rows))
     if pair.charge:
         check_written(pair.matrix)
@@ -110,12 +122,12 @@ class TestRowsOracle:
 
     def test_reflection_of_every_built_matrix_up_to_order_6(self):
         """``reflect`` of a one-minus matrix written by ``_write`` and of a
-        permutation matrix written by ``perm_matrix`` mirrors the points
-        form and writes no rows; read, it is the reflected dense twin."""
+        permutation matrix written by ``perm_matrix`` mirrors the view and
+        writes no rows; read, it is the reflected dense twin."""
         built = 0
         for n in range(1, 7):
             words = itertools.permutations(range(1, n + 1))
-            for b in [*(_write(*_cells(m).points) for m in one_minus(n)), *map(perm_matrix, words)]:
+            for b in [*(_write(*_cells(m).view) for m in one_minus(n)), *map(perm_matrix, words)]:
                 mirror = reflect(b)
                 assert unread(mirror) and unread(b) and mirror.n == n
                 dense = reflect(AsmMatrix(b.rows))
@@ -132,15 +144,14 @@ def readers(a: AsmMatrix) -> tuple:
 
 class TestSparseReaders:
     """``classical_params``, ``minus_count`` and ``perm_one_line`` of a
-    built matrix read its points form, leaving its rows unwritten, and
+    built matrix read its sparse view, leaving its rows unwritten, and
     give what they give on its dense twin."""
 
     @staticmethod
     def check(b: AsmMatrix) -> bool:
         """Whether ``b`` is built; if so, its readers against its twin's."""
-        if "_form" not in vars(b):
+        if not unread(b):
             return False  # an input passed through
-        assert unread(b)
         got = readers(b)
         assert unread(b)
         assert got == readers(AsmMatrix(b.rows))
@@ -169,21 +180,28 @@ class TestSparseReaders:
 @pytest.fixture(scope="module")
 def written():
     """Builders of a one-minus matrix and of a permutation matrix written
-    on demand, and of their reflections, each with its dense twin."""
+    on demand, and of their reflections, each with its dense twin, and of
+    the reflection of a validated matrix with four -1s."""
     m = restore(pair_from_table(random_valid_table(random.Random(2), 40)))
-    form = _cells(m).points
+    view = _cells(m).view
     word = perm_one_line(partial_discharge(m if sign_class(m) is SignClass.POSITIVE else reflect(m)))
     builders = (
-        (lambda: _write(*form), dense_write(*form)),
+        (lambda: _write(*view), dense_write(*view)),
         (lambda: perm_matrix(word), dense_perm_matrix(word)),
     )
-    return builders + tuple((lambda build=build: reflect(build()), reflect(twin)) for build, twin in builders)
+    several = validate_asm(SEVERAL_ROWS)
+    mirrored = AsmMatrix(tuple(tuple(reversed(row)) for row in SEVERAL_ROWS))
+    return (
+        *builders,
+        *((lambda build=build: reflect(build()), reflect(twin)) for build, twin in builders),
+        (lambda: reflect(several), mirrored),
+    )
 
 
 class TestValueSemantics:
-    def test_keeps_only_its_points_form_until_read(self, written):
+    def test_keeps_only_its_view_until_read(self, written):
         for build, _ in written:
-            assert vars(build()).keys() == {"_form"}
+            assert vars(build()).keys() == {"_view"}
 
     def test_equals_its_dense_twin_with_equal_hash_and_repr(self, written):
         for build, twin in written:
@@ -253,7 +271,7 @@ class TestValueSemantics:
 
 
 class TestNoDenseWork:
-    """At n=500 the encodings build every matrix on its points: they write
+    """At n=500 the encodings build every matrix on its view: they write
     no dense rows (``matrix._rows`` calls) and reflect no matrix, and each
     matrix they return writes its rows once, on the first read."""
 
@@ -308,7 +326,7 @@ class TestNoDenseWork:
     def test_readers_write_no_rows_at_order_500(self, calls):
         """``classical_params``, ``inversions``, ``minus_count``,
         ``perm_one_line`` and ``perm_table`` read an unread built matrix
-        on its points form."""
+        on its sparse view."""
         rng = random.Random(4)
         m = restore(pair_from_table(random_valid_table(rng, 500)))
         p = perm_matrix(rng.sample(range(1, 501), 500))
