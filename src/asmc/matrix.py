@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
@@ -292,10 +292,11 @@ def _rows(first: tuple[int, ...], extras: _Extras) -> list[tuple[int, ...]]:
         line[c - 1] = 1
         rows.append(tuple(line))
         line[c - 1] = 0
-    for q, minus, plus in extras:
+    for q, pairs in groupby(extras, lambda pair: pair[0]):  # each row rewritten once
         line = list(rows[q - 1])
-        line[minus - 1] = -1
-        line[plus - 1] = 1
+        for _, minus, plus in pairs:
+            line[minus - 1] = -1
+            line[plus - 1] = 1
         rows[q - 1] = tuple(line)
     return rows
 
@@ -321,23 +322,25 @@ def _sparse(a: AsmMatrix) -> _View:
     bottom row first and right to left, with the 1 right of it.  A built,
     validated or already scanned matrix keeps it (``_view``), and reading
     it writes no rows; any other is scanned once, the result kept
-    (:func:`_keep`).  Rows the scan cannot read raise what
-    :func:`validate_asm` raises on them."""
+    (:func:`_keep`).  Rows the scan cannot read or the view would not
+    write back raise what :func:`validate_asm` raises on them."""
     view = a.__dict__.get("_view")
     if view is not None:
         return view
     rows = a.rows
+    n = len(rows)
     try:
         first = tuple([row.index(1) + 1 for row in rows])  # final length, as in validate_asm
         extras = []
         for q, row in enumerate(rows, start=1):
-            if -1 in row:
-                nonzero = list(compress(range(1, len(row) + 1), row))  # the first 1, then -1, 1 pairs
+            if len(row) != n or row.count(0) != n - 1:  # more than its first 1
+                nonzero = list(compress(range(1, n + 1), row))  # the first 1, then -1, 1 pairs
+                if len(row) != n or [row[j - 1] for j in nonzero] != [1, -1] * (len(nonzero) // 2) + [1]:
+                    _refuse(rows)  # rows the view would not write back
                 extras += zip(repeat(q), nonzero[1::2], nonzero[2::2])
     except (AttributeError, TypeError, ValueError):
         _refuse(rows)
-    extras.reverse()
-    view = first, tuple(extras)
+    view = first, tuple(reversed(extras))
     _keep(a, rows, _view=view)
     return view
 

@@ -30,7 +30,6 @@ from asmc import (
     enumerate_asm,
     pair_from_table,
     partial_discharge,
-    reflect,
     restore,
     validate_asm,
 )
@@ -92,6 +91,12 @@ def box_sum(a: AsmMatrix, top: int, bottom: int, left: int, right: int) -> int:
     return sum(sum(row[left - 1 : right]) for row in a.rows[top - 1 : bottom])
 
 
+def dense_reflection(a: AsmMatrix) -> AsmMatrix:
+    """``a`` with every row reversed, written densely: the oracle of
+    ``reflect``, which mirrors the sparse view."""
+    return AsmMatrix(tuple(tuple(reversed(row)) for row in a.rows))
+
+
 def dense_geometry(a: AsmMatrix) -> CellGeometry:
     """The landmarks of a one-minus matrix, searched on its rows."""
     closing_row = next(i for i, row in enumerate(a.rows, start=1) if -1 in row)
@@ -125,7 +130,7 @@ def dense_cells(a: AsmMatrix) -> tuple:
         lowest = a.rows[g.enclosed_rows[-1] - 1].index(1) + 1
         sign = SignClass.POSITIVE if lowest > g.opening_col else SignClass.NEGATIVE
     if sign is SignClass.NEGATIVE:
-        _, _, _, sums, e = dense_cells(reflect(a))
+        _, _, _, sums, e = dense_cells(dense_reflection(a))
         return first, g, sign, sums, -e
     n = a.n
     sums = CellSums(

@@ -23,7 +23,7 @@ from asmc import (
     validate_asm,
 )
 from asmc.cells import _cells, _mirror, _points, _read, _write
-from conftest import ORDER7_SCANS, dense_cells, dense_write, one_minus, outcome, random_valid_table
+from conftest import ORDER7_SCANS, dense_cells, dense_reflection, dense_write, one_minus, outcome, random_valid_table
 
 
 def check_reader(a: AsmMatrix) -> None:
@@ -40,9 +40,10 @@ def check_reader(a: AsmMatrix) -> None:
     assert (ch.ell, ch.c, ch.x, ch.e) == (sums.ell, sums.c, sums.x, e)
     if sign is not SignClass.NEGATIVE:
         assert cell_sums(a) == sums
-    mirror = reflect(a)
-    assert _mirror(*view) == _points(mirror)
-    assert tuple(_read(*_mirror(*_points(AsmMatrix(a.rows))))) == dense_cells(mirror)
+    twin = dense_reflection(a)
+    assert _mirror(*view) == _points(twin)
+    assert reflect(a) == twin
+    assert tuple(_read(*_mirror(*_points(AsmMatrix(a.rows))))) == dense_cells(twin)
 
 
 class TestPointsReader:

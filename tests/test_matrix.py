@@ -38,6 +38,7 @@ from conftest import (
     dense_reads,
     dense_inversions,
     dense_perm_matrix,
+    dense_reflection,
     one_minus,
     outcome,
     random_valid_table,
@@ -134,11 +135,6 @@ def walk_outcome(grid):
     return None
 
 
-def dense_reflection(a: AsmMatrix) -> AsmMatrix:
-    """``a`` with every row reversed, written densely."""
-    return AsmMatrix(tuple(tuple(reversed(row)) for row in a.rows))
-
-
 class TestKeptView:
     """``validate_asm`` reads the sparse view while it checks the
     alternating law, and the matrix keeps it whatever its number of -1s;
@@ -176,6 +172,25 @@ class TestKeptView:
                 assert not scans
                 matrices += 1
         assert matrices == 4427
+
+    def test_reflection_of_a_diamond_beside_a_permutation_at_order_121(self):
+        """Many -1s on a row: the order-101 diamond, with 2,500 -1s and 50
+        on its middle row, block-diagonal with the order-20 identity, is
+        reflected off its view and written once when read."""
+        c, n = 50, 121
+        rows = [[0] * n for _ in range(n)]
+        for i, j in itertools.product(range(2 * c + 1), repeat=2):
+            d = abs(i - c) + abs(j - c)
+            rows[i][j] = (-1) ** (c - d) if d <= c else 0
+        for i in range(2 * c + 1, n):
+            rows[i][i] = 1
+        v = validate_asm(rows)
+        twin = dense_reflection(v)
+        with dense_reads() as (scans, writes):
+            mirror = reflect(v)
+            assert minus_count(mirror) == c * c and writes == [0]
+            assert mirror == twin and writes == [1]
+        assert not scans and reflect(mirror) == v and mirror != v
 
     @pytest.mark.parametrize("seed", range(2))
     def test_a_parsed_matrix_is_read_without_its_rows_at_order_500(self, seed):
@@ -328,13 +343,34 @@ class TestSparseView:
         assert matrices == 7917
 
     @pytest.mark.parametrize(
-        "rows", [((0, 0), (0, 0)), ((0, 2), (1, 0)), (1, 0)], ids=["zero", "entry-2", "not-rows"]
+        "rows",
+        [((0, 0), (0, 0)), ((0, 2), (1, 0)), (1, 0), ((1, 1), (1, 1)), ((1, 0, 0), (0, 1, 0)), ((0, 1), (1, 2))],
+        ids=["zero", "entry-2", "not-rows", "two-ones", "not-square", "2-after-the-1"],
     )
     @pytest.mark.parametrize("reader", [reflect, classical_params, minus_count, charges, perm_one_line])
     def test_rows_the_scan_cannot_read_raise_what_validate_asm_raises(self, rows, reader):
         expected = outcome(validate_asm, rows)
         assert expected[0] is not None
         assert outcome(reader, AsmMatrix(rows)) == expected
+
+    def test_the_scan_reads_a_view_that_writes_the_rows_back_or_refuses(self):
+        """On every 3x3 grid of -1, 0 and 1, every 2x2 grid of -1, 0, 1 and
+        2, and grids that are not square, ``_sparse`` either reads a view
+        that ``_rows`` writes back to the rows, or raises what
+        ``validate_asm`` raises."""
+        grids = [tuple(zip(*[iter(cells)] * 3)) for cells in itertools.product((-1, 0, 1), repeat=9)]
+        grids += [tuple(zip(*[iter(cells)] * 2)) for cells in itertools.product((-1, 0, 1, 2), repeat=4)]
+        grids += [((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (1, 0)), ((1,), (1, 0))]
+        read = 0
+        for rows in grids:
+            got = outcome(_sparse, AsmMatrix(rows))
+            if got[0] is None:
+                assert tuple(_rows(*got[1])) == rows
+                read += 1
+            else:
+                assert got == outcome(validate_asm, rows)
+        # every row a lone 1 or 1, -1, 1: 4 ** 3 grids of order 3, 2 ** 2 of order 2
+        assert read == 4**3 + 2**2
 
     def test_perm_one_line_names_the_s_of_a_matrix_with_a_minus(self):
         for n in range(3, 7):

@@ -48,7 +48,15 @@ from asmc import (
 from asmc.cells import _cells, _write
 from asmc.errors import BadArgument
 from asmc.matrix import _OnDemand
-from conftest import dense_perm_matrix, dense_table, dense_write, one_minus, outcome, random_valid_table
+from conftest import (
+    dense_perm_matrix,
+    dense_reflection,
+    dense_table,
+    dense_write,
+    one_minus,
+    outcome,
+    random_valid_table,
+)
 
 # an order-6 ASM with four -1s, two of them on one row, whose reflection
 # is another matrix
@@ -130,7 +138,7 @@ class TestRowsOracle:
             for b in [*(_write(*_cells(m).view) for m in one_minus(n)), *map(perm_matrix, words)]:
                 mirror = reflect(b)
                 assert unread(mirror) and unread(b) and mirror.n == n
-                dense = reflect(AsmMatrix(b.rows))
+                dense = dense_reflection(b)
                 assert mirror == dense and reflect(mirror) == b
                 assert minus_count(mirror) == minus_count(dense)
                 built += 1
@@ -190,11 +198,10 @@ def written():
         (lambda: perm_matrix(word), dense_perm_matrix(word)),
     )
     several = validate_asm(SEVERAL_ROWS)
-    mirrored = AsmMatrix(tuple(tuple(reversed(row)) for row in SEVERAL_ROWS))
     return (
         *builders,
-        *((lambda build=build: reflect(build()), reflect(twin)) for build, twin in builders),
-        (lambda: reflect(several), mirrored),
+        *((lambda build=build: reflect(build()), dense_reflection(twin)) for build, twin in builders),
+        (lambda: reflect(several), dense_reflection(several)),
     )
 
 
