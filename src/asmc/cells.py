@@ -44,10 +44,10 @@ repr never see it.  :func:`_cells` reads a matrix once, off its view,
 and keeps the result exactly when the matrix keeps its view.
 ``matrix._keep``, the one memo helper for values built by callers,
 keeps a fact only on a value built from tuples: the sparse view of a
-dense matrix, and the mark of a mixed configuration known to be valid,
-set by ``paths.validate_config`` once its paths pass and by
-``paths.config_from_table`` and ``paths.dual_config`` on what they build
-from a table that passes ``inv_table.table_valid``.
+dense matrix, and the mark of a mixed configuration set by
+``paths.validate_config`` once its paths pass.  A configuration built
+from a table that passes ``inv_table.table_valid`` keeps the table
+instead (``paths.config_from_table``).
 """
 
 from __future__ import annotations

@@ -48,9 +48,10 @@ class AsmMatrix:
     rejects rows that are not given as a tuple or list, with
     :class:`NotSquare`.  The writers check what they are given:
 
-    * :func:`validate_asm` checks a grid entry by entry, and is the only
-      check on caller input (the text and JSON readers and the CLI go
-      through it);
+    * :func:`validate_asm` checks the type of every entry, then the
+      alternating law with the one check of it, :func:`_scan`, and is the
+      only check on caller input (the text and JSON readers and the CLI
+      go through it);
     * :func:`perm_matrix` checks that a one-line word is a permutation;
     * ``cells._write`` checks the sparse view of a one-minus matrix.
 
@@ -62,12 +63,14 @@ class AsmMatrix:
     ``(row, minus_col, plus_col)`` per -1; a permutation's is ``(word,
     ())``, a one-minus matrix's ``(first, ((closing_row, opening_col,
     closing_col),))``.  :func:`_rows` writes the rows of a built matrix
-    from its view the first time ``rows`` is read (:class:`_OnDemand`);
+    from its view the first time ``rows`` is read (:class:`_Rows`);
     equality, hashing and repr read ``rows``, so a matrix means the same
     however it was built.  :func:`reflect` mirrors the view
     (:func:`_mirror`) and every reader reads it, so neither writes the
     rows of a built or parsed matrix; a matrix built on its rows alone, as
-    ``enumerate_asm`` builds them, is scanned once and keeps the view.
+    ``enumerate_asm`` builds them, is read once by :func:`_scan`, which
+    checks the rows and the columns, and keeps the view, so its readers
+    raise what :func:`validate_asm` raises on rows that are not an ASM.
 
     >>> from asmc import GenInvTable, pair_from_table
     >>> m = pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)).matrix
@@ -112,35 +115,6 @@ class ClassicalParams:
     i: int
 
 
-def _alternates(rows: Grid, n: int) -> _View | None:
-    """The sparse view (:func:`_sparse`) of a {-1, 0, 1} grid whose every
-    row and column prefix sum is 0 or 1 and every line sums to 1, or None
-    if the grid breaks that law.  Prefix sums only change at nonzero
-    entries, so only those are visited, row by row, keeping the column
-    sums of the rows above."""
-    cols = [0] * n
-    first = []
-    extras = []
-    for q, row in enumerate(rows, start=1):
-        total = 0
-        for k, j in enumerate(compress(range(n), row)):
-            v = row[j]
-            total += v
-            c = cols[j] + v
-            if not (0 <= total <= 1 and 0 <= c <= 1):
-                return None
-            cols[j] = c
-        if total != 1:
-            return None
-        first.append(row.index(1) + 1 if k else j + 1)
-        if k:  # more than one nonzero entry: the first 1, then (-1, 1) pairs
-            nonzero = list(compress(range(1, n + 1), row))
-            extras += zip(repeat(q), nonzero[1::2], nonzero[2::2])
-    if cols.count(1) != n:
-        return None
-    return tuple(first), tuple(reversed(extras))
-
-
 def _check_line(values: Sequence[int], axis: str, index: int) -> None:
     """Enforce the alternating law on one row or column."""
     prefix = 0
@@ -164,11 +138,11 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
 
     Raises :class:`NotSquare`, :class:`BadEntry`,
     :class:`AlternationViolation` or :class:`SumViolation` on the first
-    law the grid breaks (columns are checked before rows).  Entries must
-    be ``int`` -1, 0 or 1; booleans, floats and strings are bad entries,
-    not converted.  The alternation check reads the sparse view on the
-    way (:func:`_alternates`), and the matrix keeps it (see
-    :class:`AsmMatrix`).
+    law the grid breaks (entries row by row, then columns before rows).
+    Entries must be ``int`` -1, 0 or 1; booleans, floats and strings are
+    bad entries, not converted.  Once every entry is an ``int``, the one
+    check of the alternating law (:func:`_scan`) reads the sparse view,
+    and the matrix keeps it (see :class:`AsmMatrix`).
     """
     try:
         # through a list, so the tuple is allocated at its final length;
@@ -179,16 +153,17 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise NotSquare(f"expected a square matrix, got row lengths {[len(r) for r in rows]}")
-    for i, row in enumerate(rows, start=1):
-        # the type test comes first: it also keeps unhashable entries away
-        # from the set test
-        if set(map(type, row)) != _INT_ONLY or not _ENTRIES.issuperset(row):
-            j, v = next((j, v) for j, v in enumerate(row, start=1)
-                        if type(v) is not int or v not in _ENTRIES)
-            raise BadEntry(i, j, v)
-    view = _alternates(rows, n)
+    # the type test comes first, so that no bool, float or str is read as
+    # the int it equals
+    view = _scan(rows) if all(list(map(type, row)).count(int) == n for row in rows) else None
     if view is None:
-        # some line is invalid: walk them one by one to name the first
+        # name the first law broken: a bad entry, row by row, then a bad
+        # line; the type test also keeps unhashable entries from the set test
+        for i, row in enumerate(rows, start=1):
+            if list(map(type, row)).count(int) != n or not _ENTRIES.issuperset(row):
+                j, v = next((j, v) for j, v in enumerate(row, start=1)
+                            if type(v) is not int or v not in _ENTRIES)
+                raise BadEntry(i, j, v)
         for j, column in enumerate(zip(*rows), start=1):
             _check_line(column, "column", j)
         for i, row in enumerate(rows, start=1):
@@ -321,28 +296,62 @@ def _sparse(a: AsmMatrix) -> _View:
     first 1 of every row, and ``(row, minus_col, plus_col)`` for each -1,
     bottom row first and right to left, with the 1 right of it.  A built,
     validated or already scanned matrix keeps it (``_view``), and reading
-    it writes no rows; any other is scanned once, the result kept
-    (:func:`_keep`).  Rows the scan cannot read or the view would not
-    write back raise what :func:`validate_asm` raises on them."""
+    it writes no rows; any other is read by the one check of the
+    alternating law (:func:`_scan`), the view kept (:func:`_keep`).  Rows
+    that break the law, or that the scan cannot read, raise what
+    :func:`validate_asm` raises on them."""
     view = a.__dict__.get("_view")
     if view is not None:
         return view
     rows = a.rows
-    n = len(rows)
     try:
-        first = tuple([row.index(1) + 1 for row in rows])  # final length, as in validate_asm
-        extras = []
-        for q, row in enumerate(rows, start=1):
-            if len(row) != n or row.count(0) != n - 1:  # more than its first 1
-                nonzero = list(compress(range(1, n + 1), row))  # the first 1, then -1, 1 pairs
-                if len(row) != n or [row[j - 1] for j in nonzero] != [1, -1] * (len(nonzero) // 2) + [1]:
-                    _refuse(rows)  # rows the view would not write back
-                extras += zip(repeat(q), nonzero[1::2], nonzero[2::2])
-    except (AttributeError, TypeError, ValueError):
+        view = _scan(rows)
+    except (AttributeError, TypeError):
+        view = None
+    if view is None:
         _refuse(rows)
-    view = first, tuple(reversed(extras))
     _keep(a, rows, _view=view)
     return view
+
+
+def _scan(rows: Sequence[Sequence[int]]) -> _View | None:
+    """The sparse view of ``rows`` if they are an ASM, or None: the one
+    check of the alternating law.  Each row is read once, in C: the column
+    of its first 1, and for a row with more nonzero entries than that, its
+    nonzero columns, whose entries must read 1, -1, ..., 1.  The column
+    law is then checked on the view in O(n + s), walking the rows top down
+    with one state per column: a 1 needs its column closed and opens it,
+    and a -1 closes it.  That is the whole law: the n + s 1s each open a
+    column and at most n columns are open, so each of the s -1s closes an
+    open one, and every column ends open.  Raises ``AttributeError`` or
+    ``TypeError`` on rows it cannot read."""
+    n = len(rows)
+    if not n:
+        return None
+    try:
+        first = tuple([row.index(1) + 1 for row in rows])  # final length, as in validate_asm
+    except ValueError:  # a row with no 1
+        return None
+    pairs = []  # (row, minus_col, plus_col), top row first, each row left to right
+    for q, row in enumerate(rows, start=1):
+        if len(row) != n or row.count(0) != n - 1:  # more than its first 1
+            nonzero = list(compress(range(1, n + 1), row))  # the first 1, then -1, 1 pairs
+            if len(row) != n or [row[j - 1] for j in nonzero] != [1, -1] * (len(nonzero) // 2) + [1]:
+                return None
+            pairs += zip(repeat(q), nonzero[1::2], nonzero[2::2])
+    is_open = bytearray(n + 1)  # by column: the entries above sum to 1
+    pending = iter(pairs)
+    at, minus, plus = next(pending, (0, 0, 0))
+    for q, col in enumerate(first, start=1):
+        if is_open[col]:
+            return None
+        is_open[col] = 1
+        while q == at:
+            if is_open[plus]:
+                return None
+            is_open[minus], is_open[plus] = 0, 1
+            at, minus, plus = next(pending, (0, 0, 0))
+    return first, tuple(reversed(pairs))
 
 
 _TUPLE_ONLY = frozenset((tuple,))
@@ -386,29 +395,33 @@ def _walk(first: tuple[int, ...], extras: _Extras = ()) -> tuple[tuple[int, ...]
     return tuple(counts), extra
 
 
-class _OnDemand(AsmMatrix):
-    """An :class:`AsmMatrix` whose rows are not written yet.  It keeps its
-    sparse view (``_view``) outside the dataclass fields; the first read
-    of ``rows``, and equality, hashing and repr, which read them, write
-    the rows with :func:`_rows`, store them, and make the value a plain
-    :class:`AsmMatrix` that still keeps the view (:func:`_written`).  Two
-    threads that race there store equal rows.
+class _OnDemand:
+    """A frozen dataclass value whose one field, ``_field``, is not written
+    yet.  It keeps the fact it is written from outside the dataclass
+    fields; the first read of the field, and equality, hashing and repr,
+    which read it, write the field with ``_write``, store it and make the
+    value a plain instance of its dataclass, ``_plain``, that still keeps
+    the fact (:func:`_written`).  Two threads that race there store equal
+    values.  A built matrix (:class:`_Rows`) and a configuration built
+    from a table (``paths._Paths``) are written this way.
 
-    The ``__getattr__`` hook lives on this class and not on
-    :class:`AsmMatrix`: on a class with the hook CPython reads every
-    attribute of an instance the slow way, so the ``rows`` of every dense
-    matrix would be read several times slower.
+    The ``__getattr__`` hook lives on this class and not on the
+    dataclasses: on a class with the hook CPython reads every attribute of
+    an instance the slow way, so the ``rows`` of every dense matrix would
+    be read several times slower.
     """
 
-    def __getattr__(self, name: str):
-        # reached only when ``name`` is missing from the instance
-        if name != "rows":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return _written(self).rows
+    _field: str | None = None  # each subclass names it, ``_plain`` and ``_write``
 
-    @property
-    def n(self) -> int:
-        return len(self._view[0])
+    def __getattr__(self, name: str):
+        # reached only when ``name`` is missing from the instance; the class
+        # is read once, as another thread may write the field meanwhile
+        cls = type(self)
+        if not issubclass(cls, _OnDemand):
+            return object.__getattribute__(self, name)
+        if name != cls._field:
+            raise AttributeError(f"{cls.__name__!r} object has no attribute {name!r}")
+        return getattr(_written(self), name)
 
     def __eq__(self, other):
         return _written(self) == other
@@ -420,19 +433,35 @@ class _OnDemand(AsmMatrix):
         return repr(_written(self))
 
 
+def _written(value: _OnDemand):
+    """``value`` with its field written and stored, now a plain instance of
+    its dataclass; the class is read once, as in ``__getattr__``."""
+    cls = type(value)
+    if issubclass(cls, _OnDemand):
+        object.__setattr__(value, cls._field, cls._write(value))
+        object.__setattr__(value, "__class__", cls._plain)
+    return value
+
+
+class _Rows(_OnDemand, AsmMatrix):
+    """An :class:`AsmMatrix` whose rows are written off its sparse view
+    (``_view``) with :func:`_rows` when first read."""
+
+    _field, _plain = "rows", AsmMatrix
+
+    def _write(self) -> Grid:
+        return tuple(_rows(*self._view))  # through a list, as in validate_asm
+
+    @property
+    def n(self) -> int:
+        return len(self._view[0])
+
+
 def _on_demand(view: _View) -> AsmMatrix:
     """The matrix of a checked sparse view, its rows written on their
     first read."""
-    a = object.__new__(_OnDemand)
+    a = object.__new__(_Rows)
     object.__setattr__(a, "_view", view)
-    return a
-
-
-def _written(a: _OnDemand) -> AsmMatrix:
-    """``a`` with its rows written and stored, now a plain
-    :class:`AsmMatrix`."""
-    object.__setattr__(a, "rows", tuple(_rows(*a._view)))  # through a list, as in validate_asm
-    object.__setattr__(a, "__class__", AsmMatrix)
     return a
 
 

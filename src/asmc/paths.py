@@ -21,24 +21,29 @@ Duality maps junctions, S-step starts and N-step ends through
 ``(x, l) -> (l-1-x, l)`` (the mirror of each level's vertex row) and
 corresponds to vertical reflection of the underlying matrix.
 
-A Left part visits each level it meets along one run of E-steps, and a
-Right part along one run of F-steps, so a path is read by its runs per
-level and by step counts (:meth:`MixedPath.vertex_at`), never vertex by
-vertex: validation, :func:`config_params` and :func:`dual_config` do
+A configuration built from a table (:func:`config_from_table`, and so
+:func:`config_from_pair` and :func:`dual_config`) is valid exactly when
+the table is, so it is checked on its table (the O(n)
+:func:`table_valid`) instead of its paths, and a valid one keeps the
+table: :func:`validate_config` returns it at once, and
+:func:`table_from_config`, :func:`pair_from_config`,
+:func:`config_params` and :func:`dual_config` read the table in O(n),
+the last through :func:`inv_table.dual_table`.  Its O(n^2) step strings
+are written by one path writer, :func:`_paths`, when they are first read
+(``matrix._OnDemand``); equality, hashing and repr read them, so a built
+configuration equals its twin built on its paths.
+
+A configuration given on its paths (:func:`config_from_json`, the CLI)
+is walked once by the path check, :func:`_check_paths`, and marked
+valid; its table is read off its step strings.  A Left part visits each
+level it meets along one run of E-steps, and a Right part along one run
+of F-steps, so a path is read by its runs per level and by step counts
+(:meth:`MixedPath.vertex_at`), never vertex by vertex: the check does
 O(n) Python work on the O(n) runs of a configuration, beyond string
 operations on its step strings.  Only the renderers and the naming of a
-problem that validation has already found walk the vertices.  The
-special pair is located in one place, :func:`_special_k`, which also
-checks that a configuration is valid and of the one-N shape.
-
-A configuration built from a table is valid exactly when the table is,
-so what this module builds is checked on its table instead of its paths:
-:func:`config_from_table` and :func:`dual_config` run the O(n)
-:func:`table_valid` and mark their output valid, and
-:func:`validate_config` returns a marked configuration at once.  The
-path check itself, :func:`_check_paths`, runs on caller input
-(:func:`config_from_json`, the CLI) and ignores the mark, so the
-exhaustive sweep still walks every configuration it builds.
+problem that the check has already found walk the vertices.  The special
+pair is located in one place, :func:`_special_k`, which also checks that
+a configuration is valid and of the one-N shape.
 """
 
 from __future__ import annotations
@@ -49,14 +54,21 @@ from itertools import accumulate, chain
 from typing import Iterator
 
 from .errors import (
-    InternalInvariantViolation,
     InvalidTable,
     MalformedConfiguration,
     NotOneNStep,
     ParseError,
 )
-from .inv_table import GenInvTable, ParamVector, gen_table, pair_from_table, table_valid
-from .matrix import _keep, json_int
+from .inv_table import (
+    GenInvTable,
+    ParamVector,
+    dual_table,
+    gen_table,
+    pair_from_table,
+    table_params,
+    table_valid,
+)
+from .matrix import _keep, _OnDemand, json_int
 from .neutral import NeutralPair
 
 STEP_DELTAS = {"E": (1, 0), "S": (0, -1), "F": (1, 0), "N": (1, 1)}
@@ -165,20 +177,21 @@ def validate_config(cfg: MixedConfiguration) -> MixedConfiguration:
     the endpoint permutation and vertex-disjointness of the Left and the
     Right sub-configurations, by :func:`_check_paths`.
 
-    A configuration found valid is marked (see ``matrix._keep``) and
-    returned at once when checked again; a valid one has tuple starts and
-    string steps, so a tuple of its paths cannot change under the mark.
-    :func:`config_from_table` and :func:`dual_config` mark what they build
-    from a valid table without walking its paths.
+    A configuration that keeps its table (:func:`config_from_table`) is
+    valid, and is returned at once.  One found valid is marked (see
+    ``matrix._keep``) and returned at once when checked again; a valid one
+    has tuple starts and string steps, so a tuple of its paths cannot
+    change under the mark.
     """
-    if isinstance(cfg, MixedConfiguration) and cfg.__dict__.get("_valid"):
+    if isinstance(cfg, MixedConfiguration) and ("_table" in cfg.__dict__ or cfg.__dict__.get("_valid")):
         return cfg
-    return _marked(_check_paths(cfg))
+    _keep(cfg, (_check_paths(cfg).paths,), _valid=True)
+    return cfg
 
 
 def _check_paths(cfg: MixedConfiguration) -> MixedConfiguration:
     """The checks of :func:`validate_config` on the paths of ``cfg``,
-    whether or not it is marked; returns ``cfg`` or raises
+    whether or not it is marked or keeps a table; returns ``cfg`` or raises
     :class:`MalformedConfiguration`.
 
     Every step moves x up or keeps it, and none lowers ``x - level``, so a
@@ -279,8 +292,7 @@ def _overlap(runs: list[Run]) -> bool:
 
 def config_from_pair(pair: NeutralPair) -> MixedConfiguration:
     """Encode a neutral pair as a mixed configuration with one N-step."""
-    t = gen_table(pair)
-    return config_from_table(t)
+    return config_from_table(gen_table(pair))
 
 
 def config_from_table(t: GenInvTable) -> MixedConfiguration:
@@ -289,14 +301,17 @@ def config_from_table(t: GenInvTable) -> MixedConfiguration:
 
     A configuration built this way is valid exactly when its table is, so
     the table check (:func:`table_valid`, O(n)) stands in for the walk of
-    its paths: the configuration of a valid table is marked valid (see
-    :func:`validate_config`).  A table failing conditions 1-4 yields an
-    unmarked configuration that :func:`validate_config` rejects; one
-    failing condition 0 (not a table, or entries that are not
-    non-negative ``int``) raises :class:`InvalidTable`.
+    its paths: the configuration of a valid table keeps the table, as
+    ``_table``, and its paths are written on their first read (see
+    ``matrix._OnDemand``).  A table failing conditions 1-4 yields a plain
+    configuration that :func:`validate_config` rejects; one failing
+    condition 0 (not a table, or entries that are not non-negative
+    ``int``) raises :class:`InvalidTable`.
 
     >>> cfg = config_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0))
-    >>> [p.steps for p in cfg.paths], vars(cfg)["_valid"]
+    >>> vars(cfg)
+    {'_table': GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)}
+    >>> [p.steps for p in cfg.paths], 'paths' in vars(cfg)
     (['', 'NF', 'ES'], True)
     >>> bad = config_from_table(GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0))
     >>> validate_config(bad)  # doctest: +ELLIPSIS
@@ -311,13 +326,14 @@ def config_from_table(t: GenInvTable) -> MixedConfiguration:
     except InvalidTable as exc:
         if exc.condition == 0:
             raise
-        return _build(t)
-    return _marked(_build(t))
+        return MixedConfiguration(_paths(t))
+    return _on_demand(t)
 
 
-def _build(t: GenInvTable) -> MixedConfiguration:
-    """The paths of table ``t``, one per entry of ``a``; a valid
-    configuration exactly when ``t`` is a valid table."""
+def _paths(t: GenInvTable) -> tuple[MixedPath, ...]:
+    """The paths of table ``t``, one per entry of ``a``: the one path
+    writer, whose paths are a valid configuration exactly when ``t`` is a
+    valid table."""
     n, k = t.n, t.k
     paths = []
     for i in range(1, n + 1):
@@ -329,26 +345,53 @@ def _build(t: GenInvTable) -> MixedConfiguration:
         else:
             steps = "E" * a + "F" * (i - 1 - a)
         paths.append(MixedPath((0, i), steps))
-    return MixedConfiguration(tuple(paths))
+    return tuple(paths)
 
 
-def _marked(cfg: MixedConfiguration) -> MixedConfiguration:
-    """``cfg``, known to be valid, marked so (see :func:`validate_config`)."""
-    _keep(cfg, (cfg.paths,), _valid=True)
+class _Paths(_OnDemand, MixedConfiguration):
+    """A :class:`MixedConfiguration` whose paths are written off its table
+    (``_table``) with :func:`_paths` when first read."""
+
+    _field, _plain = "paths", MixedConfiguration
+
+    def _write(self) -> tuple[MixedPath, ...]:
+        return _paths(self._table)
+
+    @property
+    def n(self) -> int:
+        return self._table.n
+
+
+def _on_demand(t: GenInvTable) -> MixedConfiguration:
+    """The configuration of a valid table, keeping it.  It is stored
+    whatever ``matrix._keep`` would decide, as the configuration is
+    written from it; a valid table is immutable (an ``int`` tuple ``a``)."""
+    cfg = object.__new__(_Paths)
+    object.__setattr__(cfg, "_table", t)
     return cfg
 
 
 def table_from_config(cfg: MixedConfiguration) -> GenInvTable:
-    """Read the generalized inversion table off a one-N configuration."""
+    """The generalized inversion table of a one-N configuration: the one it
+    keeps, or the one read off its step strings.  Left steps precede
+    Right ones, so path k-1 is ``E^a F^beta N F...``, path k is
+    ``E^a S E^b F...`` and every other path ``E^a F...``.  Raises
+    :class:`MalformedConfiguration` on a read table that
+    :func:`table_valid` rejects."""
+    t = cfg.__dict__.get("_table") if isinstance(cfg, MixedConfiguration) else None
+    if t is not None:
+        return t
     k = _special_k(cfg)
-    # Left steps precede Right ones, so path k-1 is E^a F^beta N F..., path k
-    # is E^a S E^b F... and every other path E^a F...
     a = [p.steps.count("E") for p in cfg.paths]
-    (s_x, _), (n_x, _) = _special_vertices(cfg, k)
-    beta = n_x - 1 - a[k - 2]
+    # no S-step precedes the two special steps, so their x is their position
+    s_x = cfg.paths[k - 1].steps.index("S")
+    beta = cfg.paths[k - 2].steps.index("N") - a[k - 2]
     b = a[k - 1] - s_x
     a[k - 1] = s_x
-    return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
+    try:
+        return table_valid(GenInvTable(k=k, a=tuple(a), b=b, beta=beta))
+    except InvalidTable as exc:
+        raise MalformedConfiguration(f"decoded table is invalid: {exc}") from exc
 
 
 def _special_k(cfg: MixedConfiguration) -> int:
@@ -369,20 +412,9 @@ def _special_k(cfg: MixedConfiguration) -> int:
     return k
 
 
-def _special_vertices(cfg: MixedConfiguration, k: int) -> tuple[Vertex, Vertex]:
-    """The start of the S-step of path k and the end of the N-step of
-    path k-1, for the k of :func:`_special_k`."""
-    s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
-    return (s_path.vertex_at(s_path.steps.index("S")),
-            n_path.vertex_at(n_path.steps.index("N") + 1))
-
-
 def pair_from_config(cfg: MixedConfiguration) -> NeutralPair:
     """Decode a one-N configuration back to its neutral pair."""
-    try:
-        return pair_from_table(table_from_config(cfg))
-    except InvalidTable as exc:
-        raise MalformedConfiguration(f"decoded table is invalid: {exc}") from exc
+    return pair_from_table(table_from_config(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -390,73 +422,34 @@ def pair_from_config(cfg: MixedConfiguration) -> NeutralPair:
 
 
 def config_params(cfg: MixedConfiguration) -> ParamVector:
-    """Read (r, i, E, B, J) directly off the paths.
-
-    Independent of the table route: counts steps and measures the special
-    vertices instead of decoding the matrix.
-    """
-    k = _special_k(cfg)
-    s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
-    s_start, n_end = _special_vertices(cfg, k)
-    # E-steps on level n: Left parts only go down, and only the last path
-    # starts on level n
-    top = cfg.paths[-1].steps
-    r = len(top) - len(top.lstrip("E"))
-    # no S-step precedes these two, so their x is their position
-    b_run = s_path.steps.count("E", s_start[0] + 1)
-    beta_run = n_path.steps.count("F", 0, n_end[0] - 1)
-    junction_gap = abs(s_path.junction[0] - n_path.junction[0])
-    return ParamVector(
-        r=r,
-        i=cfg.step_count("E") + 1,
-        e=n_end[0] - s_start[0],
-        b=b_run - beta_run,
-        j=junction_gap,
-    )
-
-
-def _mirror(v: Vertex) -> Vertex:
-    """Mirror a vertex within its level row: (x, l) -> (l-1-x, l)."""
-    x, level = v
-    return (level - 1 - x, level)
+    """The statistics (r, i, E, B, J) of a one-N configuration, read off
+    its table (:func:`table_from_config`, :func:`table_params`)."""
+    return table_params(table_from_config(cfg))
 
 
 def dual_config(cfg: MixedConfiguration) -> MixedConfiguration:
-    """Path duality: junctions, S-starts and N-ends move through
-    :func:`_mirror`; an involution matching vertical reflection of the
-    underlying matrix.  Defined for configurations with zero or one
-    N-step.
+    """Path duality, an involution matching vertical reflection of the
+    underlying matrix: junctions, S-starts and N-ends move through the
+    mirror ``(x, l) -> (l-1-x, l)`` of each level's vertex row.  Defined
+    for configurations with zero or one N-step.
 
-    The dual is read off the junctions and special vertices of ``cfg``
-    and checked as a table, not by walking its paths: the dual table must
-    pass :func:`table_valid`, and with no N-step the mirrored junction x
-    of each path i must have ``0 <= x < i``.  Either failure is an
-    :class:`InternalInvariantViolation`; the output is marked valid.
+    With one N-step, the dual is the configuration of the dual table
+    (:func:`dual_table`), written on first read.  With none, every path
+    ``i`` is ``E^a F^(i-1-a)`` for the inversion table ``a`` of a
+    permutation, and the dual complements it.
     """
-    n_steps = validate_config(cfg).step_count("N")
-    if n_steps == 1:
-        k = _special_k(cfg)
-    elif n_steps:
-        raise MalformedConfiguration(
-            f"duality is defined for at most one N-step, got {n_steps}"
-        )
-    a = [_mirror(p.junction)[0] for p in cfg.paths]
-    if n_steps == 0:
-        bad = next((i for i, x in enumerate(a, start=1) if not 0 <= x < i), None)
-        if bad is not None:
-            raise InternalInvariantViolation(f"dual junction of path {bad} is off the grid")
-        return _marked(MixedConfiguration(tuple(
-            MixedPath((0, i), "E" * x + "F" * (i - 1 - x)) for i, x in enumerate(a, start=1)
-        )))
-    s_start, n_end = _special_vertices(cfg, k)
-    new_ak1, top = sorted(a[k - 2 : k])
-    a[k - 2 : k] = new_ak1, _mirror(s_start)[0]
-    dual = GenInvTable(k=k, a=tuple(a), b=top - a[k - 1], beta=_mirror(n_end)[0] - new_ak1 - 1)
-    try:
-        table_valid(dual)
-    except InvalidTable as exc:
-        raise InternalInvariantViolation(f"dual table is invalid: {exc}") from exc
-    return _marked(_build(dual))
+    if "_table" not in vars(validate_config(cfg)):
+        n_steps = cfg.step_count("N")
+        if n_steps == 0:
+            return MixedConfiguration(tuple(
+                MixedPath((0, i), "E" * (i - 1 - a) + "F" * a)
+                for i, a in enumerate((p.steps.count("E") for p in cfg.paths), start=1)
+            ))
+        if n_steps > 1:
+            raise MalformedConfiguration(
+                f"duality is defined for at most one N-step, got {n_steps}"
+            )
+    return _on_demand(dual_table(table_from_config(cfg)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,23 @@ from asmc import (
     CellSums,
     GenInvTable,
     InternalInvariantViolation,
+    MixedConfiguration,
+    MixedPath,
+    ParamVector,
     SignClass,
     enumerate_asm,
     pair_from_table,
     partial_discharge,
     restore,
+    table_valid,
     validate_asm,
+    validate_config,
 )
 from asmc.discharge import _word_valid
 from asmc.displacement import Region, _displace
 from asmc.enumeration import _row_moves
 from asmc.inv_table import _block_charges
+from asmc.paths import _special_k
 
 # the smallest ASM with a -1
 DIAMOND_ROWS = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
@@ -423,6 +429,90 @@ def counter_table_space_distribution(n: int, keys: tuple[str, ...]) -> Counter:
             values = {"r": r, "s": 1, "i": i, "E": e, "B": b, "J": j}
             out[tuple(values[key] for key in keys)] += count
     return out
+
+
+# ---------------------------------------------------------------------------
+# configurations written and read on their step strings: the oracles of a
+# configuration that keeps its table and of the readers of that table
+
+
+def dense_config(t: GenInvTable) -> MixedConfiguration:
+    """The configuration of table ``t``, its paths written at once."""
+    n, k = t.n, t.k
+    paths = []
+    for i in range(1, n + 1):
+        a = t.a[i - 1]
+        if i == k - 1:
+            steps = "E" * a + "F" * t.beta + "N" + "F" * (k - 2 - a - t.beta)
+        elif i == k:
+            steps = "E" * a + "S" + "E" * t.b + "F" * (k - 2 - a - t.b)
+        else:
+            steps = "E" * a + "F" * (i - 1 - a)
+        paths.append(MixedPath((0, i), steps))
+    return MixedConfiguration(tuple(paths))
+
+
+def special_vertices(cfg: MixedConfiguration, k: int) -> tuple:
+    """The start of the S-step of path k and the end of the N-step of
+    path k-1, read by step counts."""
+    s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
+    return (s_path.vertex_at(s_path.steps.index("S")),
+            n_path.vertex_at(n_path.steps.index("N") + 1))
+
+
+def strings_table(cfg: MixedConfiguration) -> GenInvTable:
+    """The table of a one-N configuration, read off its step strings."""
+    k = _special_k(cfg)
+    a = [p.steps.count("E") for p in cfg.paths]
+    (s_x, _), (n_x, _) = special_vertices(cfg, k)
+    beta = n_x - 1 - a[k - 2]
+    b = a[k - 1] - s_x
+    a[k - 1] = s_x
+    return GenInvTable(k=k, a=tuple(a), b=b, beta=beta)
+
+
+def strings_params(cfg: MixedConfiguration) -> ParamVector:
+    """(r, i, E, B, J) of a one-N configuration, counted on its steps and
+    measured at its special vertices, without its table."""
+    k = _special_k(cfg)
+    s_path, n_path = cfg.paths[k - 1], cfg.paths[k - 2]
+    s_start, n_end = special_vertices(cfg, k)
+    # E-steps on level n: Left parts only go down, and only the last path
+    # starts on level n
+    top = cfg.paths[-1].steps
+    r = len(top) - len(top.lstrip("E"))
+    # no S-step precedes these two, so their x is their position
+    b_run = s_path.steps.count("E", s_start[0] + 1)
+    beta_run = n_path.steps.count("F", 0, n_end[0] - 1)
+    junction_gap = abs(s_path.junction[0] - n_path.junction[0])
+    return ParamVector(
+        r=r,
+        i=cfg.step_count("E") + 1,
+        e=n_end[0] - s_start[0],
+        b=b_run - beta_run,
+        j=junction_gap,
+    )
+
+
+def junction_dual(cfg: MixedConfiguration) -> MixedConfiguration:
+    """The path dual of a configuration with zero or one N-step, by its
+    definition: each junction, the S-start and the N-end mirrored through
+    ``(x, l) -> (l-1-x, l)``, read as the dual table and written at once."""
+    n_steps = validate_config(cfg).step_count("N")
+    if n_steps == 1:
+        k = _special_k(cfg)
+    assert n_steps <= 1
+    a = [p.junction[1] - 1 - p.junction[0] for p in cfg.paths]
+    if n_steps == 0:
+        assert all(0 <= x < i for i, x in enumerate(a, start=1))
+        return MixedConfiguration(tuple(
+            MixedPath((0, i), "E" * x + "F" * (i - 1 - x)) for i, x in enumerate(a, start=1)
+        ))
+    (s_x, s_level), (n_x, n_level) = special_vertices(cfg, k)
+    new_ak1, top = sorted(a[k - 2 : k])
+    a[k - 2 : k] = new_ak1, s_level - 1 - s_x
+    dual = GenInvTable(k=k, a=tuple(a), b=top - a[k - 1], beta=n_level - 1 - n_x - new_ak1 - 1)
+    return dense_config(table_valid(dual))
 
 
 def outcome(call, *args) -> tuple:

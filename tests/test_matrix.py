@@ -205,20 +205,31 @@ class TestKeptView:
             assert got == (classical_params(dense), charges(dense), neutralize(dense), swap_charges(dense))
 
     def test_every_bad_grid_keeps_its_error(self):
+        """Every grid of order 1 to 3 over -1, 0 and 1, and random grids of
+        order 4 to 6: ``validate_asm`` raises what the line walk names, and
+        ``_sparse`` of an unchecked matrix over tuples and over lists gives
+        the same outcome, the error or the view, as ``validate_asm``."""
         rng = random.Random(3)
-        grids = [[list(cells[i * 3 : i * 3 + 3]) for i in range(3)]
-                 for cells in itertools.product((-1, 0, 1), repeat=9)]
+        grids = [[list(cells[i * n : i * n + n]) for i in range(n)]
+                 for n in (1, 2, 3) for cells in itertools.product((-1, 0, 1), repeat=n * n)]
         for n in (4, 5, 6):
             grids += [[rng.choices((-1, 0, 1), (1, 6, 3), k=n) for _ in range(n)] for _ in range(3000)]
         rejected = 0
         for grid in grids:
             expected = walk_outcome(grid)
             got = outcome(validate_asm, grid)
+            rows = tuple(map(tuple, grid))
             if expected is None:
-                assert got[0] is None and got[1].rows == tuple(map(tuple, grid))
+                assert got[0] is None and got[1].rows == rows
+                view = vars(got[1])["_view"]
+                assert tuple(_rows(*view)) == rows
+                got = None, view
             else:
                 assert got == expected, grid
                 rejected += 1
+            for frame in (tuple, list):
+                assert outcome(_sparse, AsmMatrix(frame(map(frame, grid)))) == got, (frame, grid)
+        assert len(grids) == 3 + 3**4 + 3**9 + 3 * 3000
         assert rejected > len(grids) * 0.9
 
 
@@ -344,20 +355,25 @@ class TestSparseView:
 
     @pytest.mark.parametrize(
         "rows",
-        [((0, 0), (0, 0)), ((0, 2), (1, 0)), (1, 0), ((1, 1), (1, 1)), ((1, 0, 0), (0, 1, 0)), ((0, 1), (1, 2))],
-        ids=["zero", "entry-2", "not-rows", "two-ones", "not-square", "2-after-the-1"],
+        [((0, 0), (0, 0)), ((0, 2), (1, 0)), (1, 0), ((1, 1), (1, 1)), ((1, 0, 0), (0, 1, 0)), ((0, 1), (1, 2)),
+         ((1, 0), (1, 0)), ()],
+        ids=["zero", "entry-2", "not-rows", "two-ones", "not-square", "2-after-the-1", "column-two-ones", "empty"],
     )
     @pytest.mark.parametrize("reader", [reflect, classical_params, minus_count, charges, perm_one_line])
     def test_rows_the_scan_cannot_read_raise_what_validate_asm_raises(self, rows, reader):
+        """Among them ``((1, 0), (1, 0))``: every row a lone 1, and column 1
+        with two 1s, which the readers once read as a permutation."""
         expected = outcome(validate_asm, rows)
         assert expected[0] is not None
         assert outcome(reader, AsmMatrix(rows)) == expected
+        if rows == ((1, 0), (1, 0)):
+            assert expected == (AlternationViolation, "column 1: two 1s with no -1 between them")
 
     def test_the_scan_reads_a_view_that_writes_the_rows_back_or_refuses(self):
         """On every 3x3 grid of -1, 0 and 1, every 2x2 grid of -1, 0, 1 and
         2, and grids that are not square, ``_sparse`` either reads a view
         that ``_rows`` writes back to the rows, or raises what
-        ``validate_asm`` raises."""
+        ``validate_asm`` raises; it reads the ASMs alone."""
         grids = [tuple(zip(*[iter(cells)] * 3)) for cells in itertools.product((-1, 0, 1), repeat=9)]
         grids += [tuple(zip(*[iter(cells)] * 2)) for cells in itertools.product((-1, 0, 1, 2), repeat=4)]
         grids += [((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (1, 0)), ((1,), (1, 0))]
@@ -369,8 +385,8 @@ class TestSparseView:
                 read += 1
             else:
                 assert got == outcome(validate_asm, rows)
-        # every row a lone 1 or 1, -1, 1: 4 ** 3 grids of order 3, 2 ** 2 of order 2
-        assert read == 4**3 + 2**2
+        # the 7 ASMs of order 3 and the 2 of order 2
+        assert read == 7 + 2
 
     def test_perm_one_line_names_the_s_of_a_matrix_with_a_minus(self):
         for n in range(3, 7):

@@ -3,13 +3,14 @@ of a matrix, kept by the writers (``matrix._on_demand``,
 ``matrix.validate_asm``) or by the one scan of any other matrix built on
 tuples (``matrix._sparse``), what the sparse-view reader of
 ``asmc.cells`` reads off a matrix (its first 1s, landmarks, sign class,
-cell sums and charge), kept by ``cells._cells``, and the mark of a mixed
-configuration that has passed validation or was built from a valid
-table, kept by ``matrix._keep``.
+cell sums and charge), kept by ``cells._cells``, the table of a mixed
+configuration built from a valid table, kept by ``paths.config_from_table``,
+and the mark of one that has passed validation, kept by ``matrix._keep``.
 
 A kept view must equal a fresh scan of the dense rows, every kept cells
 fact the landmarks and cell sums searched and summed by definition on
-the dense rows (``conftest.dense_cells``), and a kept mark a fresh
+the dense rows (``conftest.dense_cells``), a kept table the table read
+off the paths (``conftest.strings_table``), and a kept mark a fresh
 validation; no kept fact may change what a value is: equality, hashing
 and repr see only the dataclass fields, and a value built over lists
 keeps nothing.
@@ -47,9 +48,9 @@ from asmc import (
     validate_config,
 )
 from asmc.matrix import _sparse
-from conftest import dense_cells, one_minus, random_valid_table
+from conftest import dense_cells, one_minus, random_valid_table, strings_table
 
-FACTS = {"_view", "_cells", "_valid"}
+FACTS = {"_view", "_cells", "_table", "_valid"}
 
 
 def kept_facts(value) -> set[str]:
@@ -64,6 +65,10 @@ def kept_facts(value) -> set[str]:
         assert kept["_view"] == _sparse(AsmMatrix(value.rows))
     if "_cells" in kept:
         assert tuple(kept["_cells"]) == dense_cells(AsmMatrix(value.rows))
+    if "_table" in kept:
+        fresh = MixedConfiguration(value.paths)
+        assert validate_config(fresh) is fresh
+        assert kept["_table"] == strings_table(fresh)
     if "_valid" in kept:
         assert kept["_valid"] is True
         fresh = MixedConfiguration(value.paths)
@@ -88,14 +93,14 @@ def outputs(m: AsmMatrix, copy=AsmMatrix):
 
 # the facts each output may hold: every matrix keeps its sparse view,
 # whether built on it, validated or scanned, and its cells once a pair has
-# checked it; a configuration holds the mark of its table's check
+# checked it; a configuration built from a table keeps the table
 EXPECTED = {
     "neutralize": ({"_view", "_cells"},),
     "restore": ({"_view", "_cells"}, {"_view"}),
     "swap_charges": ({"_view", "_cells"}, {"_view"}),
     "pair_from_table": ({"_view", "_cells"},),
-    "config_from_pair": ({"_valid"},),
-    "dual_config": ({"_valid"},),
+    "config_from_pair": ({"_table"},),
+    "dual_config": ({"_table"},),
 }
 
 
@@ -116,7 +121,7 @@ class TestKeptFactsOracle:
                 matrices += 1
         assert matrices == 2617
         # 1,284 of the matrices are not neutral; see EXPECTED for the rest
-        assert found == {"_view": 10468, "_cells": 7900, "_valid": 2 * matrices}
+        assert found == {"_view": 10468, "_cells": 7900, "_table": 2 * matrices}
 
     def test_validated_copies_up_to_order_6(self):
         found = Counter()
@@ -127,7 +132,7 @@ class TestKeptFactsOracle:
                 check_outputs(m, found, validate_asm)
                 matrices += 1
         assert matrices == 2617
-        assert found == {"_view": 10468, "_cells": 7900, "_valid": 2 * matrices}
+        assert found == {"_view": 10468, "_cells": 7900, "_table": 2 * matrices}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sampled_tables_at_large_n(self, seed):
@@ -141,7 +146,7 @@ class TestKeptFactsOracle:
             check_outputs(m, found)
             check_outputs(reflect(m), found)
             check_outputs(m, found, validate_asm)
-            assert found["_valid"] == 6
+            assert found["_table"] == 6
 
     @pytest.mark.parametrize("t, condition", [
         (GenInvTable(k=2, a=(0, 1, 0), b=0, beta=0), 1),
@@ -168,7 +173,7 @@ class TestValueSemantics:
         cfg = config_from_pair(pair)
         config_params(cfg)
         assert kept_facts(m) == {"_view"}
-        assert kept_facts(cfg) == {"_valid"}
+        assert kept_facts(cfg) == {"_table"}
         twins = (
             (m, AsmMatrix(m.rows)),
             (pair, NeutralPair(AsmMatrix(pair.matrix.rows), pair.charge)),

@@ -1,12 +1,15 @@
-"""Matrices written on demand: ``cells._write`` and ``perm_matrix`` check
+"""Values written on demand: ``cells._write`` and ``perm_matrix`` check
 a sparse view or a one-line word and return a matrix that keeps its
 sparse view and whose dense rows are written the first time ``rows`` is
-read; ``reflect`` of any matrix mirrors its view.
+read; ``reflect`` of any matrix mirrors its view.  ``config_from_table``
+of a valid table, and so ``dual_config``, return a configuration that
+keeps its table and whose paths are written the first time ``paths`` is
+read.
 
-Those rows must be the rows the dense writers of ``conftest`` write, the
-matrix must mean what its dense twin means (equality, hashing, repr,
-pickling and copying), and the encodings must write no rows and reflect
-no matrix before a caller reads one.
+Those rows and paths must be the ones the dense writers of ``conftest``
+write, the value must mean what its dense twin means (equality, hashing,
+repr, pickling and copying), and the encodings must write no rows or
+paths and reflect no matrix before a caller reads one.
 """
 
 import copy
@@ -23,16 +26,23 @@ import pytest
 import asmc
 import asmc.cells
 import asmc.matrix
+import asmc.paths
 from asmc import (
     AsmMatrix,
+    MixedConfiguration,
     NeutralPair,
     SignClass,
     classical_params,
+    config_from_table,
+    config_params,
     discharge,
+    dual_config,
+    dual_table,
     gen_table,
     inversions,
     minus_count,
     neutralize,
+    pair_from_config,
     pair_from_table,
     partial_discharge,
     perm_matrix,
@@ -40,15 +50,20 @@ from asmc import (
     perm_table,
     recharge,
     reflect,
+    render_ascii,
     restore,
     sign_class,
     swap_charges,
+    table_from_config,
+    table_params,
     validate_asm,
 )
 from asmc.cells import _cells, _write
 from asmc.errors import BadArgument
-from asmc.matrix import _OnDemand
+from asmc.matrix import _OnDemand, _Rows
+from asmc.paths import _Paths
 from conftest import (
+    dense_config,
     dense_perm_matrix,
     dense_reflection,
     dense_table,
@@ -70,8 +85,14 @@ SEVERAL_ROWS = (
 )
 
 
-def unread(a: AsmMatrix) -> bool:
-    return "rows" not in vars(a)
+def field(value) -> str:
+    """The field written on demand: a configuration's paths, a matrix's
+    rows."""
+    return "paths" if isinstance(value, MixedConfiguration) else "rows"
+
+
+def unread(value) -> bool:
+    return field(value) not in vars(value)
 
 
 def check_written(a: AsmMatrix) -> None:
@@ -188,9 +209,11 @@ class TestSparseReaders:
 @pytest.fixture(scope="module")
 def written():
     """Builders of a one-minus matrix and of a permutation matrix written
-    on demand, and of their reflections, each with its dense twin, and of
-    the reflection of a validated matrix with four -1s."""
-    m = restore(pair_from_table(random_valid_table(random.Random(2), 40)))
+    on demand, and of their reflections, each with its dense twin, of the
+    reflection of a validated matrix with four -1s, and of the
+    configuration of the matrix's table and its dual."""
+    t = random_valid_table(random.Random(2), 40)
+    m = restore(pair_from_table(t))
     view = _cells(m).view
     word = perm_one_line(partial_discharge(m if sign_class(m) is SignClass.POSITIVE else reflect(m)))
     builders = (
@@ -202,13 +225,16 @@ def written():
         *builders,
         *((lambda build=build: reflect(build()), dense_reflection(twin)) for build, twin in builders),
         (lambda: reflect(several), dense_reflection(several)),
+        (lambda: config_from_table(t), dense_config(t)),
+        (lambda: dual_config(config_from_table(t)), dense_config(dual_table(t))),
     )
 
 
 class TestValueSemantics:
     def test_keeps_only_its_view_until_read(self, written):
-        for build, _ in written:
-            assert vars(build()).keys() == {"_view"}
+        """A matrix keeps its view, a configuration its table."""
+        for build, twin in written:
+            assert vars(build()).keys() == {"_table" if field(twin) == "paths" else "_view"}
 
     def test_equals_its_dense_twin_with_equal_hash_and_repr(self, written):
         for build, twin in written:
@@ -217,10 +243,15 @@ class TestValueSemantics:
             assert not build() != twin and not twin != build()
             assert hash(build()) == hash(twin)
             assert repr(build()) == repr(twin)
-            assert str(build()) == str(twin)
-            assert list(build()) == list(twin.rows)
-            assert build().entry(2, 3) == twin.entry(2, 3)
             assert (build(), 1) == (twin, 1) and {build(), twin} == {twin}
+            assert build().n == twin.n
+            if field(twin) == "rows":
+                assert str(build()) == str(twin)
+                assert list(build()) == list(twin.rows)
+                assert build().entry(2, 3) == twin.entry(2, 3)
+            else:
+                assert build().to_json() == twin.to_json()
+                assert build().step_count("E") == twin.step_count("E")
 
     @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
     @pytest.mark.parametrize("how", ["pickle", "deepcopy", "replace"])
@@ -228,13 +259,13 @@ class TestValueSemantics:
         for build, twin in written:
             b = build()
             if read:
-                b.rows
+                getattr(b, field(b))
             c = {
                 "pickle": lambda x: pickle.loads(pickle.dumps(x)),
                 "deepcopy": copy.deepcopy,
                 "replace": dataclasses.replace,
             }[how](b)
-            assert isinstance(c, AsmMatrix)
+            assert type(c) in (type(b), type(twin))
             if how != "replace":
                 assert unread(c) is unread(b)
             assert c == twin and hash(c) == hash(twin) and c.n == twin.n
@@ -254,7 +285,7 @@ class TestValueSemantics:
                     def read():
                         try:
                             start.wait(timeout=10)
-                            got.append(b.rows)
+                            got.append(getattr(b, field(b)))
                         except Exception as exc:  # reported below
                             errors.append(exc)
 
@@ -264,7 +295,7 @@ class TestValueSemantics:
                     for t in threads:
                         t.join(timeout=10)
                     assert not any(t.is_alive() for t in threads)
-                    assert errors == [] and got == [twin.rows] * 4
+                    assert errors == [] and got == [getattr(twin, field(twin))] * 4
         finally:
             sys.setswitchinterval(interval)
 
@@ -274,7 +305,15 @@ class TestValueSemantics:
             a.columns
         assert not hasattr(a, "__deepcopy__")
         with pytest.raises(AttributeError):
-            object.__new__(_OnDemand).rows  # no writer
+            object.__new__(_OnDemand).rows  # no field
+        with pytest.raises(AttributeError):
+            object.__new__(_Rows).rows  # no view
+        with pytest.raises(AttributeError):
+            object.__new__(_Paths).paths  # no table
+        cfg = written[-1][0]()
+        with pytest.raises(AttributeError):
+            cfg.rows
+        assert unread(cfg)
 
 
 class TestNoDenseWork:
@@ -364,3 +403,41 @@ class TestNoDenseWork:
         assert calls == {} and unread(t.perm) and unread(back)
         assert t.perm == dense_perm_matrix(word) and back == m
         assert table == dense_table(dense_perm_matrix(word))
+
+
+class TestNoPathsWritten:
+    """At n=500 the readers of a configuration built from a table read the
+    table: they write no paths (``paths._paths`` calls), and the readers
+    of its paths write them once."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        calls = Counter()
+        real = asmc.paths._paths
+
+        def counting(t):
+            calls["_paths"] += 1
+            return real(t)
+
+        monkeypatch.setattr(asmc.paths, "_paths", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_tables_at_order_500(self, seed, writes):
+        rng = random.Random(seed)
+        t = random_valid_table(rng, rng.randint(490, 510))
+        cfg = config_from_table(t)
+        assert config_params(cfg) == table_params(t)
+        assert table_from_config(cfg) == t
+        assert pair_from_config(cfg) == pair_from_table(t)
+        dual = dual_config(cfg)
+        assert table_from_config(dual) == dual_table(t) and config_params(dual_config(dual)) == table_params(t)
+        assert writes == {} and unread(cfg) and unread(dual)
+        twin = dense_config(t)
+        for read in (render_ascii, MixedConfiguration.to_json, lambda c: twin == c):
+            c = config_from_table(t)
+            assert read(c)
+            assert writes == {"_paths": 1} and not unread(c)
+            read(c)
+            assert writes == {"_paths": 1}
+            writes.clear()

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, permutations, product
 
 import pytest
 
@@ -40,7 +40,15 @@ from asmc import (
     validate_config,
 )
 from asmc.verify import _iter_valid_tables, run_property
-from conftest import TABLE12, one_minus, random_valid_table
+from conftest import (
+    TABLE12,
+    dense_config,
+    junction_dual,
+    one_minus,
+    random_valid_table,
+    strings_params,
+    strings_table,
+)
 
 DIAMOND_TABLE = GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)
 
@@ -182,8 +190,9 @@ class TestDecoding:
 class TestValidation:
     def test_encoded_configurations_are_valid(self):
         for m in one_minus(4):
+            t = gen_table(neutralize(m))
             cfg = config_from_pair(neutralize(m))
-            assert vars(cfg).get("_valid") is True
+            assert vars(cfg) == {"_table": t} and validate_config(cfg) is cfg
             fresh = MixedConfiguration(cfg.paths)
             assert validate_config(fresh) is fresh
             assert asmc.paths._check_paths(cfg) is cfg
@@ -537,12 +546,12 @@ def table_outcome(t):
 
 
 def table_agrees_with_paths(t) -> bool:
-    """Whether ``config_from_table(t)`` is marked valid, and an unmarked
-    copy of it passes the path walk and has the one-N shape, exactly when
-    ``t`` passes :func:`table_valid`; returns whether it does."""
+    """Whether ``config_from_table(t)`` keeps its table, and a copy of it
+    on its paths passes the path walk and has the one-N shape, exactly
+    when ``t`` passes :func:`table_valid`; returns whether it does."""
     built = config_from_table(t)
     ok = table_outcome(t) is None
-    assert vars(built).get("_valid") is (True if ok else None), t
+    assert vars(built).get("_table") is (t if ok else None), t
     assert ok == paths_pass(MixedConfiguration(built.paths)), t
     return ok
 
@@ -585,7 +594,7 @@ def corrupt(t, rng):
 class TestTableCheck:
     """A configuration built from a table is valid exactly when the table
     is, so the table check may stand in for the walk of its paths, and
-    marks the configuration of a valid table only."""
+    the configuration of a valid table alone keeps it."""
 
     def test_every_in_range_table_up_to_order_5(self):
         valid, seen = Counter(), 0
@@ -606,6 +615,57 @@ class TestTableCheck:
                 table_agrees_with_paths(t)
                 outcomes[table_outcome(t)] += 1
         assert outcomes.keys() == {None, 1, 2, 3, 4}
+
+
+class TestKeptTable:
+    """A configuration built from a valid table keeps it, and its readers
+    read the table in O(n); on the twin built on its paths they read the
+    step strings.  Both must give what the string readers of ``conftest``
+    give on the twin, and the dual what the junction mirror gives."""
+
+    @staticmethod
+    def check(t):
+        cfg = config_from_table(t)
+        twin = dense_config(t)
+        expected = strings_table(twin), strings_params(twin), junction_dual(twin)
+        assert expected[0] == t
+        for value in (cfg, twin):
+            got = table_from_config(value), config_params(value), dual_config(value)
+            assert got == expected, t
+            assert pair_from_config(value) == pair_from_table(t)
+        dual = dual_config(cfg)
+        assert vars(cfg) == {"_table": t} and vars(dual) == {"_table": dual_table(t)}
+        assert cfg == twin and dual_config(dual) == cfg
+
+    def test_every_valid_table_up_to_order_6(self):
+        count = 0
+        for n in range(3, 7):
+            for t in _iter_valid_tables(n):
+                self.check(t)
+                count += 1
+        assert count == 2617
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_tables_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            for _ in range(5):
+                self.check(random_valid_table(rng, n))
+
+    def test_every_configuration_with_no_n_step_up_to_order_5(self):
+        """With no N-step a configuration is the inversion table of a
+        permutation, and its dual the complement: the junction mirror."""
+        count = 0
+        for n in range(1, 6):
+            for word in permutations(range(1, n + 1)):
+                cfg = MixedConfiguration(tuple(
+                    MixedPath((0, i), "E" * a + "F" * (i - 1 - a))
+                    for i, a in enumerate(perm_table(perm_matrix(word)), start=1)
+                ))
+                dual = dual_config(cfg)
+                assert dual == junction_dual(cfg) and dual_config(dual) == cfg
+                count += 1
+        assert count == 1 + 2 + 6 + 24 + 120
 
 
 class TestPathWalks:
