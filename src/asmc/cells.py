@@ -40,14 +40,28 @@ it checks a one-minus view against the alternating laws in O(n log n)
 
 Each fact about a matrix is computed once per value and kept on the
 frozen value, outside the dataclass fields, so equality, hashing and
-repr never see it.  :func:`_cells` reads a matrix once, off its view,
-and keeps the result exactly when the matrix keeps its view.
-``matrix._keep``, the one memo helper for values built by callers,
-keeps a fact only on a value built from tuples: the sparse view of a
-dense matrix, and the mark of a mixed configuration set by
-``paths.validate_config`` once its paths pass.  A configuration built
-from a table that passes ``inv_table.table_valid`` keeps the table
-instead (``paths.config_from_table``).
+repr never see it.  Only the function that computes a fact keeps it, on
+its own argument:
+
+* :func:`_cells` reads a matrix once, off its view, and keeps the result
+  (``_cells``) exactly when the matrix keeps its view;
+* ``neutral.neutralize`` keeps the pair of a matrix that is not neutral
+  (``_pair``) when the matrix keeps its view; a neutral matrix keeps
+  nothing, as its pair holds the matrix itself;
+* ``inv_table.gen_table`` keeps the table of a pair (``_table``) when
+  the pair's matrix keeps its view;
+* ``inv_table.table_valid`` marks a table that passes (``_valid``), its
+  fields then being ``int`` values and a tuple of them;
+* ``matrix._keep``, the one memo helper for values built by callers,
+  keeps a fact only on a value built from tuples: the sparse view of a
+  dense matrix, and the mark of a mixed configuration set by
+  ``paths.validate_config`` once its paths pass.  A configuration built
+  from a table that passes ``inv_table.table_valid`` keeps the table
+  instead (``paths.config_from_table``).
+
+No inverse seeds a fact on what it returns: ``neutral.restore`` keeps no
+pair on its matrix and ``inv_table.pair_from_table`` no table on its
+pair, so a round trip through them computes both directions.
 """
 
 from __future__ import annotations

@@ -48,14 +48,14 @@ from .matrix import (
 )
 from .neutral import neutralize, pair_from_json, restore, swap_charges
 from .paths import (
+    MixedConfiguration,
     config_from_json,
     config_from_pair,
     config_from_table,
-    config_params,
     dual_config,
-    pair_from_config,
     render_ascii,
     render_svg,
+    table_from_config,
     validate_config,
 )
 from .verify import verify_suite
@@ -142,19 +142,20 @@ def _emit_matrix(args, m) -> None:
 
 def _pipeline_bundle(m) -> dict:
     """All four representations of a one-minus matrix plus its statistics,
-    cross-checked for agreement before emitting."""
+    cross-checked for agreement before emitting.  The path statistics and
+    round trip are read off the emitted paths, rebuilt as a configuration
+    that keeps no table, by the string reader of ``table_from_config``."""
     pair = neutralize(m)
     table = gen_table(pair)
     cfg = config_from_table(table)
+    read = table_from_config(MixedConfiguration(cfg.paths))
     p, ch = classical_params(m), charges(m)
     stats = (p.r, p.i, ch.e, ch.b, ch.j)
-    for label, vec in (
-        ("table", table_params(table)),
-        ("paths", config_params(cfg)),
-    ):
-        if tuple(vec) != stats:
-            raise AsmcError(f"{label} statistics {tuple(vec)} disagree with matrix {stats}")
-    if restore(pair) != m or pair_from_table(table) != pair or pair_from_config(cfg) != pair:
+    for label, t in (("table", table), ("paths", read)):
+        vec = tuple(table_params(t))
+        if vec != stats:
+            raise AsmcError(f"{label} statistics {vec} disagree with matrix {stats}")
+    if restore(pair) != m or pair_from_table(table) != pair or pair_from_table(read) != pair:
         raise AsmcError("representations do not round-trip")
     return {
         "matrix": matrix_to_json(m),

@@ -94,7 +94,8 @@ class GenInvTable:
     """The encoding ``(k; a_1..a_n; b, beta)`` of a neutral pair.
 
     Instances are plain records; :func:`table_valid` returns one that
-    meets the characterization and raises on any other.
+    meets the characterization, marked so that it is not checked again,
+    and raises on any other.
     """
 
     k: int
@@ -146,6 +147,11 @@ def table_valid(t: GenInvTable) -> GenInvTable:
     :class:`GenInvTable`, an ``a`` that is not a tuple and entries that
     are not non-negative ``int``.
 
+    A table that passes is marked (``_valid``, outside the dataclass
+    fields) and returned at once when checked again: its fields then hold
+    only ``int`` values and a tuple of them, so nothing can change under
+    the mark.
+
     >>> table_valid(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0))
     GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)
     >>> table_valid(GenInvTable(k=3, a=(0, 1, 1), b=0, beta=0))
@@ -154,6 +160,8 @@ def table_valid(t: GenInvTable) -> GenInvTable:
     """
     if not isinstance(t, GenInvTable):
         raise InvalidTable(0, f"expected a GenInvTable, got {type(t).__name__}")
+    if "_valid" in t.__dict__:
+        return t
     if not isinstance(t.a, tuple):
         raise InvalidTable(0, f"a must be a tuple, got {type(t.a).__name__}")
     n = t.n
@@ -174,20 +182,29 @@ def table_valid(t: GenInvTable) -> GenInvTable:
         raise InvalidTable(4, f"a_{t.k - 1}+beta={ak1 + t.beta} not < a_{t.k}+b={ak + t.b}")
     if not ak + t.b <= t.k - 2:
         raise InvalidTable(4, f"a_{t.k}+b={ak + t.b} exceeds k-2={t.k - 2}")
+    object.__setattr__(t, "_valid", True)
     return t
 
 
 def gen_table(pair: NeutralPair) -> GenInvTable:
     """Generalized inversion table of a neutral pair; :func:`_walk` reads
-    ``a_{k-1}`` at the left 1 of the closing row."""
+    ``a_{k-1}`` at the left 1 of the closing row.  The table is kept on
+    the pair (``_table``, outside the dataclass fields) when its matrix
+    keeps its view, as ``cells._cells`` keeps the cells."""
+    t = pair.__dict__.get("_table")
+    if t is not None:
+        return t
     cells = _cells(pair.matrix)
     sums = cells.sums
     a = _walk(*cells.view)[0]
     k = len(cells.first) + 1 - cells.geometry.opening_row
     try:
-        return table_valid(GenInvTable(k=k, a=a, b=sums.c, beta=pair.charge + sums.ell))
+        t = table_valid(GenInvTable(k=k, a=a, b=sums.c, beta=pair.charge + sums.ell))
     except InvalidTable as exc:
         raise InternalInvariantViolation(f"encoded table is invalid: {exc}") from exc
+    if "_view" in pair.matrix.__dict__:
+        object.__setattr__(pair, "_table", t)
+    return t
 
 
 def pair_from_table(t: GenInvTable) -> NeutralPair:
@@ -198,7 +215,8 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     the row's (leftmost) 1, which it pops.  On the closing row the -1
     frees the opening column again, and the closing 1 takes the free
     column that leaves ``b`` of them strictly between the two.  The one
-    writer of :mod:`asmc.cells` writes the matrix.
+    writer of :mod:`asmc.cells` writes the matrix.  The pair does not
+    keep ``t``: :func:`gen_table` of it reads the table afresh.
     """
     table_valid(t)
     opening_row = t.n + 1 - t.k

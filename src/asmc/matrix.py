@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
@@ -63,14 +63,18 @@ class AsmMatrix:
     ``(row, minus_col, plus_col)`` per -1; a permutation's is ``(word,
     ())``, a one-minus matrix's ``(first, ((closing_row, opening_col,
     closing_col),))``.  :func:`_rows` writes the rows of a built matrix
-    from its view the first time ``rows`` is read (:class:`_Rows`);
-    equality, hashing and repr read ``rows``, so a matrix means the same
-    however it was built.  :func:`reflect` mirrors the view
-    (:func:`_mirror`) and every reader reads it, so neither writes the
-    rows of a built or parsed matrix; a matrix built on its rows alone, as
-    ``enumerate_asm`` builds them, is read once by :func:`_scan`, which
-    checks the rows and the columns, and keeps the view, so its readers
-    raise what :func:`validate_asm` raises on rows that are not an ASM.
+    from its view the first time ``rows`` is read (:class:`_Rows`); so
+    does a grid of list rows that :func:`validate_asm` accepts, which
+    keeps only its view, neither holding nor copying the caller's lists,
+    and :func:`matrix_to_json` of a matrix not read yet writes its JSON
+    rows from the view.  Equality, hashing and repr read ``rows``, so a
+    matrix means the same however it was built.  :func:`reflect` mirrors
+    the view (:func:`_mirror`) and every reader reads it, so neither
+    writes the rows of a built or parsed matrix; a matrix built on its
+    rows alone, as ``enumerate_asm`` builds them, is read once by
+    :func:`_scan`, which checks the entries, the rows and the columns, and
+    keeps the view, so its readers raise what :func:`validate_asm` raises
+    on rows that are not an ASM.
 
     >>> from asmc import GenInvTable, pair_from_table
     >>> m = pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)).matrix
@@ -140,22 +144,23 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
     :class:`AlternationViolation` or :class:`SumViolation` on the first
     law the grid breaks (entries row by row, then columns before rows).
     Entries must be ``int`` -1, 0 or 1; booleans, floats and strings are
-    bad entries, not converted.  Once every entry is an ``int``, the one
-    check of the alternating law (:func:`_scan`) reads the sparse view,
-    and the matrix keeps it (see :class:`AsmMatrix`).
+    bad entries, not converted.  The one check of the alternating law
+    (:func:`_scan`) tests the type of every entry, then reads the sparse
+    view off the rows as given, and the matrix keeps it (see
+    :class:`AsmMatrix`).  A grid whose rows are all tuples keeps them as
+    its rows; any other keeps only its view, and its rows are written
+    from it when first read, so the matrix neither holds nor copies the
+    caller's lists.
     """
     try:
-        # through a list, so the tuple is allocated at its final length;
-        # see MixedPath.vertices in paths.py
-        rows = tuple(list(map(tuple, grid)))
+        # tuple and list rows are read as given, any other row as its tuple
+        rows = [row if type(row) is tuple or type(row) is list else tuple(row) for row in grid]
     except TypeError as exc:
         raise NotSquare(f"expected a square matrix given as rows: {exc}") from exc
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise NotSquare(f"expected a square matrix, got row lengths {[len(r) for r in rows]}")
-    # the type test comes first, so that no bool, float or str is read as
-    # the int it equals
-    view = _scan(rows) if all(list(map(type, row)).count(int) == n for row in rows) else None
+    view = _scan(rows)
     if view is None:
         # name the first law broken: a bad entry, row by row, then a bad
         # line; the type test also keeps unhashable entries from the set test
@@ -169,7 +174,9 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
         for i, row in enumerate(rows, start=1):
             _check_line(row, "row", i)
         raise InternalInvariantViolation("the alternation check rejected a grid no line of which breaks it")
-    a = AsmMatrix(rows)
+    if not _TUPLE_ONLY.issuperset(map(type, rows)):
+        return _on_demand(view)
+    a = AsmMatrix(tuple(rows))
     object.__setattr__(a, "_view", view)
     return a
 
@@ -256,23 +263,24 @@ _Extras = tuple[tuple[int, int, int], ...]
 _View = tuple[tuple[int, ...], _Extras]
 
 
-def _rows(first: tuple[int, ...], extras: _Extras) -> list[tuple[int, ...]]:
+def _rows(first: tuple[int, ...], extras: _Extras, row: type = tuple) -> list:
     """The dense rows of a sparse view, written as given, whether or not
     it is one: a 1 in column ``first[q-1]`` of each row ``q``, then on
     row ``q`` of each ``(q, minus_col, plus_col)`` of ``extras`` the -1
-    and the 1 right of it."""
+    and the 1 right of it.  Each row is a ``row``: a tuple for the rows
+    of a matrix, a list for its JSON form."""
     line = [0] * len(first)  # one zero line, snapshot with each 1 in turn
     rows = []
     for c in first:
         line[c - 1] = 1
-        rows.append(tuple(line))
+        rows.append(row(line))
         line[c - 1] = 0
     for q, pairs in groupby(extras, lambda pair: pair[0]):  # each row rewritten once
         line = list(rows[q - 1])
         for _, minus, plus in pairs:
             line[minus - 1] = -1
             line[plus - 1] = 1
-        rows[q - 1] = tuple(line)
+        rows[q - 1] = row(line)
     return rows
 
 
@@ -316,20 +324,22 @@ def _sparse(a: AsmMatrix) -> _View:
 
 def _scan(rows: Sequence[Sequence[int]]) -> _View | None:
     """The sparse view of ``rows`` if they are an ASM, or None: the one
-    check of the alternating law.  Each row is read once, in C: the column
-    of its first 1, and for a row with more nonzero entries than that, its
-    nonzero columns, whose entries must read 1, -1, ..., 1.  The column
-    law is then checked on the view in O(n + s), walking the rows top down
-    with one state per column: a 1 needs its column closed and opens it,
-    and a -1 closes it.  That is the whole law: the n + s 1s each open a
-    column and at most n columns are open, so each of the s -1s closes an
-    open one, and every column ends open.  Raises ``AttributeError`` or
-    ``TypeError`` on rows it cannot read."""
+    check of the alternating law.  Every entry must be an ``int``, which
+    one pass over the grid tests first, so that no bool, float or str is
+    read as the int it equals.  Each row is then read once, in C: the
+    column of its first 1, and for a row with more nonzero entries than
+    that, its nonzero columns, whose entries must read 1, -1, ..., 1.  The
+    column law is then checked on the view in O(n + s), walking the rows
+    top down with one state per column: a 1 needs its column closed and
+    opens it, and a -1 closes it.  That is the whole law: the n + s 1s
+    each open a column and at most n columns are open, so each of the s
+    -1s closes an open one, and every column ends open.  Raises
+    ``AttributeError`` or ``TypeError`` on rows it cannot read."""
     n = len(rows)
-    if not n:
+    if not n or list(map(type, chain.from_iterable(rows))).count(int) != n * n:
         return None
     try:
-        first = tuple([row.index(1) + 1 for row in rows])  # final length, as in validate_asm
+        first = tuple([row.index(1) + 1 for row in rows])  # a list first, so the tuple has its final length
     except ValueError:  # a row with no 1
         return None
     pairs = []  # (row, minus_col, plus_col), top row first, each row left to right
@@ -450,7 +460,7 @@ class _Rows(_OnDemand, AsmMatrix):
     _field, _plain = "rows", AsmMatrix
 
     def _write(self) -> Grid:
-        return tuple(_rows(*self._view))  # through a list, as in validate_asm
+        return tuple(_rows(*self._view))  # through a list, so the tuple has its final length
 
     @property
     def n(self) -> int:
@@ -501,7 +511,13 @@ def matrix_from_text(text: str) -> AsmMatrix:
 
 
 def matrix_to_json(a: AsmMatrix) -> dict:
-    return {"n": a.n, "rows": [list(row) for row in a.rows]}
+    """``{"n": n, "rows": [...]}``; the rows of a matrix whose rows are not
+    written yet are written as lists straight from its view, and the
+    matrix is left unwritten."""
+    rows = vars(a).get("rows")
+    if rows is None:
+        return {"n": a.n, "rows": _rows(*a._view, list)}
+    return {"n": a.n, "rows": [list(row) for row in rows]}
 
 
 def matrix_from_json(obj: dict | str) -> AsmMatrix:

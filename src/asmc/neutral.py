@@ -77,15 +77,25 @@ def pair_from_json(obj: dict) -> NeutralPair:
 
 
 def neutralize(a: AsmMatrix) -> NeutralPair:
-    """Encode a one-minus ASM as a (neutral matrix, charge) pair."""
+    """Encode a one-minus ASM as a (neutral matrix, charge) pair.  The pair
+    of a matrix that is not neutral is kept on it (``_pair``, outside the
+    dataclass fields) when it keeps its view, as ``cells._cells`` keeps
+    the cells; a neutral matrix keeps nothing, as its pair holds it."""
+    pair = a.__dict__.get("_pair")
+    if pair is not None:
+        return pair
     cells = _cells(a)  # raises NotOneMinus
     if cells.sign is SignClass.NEUTRAL:
         return NeutralPair(a, 0)
-    return NeutralPair(_write(*_recharged(cells, 0)), cells.e)
+    pair = NeutralPair(_write(*_recharged(cells, 0)), cells.e)
+    if "_view" in a.__dict__:
+        object.__setattr__(a, "_pair", pair)
+    return pair
 
 
 def restore(pair: NeutralPair) -> AsmMatrix:
-    """Inverse of :func:`neutralize`."""
+    """Inverse of :func:`neutralize`.  The matrix it returns keeps no pair:
+    :func:`neutralize` of it recharges afresh."""
     if pair.charge == 0:
         return pair.matrix
     return _write(*_recharged(_cells(pair.matrix), pair.charge))

@@ -157,6 +157,34 @@ class TestPipelines:
         assert mirror["params"]["J"] == bundle["params"]["J"]
 
 
+def _moved_entry(t):
+    """The table with ``a_3`` lowered and ``a_4`` raised by one: same
+    statistics, another pair."""
+    a = list(t.a)
+    a[2], a[3] = a[2] - 1, a[3] + 1
+    return asmc.GenInvTable(k=t.k, a=tuple(a), b=t.b, beta=t.beta)
+
+
+class TestPipelineCrossCheck:
+    """The bundle reads its path statistics and round trip off the paths it
+    emits, not off the table they were written from, so paths written
+    wrongly from a right table make it fail."""
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda write, t: write(asmc.dual_table(t)), "AsmcError: paths statistics"),
+        (lambda write, t: write(_moved_entry(t)), "AsmcError: representations do not round-trip"),
+        (lambda write, t: (write(t)[1], write(t)[0], *write(t)[2:]), "MalformedConfiguration"),
+    ], ids=["dual-paths", "moved-entry", "swapped-paths"])
+    def test_corrupted_paths_make_the_bundle_fail(self, monkeypatch, capsys, corrupt, error):
+        _, matrix_text, _ = run_cli(["from-table"], TABLE12_TEXT, monkeypatch, capsys)
+        code, out, _ = run_cli(["pipeline"], matrix_text, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["table"]["a"] == [0, 0, 2, 2, 0, 0, 1, 5, 0, 3, 6, 6]
+        write = asmc.paths._paths
+        monkeypatch.setattr(asmc.paths, "_paths", lambda t: corrupt(write, t))
+        code, out, err = run_cli(["pipeline"], matrix_text, monkeypatch, capsys)
+        assert code == 2 and out == "" and error in err
+
+
 class TestEnumerationCommands:
     def test_enumerate_count(self, monkeypatch, capsys):
         code, out, _ = run_cli(["enumerate", "-n", "3", "--count"], "", monkeypatch, capsys)

@@ -206,9 +206,11 @@ class TestKeptView:
 
     def test_every_bad_grid_keeps_its_error(self):
         """Every grid of order 1 to 3 over -1, 0 and 1, and random grids of
-        order 4 to 6: ``validate_asm`` raises what the line walk names, and
-        ``_sparse`` of an unchecked matrix over tuples and over lists gives
-        the same outcome, the error or the view, as ``validate_asm``."""
+        order 4 to 6: ``validate_asm`` and ``matrix_from_json`` raise what
+        the line walk names, and ``_sparse`` of an unchecked matrix over
+        tuples and over lists gives the same outcome, the error or the
+        view, as ``validate_asm``.  A grid of list rows that is an ASM
+        keeps only its view until its rows are read."""
         rng = random.Random(3)
         grids = [[list(cells[i * n : i * n + n]) for i in range(n)]
                  for n in (1, 2, 3) for cells in itertools.product((-1, 0, 1), repeat=n * n)]
@@ -218,14 +220,17 @@ class TestKeptView:
         for grid in grids:
             expected = walk_outcome(grid)
             got = outcome(validate_asm, grid)
+            parsed = outcome(matrix_from_json, {"n": len(grid), "rows": grid})
             rows = tuple(map(tuple, grid))
             if expected is None:
-                assert got[0] is None and got[1].rows == rows
+                assert got[0] is None and parsed[0] is None
+                assert "rows" not in vars(got[1]) and "rows" not in vars(parsed[1])
+                assert got[1].rows == rows and parsed[1].rows == rows
                 view = vars(got[1])["_view"]
                 assert tuple(_rows(*view)) == rows
                 got = None, view
             else:
-                assert got == expected, grid
+                assert got == expected == parsed, grid
                 rejected += 1
             for frame in (tuple, list):
                 assert outcome(_sparse, AsmMatrix(frame(map(frame, grid)))) == got, (frame, grid)
@@ -368,6 +373,22 @@ class TestSparseView:
         assert outcome(reader, AsmMatrix(rows)) == expected
         if rows == ((1, 0), (1, 0)):
             assert expected == (AlternationViolation, "column 1: two 1s with no -1 between them")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((True,),), ((0.0, 1), (1, 0.0)), ((0, 1, 0), (1, -1.0, 1), (0, 1, 0)), ((0, 1), (1, False)),
+         ((1, 0), ("0", 1))],
+        ids=["bool-one", "float-zeros", "float-minus", "bool-zero", "str-zero"],
+    )
+    @pytest.mark.parametrize("reader", [reflect, classical_params, minus_count, charges, perm_one_line])
+    def test_entries_equal_to_an_int_but_not_int_are_bad_entries(self, rows, reader):
+        """The readers of an unchecked matrix test the type of every entry,
+        as ``validate_asm`` does, so ``True`` is not read as 1 nor ``0.0``
+        as 0."""
+        expected = outcome(validate_asm, rows)
+        assert expected[0] is BadEntry
+        assert outcome(reader, AsmMatrix(rows)) == expected
+        assert outcome(reader, AsmMatrix([list(row) for row in rows])) == expected
 
     def test_the_scan_reads_a_view_that_writes_the_rows_back_or_refuses(self):
         """On every 3x3 grid of -1, 0 and 1, every 2x2 grid of -1, 0, 1 and

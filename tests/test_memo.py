@@ -3,24 +3,36 @@ of a matrix, kept by the writers (``matrix._on_demand``,
 ``matrix.validate_asm``) or by the one scan of any other matrix built on
 tuples (``matrix._sparse``), what the sparse-view reader of
 ``asmc.cells`` reads off a matrix (its first 1s, landmarks, sign class,
-cell sums and charge), kept by ``cells._cells``, the table of a mixed
-configuration built from a valid table, kept by ``paths.config_from_table``,
-and the mark of one that has passed validation, kept by ``matrix._keep``.
+cell sums and charge), kept by ``cells._cells``, the pair of a matrix
+that is not neutral, kept by ``neutral.neutralize``, the table of a
+pair, kept by ``inv_table.gen_table``, the mark of a valid table, kept by
+``inv_table.table_valid``, the table of a mixed configuration built from
+a valid table, kept by ``paths.config_from_table``, and the mark of one
+that has passed validation, kept by ``matrix._keep``.
 
 A kept view must equal a fresh scan of the dense rows, every kept cells
 fact the landmarks and cell sums searched and summed by definition on
-the dense rows (``conftest.dense_cells``), a kept table the table read
-off the paths (``conftest.strings_table``), and a kept mark a fresh
+the dense rows (``conftest.dense_cells``), a kept pair the pair of a
+fresh copy, a kept table of a pair the table read on the dense rows
+(``conftest.dense_table``), a kept table of a configuration the table
+read off the paths (``conftest.strings_table``), and a kept mark a fresh
 validation; no kept fact may change what a value is: equality, hashing
 and repr see only the dataclass fields, and a value built over lists
-keeps nothing.
+keeps nothing.  No inverse seeds a fact on what it returns, so each
+round trip still computes both directions.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
+import sys
 from collections import Counter
 
 import pytest
 
+import asmc
+import asmc.neutral
 from asmc import (
     AsmMatrix,
     GenInvTable,
@@ -30,12 +42,16 @@ from asmc import (
     NeutralPair,
     SignClass,
     charges,
+    classical_params,
     config_from_pair,
     config_from_table,
     config_params,
     dual_config,
+    flip_charge,
     gen_table,
     geometry,
+    matrix_from_json,
+    matrix_to_json,
     neutralize,
     pair_from_config,
     pair_from_table,
@@ -43,28 +59,44 @@ from asmc import (
     restore,
     sign_class,
     swap_charges,
+    table_params,
     table_valid,
     validate_asm,
     validate_config,
 )
 from asmc.matrix import _sparse
-from conftest import dense_cells, one_minus, random_valid_table, strings_table
+from conftest import dense_cells, dense_table, one_minus, random_valid_table, strings_table
 
-FACTS = {"_view", "_cells", "_table", "_valid"}
+FACTS = {"_view", "_cells", "_pair", "_table", "_valid"}
 
 
 def kept_facts(value) -> set[str]:
-    """Check each fact kept on ``value`` (a matrix, the matrix of a pair,
-    or a configuration) against the dense oracle or a fresh validation of
-    an unmemoized copy; returns the names of the facts found."""
-    if isinstance(value, NeutralPair):
-        value = value.matrix
+    """Check each fact kept on ``value`` (a matrix, a pair and its matrix,
+    a configuration or a table) against the dense oracle or a fresh
+    computation on an unmemoized copy; returns the names of the facts
+    found, a pair's own as ``pair._table``."""
     kept = {name: fact for name, fact in vars(value).items() if name.startswith("_")}
     assert set(kept) <= FACTS
+    if isinstance(value, GenInvTable):
+        assert set(kept) <= {"_valid"}
+        if kept:
+            assert kept["_valid"] is True and table_valid(dataclasses.replace(value)) == value
+        return set(kept)
+    if isinstance(value, NeutralPair):
+        assert set(kept) <= {"_table"}
+        if kept:
+            t = kept["_table"]
+            assert t.a == dense_table(AsmMatrix(value.matrix.rows))
+            assert pair_from_table(dataclasses.replace(t)) == value
+        return {f"pair{name}" for name in kept} | kept_facts(value.matrix)
     if "_view" in kept:
         assert kept["_view"] == _sparse(AsmMatrix(value.rows))
     if "_cells" in kept:
         assert tuple(kept["_cells"]) == dense_cells(AsmMatrix(value.rows))
+    if "_pair" in kept:
+        fresh = AsmMatrix(value.rows)
+        assert sign_class(fresh) is not SignClass.NEUTRAL
+        assert kept["_pair"] == neutralize(fresh) and restore(kept["_pair"]) == fresh
     if "_table" in kept:
         fresh = MixedConfiguration(value.paths)
         assert validate_config(fresh) is fresh
@@ -93,7 +125,9 @@ def outputs(m: AsmMatrix, copy=AsmMatrix):
 
 # the facts each output may hold: every matrix keeps its sparse view,
 # whether built on it, validated or scanned, and its cells once a pair has
-# checked it; a configuration built from a table keeps the table
+# checked it; a configuration built from a table keeps the table; no
+# matrix that restore returns keeps a pair, and no pair that
+# pair_from_table returns keeps a table
 EXPECTED = {
     "neutralize": ({"_view", "_cells"},),
     "restore": ({"_view", "_cells"}, {"_view"}),
@@ -183,7 +217,9 @@ class TestValueSemantics:
             assert value == twin and hash(value) == hash(twin)
             assert repr(value) == repr(twin)
         assert repr(m) == f"AsmMatrix(rows={m.rows!r})"
-        assert vars(pair).keys() == {"matrix", "charge"}
+        # the pair keeps the table config_from_pair read off it
+        assert vars(pair).keys() == {"matrix", "charge", "_table"}
+        assert repr(pair) == repr(twins[1][1]) and "_table" not in repr(pair)
 
     @pytest.mark.parametrize("frame", [list, tuple])
     def test_matrix_over_lists_follows_its_rows(self, frame):
@@ -215,3 +251,165 @@ class TestValueSemantics:
             config_params(loose)
         with pytest.raises(MalformedConfiguration):
             pair_from_config(loose)
+
+
+@pytest.fixture
+def table_checks(monkeypatch):
+    """Counts the calls of ``inv_table.table_valid`` that run its full
+    body, those on a table not marked valid yet, in every ``asmc`` module
+    that binds it."""
+    calls = Counter()
+    real = table_valid
+
+    def counting(t):
+        if "_valid" not in vars(t):
+            calls["full"] += 1
+        return real(t)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "asmc" and getattr(mod, "table_valid", None) is real:
+            monkeypatch.setattr(mod, "table_valid", counting)
+    assert asmc.inv_table.table_valid is counting and asmc.paths.table_valid is counting
+    return calls
+
+
+@pytest.fixture
+def recharges(monkeypatch):
+    """Counts the recharges (``neutral._recharged`` calls from the top),
+    one per ``neutralize`` or ``restore`` that computes its result."""
+    calls = Counter()
+    real = asmc.neutral._recharged
+
+    def counting(cells, charge):
+        calls["top"] += 1
+        monkeypatch.setattr(asmc.neutral, "_recharged", real)  # the mirrored inner call is not counted
+        try:
+            return real(cells, charge)
+        finally:
+            monkeypatch.setattr(asmc.neutral, "_recharged", counting)
+
+    monkeypatch.setattr(asmc.neutral, "_recharged", counting)
+    return calls
+
+
+def sampled_by_class(seed: int, n_range: tuple[int, int]):
+    """``(t, m)``: a sampled valid table and its matrix, until a positive,
+    a neutral and a negative matrix have each been drawn."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < 3:
+        t = random_valid_table(rng, rng.randint(*n_range))
+        m = restore(pair_from_table(dataclasses.replace(t)))
+        if sign_class(m) not in seen:
+            seen.add(sign_class(m))
+            yield t, m
+
+
+class TestEachFactOnce:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_a_large_round_trip_checks_three_tables(self, seed, table_checks):
+        """One round trip of the large-order benchmark at n near 100 runs the
+        full table check three times: on the input table, on the table
+        ``gen_table`` reads and on the one ``dual_table`` writes; every
+        other check finds the mark."""
+        for t, _ in sampled_by_class(seed, (95, 105)):
+            table_checks.clear()
+            pair = pair_from_table(t)
+            m = restore(pair)
+            m2 = matrix_from_json(matrix_to_json(m))
+            params, ch = classical_params(m2), charges(m2)
+            pair2 = neutralize(m2)
+            t2 = gen_table(pair2)
+            cfg = config_from_pair(pair2)
+            pv = config_params(cfg)
+            dual = dual_config(cfg)
+            swapped = swap_charges(m2)
+            assert table_checks == {"full": 3}
+            assert (m2, pair2, t2) == (m, pair, t)
+            assert tuple(pv) == tuple(table_params(t)) == (params.r, params.i, ch.e, ch.b, ch.j)
+            assert dual == config_from_pair(neutralize(AsmMatrix(reflect(m).rows)))
+            assert (charges(swapped).e, charges(swapped).b) == (ch.b, ch.e)
+
+    def test_the_inverses_seed_no_fact(self, recharges):
+        """``restore`` keeps no pair on its matrix and ``pair_from_table`` no
+        table on its pair, so neutralizing a restored matrix and tabulating a
+        decoded pair compute afresh; the function that computed a fact
+        returns it kept on a second call."""
+        for t, m in sampled_by_class(5, (20, 60)):
+            pair = pair_from_table(t)
+            assert "_table" not in vars(pair)
+            t2 = gen_table(pair)
+            assert t2 == t and t2 is not t and gen_table(pair) is t2
+            m = restore(pair)
+            assert "_pair" not in vars(m)
+            neutral = sign_class(m) is SignClass.NEUTRAL
+            recharges.clear()
+            back = neutralize(m)
+            assert back == pair and recharges == ({} if neutral else {"top": 1})
+            assert (neutralize(m) is back) is not neutral
+            assert ("_pair" in vars(m)) is not neutral
+            # the swap reuses the kept pair and recharges only to restore
+            # (not at all when the flipped charge is 0); the swap of the swap
+            # neutralizes afresh, as its matrix keeps no pair
+            flipped = flip_charge(back).charge != 0
+            recharges.clear()
+            swapped = swap_charges(m)
+            assert "_pair" not in vars(swapped) and recharges["top"] == flipped
+            recharges.clear()
+            assert swap_charges(swapped) == m and recharges["top"] == flipped + (not neutral)
+
+    def test_a_grid_of_list_rows_is_neither_held_nor_copied(self, charged12):
+        grid = [list(row) for row in charged12.rows]
+        a = validate_asm(grid)
+        parsed = matrix_from_json({"n": len(grid), "rows": grid})
+        assert vars(a).keys() == vars(parsed).keys() == {"_view"}
+        grid[0][:] = grid[1]
+        grid.append([0] * 12)
+        assert a == charged12 and parsed == charged12 and a.rows == charged12.rows
+
+    def test_a_grid_of_tuple_rows_keeps_them(self, charged12):
+        rows = tuple(tuple(row) for row in charged12.rows)
+        for grid in (rows, list(rows)):
+            a = validate_asm(grid)
+            assert vars(a).keys() == {"rows", "_view"}
+            assert len(a.rows) == len(rows) and all(x is y for x, y in zip(a.rows, rows))
+
+    def test_json_of_an_unread_matrix_leaves_it_unread(self):
+        rng = random.Random(6)
+        for n in (3, 40, 200):
+            m = restore(pair_from_table(random_valid_table(rng, n)))
+            parsed = matrix_from_json(matrix_to_json(m))
+            for a in (m, reflect(m), parsed):
+                js = matrix_to_json(a)
+                assert "rows" not in vars(a)
+                assert js == {"n": n, "rows": [list(row) for row in AsmMatrix(a.rows).rows]}
+                assert all(type(row) is list for row in js["rows"]) and len(set(map(id, js["rows"]))) == n
+                js["rows"][0][0] = 5
+                assert matrix_to_json(a) != js
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy", "replace"])
+    def test_kept_facts_survive_copies(self, how):
+        """A copy of a marked table, of a pair keeping its table and of a
+        matrix keeping its pair equals the value with the same hash;
+        pickling and deep copying keep the facts, which still check out,
+        and ``dataclasses.replace`` builds a new value that keeps none."""
+        for t, m in sampled_by_class(7, (20, 60)):
+            table_valid(t)
+            m = AsmMatrix(m.rows)
+            pair = neutralize(m)
+            gen_table(pair)
+            for value in (t, pair, m):
+                facts = kept_facts(value)
+                c = {
+                    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                    "deepcopy": copy.deepcopy,
+                    "replace": dataclasses.replace,
+                }[how](value)
+                assert type(c) is type(value)
+                assert c == value and hash(c) == hash(value) and repr(c) == repr(value)
+                if how == "replace":
+                    assert not {"_valid", "_table", "_pair"} & set(vars(c))
+                else:
+                    assert kept_facts(c) == facts
+            assert "pair_table" in kept_facts(pair)
+            assert ("_pair" in kept_facts(m)) is (sign_class(m) is not SignClass.NEUTRAL)
