@@ -38,30 +38,30 @@ it checks a one-minus view against the alternating laws in O(n log n)
 (:func:`_is_points_form`) and returns a matrix that keeps it, for
 ``discharge._recharge`` and ``inv_table.pair_from_table``.
 
-Each fact about a matrix is computed once per value and kept on the
-frozen value, outside the dataclass fields, so equality, hashing and
-repr never see it.  Only the function that computes a fact keeps it, on
-its own argument:
+The keep rule.  Every value is immutable once built: ``AsmMatrix`` and
+``MixedConfiguration`` freeze the rows and paths they are given as
+tuples, and a table is marked only once ``inv_table.table_valid`` has
+found its fields ``int`` values and a tuple of them.  So each fact about
+a value is computed once and kept on the value, outside its dataclass
+fields, where equality, hashing and repr never see it; the function that
+computes a fact keeps it, on its own argument, with no other condition:
 
-* :func:`_cells` reads a matrix once, off its view, and keeps the result
-  (``_cells``) exactly when the matrix keeps its view;
-* ``neutral.neutralize`` keeps the pair of a matrix that is not neutral
-  (``_pair``) when the matrix keeps its view; a neutral matrix keeps
-  nothing, as its pair holds the matrix itself;
-* ``inv_table.gen_table`` keeps the table of a pair (``_table``) when
-  the pair's matrix keeps its view;
-* ``inv_table.table_valid`` marks a table that passes (``_valid``), its
-  fields then being ``int`` values and a tuple of them;
-* ``matrix._keep``, the one memo helper for values built by callers,
-  keeps a fact only on a value built from tuples: the sparse view of a
-  dense matrix, and the mark of a mixed configuration set by
-  ``paths.validate_config`` once its paths pass.  A configuration built
-  from a table that passes ``inv_table.table_valid`` keeps the table
-  instead (``paths.config_from_table``).
+* ``matrix._sparse`` the sparse view of a matrix (``_view``), which the
+  writers and ``matrix.validate_asm`` store on the matrix they return;
+* :func:`_cells` what :func:`_read` reads off that view (``_cells``);
+* ``neutral.neutralize`` the pair of a matrix (``_pair``);
+* ``inv_table.gen_table`` the table of a pair (``_table``);
+* ``inv_table.table_valid`` the mark of a valid table (``_valid``);
+* ``paths.validate_config`` the mark of a valid configuration
+  (``_valid``); one built from a valid table keeps the table instead
+  (``_table``, ``paths.config_from_table``).
 
-No inverse seeds a fact on what it returns: ``neutral.restore`` keeps no
-pair on its matrix and ``inv_table.pair_from_table`` no table on its
-pair, so a round trip through them computes both directions.
+Two exceptions: a neutral matrix keeps no pair, as its pair holds the
+matrix itself; and no inverse seeds a fact on what it returns, so
+``neutral.restore`` keeps no pair on its matrix and
+``inv_table.pair_from_table`` no table on its pair, and a round trip
+through them computes both directions.  Two threads that race on a fact
+store equal facts.
 """
 
 from __future__ import annotations
@@ -181,20 +181,20 @@ def _points(a: AsmMatrix) -> _View:
 
 
 def geometry(a: AsmMatrix) -> CellGeometry:
-    """Locate the opening/closing landmarks of a one-minus ASM afresh; the
-    library reads them through :func:`_cells`, which keeps them."""
-    return _read(*_points(a)).geometry
+    """The opening/closing landmarks of a one-minus ASM."""
+    return _cells(a).geometry
 
 
 def _cells(a: AsmMatrix) -> _Cells:
-    """:func:`_read` of the sparse view of ``a`` on the first call, kept
-    when the view is kept (``matrix._sparse``)."""
-    facts = a.__dict__
-    cells = facts.get("_cells")
+    """:func:`_read` of the sparse view of ``a``, read on the first call
+    and kept (see the keep rule above)."""
+    try:
+        cells = a.__dict__.get("_cells")
+    except AttributeError:  # no value at all: ``matrix._sparse`` refuses it
+        cells = None
     if cells is None:
         cells = _read(*_points(a))
-        if "_view" in facts:
-            object.__setattr__(a, "_cells", cells)
+        object.__setattr__(a, "_cells", cells)
     return cells
 
 

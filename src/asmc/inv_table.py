@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 from .cells import _cells, _write
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
 from .matrix import _INT_ONLY, AsmMatrix, _text_ints, _walk, json_int, perm_matrix, perm_one_line
-from .neutral import NeutralPair
+from .neutral import NeutralPair, _checked
 
 
 class ParamVector(NamedTuple):
@@ -189,9 +189,8 @@ def table_valid(t: GenInvTable) -> GenInvTable:
 def gen_table(pair: NeutralPair) -> GenInvTable:
     """Generalized inversion table of a neutral pair; :func:`_walk` reads
     ``a_{k-1}`` at the left 1 of the closing row.  The table is kept on
-    the pair (``_table``, outside the dataclass fields) when its matrix
-    keeps its view, as ``cells._cells`` keeps the cells."""
-    t = pair.__dict__.get("_table")
+    the pair (``_table``, by the keep rule of ``asmc.cells``)."""
+    t = _checked(pair).__dict__.get("_table")
     if t is not None:
         return t
     cells = _cells(pair.matrix)
@@ -202,8 +201,7 @@ def gen_table(pair: NeutralPair) -> GenInvTable:
         t = table_valid(GenInvTable(k=k, a=a, b=sums.c, beta=pair.charge + sums.ell))
     except InvalidTable as exc:
         raise InternalInvariantViolation(f"encoded table is invalid: {exc}") from exc
-    if "_view" in pair.matrix.__dict__:
-        object.__setattr__(pair, "_table", t)
+    object.__setattr__(pair, "_table", t)
     return t
 
 

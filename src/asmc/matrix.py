@@ -44,58 +44,55 @@ _INT_ONLY = {int}
 class AsmMatrix:
     """A validated alternating sign matrix.
 
-    The constructor does *not* re-check the alternating law; it only
-    rejects rows that are not given as a tuple or list, with
-    :class:`NotSquare`.  The writers check what they are given:
+    The constructor does *not* re-check the alternating law; it freezes
+    its rows as a tuple of tuples, copying a list or any non-tuple row
+    once, and raises :class:`NotSquare` on rows that are not a tuple or
+    list, or on a row that is not iterable.  The writers check what they
+    are given: :func:`validate_asm`, the only check on caller input (the
+    text and JSON readers and the CLI go through it), checks every entry
+    and the alternating law with its one check, :func:`_scan`;
+    :func:`perm_matrix` and ``cells._write`` check a permutation word or a
+    one-minus view in O(n log n), and on an input they reject raise what
+    :func:`validate_asm` raises on its dense rows.
 
-    * :func:`validate_asm` checks the type of every entry, then the
-      alternating law with the one check of it, :func:`_scan`, and is the
-      only check on caller input (the text and JSON readers and the CLI
-      go through it);
-    * :func:`perm_matrix` checks that a one-line word is a permutation;
-    * ``cells._write`` checks the sparse view of a one-minus matrix.
-
-    The last two check in O(n log n); on an input they reject they raise
-    what :func:`validate_asm` raises on its dense rows.  Every matrix they
-    accept or :func:`validate_asm` accepts keeps one fact outside the
-    dataclass fields, its *sparse view* ``_view = (first, extras)``
-    (:func:`_sparse`): the column of the first 1 of every row, and one
-    ``(row, minus_col, plus_col)`` per -1; a permutation's is ``(word,
-    ())``, a one-minus matrix's ``(first, ((closing_row, opening_col,
-    closing_col),))``.  :func:`_rows` writes the rows of a built matrix
-    from its view the first time ``rows`` is read (:class:`_Rows`); so
-    does a grid of list rows that :func:`validate_asm` accepts, which
-    keeps only its view, neither holding nor copying the caller's lists,
-    and :func:`matrix_to_json` of a matrix not read yet writes its JSON
-    rows from the view.  Equality, hashing and repr read ``rows``, so a
-    matrix means the same however it was built.  :func:`reflect` mirrors
-    the view (:func:`_mirror`) and every reader reads it, so neither
-    writes the rows of a built or parsed matrix; a matrix built on its
-    rows alone, as ``enumerate_asm`` builds them, is read once by
-    :func:`_scan`, which checks the entries, the rows and the columns, and
-    keeps the view, so its readers raise what :func:`validate_asm` raises
-    on rows that are not an ASM.
+    Every matrix keeps its *sparse view* ``_view = (first, extras)``
+    (:func:`_sparse`, by the keep rule of ``asmc.cells``): the column of
+    the first 1 of every row, and one ``(row, minus_col, plus_col)`` per
+    -1.  A matrix a writer returns keeps only its view, and :func:`_rows`
+    writes its rows the first time they are read (:class:`_Rows`).
+    Equality, hashing and repr read ``rows``, so a matrix means the same
+    however it was built.  Every reader, and :func:`reflect`, reads the
+    view; a matrix built on its rows, as ``enumerate_asm`` builds them, is
+    read once by :func:`_scan`, so its readers raise what
+    :func:`validate_asm` raises on rows that are not an ASM.
 
     >>> from asmc import GenInvTable, pair_from_table
     >>> m = pair_from_table(GenInvTable(k=3, a=(0, 0, 1), b=0, beta=0)).matrix
     >>> 'rows' in vars(m), m.n
     (False, 3)
-    >>> m == AsmMatrix(((0, 1, 0), (1, -1, 1), (0, 1, 0))), 'rows' in vars(m)
+    >>> m == AsmMatrix([[0, 1, 0], [1, -1, 1], [0, 1, 0]]), 'rows' in vars(m)
     (True, True)
     """
 
     rows: Grid
 
     def __post_init__(self):
-        if not isinstance(self.rows, (tuple, list)):
-            raise NotSquare(f"expected the rows as a tuple or list, got {type(self.rows).__name__}")
+        rows = self.rows
+        if not isinstance(rows, (tuple, list)):
+            raise NotSquare(f"expected the rows as a tuple or list, got {type(rows).__name__}")
+        if type(rows) is not tuple or not {tuple}.issuperset(map(type, rows)):
+            object.__setattr__(self, "rows", tuple(map(tuple, _grid(rows))))  # a tuple row is not copied
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> int:
-        """Entry at row ``i``, column ``j`` (both 1-based)."""
+        """Entry at row ``i``, column ``j``, both ``int`` in ``1..n``;
+        raises :class:`BadArgument` on any other index."""
+        n = self.n
+        if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
+            raise BadArgument(f"expected row and column in 1..{n}, got ({i!r}, {j!r})")
         return self.rows[i - 1][j - 1]
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
@@ -146,17 +143,11 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
     Entries must be ``int`` -1, 0 or 1; booleans, floats and strings are
     bad entries, not converted.  The one check of the alternating law
     (:func:`_scan`) tests the type of every entry, then reads the sparse
-    view off the rows as given, and the matrix keeps it (see
-    :class:`AsmMatrix`).  A grid whose rows are all tuples keeps them as
-    its rows; any other keeps only its view, and its rows are written
-    from it when first read, so the matrix neither holds nor copies the
-    caller's lists.
+    view off the rows as given; the matrix returned keeps only that view
+    (by the keep rule of ``asmc.cells``), so it neither holds nor copies
+    the caller's rows, which are written from the view when first read.
     """
-    try:
-        # tuple and list rows are read as given, any other row as its tuple
-        rows = [row if type(row) is tuple or type(row) is list else tuple(row) for row in grid]
-    except TypeError as exc:
-        raise NotSquare(f"expected a square matrix given as rows: {exc}") from exc
+    rows = _grid(grid)
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise NotSquare(f"expected a square matrix, got row lengths {[len(r) for r in rows]}")
@@ -174,11 +165,17 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
         for i, row in enumerate(rows, start=1):
             _check_line(row, "row", i)
         raise InternalInvariantViolation("the alternation check rejected a grid no line of which breaks it")
-    if not _TUPLE_ONLY.issuperset(map(type, rows)):
-        return _on_demand(view)
-    a = AsmMatrix(tuple(rows))
-    object.__setattr__(a, "_view", view)
-    return a
+    return _on_demand(view)
+
+
+def _grid(grid: Iterable[Sequence[int]]) -> list:
+    """The rows of ``grid``, a tuple or list row as given and any other as
+    its tuple; raises :class:`NotSquare` on a grid or a row that is not
+    iterable."""
+    try:
+        return [row if type(row) is tuple or type(row) is list else tuple(row) for row in grid]
+    except TypeError as exc:
+        raise NotSquare(f"expected a square matrix given as rows: {exc}") from exc
 
 
 def reflect(a: AsmMatrix) -> AsmMatrix:
@@ -302,24 +299,31 @@ def _mirror(first: tuple[int, ...], extras: _Extras) -> _View:
 def _sparse(a: AsmMatrix) -> _View:
     """The sparse view ``(first, extras)`` of ``a``: the column of the
     first 1 of every row, and ``(row, minus_col, plus_col)`` for each -1,
-    bottom row first and right to left, with the 1 right of it.  A built,
-    validated or already scanned matrix keeps it (``_view``), and reading
-    it writes no rows; any other is read by the one check of the
-    alternating law (:func:`_scan`), the view kept (:func:`_keep`).  Rows
-    that break the law, or that the scan cannot read, raise what
-    :func:`validate_asm` raises on them."""
-    view = a.__dict__.get("_view")
+    bottom row first and right to left, with the 1 right of it.  A matrix
+    keeps it (``_view``, by the keep rule of ``asmc.cells``), and reading
+    it writes no rows; a matrix built on its rows alone is read once by
+    the one check of the alternating law (:func:`_scan`).  Rows that break
+    the law raise what :func:`validate_asm` raises on them, and an
+    argument that is not a matrix raises :class:`BadArgument`."""
+    try:
+        view = a.__dict__.get("_view")
+    except AttributeError:  # no value at all: refused below
+        view = None
     if view is not None:
         return view
-    rows = a.rows
-    try:
-        view = _scan(rows)
-    except (AttributeError, TypeError):
-        view = None
+    rows = _matrix(a).rows
+    view = _scan(rows)
     if view is None:
         _refuse(rows)
-    _keep(a, rows, _view=view)
+    object.__setattr__(a, "_view", view)
     return view
+
+
+def _matrix(a: AsmMatrix) -> AsmMatrix:
+    """``a``, or :class:`BadArgument` if it is not an :class:`AsmMatrix`."""
+    if not isinstance(a, AsmMatrix):
+        raise BadArgument(f"expected an AsmMatrix, got {type(a).__name__}")
+    return a
 
 
 def _scan(rows: Sequence[Sequence[int]]) -> _View | None:
@@ -333,8 +337,7 @@ def _scan(rows: Sequence[Sequence[int]]) -> _View | None:
     top down with one state per column: a 1 needs its column closed and
     opens it, and a -1 closes it.  That is the whole law: the n + s 1s
     each open a column and at most n columns are open, so each of the s
-    -1s closes an open one, and every column ends open.  Raises
-    ``AttributeError`` or ``TypeError`` on rows it cannot read."""
+    -1s closes an open one, and every column ends open."""
     n = len(rows)
     if not n or list(map(type, chain.from_iterable(rows))).count(int) != n * n:
         return None
@@ -362,20 +365,6 @@ def _scan(rows: Sequence[Sequence[int]]) -> _View | None:
             is_open[minus], is_open[plus] = 0, 1
             at, minus, plus = next(pending, (0, 0, 0))
     return first, tuple(reversed(pairs))
-
-
-_TUPLE_ONLY = frozenset((tuple,))
-
-
-def _keep(value, parts, **facts) -> None:
-    """Store ``facts``, pure functions of the frozen dataclass ``value``,
-    on it outside its fields, only when ``parts``, the sequences ``value``
-    is built from, is a tuple of tuples, so nothing can change under them;
-    a value over lists computes its facts anew at every call.  Two threads
-    that race here store equal facts."""
-    if type(parts) is tuple and _TUPLE_ONLY.issuperset(map(type, parts)):
-        for name, fact in facts.items():
-            object.__setattr__(value, name, fact)
 
 
 def _walk(first: tuple[int, ...], extras: _Extras = ()) -> tuple[tuple[int, ...], int]:
@@ -491,7 +480,7 @@ def _refuse(rows: list[Sequence[int]]) -> NoReturn:
 
 def matrix_to_text(a: AsmMatrix) -> str:
     """Canonical text form: one line per row, entries space-separated."""
-    return "\n".join(" ".join(str(v) for v in row) for row in a.rows) + "\n"
+    return "\n".join(" ".join(str(v) for v in row) for row in _matrix(a).rows) + "\n"
 
 
 def matrix_from_text(text: str) -> AsmMatrix:
@@ -514,7 +503,7 @@ def matrix_to_json(a: AsmMatrix) -> dict:
     """``{"n": n, "rows": [...]}``; the rows of a matrix whose rows are not
     written yet are written as lists straight from its view, and the
     matrix is left unwritten."""
-    rows = vars(a).get("rows")
+    rows = vars(_matrix(a)).get("rows")
     if rows is None:
         return {"n": a.n, "rows": _rows(*a._view, list)}
     return {"n": a.n, "rows": [list(row) for row in rows]}

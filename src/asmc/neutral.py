@@ -78,17 +78,15 @@ def pair_from_json(obj: dict) -> NeutralPair:
 
 def neutralize(a: AsmMatrix) -> NeutralPair:
     """Encode a one-minus ASM as a (neutral matrix, charge) pair.  The pair
-    of a matrix that is not neutral is kept on it (``_pair``, outside the
-    dataclass fields) when it keeps its view, as ``cells._cells`` keeps
-    the cells; a neutral matrix keeps nothing, as its pair holds it."""
-    pair = a.__dict__.get("_pair")
-    if pair is not None:
-        return pair
-    cells = _cells(a)  # raises NotOneMinus
+    of a matrix that is not neutral is kept on it (``_pair``, by the keep
+    rule of ``asmc.cells``); a neutral matrix keeps none, as its pair
+    holds it."""
+    cells = _cells(a)  # raises NotOneMinus, or BadArgument on a non-matrix
     if cells.sign is SignClass.NEUTRAL:
         return NeutralPair(a, 0)
-    pair = NeutralPair(_write(*_recharged(cells, 0)), cells.e)
-    if "_view" in a.__dict__:
+    pair = a.__dict__.get("_pair")
+    if pair is None:
+        pair = NeutralPair(_write(*_recharged(cells, 0)), cells.e)
         object.__setattr__(a, "_pair", pair)
     return pair
 
@@ -96,9 +94,16 @@ def neutralize(a: AsmMatrix) -> NeutralPair:
 def restore(pair: NeutralPair) -> AsmMatrix:
     """Inverse of :func:`neutralize`.  The matrix it returns keeps no pair:
     :func:`neutralize` of it recharges afresh."""
-    if pair.charge == 0:
+    if _checked(pair).charge == 0:
         return pair.matrix
     return _write(*_recharged(_cells(pair.matrix), pair.charge))
+
+
+def _checked(pair: NeutralPair) -> NeutralPair:
+    """``pair``, or :class:`InvalidPair` if it is not a :class:`NeutralPair`."""
+    if not isinstance(pair, NeutralPair):
+        raise InvalidPair(f"expected a NeutralPair, got {type(pair).__name__}")
+    return pair
 
 
 def _recharged(cells: _Cells, charge: int) -> _View:
@@ -115,7 +120,7 @@ def _recharged(cells: _Cells, charge: int) -> _View:
 def flip_charge(pair: NeutralPair) -> NeutralPair:
     """Reflect the charge within its admissible interval:
     ``E -> c(N) - ell(N) - E``.  An involution."""
-    sums = pair.sums
+    sums = _checked(pair).sums
     return NeutralPair(pair.matrix, sums.c - sums.ell - pair.charge)
 
 

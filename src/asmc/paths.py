@@ -68,7 +68,7 @@ from .inv_table import (
     table_params,
     table_valid,
 )
-from .matrix import _keep, _OnDemand, json_int
+from .matrix import _OnDemand, json_int
 from .neutral import NeutralPair
 
 STEP_DELTAS = {"E": (1, 0), "S": (0, -1), "F": (1, 0), "N": (1, 1)}
@@ -129,6 +129,10 @@ class MixedPath:
 class MixedConfiguration:
     paths: tuple[MixedPath, ...]
 
+    def __post_init__(self):
+        if isinstance(self.paths, list):  # frozen as a tuple
+            object.__setattr__(self, "paths", tuple(self.paths))
+
     @property
     def n(self) -> int:
         return len(self.paths)
@@ -178,14 +182,14 @@ def validate_config(cfg: MixedConfiguration) -> MixedConfiguration:
     Right sub-configurations, by :func:`_check_paths`.
 
     A configuration that keeps its table (:func:`config_from_table`) is
-    valid, and is returned at once.  One found valid is marked (see
-    ``matrix._keep``) and returned at once when checked again; a valid one
-    has tuple starts and string steps, so a tuple of its paths cannot
-    change under the mark.
+    valid, and is returned at once.  One found valid is marked
+    (``_valid``, by the keep rule of ``asmc.cells``) and returned at once
+    when checked again; a valid one has tuple starts and string steps, so
+    nothing can change under the mark.
     """
-    if isinstance(cfg, MixedConfiguration) and ("_table" in cfg.__dict__ or cfg.__dict__.get("_valid")):
+    if isinstance(cfg, MixedConfiguration) and ("_table" in cfg.__dict__ or "_valid" in cfg.__dict__):
         return cfg
-    _keep(cfg, (_check_paths(cfg).paths,), _valid=True)
+    object.__setattr__(_check_paths(cfg), "_valid", True)
     return cfg
 
 
@@ -204,7 +208,7 @@ def _check_paths(cfg: MixedConfiguration) -> MixedConfiguration:
     """
     if not isinstance(cfg, MixedConfiguration):
         raise MalformedConfiguration(f"expected a MixedConfiguration, got {type(cfg).__name__}")
-    if not isinstance(cfg.paths, (tuple, list)) or not all(isinstance(p, MixedPath) for p in cfg.paths):
+    if not isinstance(cfg.paths, tuple) or not all(isinstance(p, MixedPath) for p in cfg.paths):
         raise MalformedConfiguration("paths must be a tuple of MixedPath")
     problems: list[str] = []
     n = cfg.n
@@ -363,9 +367,8 @@ class _Paths(_OnDemand, MixedConfiguration):
 
 
 def _on_demand(t: GenInvTable) -> MixedConfiguration:
-    """The configuration of a valid table, keeping it.  It is stored
-    whatever ``matrix._keep`` would decide, as the configuration is
-    written from it; a valid table is immutable (an ``int`` tuple ``a``)."""
+    """The configuration of a valid table, keeping it; the configuration is
+    written from it."""
     cfg = object.__new__(_Paths)
     object.__setattr__(cfg, "_table", t)
     return cfg

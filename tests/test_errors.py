@@ -4,6 +4,7 @@ escapes, and no argument is coerced."""
 
 import pytest
 
+import asmc
 from asmc import (
     AsmMatrix,
     DischargeTuple,
@@ -126,3 +127,27 @@ def test_malformed_configuration_is_not_rendered(render, cfg):
     with pytest.raises(MalformedConfiguration) as info:
         render(cfg)
     assert info.value.problems
+
+
+MATRIX_READERS = [
+    "reflect", "minus_count", "inversions", "classical_params", "is_permutation_matrix", "perm_one_line",
+    "matrix_to_text", "matrix_to_json", "sign_class", "cell_sums", "charges", "geometry", "neutralize",
+    "swap_charges", "partial_discharge", "discharge", "perm_table",
+]
+PAIR_READERS = ["restore", "flip_charge", "gen_table", "config_from_pair"]
+DIAMOND = AsmMatrix(DIAMOND_ROWS)
+NOT_VALUES = {"none": None, "int": 3, "diamond": DIAMOND, "pair": NeutralPair(DIAMOND, 0)}
+
+
+@pytest.mark.parametrize("arg", ["none", "int", "pair"])
+@pytest.mark.parametrize("name", MATRIX_READERS)
+def test_matrix_reader_refuses_a_non_matrix(name, arg):
+    with pytest.raises(BadArgument, match=f"expected an AsmMatrix, got {type(NOT_VALUES[arg]).__name__}$"):
+        getattr(asmc, name)(NOT_VALUES[arg])
+
+
+@pytest.mark.parametrize("arg", ["none", "int", "diamond"])
+@pytest.mark.parametrize("name", PAIR_READERS)
+def test_pair_reader_refuses_a_non_pair(name, arg):
+    with pytest.raises(InvalidPair, match=f"expected a NeutralPair, got {type(NOT_VALUES[arg]).__name__}$"):
+        getattr(asmc, name)(NOT_VALUES[arg])

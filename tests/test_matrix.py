@@ -121,6 +121,22 @@ class TestValidate:
             assert accepted == grid_is_asm(grid), grid
 
 
+
+class TestEntry:
+    def test_reads_each_entry_at_its_1_based_position(self, diamond):
+        for m in (diamond, AsmMatrix(DIAMOND_ROWS), AsmMatrix([list(row) for row in DIAMOND_ROWS])):
+            assert tuple(tuple(m.entry(i, j) for j in range(1, 4)) for i in range(1, 4)) == DIAMOND_ROWS
+
+    @pytest.mark.parametrize(
+        "i, j", [(0, 0), (1, 0), (4, 1), (1, 4), (-1, 2), (True, 2), (2, False), (1.0, 1), ("1", 1), (None, 1)]
+    )
+    def test_an_index_that_is_not_an_int_in_1_to_n_is_refused(self, diamond, i, j):
+        """``entry(0, 0)`` once read the last entry, ``entry(True, 2)`` row 1
+        and ``entry(4, 1)`` leaked an ``IndexError``."""
+        with pytest.raises(BadArgument, match=r"in 1\.\.3"):
+            diamond.entry(i, j)
+
+
 def walk_outcome(grid):
     """What the line walk of ``validate_asm`` names on a square grid of
     -1, 0 and 1: the first line that breaks the alternating law, columns
@@ -145,10 +161,11 @@ class TestKeptView:
         for n in range(1, 7):
             for m in all_asm(n):
                 v = validate_asm(m.rows)
-                assert vars(v).keys() == {"rows", "_view"}
+                assert vars(v).keys() == {"_view"}
                 assert vars(v)["_view"] == _sparse(AsmMatrix(m.rows))
                 matrices += 1
                 several += len(vars(v)["_view"][1]) > 1
+                assert v.rows == m.rows and vars(v).keys() == {"rows", "_view"}
         assert (matrices, several) == (7917, 4427)
 
     def test_reflection_with_several_minus_ones_writes_rows_when_read(self):
@@ -367,9 +384,14 @@ class TestSparseView:
     @pytest.mark.parametrize("reader", [reflect, classical_params, minus_count, charges, perm_one_line])
     def test_rows_the_scan_cannot_read_raise_what_validate_asm_raises(self, rows, reader):
         """Among them ``((1, 0), (1, 0))``: every row a lone 1, and column 1
-        with two 1s, which the readers once read as a permutation."""
+        with two 1s, which the readers once read as a permutation.  A row
+        that is not iterable is refused when the matrix is built."""
         expected = outcome(validate_asm, rows)
         assert expected[0] is not None
+        if rows == (1, 0):
+            assert outcome(AsmMatrix, rows) == expected
+            assert expected == (NotSquare, "expected a square matrix given as rows: 'int' object is not iterable")
+            return
         assert outcome(reader, AsmMatrix(rows)) == expected
         if rows == ((1, 0), (1, 0)):
             assert expected == (AlternationViolation, "column 1: two 1s with no -1 between them")

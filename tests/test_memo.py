@@ -1,14 +1,7 @@
-"""Facts kept on values outside their dataclass fields: the sparse view
-of a matrix, kept by the writers (``matrix._on_demand``,
-``matrix.validate_asm``) or by the one scan of any other matrix built on
-tuples (``matrix._sparse``), what the sparse-view reader of
-``asmc.cells`` reads off a matrix (its first 1s, landmarks, sign class,
-cell sums and charge), kept by ``cells._cells``, the pair of a matrix
-that is not neutral, kept by ``neutral.neutralize``, the table of a
-pair, kept by ``inv_table.gen_table``, the mark of a valid table, kept by
-``inv_table.table_valid``, the table of a mixed configuration built from
-a valid table, kept by ``paths.config_from_table``, and the mark of one
-that has passed validation, kept by ``matrix._keep``.
+"""Facts kept on values outside their dataclass fields, by the one keep
+rule stated in the ``asmc.cells`` module docstring: every value is
+immutable once built, so the function that computes a fact keeps it on
+its argument.
 
 A kept view must equal a fresh scan of the dense rows, every kept cells
 fact the landmarks and cell sums searched and summed by definition on
@@ -18,8 +11,9 @@ fresh copy, a kept table of a pair the table read on the dense rows
 read off the paths (``conftest.strings_table``), and a kept mark a fresh
 validation; no kept fact may change what a value is: equality, hashing
 and repr see only the dataclass fields, and a value built over lists
-keeps nothing.  No inverse seeds a fact on what it returns, so each
-round trip still computes both directions.
+freezes them, so it equals its twin built over tuples.  No inverse seeds
+a fact on what it returns, so each round trip still computes both
+directions.
 """
 
 import copy
@@ -222,35 +216,86 @@ class TestValueSemantics:
         assert repr(pair) == repr(twins[1][1]) and "_table" not in repr(pair)
 
     @pytest.mark.parametrize("frame", [list, tuple])
-    def test_matrix_over_lists_follows_its_rows(self, frame):
+    def test_matrix_over_lists_is_frozen(self, frame):
+        """A matrix built over the caller's lists copies them once, as a
+        tuple of tuples; changing the lists afterwards changes neither the
+        matrix nor the facts it keeps."""
         by_class = {sign_class(m): m for m in one_minus(4)}
         first, second = by_class[SignClass.POSITIVE], by_class[SignClass.NEGATIVE]
         rows = frame([list(row) for row in first.rows])
         m = AsmMatrix(rows)
-        assert charges(m) == charges(first)
-        assert geometry(m) == geometry(first)
-        assert tuple(map(tuple, neutralize(m).matrix.rows)) == neutralize(first).matrix.rows
+        assert m.rows == first.rows and type(m.rows) is tuple
+        assert charges(m) == charges(first) and geometry(m) == geometry(first)
+        pair = neutralize(m)
+        assert pair == neutralize(first)
         for row, new in zip(rows, second.rows):
             row[:] = new
-        assert charges(m) == charges(second)
-        assert sign_class(m) is SignClass.NEGATIVE
-        assert tuple(map(tuple, swap_charges(m).rows)) == swap_charges(second).rows
-        assert vars(m).keys() == {"rows"}
+        if frame is list:
+            rows.append([0] * 4)
+        assert m == first and hash(m) == hash(first) and m.rows == first.rows
+        assert charges(m) == charges(first) and sign_class(m) is SignClass.POSITIVE
+        assert neutralize(m) is pair and swap_charges(m) == swap_charges(first)
+        assert kept_facts(m) == {"_view", "_cells", "_pair"}
 
-    def test_configuration_over_a_list_is_validated_again(self, pair12):
+    def test_configuration_over_a_list_is_frozen(self, pair12):
+        """A configuration built over a list of paths copies it once, as a
+        tuple; reordering the list afterwards leaves it valid and keeping
+        its mark."""
         cfg = config_from_pair(pair12)
         paths = list(cfg.paths)
         loose = MixedConfiguration(paths)
+        assert type(loose.paths) is tuple and loose == cfg and hash(loose) == hash(cfg)
         assert config_params(loose) == config_params(cfg)
         assert pair_from_config(loose) == pair12
-        assert vars(loose).keys() == {"paths"}
+        assert kept_facts(loose) == {"_valid"}
         paths[0], paths[1] = paths[1], paths[0]
-        with pytest.raises(MalformedConfiguration):
-            validate_config(loose)
-        with pytest.raises(MalformedConfiguration):
-            config_params(loose)
-        with pytest.raises(MalformedConfiguration):
-            pair_from_config(loose)
+        paths.pop()
+        assert loose == cfg and validate_config(loose) is loose
+        assert config_params(loose) == config_params(cfg) and pair_from_config(loose) == pair12
+        assert kept_facts(loose) == {"_valid"}
+
+
+class TestFrozenValues:
+    """A matrix, pair or configuration built over lists equals its twin
+    built over tuples, hashes the same, serves as a set and dict key, and
+    keeps facts that check out against the dense oracles."""
+
+    @staticmethod
+    def check(m: AsmMatrix, key) -> None:
+        pair = neutralize(m)
+        cfg = config_from_pair(pair)
+        listed = (
+            AsmMatrix([list(row) for row in m.rows]),
+            NeutralPair(AsmMatrix([list(row) for row in pair.matrix.rows]), pair.charge),
+            MixedConfiguration(list(cfg.paths)),
+        )
+        twins = (AsmMatrix(tuple(m.rows)), NeutralPair(AsmMatrix(tuple(pair.matrix.rows)), pair.charge), cfg)
+        for value, twin in zip(listed, twins):
+            assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+            assert {value, twin} == {twin} and {twin: key}[value] == key
+        a, p, c = listed
+        assert neutralize(a) == pair and classical_params(a) == classical_params(m)
+        assert gen_table(p) == gen_table(pair) and config_params(c) == config_params(cfg)
+        neutral = sign_class(m) is SignClass.NEUTRAL
+        assert kept_facts(a) == {"_view", "_cells"} | (set() if neutral else {"_pair"})
+        assert kept_facts(p) == {"pair_table", "_view", "_cells"}
+        assert kept_facts(c) == {"_valid"}
+
+    def test_every_one_minus_matrix_up_to_order_5(self):
+        matrices = 0
+        for n in range(3, 6):
+            for m in one_minus(n):
+                self.check(m, n)
+                matrices += 1
+        assert matrices == 1 + 16 + 200
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_tables_at_large_n(self, seed):
+        rng = random.Random(seed)
+        for n in (25, rng.randint(26, 199), 200):
+            m = restore(pair_from_table(random_valid_table(rng, n)))
+            self.check(m, n)
+            self.check(reflect(m), n)
 
 
 @pytest.fixture
@@ -367,12 +412,12 @@ class TestEachFactOnce:
         grid.append([0] * 12)
         assert a == charged12 and parsed == charged12 and a.rows == charged12.rows
 
-    def test_a_grid_of_tuple_rows_keeps_them(self, charged12):
+    def test_a_grid_of_tuple_rows_keeps_only_its_view(self, charged12):
         rows = tuple(tuple(row) for row in charged12.rows)
         for grid in (rows, list(rows)):
             a = validate_asm(grid)
-            assert vars(a).keys() == {"rows", "_view"}
-            assert len(a.rows) == len(rows) and all(x is y for x, y in zip(a.rows, rows))
+            assert vars(a).keys() == {"_view"}
+            assert a == AsmMatrix(grid) == charged12 and a.rows == rows
 
     def test_json_of_an_unread_matrix_leaves_it_unread(self):
         rng = random.Random(6)
