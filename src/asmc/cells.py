@@ -33,21 +33,22 @@ sign class, ``ell``, ``c``, ``x`` and ``E`` together, and reads a
 negative matrix through the mirrored view (``matrix._mirror``, which
 relabels column ``j`` as ``n+1-j``).  :func:`_points` reads the view
 (``matrix._sparse``: the view a matrix keeps, or the one scan of any
-other) and checks that it has one -1.  :func:`_write` is the one writer:
-it checks a one-minus view against the alternating laws in O(n log n)
-(:func:`_is_points_form`) and returns a matrix that keeps it, for
-``discharge._recharge`` and ``inv_table.pair_from_table``.
+other) and checks that it has one -1.  This module only reads views:
+``matrix._write``, the one writer, checks a view with the one check of
+the alternating law (``matrix._alternates``) and returns a matrix that
+keeps it.
 
-The keep rule.  Every value is immutable once built: ``AsmMatrix`` and
-``MixedConfiguration`` freeze the rows and paths they are given as
-tuples, and a table is marked only once ``inv_table.table_valid`` has
-found its fields ``int`` values and a tuple of them.  So each fact about
-a value is computed once and kept on the value, outside its dataclass
-fields, where equality, hashing and repr never see it; the function that
-computes a fact keeps it, on its own argument, with no other condition:
+The keep rule.  Every value is immutable once built: ``AsmMatrix``,
+``MixedConfiguration``, ``MixedPath`` and ``GenInvTable`` freeze the
+rows, paths, start and entries they are given as tuples, and a table is
+marked only once ``inv_table.table_valid`` has found its fields ``int``
+values and a tuple of them.  So each fact about a value is computed once
+and kept on the value, outside its dataclass fields, where equality,
+hashing and repr never see it; the function that computes a fact keeps
+it, on its own argument, with no other condition:
 
-* ``matrix._sparse`` the sparse view of a matrix (``_view``), which the
-  writers and ``matrix.validate_asm`` store on the matrix they return;
+* ``matrix._sparse`` the sparse view of a matrix (``_view``), which
+  ``matrix._write`` and ``matrix.validate_asm`` store on what they return;
 * :func:`_cells` what :func:`_read` reads off that view (``_cells``);
 * ``neutral.neutralize`` the pair of a matrix (``_pair``);
 * ``inv_table.gen_table`` the table of a pair (``_table``);
@@ -71,7 +72,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NegativeClass, NotOneMinus
-from .matrix import _INT_ONLY, AsmMatrix, _Extras, _mirror, _on_demand, _refuse, _rows, _sparse, _View
+from .matrix import AsmMatrix, _Extras, _mirror, _sparse, _View
 
 
 class SignClass(Enum):
@@ -196,37 +197,6 @@ def _cells(a: AsmMatrix) -> _Cells:
         cells = _read(*_points(a))
         object.__setattr__(a, "_cells", cells)
     return cells
-
-
-def _is_points_form(first: tuple[int, ...], extras: _Extras) -> bool:
-    """Whether ``(first, ((closing_row, opening_col, closing_col),))`` is
-    the sparse view of a one-minus ASM, in O(n log n).  Every row but the
-    closing row holds one 1, and the closing row holds 1, -1, 1 in
-    increasing columns, so the rows alternate; every column holds one 1
-    but the opening column, whose -1 on the closing row alternates when
-    its two 1s lie one above and one below it."""
-    ((closing_row, opening_col, closing_col),) = extras
-    n = len(first)
-    return (
-        _INT_ONLY.issuperset(map(type, (*first, closing_row, opening_col, closing_col)))
-        and 1 < closing_row < n
-        and first[closing_row - 1] < opening_col < closing_col <= n
-        and sorted((*first, closing_col)) == [*range(1, opening_col + 1), *range(opening_col, n + 1)]
-        and opening_col in first[: closing_row - 1]
-        and opening_col in first[closing_row:]
-    )
-
-
-def _write(first: tuple[int, ...], extras: _Extras) -> AsmMatrix:
-    """The one writer of a one-minus matrix: the matrix with sparse view
-    ``(first, extras)``, tuples with one extra pair, checked on the view
-    (:func:`_is_points_form`), which it keeps; ``matrix._rows`` writes its
-    rows when first read, and :func:`_cells` reads the view when first
-    asked.  The rows of a view the check rejects are handed to
-    ``validate_asm``, which names what is wrong."""
-    if not _is_points_form(first, extras):
-        _refuse(_rows(first, extras))
-    return _on_demand((first, extras))
 
 
 def sign_class(a: AsmMatrix) -> SignClass:

@@ -27,15 +27,16 @@ the closing row, and steps 3 and 4 run as one pass over rows k..closing
 row, so only rows k..n are touched.  Recharging runs the steps backwards
 on the word and ends on the sparse view of the matrix it rebuilds
 (:func:`_recharge`), which ``neutral`` works on without writing it.
-Only a matrix that is returned is built, by ``matrix.perm_matrix`` or
-``cells._write``, which check it on its view and keep it.
+Only a matrix that is returned is built, by ``matrix._write``, which
+checks it on its view with the one check of the alternating law and
+keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import SignClass, _Cells, _cells, _write
+from .cells import SignClass, _Cells, _cells
 from .displacement import Region, _displace, _targets
 from .errors import (
     BadArgument,
@@ -45,7 +46,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
 )
-from .matrix import AsmMatrix, _View, json_int, matrix_from_json, matrix_to_json, perm_matrix, perm_one_line
+from .matrix import AsmMatrix, _View, _write, json_int, matrix_from_json, matrix_to_json, perm_one_line
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def _non_negative(a: AsmMatrix) -> _Cells:
 
 def partial_discharge(a: AsmMatrix) -> AsmMatrix:
     """Run the four discharge steps; returns a permutation matrix."""
-    return perm_matrix(_discharge_word(_non_negative(a)))
+    return _write(_discharge_word(_non_negative(a)), ())
 
 
 def _discharge_word(cells: _Cells) -> tuple[int, ...]:
@@ -150,7 +151,7 @@ def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
     closing_cell = Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col)
     points = list(enumerate(cells.first, start=1))  # step 1
     cols = dict(_displace(points, closing_cell, columns=True, inverse=False))
-    return perm_matrix([cols.get(q) for q in range(1, a.n + 1)])
+    return _write(tuple([cols.get(q) for q in range(1, a.n + 1)]), ())
 
 
 def discharge(a: AsmMatrix) -> DischargeTuple:
@@ -158,7 +159,7 @@ def discharge(a: AsmMatrix) -> DischargeTuple:
     cells = _non_negative(a)
     return DischargeTuple(
         opening_row=cells.geometry.opening_row,
-        perm=perm_matrix(_discharge_word(cells)),
+        perm=_write(_discharge_word(cells), ()),
         closing_sum=cells.sums.c,
         charge=cells.e,
     )

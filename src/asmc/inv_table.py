@@ -27,9 +27,9 @@ that also counts ``i``, over the sparse view of the matrix (a
 permutation has no extra pair): bottom-up, keeping the sorted columns
 whose entries below the row sum to 1, so each ``a_i`` is a ``bisect``.
 Decoding reads rows top-down, keeping the sorted columns with no 1 above
-the row, so each ``a_i`` pops the row's column.  ``matrix.perm_matrix``
-writes a permutation and ``cells._write`` a one-minus matrix, each
-checking it on its view rather than on the dense rows.
+the row, so each ``a_i`` pops the row's column.  ``matrix._write``
+writes a permutation (through ``matrix.perm_matrix``) or a one-minus
+matrix, checking it on its view rather than on the dense rows.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import NamedTuple, Sequence
 
-from .cells import _cells, _write
+from .cells import _cells
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
-from .matrix import _INT_ONLY, AsmMatrix, _text_ints, _walk, json_int, perm_matrix, perm_one_line
+from .matrix import _INT_ONLY, AsmMatrix, _text_ints, _walk, _write, json_int, perm_matrix, perm_one_line
 from .neutral import NeutralPair, _checked
 
 
@@ -93,15 +93,19 @@ def perm_from_table(a: Sequence[int]) -> AsmMatrix:
 class GenInvTable:
     """The encoding ``(k; a_1..a_n; b, beta)`` of a neutral pair.
 
-    Instances are plain records; :func:`table_valid` returns one that
-    meets the characterization, marked so that it is not checked again,
-    and raises on any other.
+    Instances are plain records, a list ``a`` frozen as a tuple;
+    :func:`table_valid` returns one that meets the characterization,
+    marked so that it is not checked again, and raises on any other.
     """
 
     k: int
     a: tuple[int, ...]
     b: int
     beta: int
+
+    def __post_init__(self):
+        if isinstance(self.a, list):  # frozen as a tuple
+            object.__setattr__(self, "a", tuple(self.a))
 
     @property
     def n(self) -> int:
@@ -213,7 +217,7 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     the row's (leftmost) 1, which it pops.  On the closing row the -1
     frees the opening column again, and the closing 1 takes the free
     column that leaves ``b`` of them strictly between the two.  The one
-    writer of :mod:`asmc.cells` writes the matrix.  The pair does not
+    writer, ``matrix._write``, writes the matrix.  The pair does not
     keep ``t``: :func:`gen_table` of it reads the table afresh.
     """
     table_valid(t)

@@ -22,7 +22,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AlternationViolation,
@@ -47,13 +47,11 @@ class AsmMatrix:
     The constructor does *not* re-check the alternating law; it freezes
     its rows as a tuple of tuples, copying a list or any non-tuple row
     once, and raises :class:`NotSquare` on rows that are not a tuple or
-    list, or on a row that is not iterable.  The writers check what they
-    are given: :func:`validate_asm`, the only check on caller input (the
-    text and JSON readers and the CLI go through it), checks every entry
-    and the alternating law with its one check, :func:`_scan`;
-    :func:`perm_matrix` and ``cells._write`` check a permutation word or a
-    one-minus view in O(n log n), and on an input they reject raise what
-    :func:`validate_asm` raises on its dense rows.
+    list, or on a row that is not iterable.  One check of the alternating
+    law, :func:`_alternates`, checks a sparse view in O(n + s):
+    :func:`validate_asm`, the only check on caller input, runs it on the
+    view :func:`_scan` reads off the rows, and :func:`_write`, the one
+    writer of a view, on the view it is given.
 
     Every matrix keeps its *sparse view* ``_view = (first, extras)``
     (:func:`_sparse`, by the keep rule of ``asmc.cells``): the column of
@@ -141,11 +139,12 @@ def validate_asm(grid: Iterable[Sequence[int]]) -> AsmMatrix:
     :class:`AlternationViolation` or :class:`SumViolation` on the first
     law the grid breaks (entries row by row, then columns before rows).
     Entries must be ``int`` -1, 0 or 1; booleans, floats and strings are
-    bad entries, not converted.  The one check of the alternating law
-    (:func:`_scan`) tests the type of every entry, then reads the sparse
-    view off the rows as given; the matrix returned keeps only that view
-    (by the keep rule of ``asmc.cells``), so it neither holds nor copies
-    the caller's rows, which are written from the view when first read.
+    bad entries, not converted.  The one scan (:func:`_scan`) tests the
+    type of every entry, then reads the sparse view off the rows as given
+    and checks it (:func:`_alternates`); the matrix returned keeps only
+    that view (by the keep rule of ``asmc.cells``), so it neither holds
+    nor copies the caller's rows, which are written from the view when
+    first read.
     """
     rows = _grid(grid)
     n = len(rows)
@@ -231,26 +230,17 @@ def perm_one_line(a: AsmMatrix) -> tuple[int, ...]:
 
 
 def perm_matrix(word: Sequence[int]) -> AsmMatrix:
-    """Permutation matrix from a 1-based one-line word.
-
-    The word is checked to be a permutation of ``1..n`` made of ``int``s,
-    in O(n log n), and the matrix keeps the sparse view ``(word, ())``:
-    :func:`perm_one_line` reads the word off it, and :func:`_rows` writes
-    the rows when first read (see :class:`AsmMatrix`).  Any other word is
-    written densely, an entry that is not an ``int`` in ``1..n`` leaving
-    its row zero, and :func:`validate_asm` names what is wrong.
+    """Permutation matrix from a 1-based one-line word: the matrix the one
+    writer, :func:`_write`, builds on the view ``(word, ())``, from which
+    :func:`perm_one_line` reads the word back.  On any other word it
+    raises what :func:`validate_asm` raises on the dense rows, an entry
+    that is not an ``int`` in ``1..n`` leaving its row zero.
     """
     try:
-        n = len(word)
+        len(word)
     except TypeError as exc:
         raise NotSquare(f"expected a one-line word, got {type(word).__name__}") from exc
-    if n and _INT_ONLY.issuperset(map(type, word)) and sorted(word) == list(range(1, n + 1)):
-        return _on_demand((tuple(word), ()))
-    rows = [[0] * n for _ in word]
-    for row, c in zip(rows, word):
-        if type(c) is int and 1 <= c <= n:
-            row[c - 1] = 1
-    _refuse(rows)
+    return _write(tuple(word), ())
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +292,7 @@ def _sparse(a: AsmMatrix) -> _View:
     bottom row first and right to left, with the 1 right of it.  A matrix
     keeps it (``_view``, by the keep rule of ``asmc.cells``), and reading
     it writes no rows; a matrix built on its rows alone is read once by
-    the one check of the alternating law (:func:`_scan`).  Rows that break
+    the one scan, :func:`_scan`, and its check.  Rows that break
     the law raise what :func:`validate_asm` raises on them, and an
     argument that is not a matrix raises :class:`BadArgument`."""
     try:
@@ -314,7 +304,7 @@ def _sparse(a: AsmMatrix) -> _View:
     rows = _matrix(a).rows
     view = _scan(rows)
     if view is None:
-        _refuse(rows)
+        validate_asm(rows)  # raises, as its own scan fails too
     object.__setattr__(a, "_view", view)
     return view
 
@@ -327,17 +317,13 @@ def _matrix(a: AsmMatrix) -> AsmMatrix:
 
 
 def _scan(rows: Sequence[Sequence[int]]) -> _View | None:
-    """The sparse view of ``rows`` if they are an ASM, or None: the one
-    check of the alternating law.  Every entry must be an ``int``, which
-    one pass over the grid tests first, so that no bool, float or str is
-    read as the int it equals.  Each row is then read once, in C: the
-    column of its first 1, and for a row with more nonzero entries than
-    that, its nonzero columns, whose entries must read 1, -1, ..., 1.  The
-    column law is then checked on the view in O(n + s), walking the rows
-    top down with one state per column: a 1 needs its column closed and
-    opens it, and a -1 closes it.  That is the whole law: the n + s 1s
-    each open a column and at most n columns are open, so each of the s
-    -1s closes an open one, and every column ends open."""
+    """The sparse view of ``rows`` if they are an ASM, or None.  Every
+    entry must be an ``int``, which one pass over the grid tests first, so
+    that no bool, float or str is read as the int it equals.  Each row is
+    then read once, in C: the column of its first 1, and for a row with
+    more nonzero entries than that, its nonzero columns, whose entries
+    must read 1, -1, ..., 1.  The view is then checked by the one check
+    of the alternating law, :func:`_alternates`."""
     n = len(rows)
     if not n or list(map(type, chain.from_iterable(rows))).count(int) != n * n:
         return None
@@ -352,19 +338,40 @@ def _scan(rows: Sequence[Sequence[int]]) -> _View | None:
             if len(row) != n or [row[j - 1] for j in nonzero] != [1, -1] * (len(nonzero) // 2) + [1]:
                 return None
             pairs += zip(repeat(q), nonzero[1::2], nonzero[2::2])
+    extras = tuple(reversed(pairs))
+    return (first, extras) if _alternates(first, extras) else None
+
+
+def _alternates(first: tuple[int, ...], extras: _Extras) -> bool:
+    """Whether ``(first, extras)`` is the sparse view of an ASM: the one
+    check of the alternating law, in O(n + s).  Every entry must be an
+    ``int`` and every column of ``first`` in ``1..n``.  The walk then goes
+    down the rows with one state per column, taking each row's pairs left
+    to right, right of its first 1 in increasing columns up to n (so the
+    row reads 1, -1, ..., 1): a 1 needs its column closed and opens it, a
+    -1 closes it, and every pair must be reached.  That is the whole law:
+    the n + s 1s each open a column and at most n are open, so each -1
+    closes an open one, and every column ends open."""
+    n = len(first)
+    if not (n and _INT_ONLY.issuperset(map(type, chain(first, chain.from_iterable(extras))))
+            and 0 < min(first) and max(first) <= n):
+        return False
     is_open = bytearray(n + 1)  # by column: the entries above sum to 1
-    pending = iter(pairs)
-    at, minus, plus = next(pending, (0, 0, 0))
+    pending = reversed(extras)  # top row first, each row left to right
+    reached = 0
+    at, minus, plus = next(pending, (0, 0, 0))  # row 0, which the walk never reaches
     for q, col in enumerate(first, start=1):
         if is_open[col]:
-            return None
+            return False
         is_open[col] = 1
         while q == at:
-            if is_open[plus]:
-                return None
+            if not col < minus < plus <= n or is_open[plus]:
+                return False
             is_open[minus], is_open[plus] = 0, 1
+            col = plus
+            reached += 1
             at, minus, plus = next(pending, (0, 0, 0))
-    return first, tuple(reversed(pairs))
+    return reached == len(extras)
 
 
 def _walk(first: tuple[int, ...], extras: _Extras = ()) -> tuple[tuple[int, ...], int]:
@@ -464,12 +471,24 @@ def _on_demand(view: _View) -> AsmMatrix:
     return a
 
 
-def _refuse(rows: list[Sequence[int]]) -> NoReturn:
-    """Raise what :func:`validate_asm` raises on ``rows``, the dense rows of
-    an input a writer's own check rejected.  Should it accept them, raise
-    :class:`InternalInvariantViolation`: the rows are an ASM but not the
-    one the input stands for (a view whose writes land on one position,
-    or whose 1 is given left of its -1), or the check is too strict."""
+def _write(first: tuple[int, ...], extras: _Extras) -> AsmMatrix:
+    """The one writer: the matrix with sparse view ``(first, extras)``, any
+    number of pairs, checked by :func:`_alternates` and kept.  On a view
+    the check rejects it raises what :func:`validate_asm` raises on the
+    dense rows of the view's ``int`` entries in ``1..n``; should those pass,
+    they are not the matrix the view stands for (an entry left unwritten,
+    writes on one position, a 1 given left of its -1), or the check is
+    too strict, and it raises :class:`InternalInvariantViolation`."""
+    if _alternates(first, extras):
+        return _on_demand((first, extras))
+    n = len(first)
+    rows = [[0] * n for _ in first]
+    writes = [(q, col, 1) for q, col in enumerate(first, start=1)]
+    for q, minus, plus in extras:
+        writes += (q, minus, -1), (q, plus, 1)
+    for q, col, v in writes:
+        if type(q) is int and type(col) is int and 1 <= q <= n and 1 <= col <= n:
+            rows[q - 1][col - 1] = v
     validate_asm(rows)
     raise InternalInvariantViolation("the rows are an ASM, but the writer's check rejected its input")
 

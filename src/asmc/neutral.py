@@ -15,7 +15,7 @@ the discharge word of the matrix, recharged with the same ``k`` and
 ``c + E`` and the new charge, 0 to neutralize and E to restore.  A
 negative matrix, or a negative charge, is taken through the mirrored
 view, so no reflected matrix is written.  Only the matrix returned is
-built, by ``cells._write``, which checks it on its view and keeps it;
+built, by ``matrix._write``, which checks it on its view and keeps it;
 its rows are written when first read, and its landmarks and cell sums
 read once off its view (``cells._cells``), which is all
 :class:`NeutralPair` checks its invariants on.
@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellSums, SignClass, _Cells, _cells, _read, _write
+from .cells import CellSums, SignClass, _Cells, _cells, _read
 from .discharge import _discharge_word, _recharge
 from .errors import InvalidPair, NotOneMinus, ParseError
-from .matrix import AsmMatrix, _mirror, _View, json_int, matrix_from_json, matrix_to_json
+from .matrix import AsmMatrix, _mirror, _View, _write, json_int, matrix_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)

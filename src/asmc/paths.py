@@ -82,10 +82,15 @@ Run = tuple[int, int, int]  # (level, first x, last x)
 
 @dataclass(frozen=True)
 class MixedPath:
-    """A path as its start vertex plus a step string like ``"EESFF"``."""
+    """A path as its start vertex plus a step string like ``"EESFF"``; a
+    list start is frozen as a tuple."""
 
     start: Vertex
     steps: str
+
+    def __post_init__(self):
+        if isinstance(self.start, list):  # frozen as a tuple
+            object.__setattr__(self, "start", tuple(self.start))
 
     def vertices(self) -> tuple[Vertex, ...]:
         # Through a list, so the tuple is allocated at its final length: a

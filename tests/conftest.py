@@ -17,7 +17,6 @@ from types import SimpleNamespace
 import pytest
 
 import asmc
-import asmc.cells
 import asmc.matrix
 from asmc import (
     AsmcError,
@@ -208,33 +207,37 @@ def dense_from_table(t) -> AsmMatrix:
 
 # ---------------------------------------------------------------------------
 # the writers and the inversion count on dense rows: the oracles of the
-# view checks of ``cells._write`` and ``perm_matrix`` and of the
+# one writer (``matrix._write``, which ``perm_matrix`` calls) and of the
 # south-west walk (``matrix._walk``) that ``inversions`` and
 # ``classical_params`` run over the sparse view
 
 
 def dense_write(first, extras) -> AsmMatrix:
-    """The one-minus matrix with this sparse view, ``(first, ((closing_row,
-    opening_col, closing_col),))``, written on zero rows and checked by
-    ``validate_asm``.  Rows that are an ASM but whose view, read back off
-    them, is not the one given raise :class:`InternalInvariantViolation`:
-    writes that landed on one position, a closing row given with its two
-    1s swapped, or no -1 at all."""
+    """The matrix with this sparse view, ``(first, extras)`` with any number
+    of ``(row, minus_col, plus_col)`` pairs, bottom row first and right to
+    left, written on zero rows (an entry that is not an ``int`` in ``1..n``
+    is not written) and checked by ``validate_asm``.  Rows that are an ASM
+    but whose view, read back off them by a walk over every entry, is not
+    the one given raise :class:`InternalInvariantViolation`: writes that
+    landed on one position, a pair whose 1 is given left of its -1, pairs
+    out of order, or an entry left unwritten."""
     view = (first, extras)
-    rows = [[0] * len(first) for _ in first]
-    for row, col in zip(rows, first):
-        row[col - 1] = 1
-    for closing_row, opening_col, closing_col in extras:
-        line = rows[closing_row - 1]
-        line[opening_col - 1] = -1
-        line[closing_col - 1] = 1
+    n = len(first)
+    rows = [[0] * n for _ in first]
+    writes = [(q, col, 1) for q, col in enumerate(first, start=1)]
+    for q, minus, plus in extras:
+        writes += [(q, minus, -1), (q, plus, 1)]
+    for q, col, v in writes:
+        if type(q) is int and type(col) is int and 1 <= q <= n and 1 <= col <= n:
+            rows[q - 1][col - 1] = v
     a = validate_asm(rows)
-    lines = [i for i, row in enumerate(a.rows, start=1) if -1 in row]
-    if lines:
-        line = a.rows[lines[0] - 1]
-        minus = line.index(-1) + 1
-        back = tuple(row.index(1) + 1 for row in a.rows), ((lines[0], minus, line.index(1, minus) + 1),)
-    if not lines or back != view:
+    back_first, pairs = [], []
+    for q, row in enumerate(a.rows, start=1):
+        nonzero = [j for j, v in enumerate(row, start=1) if v]  # 1, -1, 1, ..., 1
+        back_first.append(nonzero[0])
+        pairs += [(q, minus, plus) for minus, plus in zip(nonzero[1::2], nonzero[2::2])]
+    back = tuple(back_first), tuple(reversed(pairs))
+    if back != view or any(type(q) is not int or type(col) is not int for q, col, _ in writes):
         raise InternalInvariantViolation(f"{view} is not the sparse view of the rows it writes")
     return a
 
@@ -544,8 +547,8 @@ def random_valid_table(rng: random.Random, n: int) -> GenInvTable:
 # matrix, on average, allowed to each operation on a fresh copy of the
 # matrix: each scans once (1.0 measured), with 15% headroom
 ORDER7_SCANS = {"charges": 1.15, "neutralize": 1.15, "swap_charges": 1.15}
-# view checks (``cells._is_points_form`` calls) allowed to one call of
-# each operation: one per matrix it returns
+# writes of a checked view (``matrix._write`` calls) allowed to one call
+# of each operation: one per matrix it returns
 ORDER7_VALIDATIONS = {"neutralize": 1, "restore": 1, "swap_charges": 2}
 
 
@@ -583,13 +586,14 @@ def dense_reads():
 @pytest.fixture(scope="session")
 def order7_calls():
     """One walk over all order-7 one-minus matrices, counting the dense
-    scans (``_sparse`` calls on a matrix keeping no view),
-    ``_is_points_form`` (the check of a written matrix), ``validate_asm``
-    and ``reflect`` calls in every ``asmc`` module that binds them.
+    scans (``_sparse`` calls on a matrix keeping no view), ``_write``
+    (the one writer, which checks the view of a written matrix),
+    ``validate_asm`` and ``reflect`` calls in every ``asmc`` module that
+    binds them.
 
     Returns the modules wrapped for each name, the number of matrices,
     the total dense scans of each operation in ``ORDER7_SCANS``, and
-    the most ``_is_points_form`` calls (``most``), ``validate_asm`` calls
+    the most ``_write`` calls (``most``), ``validate_asm`` calls
     (``dense``) and ``reflect`` calls (``reflects``) of one call of each
     operation in ``ORDER7_VALIDATIONS``. The wrapping is undone before the
     tests read it.
@@ -598,7 +602,7 @@ def order7_calls():
     """
     counted = (
         (asmc.matrix, "_sparse"),
-        (asmc.cells, "_is_points_form"),
+        (asmc.matrix, "_write"),
         (asmc.matrix, "validate_asm"),
         (asmc.matrix, "reflect"),
     )
@@ -615,7 +619,7 @@ def order7_calls():
         if name in scans:
             scans[name] += calls["_sparse"]
         if name in most:
-            most[name] = max(most[name], calls["_is_points_form"])
+            most[name] = max(most[name], calls["_write"])
             dense[name] = max(dense[name], calls["validate_asm"])
             reflects[name] = max(reflects[name], calls["reflect"])
         return out

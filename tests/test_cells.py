@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import asmc
 import asmc.cells
@@ -22,8 +24,18 @@ from asmc import (
     sign_class,
     validate_asm,
 )
-from asmc.cells import _cells, _mirror, _points, _read, _write
-from conftest import ORDER7_SCANS, dense_cells, dense_reflection, dense_write, one_minus, outcome, random_valid_table
+from asmc.cells import _cells, _mirror, _points, _read
+from asmc.matrix import _scan, _sparse, _write
+from conftest import (
+    ORDER7_SCANS,
+    all_asm,
+    dense_cells,
+    dense_reflection,
+    dense_write,
+    one_minus,
+    outcome,
+    random_valid_table,
+)
 
 
 def check_reader(a: AsmMatrix) -> None:
@@ -65,11 +77,26 @@ class TestPointsReader:
             check_reader(reflect(m))
 
 
+@st.composite
+def views(draw) -> tuple:
+    """A view of order 3 to 7 with 0 to 3 pairs and entries in ``0..n+1``,
+    ``first`` a permutation or not and the pairs in the view's order
+    (bottom row first, right to left) or not."""
+    n = draw(st.integers(3, 7))
+    entry = st.integers(0, n + 1)
+    first = draw(st.permutations(range(1, n + 1)) | st.lists(entry, min_size=n, max_size=n))
+    extras = draw(st.lists(st.tuples(entry, entry, entry), max_size=3))
+    if draw(st.booleans()):
+        extras.sort(reverse=True)
+    return tuple(first), tuple(extras)
+
+
 class TestWriter:
     """``_write`` checks the sparse view, not the rows it writes; it must
     accept exactly the views ``dense_write`` accepts (their dense rows
     pass ``validate_asm`` and read back to the view), write the same
-    matrix, and raise the same error on the others."""
+    matrix, and raise the same error on the others, whatever the number
+    of extra pairs."""
 
     def test_every_form_in_range_up_to_order_4(self):
         views = accepted = 0
@@ -84,6 +111,63 @@ class TestWriter:
                     accepted += got[0] is None
         assert views == 1 + 32 + 729 + 16384
         assert accepted == len(one_minus(3)) + len(one_minus(4))
+
+    def test_every_one_pair_view_over_0_to_n_plus_1_up_to_order_3(self):
+        """An entry outside ``1..n`` is refused with an ``AsmcError``: it is
+        not written, at a wrapped index or at all, nor read past a row."""
+        views = out_of_range = 0
+        for n in range(1, 4):
+            values = range(n + 2)
+            for first in itertools.product(values, repeat=n):
+                for extra in itertools.product(values, repeat=3):
+                    view = (first, (extra,))
+                    got = outcome(_write, *view)
+                    assert got == outcome(dense_write, *view), view
+                    if not {*first, *extra} <= set(range(1, n + 1)):
+                        assert got[0] is not None, view
+                        out_of_range += 1
+                    views += 1
+        assert views == 3 * 27 + 16 * 64 + 125 * 125
+        assert out_of_range == views - (1 + 32 + 729)
+
+    def test_the_view_of_every_asm_and_of_every_grid_the_scan_reads(self):
+        """``_write`` of the view the scan reads off an ASM is the matrix
+        ``validate_asm`` returns, keeping the same view: every ASM up to
+        order 6 (s up to 4), every grid of order up to 3 over -1, 0 and 1,
+        and random grids of order 4 to 6, on which the scan reads nothing
+        else."""
+        rng = random.Random(29)
+        grids = [m.rows for n in range(1, 7) for m in all_asm(n)]
+        grids += [tuple(zip(*[iter(cells)] * n))
+                  for n in (1, 2, 3) for cells in itertools.product((-1, 0, 1), repeat=n * n)]
+        for _ in range(2000):
+            n = rng.randint(4, 6)
+            grids.append(tuple(tuple(rng.choices((-1, 0, 1), (1, 6, 3), k=n)) for _ in range(n)))
+        asms = 0
+        for rows in grids:
+            view = _scan(rows)
+            if view is None:
+                assert outcome(validate_asm, rows)[0] is not None
+                continue
+            a, b = _write(*view), validate_asm(rows)
+            assert a == b and vars(a)["_view"] == vars(b)["_view"] == _sparse(AsmMatrix(rows))
+            asms += 1
+        # every ASM up to order 6, then again the 10 of order up to 3 among
+        # all grids; none of the random grids is one
+        assert asms == 7917 + 1 + 2 + 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(views())
+    @example(((2, 1, 2), ((2, 2, 3),)))  # the diamond
+    @example(((3, 2, 1, 2, 3, 6), ((4, 3, 4), (3, 4, 5), (3, 2, 3), (2, 3, 4))))  # four -1s
+    @example(((3, 2, 1, 2, 3, 6), ((4, 3, 4), (3, 2, 3), (3, 4, 5), (2, 3, 4))))  # a row's pairs out of order
+    @example(((2, 1, 2), ((2, 2, 3), (2, 2, 3))))  # a pair given twice
+    @example(((2, 1, 2), ((2, 2, 3), (0, 2, 3))))  # a pair on row 0
+    @example(((2, 1, 2), ((4, 2, 3), (2, 2, 3))))  # a pair on row n+1
+    @example(((2, True, 2), ((2, 2, 3),)))
+    @example(((2, 1, 2), ((2, 2.0, 3),)))
+    def test_views_with_up_to_three_pairs(self, view):
+        assert outcome(_write, *view) == outcome(dense_write, *view)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_corrupted_forms_at_large_n(self, seed):

@@ -33,6 +33,7 @@ from asmc import (
     InvalidTable,
     MalformedConfiguration,
     MixedConfiguration,
+    MixedPath,
     NeutralPair,
     SignClass,
     charges,
@@ -296,6 +297,23 @@ class TestFrozenValues:
             m = restore(pair_from_table(random_valid_table(rng, n)))
             self.check(m, n)
             self.check(reflect(m), n)
+
+    def test_a_table_and_its_paths_over_lists_are_frozen(self):
+        """A table over a list ``a`` and paths over list starts equal and
+        hash as their tuple twins, and check and build as they do; changing
+        the caller's list changes neither."""
+        rng = random.Random(61)
+        for n in (3, 25, 200):
+            t = random_valid_table(rng, n)
+            a = list(t.a)
+            listed = GenInvTable(t.k, a, t.b, t.beta)
+            a[0] = n
+            assert listed == t and hash(listed) == hash(t) and {t: n}[listed] == n
+            assert table_valid(listed) is listed and config_from_table(listed) == config_from_table(t)
+            cfg = config_from_table(t)
+            paths = MixedConfiguration(tuple(MixedPath(list(p.start), p.steps) for p in cfg.paths))
+            assert paths == cfg and hash(paths) == hash(cfg) and {cfg: n}[paths] == n
+            assert validate_config(paths) is paths and config_params(paths) == table_params(t)
 
 
 @pytest.fixture

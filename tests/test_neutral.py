@@ -141,13 +141,13 @@ class TestChargeSwap:
 
 
 class TestValidationsPerCall:
-    """The points check runs only on the matrices an encoding returns:
+    """The one writer runs only on the matrices an encoding returns:
     discharging and recharging in between act on the permutation word,
     and no encoding runs the dense ``validate_asm`` or reflects a dense
     matrix."""
 
     def test_at_most_one_per_returned_matrix_at_order_7(self, order7_calls):
-        assert sys.modules["asmc.cells"] in order7_calls.wrapped["_is_points_form"]
+        assert sys.modules["asmc.neutral"] in order7_calls.wrapped["_write"]
         assert asmc.matrix in order7_calls.wrapped["validate_asm"]
         assert order7_calls.matrices == 29400
         assert order7_calls.most == ORDER7_VALIDATIONS

@@ -1,10 +1,11 @@
-"""Values written on demand: ``cells._write`` and ``perm_matrix`` check
-a sparse view or a one-line word and return a matrix that keeps its
-sparse view and whose dense rows are written the first time ``rows`` is
-read; ``reflect`` of any matrix mirrors its view.  ``config_from_table``
-of a valid table, and so ``dual_config``, return a configuration that
-keeps its table and whose paths are written the first time ``paths`` is
-read.
+"""Values written on demand: ``matrix._write``, the one writer, and
+``perm_matrix``, which calls it, check a sparse view or a one-line word
+with the one check of the alternating law and return a matrix that
+keeps its sparse view and whose dense rows are written the first time
+``rows`` is read; ``reflect`` of any matrix mirrors its view.
+``config_from_table`` of a valid table, and so ``dual_config``, return a
+configuration that keeps its table and whose paths are written the first
+time ``paths`` is read.
 
 Those rows and paths must be the ones the dense writers of ``conftest``
 write, the value must mean what its dense twin means (equality, hashing,
@@ -24,7 +25,6 @@ from collections import Counter
 import pytest
 
 import asmc
-import asmc.cells
 import asmc.matrix
 import asmc.paths
 from asmc import (
@@ -58,9 +58,9 @@ from asmc import (
     table_params,
     validate_asm,
 )
-from asmc.cells import _cells, _write
+from asmc.cells import _cells
 from asmc.errors import BadArgument
-from asmc.matrix import _OnDemand, _Rows
+from asmc.matrix import _OnDemand, _Rows, _write
 from asmc.paths import _Paths
 from conftest import (
     dense_config,
@@ -336,7 +336,6 @@ class TestNoDenseWork:
             assert asmc.matrix in bound
             for mod in bound:
                 monkeypatch.setattr(mod, name, counting)
-        assert asmc.cells._rows is asmc.matrix._rows
         return calls
 
     @pytest.mark.parametrize("seed", range(2))
