@@ -105,8 +105,8 @@ def _read_matrix(args):
     return matrix_from_text(text)
 
 
-def _read_json(args) -> dict:
-    text = _read_input(args)
+def _parse_json(text: str) -> dict:
+    """The JSON object of ``text``; :class:`ParseError` on anything else."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -256,11 +256,11 @@ def _dispatch(args) -> int:
         else:
             _write(args, json.dumps(t.to_json()) + "\n")
     elif cmd == "recharge":
-        _emit_matrix(args, recharge(tuple_from_json(_read_json(args))))
+        _emit_matrix(args, recharge(tuple_from_json(_parse_json(_read_input(args)))))
     elif cmd == "neutralize":
         _write(args, json.dumps(neutralize(_read_matrix(args)).to_json()) + "\n")
     elif cmd == "restore":
-        _emit_matrix(args, restore(pair_from_json(_read_json(args))))
+        _emit_matrix(args, restore(pair_from_json(_parse_json(_read_input(args)))))
     elif cmd == "prime":
         _emit_matrix(args, swap_charges(_read_matrix(args)))
     elif cmd == "table":
@@ -271,13 +271,13 @@ def _dispatch(args) -> int:
             _write(args, t.to_text() + "\n")
     elif cmd == "from-table":
         text = _read_input(args)
-        t = table_from_json(json.loads(text)) if text.lstrip().startswith("{") else table_from_text(text)
+        t = table_from_json(_parse_json(text)) if text.lstrip().startswith("{") else table_from_text(text)
         _emit_matrix(args, restore(pair_from_table(t)))
     elif cmd == "paths":
         cfg = config_from_pair(neutralize(_read_matrix(args)))
         _emit_config(args, cfg)
     elif cmd == "dual":
-        cfg = dual_config(config_from_json(_read_json(args)))
+        cfg = dual_config(config_from_json(_parse_json(_read_input(args))))
         _emit_config(args, cfg)
     elif cmd == "pipeline":
         _write(args, json.dumps(_pipeline_bundle(_read_matrix(args)), indent=2) + "\n")
@@ -329,9 +329,6 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except AsmcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: ParseError: invalid JSON: {exc}", file=sys.stderr)
         return 2
 
 

@@ -27,9 +27,13 @@ the closing row, and steps 3 and 4 run as one pass over rows k..closing
 row, so only rows k..n are touched.  Recharging runs the steps backwards
 on the word and ends on the sparse view of the matrix it rebuilds
 (:func:`_recharge`), which ``neutral`` works on without writing it.
-Only a matrix that is returned is built, by ``matrix._write``, which
-checks it on its view with the one check of the alternating law and
-keeps it.
+
+Each check has one place.  A tuple is checked once, at the public
+boundary (:func:`tuple_valid` and :func:`recharge`, through
+:func:`_fields`); the word kernels run on words they are given or have
+just made, and check nothing again.  Only a matrix that is returned is
+built, by ``matrix._write``, which checks its view once with the one
+check of the alternating law and keeps it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .errors import (
     InvalidTuple,
     NegativeClass,
     ParseError,
-    PreconditionFailed,
 )
 from .matrix import AsmMatrix, _View, _write, json_int, matrix_from_json, matrix_to_json, perm_one_line
 
@@ -125,17 +128,10 @@ def _discharge_word(cells: _Cells) -> tuple[int, ...]:
     # row (the top one to row k) and drops one row; each right 1 of an
     # enclosed row drops one row
     left = word[cr - 1]
-    if left >= oc or word[k - 1] < oc:  # row cr must hold a left 1, row k none
-        raise PreconditionFailed("last row empty" if left >= oc else "first row nonzero")
     for q in range(cr - 1, k, -1):
         col = word[q - 1]
-        if col == oc:
-            raise InternalInvariantViolation(f"lowering collided at ({q + 1},{col})")
         word[q], left = (col, left) if col > oc else (left, col)
     word[k] = left
-
-    if sorted(word) != list(range(1, len(word) + 1)):
-        raise InternalInvariantViolation("discharge did not produce a permutation matrix")
     return tuple(word)
 
 
@@ -165,15 +161,6 @@ def discharge(a: AsmMatrix) -> DischargeTuple:
     )
 
 
-def _word(perm: AsmMatrix) -> tuple[int, ...] | None:
-    """The one-line word of ``perm``, or None if it is not a permutation
-    matrix."""
-    try:
-        return perm_one_line(perm)
-    except BadArgument:
-        return None
-
-
 def tuple_valid(t: DischargeTuple) -> DischargeTuple:
     """Return ``t`` if it meets the four membership conditions; raise
     :class:`InvalidTuple` with the first that fails as ``.condition``.
@@ -187,23 +174,25 @@ def tuple_valid(t: DischargeTuple) -> DischargeTuple:
     a k, c or E that is not an ``int`` and a matrix component that is not
     an :class:`AsmMatrix`.
     """
-    _word_valid(*_fields(t))
+    _fields(t)
     return t
 
 
-def _fields(t: DischargeTuple) -> tuple[int, tuple[int, ...] | None, int, int, int]:
-    """``(n, word of P, k, c, E)``, the arguments of :func:`_word_valid`
-    and :func:`_recharge`."""
+def _fields(t: DischargeTuple) -> tuple[int, tuple[int, ...], int, int, int]:
+    """``(n, word of P, k, c, E)`` of a tuple that passes
+    :func:`tuple_valid`, the arguments of :func:`_recharge`; the one check
+    of the membership conditions.  The matrix component is read first, so
+    an unchecked :class:`AsmMatrix` whose rows break the alternating law
+    raises what :func:`validate_asm` raises on them."""
     if not isinstance(t, DischargeTuple):
         raise InvalidTuple(0, f"expected a DischargeTuple, got {type(t).__name__}")
     if not isinstance(t.perm, AsmMatrix):
         raise InvalidTuple(0, f"matrix component must be an AsmMatrix, got {type(t.perm).__name__}")
-    return t.perm.n, _word(t.perm), t.opening_row, t.closing_sum, t.charge
-
-
-def _word_valid(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> None:
-    """:func:`tuple_valid` on the one-line word of the matrix component
-    (None when that is not a permutation matrix)."""
+    n, k, c, e = t.perm.n, t.opening_row, t.closing_sum, t.charge
+    try:
+        word = perm_one_line(t.perm)
+    except BadArgument:
+        word = None
     if type(k) is not int or type(c) is not int or type(e) is not int:
         raise InvalidTuple(0, "entries must be integers")
     if not 1 <= k <= n - 2:
@@ -218,6 +207,7 @@ def _word_valid(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) ->
     x = _right_side(word, k)
     if c + e >= x:
         raise InvalidTuple(4, f"c + E = {c + e} must be < x = {x}")
+    return n, word, k, c, e
 
 
 def recharge(t: DischargeTuple) -> AsmMatrix:
@@ -226,10 +216,11 @@ def recharge(t: DischargeTuple) -> AsmMatrix:
     return _write(*_recharge(*_fields(t)))
 
 
-def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> _View:
+def _recharge(n: int, word: tuple[int, ...], k: int, c: int, e: int) -> _View:
     """The sparse view of :func:`recharge` of ``(k, P, c, E)`` given the
-    one-line word of P: the steps of :func:`_discharge_word` reversed."""
-    _word_valid(n, word, k, c, e)
+    one-line word of P: the steps of :func:`_discharge_word` reversed, on a
+    tuple that passes :func:`tuple_valid`, which is not checked again
+    (``matrix._write`` checks the view)."""
     j = word[k - 1]  # opening column
 
     # closing row: topmost row below k where the right-side count reaches E
@@ -245,24 +236,19 @@ def _recharge(n: int, word: tuple[int, ...] | None, k: int, c: int, e: int) -> _
     # left ones then move down to the next left row, the bottom one to cr
     word = list(word)
     left = word[k]
-    if left > j:
-        raise PreconditionFailed("first row empty")
     for q in range(k + 1, cr):
         col = word[q]
-        if col == j:
-            raise InternalInvariantViolation(f"raising collided at ({q},{col})")
         word[q - 1], left = (col, left) if col > j else (left, col)
     word[cr - 1] = left
 
     # closing column: the (c+1)-th column right of j holding a 1 below the
     # closing row; reverse step 2 shifts those c+1 columns left
     tail = word[cr:]
-    right = sorted(col for col in tail if col > j)
+    right = [col for col in tail if col > j]
+    right.sort()
     if len(right) <= c:
         raise InternalInvariantViolation("no admissible closing column found")
     closing_col = right[c]
     target = _targets(right[: c + 1], j, closing_col, columns=True, reverse=True)
     word[cr:] = [target.get(col, col) for col in tail]
-    if word[cr - 1] in (j, closing_col):
-        raise InternalInvariantViolation("closing row positions are not free")
     return tuple(word), ((cr, j, closing_col),)

@@ -217,8 +217,9 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     the row's (leftmost) 1, which it pops.  On the closing row the -1
     frees the opening column again, and the closing 1 takes the free
     column that leaves ``b`` of them strictly between the two.  The one
-    writer, ``matrix._write``, writes the matrix.  The pair does not
-    keep ``t``: :func:`gen_table` of it reads the table afresh.
+    writer, ``matrix._write``, checks the view and writes the matrix.  The
+    pair does not keep ``t``: :func:`gen_table` of it reads the table
+    afresh.
     """
     table_valid(t)
     opening_row = t.n + 1 - t.k
@@ -227,8 +228,6 @@ def pair_from_table(t: GenInvTable) -> NeutralPair:
     free = list(range(1, t.n + 1))
     first = [free.pop(v) for v in entries[:closing_row]]
     opening_col = first[opening_row - 1]
-    if first[-1] >= opening_col:
-        raise InternalInvariantViolation("left 1 not in the left side")
     insort(free, opening_col)
     closing_col = free.pop(bisect_right(free, opening_col) + t.b)
     first += [free.pop(v) for v in entries[closing_row:]]

@@ -14,11 +14,14 @@ Both directions are one recharge on sparse views (:func:`_recharged`):
 the discharge word of the matrix, recharged with the same ``k`` and
 ``c + E`` and the new charge, 0 to neutralize and E to restore.  A
 negative matrix, or a negative charge, is taken through the mirrored
-view, so no reflected matrix is written.  Only the matrix returned is
-built, by ``matrix._write``, which checks it on its view and keeps it;
-its rows are written when first read, and its landmarks and cell sums
-read once off its view (``cells._cells``), which is all
-:class:`NeutralPair` checks its invariants on.
+view, so no reflected matrix is written.  The word kernels check
+nothing (a tuple is checked only at ``discharge.tuple_valid`` and
+``discharge.recharge``), so the discharge word is recharged as made.
+Only the matrix returned is built, by ``matrix._write``, which checks
+it once on its view and keeps it; its rows are written when first read,
+and its landmarks and cell sums read once off its view
+(``cells._cells``), which is all :class:`NeutralPair` checks its
+invariants on.
 """
 
 from __future__ import annotations

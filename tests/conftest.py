@@ -25,6 +25,7 @@ from asmc import (
     CellSums,
     GenInvTable,
     InternalInvariantViolation,
+    InvalidTuple,
     MixedConfiguration,
     MixedPath,
     ParamVector,
@@ -37,7 +38,6 @@ from asmc import (
     validate_asm,
     validate_config,
 )
-from asmc.discharge import _word_valid
 from asmc.displacement import Region, _displace
 from asmc.enumeration import _row_moves
 from asmc.inv_table import _block_charges
@@ -316,9 +316,24 @@ def points_discharge_word(cells) -> tuple[int, ...]:
 
 def points_recharge(n: int, word, k: int, c: int, e: int) -> tuple:
     """The sparse view of ``recharge`` of ``(k, P, c, E)`` given the
-    one-line word of P, the steps reversed one at a time on points."""
-    _word_valid(n, word, k, c, e)
-    j = word[k - 1]  # opening column
+    one-line word of P (None if P is not a permutation matrix), the steps
+    reversed one at a time on points; the membership conditions are read
+    off the points first, and the first that fails raises."""
+    if type(k) is not int or type(c) is not int or type(e) is not int:
+        raise InvalidTuple(0, "entries must be integers")
+    if not 1 <= k <= n - 2:
+        raise InvalidTuple(1, f"k={k} outside [1, {n - 2}]")
+    if word is None:
+        raise InvalidTuple(2, "matrix component is not a permutation matrix")
+    col_of = dict(enumerate(word, start=1))
+    j, m = col_of[k], col_of[k + 1]  # opening column, and the 1 below it
+    if not m < j:
+        raise InvalidTuple(3, f"row {k + 1}'s 1 (column {m}) is not left of row {k}'s (column {j})")
+    if min(c, e) < 0:
+        raise InvalidTuple(4, "c and E must be non-negative")
+    x = len([q for q, col in col_of.items() if q > k and col > j])
+    if not c + e < x:
+        raise InvalidTuple(4, f"c + E = {c + e} must be < x = {x}")
 
     # closing row: topmost row below k where the right-side count reaches E
     count = 0

@@ -269,6 +269,12 @@ class TestExitCodes:
         code, _, err = run_cli(["restore"], "not json", monkeypatch, capsys)
         assert code == 2 and "ParseError" in err
 
+    @pytest.mark.parametrize("command", ["validate", "recharge", "restore", "from-table", "dual", "pipeline"])
+    def test_malformed_json_is_one_parse_error(self, monkeypatch, capsys, command):
+        code, out, err = run_cli([command], '{"k": ', monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ParseError: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "argv, stdin",
         [

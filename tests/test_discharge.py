@@ -10,12 +10,15 @@ import pytest
 import asmc
 
 from asmc import (
+    AlternationViolation,
     DischargeTuple,
     InvalidTuple,
     NegativeClass,
     NotOneMinus,
     classical_params,
     discharge,
+    gen_table,
+    neutralize,
     pair_from_table,
     partial_discharge,
     perm_matrix,
@@ -25,12 +28,13 @@ from asmc import (
     restore,
     sign_class,
     SignClass,
+    SumViolation,
     tuple_valid,
     validate_asm,
 )
 from asmc.cells import _cells, _read
 from asmc.discharge import _discharge_word, _fields, _partial_discharge_neutral_shortcut, _recharge, right_side_sum
-from asmc.matrix import _mirror
+from asmc.matrix import _mirror, _sparse, _write
 from conftest import DIAMOND_ROWS, one_minus, outcome, points_discharge_word, points_recharge, random_valid_table
 
 # frozen from the worked example (independently recomputed by hand)
@@ -226,13 +230,67 @@ class TestWordKernels:
     ])
     def test_invalid_tuples_raise_the_same_condition(self, k, word, c, e, condition):
         perm = validate_asm(DIAMOND_ROWS) if word is None else perm_matrix(word)
-        args = _fields(DischargeTuple(k, perm, c, e))
-        got = outcome(_recharge, *args)
-        assert got == outcome(points_recharge, *args)
+        got = outcome(_fields, DischargeTuple(k, perm, c, e))
+        assert got == outcome(points_recharge, perm.n, word, k, c, e)
         assert got[0] is InvalidTuple and got[1].startswith(f"condition {condition}:")
         with pytest.raises(InvalidTuple) as info:
             recharge(DischargeTuple(k, perm, c, e))
         assert info.value.condition == condition
+
+
+def broken_views(m, rng=None):
+    """Views one fault away from those the kernels make from the
+    non-negative one-minus matrix ``m``: its discharge word with one row
+    moved onto another row's column; its recharged view with the closing
+    row's first 1 moved onto the opening column or any column right of it,
+    the closing column among them; and the view ``pair_from_table`` makes
+    of its neutral pair with that left 1 moved right of the opening column.
+    With ``rng``, a sample of each: 20 moved rows and 10 moved first 1s."""
+    cells = _cells(m)
+    n, k = len(cells.first), cells.geometry.opening_row
+    word = _discharge_word(cells)
+    moves = [(p, q) for p in range(n) for q in range(n) if p != q]
+    for p, q in rng.sample(moves, 20) if rng else moves:
+        yield word[:q] + (word[p],) + word[q + 1 :], ()
+    recharged = _recharge(n, word, k, cells.sums.c, cells.e)
+    decoded = _sparse(pair_from_table(gen_table(neutralize(m))).matrix)
+    for (first, extras), right_of in ((recharged, 0), (decoded, 1)):
+        ((cr, j, _),) = extras
+        cols = range(j + right_of, n + 1)
+        for col in rng.sample(cols, min(10, len(cols))) if rng else cols:
+            yield first[: cr - 1] + (col,) + first[cr:], extras
+
+
+class TestWriteRejectsBrokenKernelViews:
+    """The word kernels and ``pair_from_table`` check nothing they make;
+    ``matrix._write`` refuses every view a collision or a misplaced left 1
+    would give them, naming the law it breaks."""
+
+    @staticmethod
+    def refused(views) -> int:
+        count = 0
+        for view in views:
+            error, _ = outcome(_write, *view)
+            assert error in (SumViolation, AlternationViolation), (view, error)
+            count += 1
+        return count
+
+    def test_every_non_negative_matrix_up_to_order_6(self):
+        matrices = views = 0
+        for n in range(3, 7):
+            for m in one_minus(n):
+                if sign_class(m) is not SignClass.NEGATIVE:
+                    views += self.refused(broken_views(m))
+                    matrices += 1
+        assert (matrices, views) == (1975, 69923)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_matrices_at_order_200(self, seed):
+        rng = random.Random(seed)
+        m = restore(pair_from_table(random_valid_table(rng, 200)))
+        if sign_class(m) is SignClass.NEGATIVE:
+            m = reflect(m)
+        assert self.refused(broken_views(m, rng)) == 40
 
 
 class TestSubmoduleShadowing:
