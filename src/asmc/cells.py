@@ -61,8 +61,13 @@ Two exceptions: a neutral matrix keeps no pair, as its pair holds the
 matrix itself; and no inverse seeds a fact on what it returns, so
 ``neutral.restore`` keeps no pair on its matrix and
 ``inv_table.pair_from_table`` no table on its pair, and a round trip
-through them computes both directions.  Two threads that race on a fact
-store equal facts.
+through them computes both directions.  The field a value is built
+without is written the same way: the rows of a matrix that keeps only its
+view, and the paths of a configuration that keeps only its table, are a
+``functools.cached_property`` under the field's own name, written on
+their first read and stored as the field, so the value's type is its
+public class throughout.  Two threads that race on a fact or a field
+store equal values.
 """
 
 from __future__ import annotations

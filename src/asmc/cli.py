@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from .cells import charges
 from .discharge import discharge, recharge, tuple_from_json
 from .enumeration import DEFAULT_CAP, DISTRIBUTION_KEYS, distribution, enumerate_asm
-from .errors import AsmcError, BadArgument, ParseError
+from .errors import AsmcError, BadArgument
 from .inv_table import (
     gen_table,
     pair_from_table,
@@ -39,6 +39,7 @@ from .inv_table import (
 from .matrix import (
     _text_ints,
     classical_params,
+    json_object,
     matrix_from_json,
     matrix_from_text,
     matrix_to_json,
@@ -103,17 +104,6 @@ def _read_matrix(args):
     if text.lstrip().startswith("{"):
         return matrix_from_json(text)
     return matrix_from_text(text)
-
-
-def _parse_json(text: str) -> dict:
-    """The JSON object of ``text``; :class:`ParseError` on anything else."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON input: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("expected a JSON object")
-    return obj
 
 
 def _write(args, text: str) -> None:
@@ -256,11 +246,11 @@ def _dispatch(args) -> int:
         else:
             _write(args, json.dumps(t.to_json()) + "\n")
     elif cmd == "recharge":
-        _emit_matrix(args, recharge(tuple_from_json(_parse_json(_read_input(args)))))
+        _emit_matrix(args, recharge(tuple_from_json(json_object(_read_input(args)))))
     elif cmd == "neutralize":
         _write(args, json.dumps(neutralize(_read_matrix(args)).to_json()) + "\n")
     elif cmd == "restore":
-        _emit_matrix(args, restore(pair_from_json(_parse_json(_read_input(args)))))
+        _emit_matrix(args, restore(pair_from_json(json_object(_read_input(args)))))
     elif cmd == "prime":
         _emit_matrix(args, swap_charges(_read_matrix(args)))
     elif cmd == "table":
@@ -271,13 +261,13 @@ def _dispatch(args) -> int:
             _write(args, t.to_text() + "\n")
     elif cmd == "from-table":
         text = _read_input(args)
-        t = table_from_json(_parse_json(text)) if text.lstrip().startswith("{") else table_from_text(text)
+        t = table_from_json(json_object(text)) if text.lstrip().startswith("{") else table_from_text(text)
         _emit_matrix(args, restore(pair_from_table(t)))
     elif cmd == "paths":
         cfg = config_from_pair(neutralize(_read_matrix(args)))
         _emit_config(args, cfg)
     elif cmd == "dual":
-        cfg = dual_config(config_from_json(_parse_json(_read_input(args))))
+        cfg = dual_config(config_from_json(json_object(_read_input(args))))
         _emit_config(args, cfg)
     elif cmd == "pipeline":
         _write(args, json.dumps(_pipeline_bundle(_read_matrix(args)), indent=2) + "\n")

@@ -110,6 +110,8 @@ def _check_order(n: int, cap: int | None, s: int | None = None) -> None:
         raise BadArgument(f"order must be an int, got {n!r}")
     if s is not None and type(s) is not int:
         raise BadArgument(f"s must be an int, got {s!r}")
+    if cap is not None and type(cap) is not int:
+        raise BadArgument(f"cap must be an int or None, got {cap!r}")
     if n < 1:
         raise BadArgument(f"order must be >= 1, got {n}")
     if cap is not None and n > cap:
@@ -131,6 +133,8 @@ def enumerate_asm(
     _check_order(n, cap, s)
     if sign is not None and s != 1:
         raise BadArgument("a sign-class filter requires s=1")
+    if sign is not None and not isinstance(sign, SignClass):
+        raise BadArgument(f"sign must be a SignClass, got {sign!r}")
     return _generate(n, s, sign)
 
 
@@ -175,7 +179,10 @@ def distribution(
     >>> sum(distribution(4, ["J"]).values())
     16
     """
-    keys = tuple(keys)
+    try:
+        keys = tuple(keys)
+    except TypeError as exc:
+        raise BadArgument(f"expected a sequence of statistics, got {type(keys).__name__}") from exc
     for key in keys:
         if key not in DISTRIBUTION_KEYS:
             raise BadArgument(f"unknown statistic {key!r}; pick from {DISTRIBUTION_KEYS}")

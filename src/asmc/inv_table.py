@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 from .cells import _cells
 from .errors import InternalInvariantViolation, InvalidTable, ParseError
-from .matrix import _INT_ONLY, AsmMatrix, _text_ints, _walk, _write, json_int, perm_matrix, perm_one_line
+from .matrix import _INT_ONLY, AsmMatrix, _check_text, _text_ints, _walk, _write, json_int, perm_matrix, perm_one_line
 from .neutral import NeutralPair, _checked
 
 
@@ -120,6 +120,7 @@ class GenInvTable:
 
 def table_from_text(text: str) -> GenInvTable:
     """Parse ``"k; a1 a2 ... an; b beta"``."""
+    _check_text(text)
     parts = [p.strip() for p in text.strip().split(";")]
     if len(parts) != 3:
         raise ParseError("table text must have three ';'-separated fields")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, groupby, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -56,8 +57,10 @@ class AsmMatrix:
     Every matrix keeps its *sparse view* ``_view = (first, extras)``
     (:func:`_sparse`, by the keep rule of ``asmc.cells``): the column of
     the first 1 of every row, and one ``(row, minus_col, plus_col)`` per
-    -1.  A matrix a writer returns keeps only its view, and :func:`_rows`
-    writes its rows the first time they are read (:class:`_Rows`).
+    -1.  A matrix a writer returns keeps only its view, and ``rows`` is a
+    :func:`functools.cached_property` under the field's own name, so
+    :func:`_rows` writes them off the view the first time they are read
+    and stores them as the field; ``n`` reads the view until then.
     Equality, hashing and repr read ``rows``, so a matrix means the same
     however it was built.  Every reader, and :func:`reflect`, reads the
     view; a matrix built on its rows, as ``enumerate_asm`` builds them, is
@@ -83,7 +86,9 @@ class AsmMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        if "rows" in self.__dict__:
+            return len(self.rows)
+        return len(self._view[0])
 
     def entry(self, i: int, j: int) -> int:
         """Entry at row ``i``, column ``j``, both ``int`` in ``1..n``;
@@ -98,6 +103,12 @@ class AsmMatrix:
 
     def __str__(self) -> str:
         return matrix_to_text(self).rstrip("\n")
+
+
+# a matrix that keeps only its view writes its rows on their first read;
+# the list is made a tuple once, at its final length
+AsmMatrix.rows = cached_property(lambda self: tuple(_rows(*self._view)))
+AsmMatrix.rows.__set_name__(AsmMatrix, "rows")
 
 
 @dataclass(frozen=True)
@@ -401,72 +412,10 @@ def _walk(first: tuple[int, ...], extras: _Extras = ()) -> tuple[tuple[int, ...]
     return tuple(counts), extra
 
 
-class _OnDemand:
-    """A frozen dataclass value whose one field, ``_field``, is not written
-    yet.  It keeps the fact it is written from outside the dataclass
-    fields; the first read of the field, and equality, hashing and repr,
-    which read it, write the field with ``_write``, store it and make the
-    value a plain instance of its dataclass, ``_plain``, that still keeps
-    the fact (:func:`_written`).  Two threads that race there store equal
-    values.  A built matrix (:class:`_Rows`) and a configuration built
-    from a table (``paths._Paths``) are written this way.
-
-    The ``__getattr__`` hook lives on this class and not on the
-    dataclasses: on a class with the hook CPython reads every attribute of
-    an instance the slow way, so the ``rows`` of every dense matrix would
-    be read several times slower.
-    """
-
-    _field: str | None = None  # each subclass names it, ``_plain`` and ``_write``
-
-    def __getattr__(self, name: str):
-        # reached only when ``name`` is missing from the instance; the class
-        # is read once, as another thread may write the field meanwhile
-        cls = type(self)
-        if not issubclass(cls, _OnDemand):
-            return object.__getattribute__(self, name)
-        if name != cls._field:
-            raise AttributeError(f"{cls.__name__!r} object has no attribute {name!r}")
-        return getattr(_written(self), name)
-
-    def __eq__(self, other):
-        return _written(self) == other
-
-    def __hash__(self) -> int:
-        return hash(_written(self))
-
-    def __repr__(self) -> str:
-        return repr(_written(self))
-
-
-def _written(value: _OnDemand):
-    """``value`` with its field written and stored, now a plain instance of
-    its dataclass; the class is read once, as in ``__getattr__``."""
-    cls = type(value)
-    if issubclass(cls, _OnDemand):
-        object.__setattr__(value, cls._field, cls._write(value))
-        object.__setattr__(value, "__class__", cls._plain)
-    return value
-
-
-class _Rows(_OnDemand, AsmMatrix):
-    """An :class:`AsmMatrix` whose rows are written off its sparse view
-    (``_view``) with :func:`_rows` when first read."""
-
-    _field, _plain = "rows", AsmMatrix
-
-    def _write(self) -> Grid:
-        return tuple(_rows(*self._view))  # through a list, so the tuple has its final length
-
-    @property
-    def n(self) -> int:
-        return len(self._view[0])
-
-
 def _on_demand(view: _View) -> AsmMatrix:
     """The matrix of a checked sparse view, its rows written on their
     first read."""
-    a = object.__new__(_Rows)
+    a = object.__new__(AsmMatrix)
     object.__setattr__(a, "_view", view)
     return a
 
@@ -504,6 +453,7 @@ def matrix_to_text(a: AsmMatrix) -> str:
 
 def matrix_from_text(text: str) -> AsmMatrix:
     """Parse the text form; blank lines and ``#`` comments are ignored."""
+    _check_text(text)
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -530,10 +480,7 @@ def matrix_to_json(a: AsmMatrix) -> dict:
 
 def matrix_from_json(obj: dict | str) -> AsmMatrix:
     if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        obj = json_object(obj)
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ParseError("matrix JSON must be an object with a 'rows' field")
     a = validate_asm(obj["rows"])
@@ -551,6 +498,26 @@ def _text_ints(text: str) -> list[int]:
     if not joined.isascii() or "_" in joined:
         raise ValueError(f"not decimal integers: {text!r}")
     return [int(tok) for tok in tokens]
+
+
+def _check_text(text: str) -> None:
+    """Raise :class:`ParseError` unless ``text`` is a ``str``."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected text, got {type(text).__name__}")
+
+
+def json_object(text: str) -> dict:
+    """The JSON object that ``text`` holds; raises :class:`ParseError` on
+    text that is not JSON (a number past the interpreter's digit limit or
+    nesting past its recursion limit included) or is not an object."""
+    _check_text(text)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object")
+    return obj
 
 
 def json_int(value, name: str) -> int:

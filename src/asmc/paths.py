@@ -29,9 +29,10 @@ table: :func:`validate_config` returns it at once, and
 :func:`table_from_config`, :func:`pair_from_config`,
 :func:`config_params` and :func:`dual_config` read the table in O(n),
 the last through :func:`inv_table.dual_table`.  Its O(n^2) step strings
-are written by one path writer, :func:`_paths`, when they are first read
-(``matrix._OnDemand``); equality, hashing and repr read them, so a built
-configuration equals its twin built on its paths.
+are written by one path writer, :func:`_paths`, when they are first read:
+``paths`` is a :func:`functools.cached_property` under the field's own
+name, which stores them as the field.  Equality, hashing and repr read
+them, so a built configuration equals its twin built on its paths.
 
 A configuration given on its paths (:func:`config_from_json`, the CLI)
 is walked once by the path check, :func:`_check_paths`, and marked
@@ -48,8 +49,8 @@ a configuration is valid and of the one-N shape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterator
 
@@ -68,7 +69,7 @@ from .inv_table import (
     table_params,
     table_valid,
 )
-from .matrix import _OnDemand, json_int
+from .matrix import json_int, json_object
 from .neutral import NeutralPair
 
 STEP_DELTAS = {"E": (1, 0), "S": (0, -1), "F": (1, 0), "N": (1, 1)}
@@ -140,7 +141,9 @@ class MixedConfiguration:
 
     @property
     def n(self) -> int:
-        return len(self.paths)
+        if "paths" in self.__dict__:
+            return len(self.paths)
+        return self._table.n
 
     def step_count(self, kind: str) -> int:
         return sum(p.steps.count(kind) for p in self.paths)
@@ -152,12 +155,14 @@ class MixedConfiguration:
         }
 
 
+# a configuration that keeps only its table writes its paths on their first read
+MixedConfiguration.paths = cached_property(lambda self: _paths(self._table))
+MixedConfiguration.paths.__set_name__(MixedConfiguration, "paths")
+
+
 def config_from_json(obj: dict | str) -> MixedConfiguration:
     if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        obj = json_object(obj)
     try:
         paths = []
         for p in obj["paths"]:
@@ -311,8 +316,8 @@ def config_from_table(t: GenInvTable) -> MixedConfiguration:
     A configuration built this way is valid exactly when its table is, so
     the table check (:func:`table_valid`, O(n)) stands in for the walk of
     its paths: the configuration of a valid table keeps the table, as
-    ``_table``, and its paths are written on their first read (see
-    ``matrix._OnDemand``).  A table failing conditions 1-4 yields a plain
+    ``_table``, and its paths are written on their first read (see the
+    module docstring).  A table failing conditions 1-4 yields a plain
     configuration that :func:`validate_config` rejects; one failing
     condition 0 (not a table, or entries that are not non-negative
     ``int``) raises :class:`InvalidTable`.
@@ -357,24 +362,10 @@ def _paths(t: GenInvTable) -> tuple[MixedPath, ...]:
     return tuple(paths)
 
 
-class _Paths(_OnDemand, MixedConfiguration):
-    """A :class:`MixedConfiguration` whose paths are written off its table
-    (``_table``) with :func:`_paths` when first read."""
-
-    _field, _plain = "paths", MixedConfiguration
-
-    def _write(self) -> tuple[MixedPath, ...]:
-        return _paths(self._table)
-
-    @property
-    def n(self) -> int:
-        return self._table.n
-
-
 def _on_demand(t: GenInvTable) -> MixedConfiguration:
     """The configuration of a valid table, keeping it; the configuration is
     written from it."""
-    cfg = object.__new__(_Paths)
+    cfg = object.__new__(MixedConfiguration)
     object.__setattr__(cfg, "_table", t)
     return cfg
 

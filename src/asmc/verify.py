@@ -701,6 +701,8 @@ def verify_suite(n_max: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     enumerating each order once for all the per-matrix properties."""
     if type(n_max) is not int:
         raise BadArgument(f"n_max must be an int, got {n_max!r}")
+    if type(cap) is not int:
+        raise BadArgument(f"cap must be an int, got {cap!r}")
     if n_max > cap:
         raise CapExceeded(n_max, cap)
     results, orders = _sweep([name for name, _, _ in PROPERTIES], range(3, n_max + 1), cap)

@@ -269,11 +269,18 @@ class TestExitCodes:
         code, _, err = run_cli(["restore"], "not json", monkeypatch, capsys)
         assert code == 2 and "ParseError" in err
 
-    @pytest.mark.parametrize("command", ["validate", "recharge", "restore", "from-table", "dual", "pipeline"])
-    def test_malformed_json_is_one_parse_error(self, monkeypatch, capsys, command):
-        code, out, err = run_cli([command], '{"k": ', monkeypatch, capsys)
+    @pytest.mark.parametrize(
+        "command", ["validate", "params", "recharge", "restore", "from-table", "dual", "pipeline"]
+    )
+    def test_malformed_json_is_one_parse_error(self, tmp_path, monkeypatch, capsys, command):
+        """Every command that reads JSON says the same of a file that is not JSON."""
+        path = tmp_path / "bad.json"
+        path.write_text('{"k": ', encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads('{"k": ')
+        code, out, err = run_cli([command, str(path)], "", monkeypatch, capsys)
         assert code == 2 and out == ""
-        assert err.startswith("error: ParseError: ") and len(err.splitlines()) == 1
+        assert err == f"error: ParseError: invalid JSON: {info.value}\n"
 
     @pytest.mark.parametrize(
         "argv, stdin",

@@ -21,23 +21,28 @@ from asmc import (
     Region,
     SumViolation,
     charges,
+    config_from_json,
     config_from_table,
     distribution,
     dual_config,
     enumerate_asm,
     formula_count,
+    matrix_from_json,
+    matrix_from_text,
     pair_from_config,
     perm_matrix,
     perm_table,
     recharge,
     render_ascii,
     render_svg,
+    table_from_text,
     table_valid,
     tuple_valid,
     validate_config,
     verify_suite,
 )
-from asmc.errors import BadArgument
+from asmc.errors import BadArgument, ParseError
+from asmc.matrix import json_object
 
 DIAMOND_ROWS = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
 
@@ -113,15 +118,36 @@ def test_matrix_without_rows_is_rejected(call):
     (perm_matrix, (3,), {}, NotSquare),
     (Region, (1.5, 2, 1, 2), {}, PreconditionFailed),
     (Region, ("a", 2, 1, 2), {}, PreconditionFailed),
+    (enumerate_asm, (3,), {"cap": "x"}, BadArgument),
+    (enumerate_asm, (3,), {"s": 1, "sign": "neutral"}, BadArgument),
+    (distribution, (4, None), {}, BadArgument),
+    (verify_suite, (3,), {"cap": None}, BadArgument),
+    (verify_suite, (3,), {"cap": "7"}, BadArgument),
 ], ids=[
     "enumerate-bool-order", "enumerate-float-s", "enumerate-str-s", "distribution-float-order",
     "verify-float-order", "formula-float-order", "formula-negative-order",
     "perm-float-entry", "perm-str-entry", "perm-none-word", "perm-int-word",
     "region-float-bound", "region-str-bound",
+    "enumerate-str-cap", "enumerate-str-sign", "distribution-none-keys",
+    "verify-none-cap", "verify-str-cap",
 ])
 def test_integer_argument_is_not_coerced(call, args, kwargs, error):
     with pytest.raises(error):
         call(*args, **kwargs)
+
+
+@pytest.mark.parametrize("call, arg", [
+    (matrix_from_text, None),
+    (table_from_text, 0),
+    (json_object, None),
+    (matrix_from_json, '{"rows": ' + "1" * 5000 + "}"),
+    (config_from_json, "[" * 100_000),
+    (json_object, "[]"),
+], ids=["matrix-text-none", "table-text-int", "json-none", "json-past-digit-limit",
+        "json-past-recursion-limit", "json-not-an-object"])
+def test_text_parser_refuses_what_is_not_its_text(call, arg):
+    with pytest.raises(ParseError):
+        call(arg)
 
 
 @pytest.mark.parametrize("render", [render_ascii, render_svg])

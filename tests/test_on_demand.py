@@ -60,8 +60,7 @@ from asmc import (
 )
 from asmc.cells import _cells
 from asmc.errors import BadArgument
-from asmc.matrix import _OnDemand, _Rows, _write
-from asmc.paths import _Paths
+from asmc.matrix import _write
 from conftest import (
     dense_config,
     dense_perm_matrix,
@@ -232,9 +231,14 @@ def written():
 
 class TestValueSemantics:
     def test_keeps_only_its_view_until_read(self, written):
-        """A matrix keeps its view, a configuration its table."""
+        """A matrix keeps its view, a configuration its table; its type is
+        its dense twin's before and after the read."""
         for build, twin in written:
-            assert vars(build()).keys() == {"_table" if field(twin) == "paths" else "_view"}
+            b = build()
+            assert vars(b).keys() == {"_table" if field(twin) == "paths" else "_view"}
+            assert type(b) is type(twin)
+            getattr(b, field(b))
+            assert type(b) is type(twin) and not unread(b)
 
     def test_equals_its_dense_twin_with_equal_hash_and_repr(self, written):
         for build, twin in written:
@@ -265,7 +269,7 @@ class TestValueSemantics:
                 "deepcopy": copy.deepcopy,
                 "replace": dataclasses.replace,
             }[how](b)
-            assert type(c) in (type(b), type(twin))
+            assert type(c) is type(b) is type(twin)
             if how != "replace":
                 assert unread(c) is unread(b)
             assert c == twin and hash(c) == hash(twin) and c.n == twin.n
@@ -305,11 +309,9 @@ class TestValueSemantics:
             a.columns
         assert not hasattr(a, "__deepcopy__")
         with pytest.raises(AttributeError):
-            object.__new__(_OnDemand).rows  # no field
+            object.__new__(AsmMatrix).rows  # no view
         with pytest.raises(AttributeError):
-            object.__new__(_Rows).rows  # no view
-        with pytest.raises(AttributeError):
-            object.__new__(_Paths).paths  # no table
+            object.__new__(MixedConfiguration).paths  # no table
         cfg = written[-1][0]()
         with pytest.raises(AttributeError):
             cfg.rows
