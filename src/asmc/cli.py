@@ -5,7 +5,8 @@ short composition); no arithmetic lives here.  Matrices travel as the
 text format (one row per line, ``#`` comments allowed) or as JSON;
 tuples, pairs, tables and path configurations use their module-declared
 JSON schemas.  Commands read a file argument or stdin and write stdout
-(or ``-o``), so they compose in shell pipes.
+(or ``-o``), so they compose in shell pipes.  Every JSON output but the
+``verify`` report is one line, the ``pipeline`` bundle included.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (the error class
 name and any 1-based position appear in the message).  ``verify`` exits
@@ -270,7 +271,7 @@ def _dispatch(args) -> int:
         cfg = dual_config(config_from_json(json_object(_read_input(args))))
         _emit_config(args, cfg)
     elif cmd == "pipeline":
-        _write(args, json.dumps(_pipeline_bundle(_read_matrix(args)), indent=2) + "\n")
+        _write(args, json.dumps(_pipeline_bundle(_read_matrix(args))) + "\n")
     elif cmd == "enumerate":
         cap = _resolve_cap(args)
         if args.count:

@@ -40,7 +40,10 @@ _INT = frozenset((int,))
 def _as_grid(grid: Sequence[Sequence[int]]) -> IntGrid:
     """``grid`` as a tuple of rows; entries must be ``int`` (not ``bool``),
     and are never converted."""
-    rows = tuple(map(tuple, grid))
+    try:
+        rows = tuple(map(tuple, grid))
+    except TypeError as exc:  # a grid or a row that is not iterable
+        raise PreconditionFailed(f"matrix must be given as rows: {exc}") from exc
     if not rows or not rows[0]:
         raise PreconditionFailed("matrix must be non-empty")
     if any(len(row) != len(rows[0]) for row in rows):
@@ -189,6 +192,8 @@ def apply_in_region(
     """
     if f is not h_shift and f is not v_shift:
         raise PreconditionFailed("only h_shift and v_shift may be applied in a region")
+    if not isinstance(region, Region):
+        raise PreconditionFailed(f"expected a Region, got {type(region).__name__}")
     try:
         rows = _as_grid(host)
     except PreconditionFailed as exc:

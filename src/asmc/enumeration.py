@@ -33,6 +33,7 @@ i is not asked for, width is 0: q = 1 and every polynomial is a count.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
@@ -60,9 +61,14 @@ _CHUNK = 64
 
 def formula_count(n: int) -> int:
     """Closed-form number of order-n alternating sign matrices; raises
-    :class:`BadArgument` on an order that is not a non-negative ``int``."""
+    :class:`BadArgument` on an order that is not a non-negative ``int``,
+    or is past the factorials the interpreter takes (``3n - 2`` at most
+    ``sys.maxsize``).  The product of factorials grows fast: order 500
+    takes seconds, order 1000 minutes."""
     if type(n) is not int or n < 0:
         raise BadArgument(f"order must be a non-negative int, got {n!r}")
+    if 3 * n - 2 > sys.maxsize:
+        raise BadArgument(f"order {n} is past the factorials this interpreter takes")
     num = den = 1
     for k in range(n):
         num *= factorial(3 * k + 1)

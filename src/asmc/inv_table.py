@@ -73,8 +73,13 @@ def perm_table(p: AsmMatrix) -> tuple[int, ...]:
 
 def perm_from_table(a: Sequence[int]) -> AsmMatrix:
     """Permutation matrix with inversion table ``a``; inverse of
-    :func:`perm_table`."""
-    a = tuple(a)
+    :func:`perm_table`.  Raises :class:`InvalidTable` condition 0 on an
+    argument that is not a sequence, and condition 2 on an entry that is
+    not an ``int`` in ``[0, i-1]``."""
+    try:
+        a = tuple(a)
+    except TypeError as exc:
+        raise InvalidTable(0, f"expected a sequence of entries, got {type(a).__name__}") from exc
     n = len(a)
     for i, v in enumerate(a, start=1):
         if type(v) is not int:

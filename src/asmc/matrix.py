@@ -362,8 +362,12 @@ def _alternates(first: tuple[int, ...], extras: _Extras) -> bool:
     row reads 1, -1, ..., 1): a 1 needs its column closed and opens it, a
     -1 closes it, and every pair must be reached.  That is the whole law:
     the n + s 1s each open a column and at most n are open, so each -1
-    closes an open one, and every column ends open."""
+    closes an open one, and every column ends open.  With no pairs that
+    says the n columns of ``first`` are ``1..n``, which one set test
+    checks in C."""
     n = len(first)
+    if not extras:
+        return n > 0 and _INT_ONLY.issuperset(map(type, first)) and set(first).issuperset(range(1, n + 1))
     if not (n and _INT_ONLY.issuperset(map(type, chain(first, chain.from_iterable(extras))))
             and 0 < min(first) and max(first) <= n):
         return False
@@ -424,10 +428,12 @@ def _write(first: tuple[int, ...], extras: _Extras) -> AsmMatrix:
     """The one writer: the matrix with sparse view ``(first, extras)``, any
     number of pairs, checked by :func:`_alternates` and kept.  On a view
     the check rejects it raises what :func:`validate_asm` raises on the
-    dense rows of the view's ``int`` entries in ``1..n``; should those pass,
-    they are not the matrix the view stands for (an entry left unwritten,
-    writes on one position, a 1 given left of its -1), or the check is
-    too strict, and it raises :class:`InternalInvariantViolation`."""
+    dense rows of the view's ``int`` entries in ``1..n``.  Should those
+    pass, it raises :class:`NotSquare` naming the first entry left
+    unwritten, one that is not an ``int`` in ``1..n``; with none, they
+    are not the matrix the view stands for (writes on one position, a 1
+    given left of its -1), or the check is too strict, and it raises
+    :class:`InternalInvariantViolation`."""
     if _alternates(first, extras):
         return _on_demand((first, extras))
     n = len(first)
@@ -435,10 +441,16 @@ def _write(first: tuple[int, ...], extras: _Extras) -> AsmMatrix:
     writes = [(q, col, 1) for q, col in enumerate(first, start=1)]
     for q, minus, plus in extras:
         writes += (q, minus, -1), (q, plus, 1)
+    skipped = []
     for q, col, v in writes:
         if type(q) is int and type(col) is int and 1 <= q <= n and 1 <= col <= n:
             rows[q - 1][col - 1] = v
+        else:
+            skipped.append((q, col))
     validate_asm(rows)
+    if skipped:
+        q, col = skipped[0]
+        raise NotSquare(f"entry at ({q!r},{col!r}): row and column must be ints in 1..{n}")
     raise InternalInvariantViolation("the rows are an ASM, but the writer's check rejected its input")
 
 

@@ -161,20 +161,25 @@ MixedConfiguration.paths.__set_name__(MixedConfiguration, "paths")
 
 
 def config_from_json(obj: dict | str) -> MixedConfiguration:
+    """The configuration of a JSON object ``{"paths": [{"start": [x, level],
+    "steps": "..."}, ...]}`` or its text; raises :class:`ParseError` on
+    anything else, a start that is not two integers, steps that are not a
+    string, or an unknown step.  The paths are not checked here."""
     if isinstance(obj, str):
         obj = json_object(obj)
     try:
         paths = []
         for p in obj["paths"]:
             x, level = p["start"]
-            paths.append(MixedPath((json_int(x, "start x"), json_int(level, "start level")),
-                                   str(p["steps"])))
+            steps = p["steps"]
+            if type(steps) is not str:
+                raise ParseError(f"steps must be a string, got {steps!r}")
+            paths.append(MixedPath((json_int(x, "start x"), json_int(level, "start level")), steps))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"configuration JSON needs paths with start and steps: {exc}") from exc
     for p in paths:
-        for s in p.steps:
-            if s not in STEP_DELTAS:
-                raise ParseError(f"unknown step {s!r}")
+        if not STEP_DELTAS.keys() >= set(p.steps):
+            raise ParseError(f"unknown step {next(s for s in p.steps if s not in STEP_DELTAS)!r}")
     return MixedConfiguration(tuple(paths))
 
 
@@ -515,14 +520,16 @@ _SVG_STYLE = """\
 def render_svg(cfg: MixedConfiguration) -> str:
     """Standalone SVG document with labeled start/end vertices and one
     stroke class per step kind.  Raises :class:`MalformedConfiguration`
-    on a configuration :func:`validate_config` rejects."""
+    on a configuration :func:`validate_config` rejects.
+
+    Vertex ``(x, level)`` is drawn at ``(40 + 40x, 40 + 40(n - level))``,
+    and both lie among the n coordinates ``40 + 40t``, ``t = 0..n-1``, so
+    their strings are formatted once and each grid circle and step line is
+    one f-string of them."""
     n = validate_config(cfg).n
     scale, margin = 40, 40
-
-    def px(v: Vertex) -> tuple[float, float]:
-        x, level = v
-        return (margin + scale * x, margin + scale * (n - level))
-
+    xs = [f"{margin + scale * t:g}" for t in range(n)]  # by x
+    ys = ["", *reversed(xs)]  # by level
     width = margin * 2 + scale * max(n - 1, 1)
     height = margin * 2 + scale * (n - 1)
     out = [
@@ -531,18 +538,18 @@ def render_svg(cfg: MixedConfiguration) -> str:
         _SVG_STYLE,
     ]
     for level in range(1, n + 1):
-        for x in range(level):
-            cx, cy = px((x, level))
-            out.append(f'  <circle class="grid" cx="{cx:g}" cy="{cy:g}" r="2"/>')
+        cy = ys[level]
+        out += [f'  <circle class="grid" cx="{cx}" cy="{cy}" r="2"/>' for cx in xs[:level]]
     for i, p in enumerate(cfg.paths, start=1):
         verts = p.vertices()
         out.append(f'  <g id="path-{i}">')
-        for pos, s in enumerate(p.steps):
-            (x1, y1), (x2, y2) = px(verts[pos]), px(verts[pos + 1])
-            out.append(
-                f'    <line class="step-{s}" x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}"/>'
-            )
-        (sx, sy), (ex, ey) = px(verts[0]), px(verts[-1])
+        out += [
+            f'    <line class="step-{s}" x1="{xs[x1]}" y1="{ys[l1]}" x2="{xs[x2]}" y2="{ys[l2]}"/>'
+            for s, (x1, l1), (x2, l2) in zip(p.steps, verts, verts[1:])
+        ]
+        (x0, l0), (x1, l1) = verts[0], verts[-1]
+        sx, sy = margin + scale * x0, margin + scale * (n - l0)
+        ex, ey = margin + scale * x1, margin + scale * (n - l1)
         out.append(f'    <circle class="mark" cx="{sx:g}" cy="{sy:g}" r="4"/>')
         out.append(f'    <text x="{sx - 16:g}" y="{sy + 4:g}">{i}</text>')
         out.append(f'    <circle class="mark" cx="{ex:g}" cy="{ey:g}" r="4"/>')

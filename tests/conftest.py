@@ -28,6 +28,7 @@ from asmc import (
     InvalidTuple,
     MixedConfiguration,
     MixedPath,
+    NotSquare,
     ParamVector,
     SignClass,
     enumerate_asm,
@@ -41,7 +42,7 @@ from asmc import (
 from asmc.displacement import Region, _displace
 from asmc.enumeration import _row_moves
 from asmc.inv_table import _block_charges
-from asmc.paths import _special_k
+from asmc.paths import _SVG_STYLE, _special_k
 
 # the smallest ASM with a -1
 DIAMOND_ROWS = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
@@ -217,27 +218,35 @@ def dense_write(first, extras) -> AsmMatrix:
     of ``(row, minus_col, plus_col)`` pairs, bottom row first and right to
     left, written on zero rows (an entry that is not an ``int`` in ``1..n``
     is not written) and checked by ``validate_asm``.  Rows that are an ASM
-    but whose view, read back off them by a walk over every entry, is not
-    the one given raise :class:`InternalInvariantViolation`: writes that
-    landed on one position, a pair whose 1 is given left of its -1, pairs
-    out of order, or an entry left unwritten."""
+    with an entry left unwritten raise :class:`NotSquare` naming the first
+    one.  Rows that are an ASM but whose view, read back off them by a walk
+    over every entry, is not the one given raise
+    :class:`InternalInvariantViolation`: writes that landed on one
+    position, a pair whose 1 is given left of its -1, or pairs out of
+    order."""
     view = (first, extras)
     n = len(first)
     rows = [[0] * n for _ in first]
     writes = [(q, col, 1) for q, col in enumerate(first, start=1)]
     for q, minus, plus in extras:
         writes += [(q, minus, -1), (q, plus, 1)]
+    unwritten = []
     for q, col, v in writes:
         if type(q) is int and type(col) is int and 1 <= q <= n and 1 <= col <= n:
             rows[q - 1][col - 1] = v
+        else:
+            unwritten.append((q, col))
     a = validate_asm(rows)
+    if unwritten:
+        q, col = unwritten[0]
+        raise NotSquare(f"entry at ({q!r},{col!r}): row and column must be ints in 1..{n}")
     back_first, pairs = [], []
     for q, row in enumerate(a.rows, start=1):
         nonzero = [j for j, v in enumerate(row, start=1) if v]  # 1, -1, 1, ..., 1
         back_first.append(nonzero[0])
         pairs += [(q, minus, plus) for minus, plus in zip(nonzero[1::2], nonzero[2::2])]
     back = tuple(back_first), tuple(reversed(pairs))
-    if back != view or any(type(q) is not int or type(col) is not int for q, col, _ in writes):
+    if back != view:
         raise InternalInvariantViolation(f"{view} is not the sparse view of the rows it writes")
     return a
 
@@ -531,6 +540,46 @@ def junction_dual(cfg: MixedConfiguration) -> MixedConfiguration:
     a[k - 2 : k] = new_ak1, s_level - 1 - s_x
     dual = GenInvTable(k=k, a=tuple(a), b=top - a[k - 1], beta=n_level - 1 - n_x - new_ak1 - 1)
     return dense_config(table_valid(dual))
+
+
+def pixel_svg(cfg: MixedConfiguration) -> str:
+    """The SVG picture of ``cfg``, every coordinate of every vertex mapped
+    to pixels and formatted with ``:g`` where it is drawn: the oracle of
+    ``paths.render_svg``, which formats each coordinate once per order."""
+    n = validate_config(cfg).n
+    scale, margin = 40, 40
+
+    def px(v):
+        x, level = v
+        return (margin + scale * x, margin + scale * (n - level))
+
+    width = margin * 2 + scale * max(n - 1, 1)
+    height = margin * 2 + scale * (n - 1)
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        _SVG_STYLE,
+    ]
+    for level in range(1, n + 1):
+        for x in range(level):
+            cx, cy = px((x, level))
+            out.append(f'  <circle class="grid" cx="{cx:g}" cy="{cy:g}" r="2"/>')
+    for i, p in enumerate(cfg.paths, start=1):
+        verts = p.vertices()
+        out.append(f'  <g id="path-{i}">')
+        for pos, s in enumerate(p.steps):
+            (x1, y1), (x2, y2) = px(verts[pos]), px(verts[pos + 1])
+            out.append(
+                f'    <line class="step-{s}" x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}"/>'
+            )
+        (sx, sy), (ex, ey) = px(verts[0]), px(verts[-1])
+        out.append(f'    <circle class="mark" cx="{sx:g}" cy="{sy:g}" r="4"/>')
+        out.append(f'    <text x="{sx - 16:g}" y="{sy + 4:g}">{i}</text>')
+        out.append(f'    <circle class="mark" cx="{ex:g}" cy="{ey:g}" r="4"/>')
+        out.append(f'    <text x="{ex + 6:g}" y="{ey + 4:g}">{i}\'</text>')
+        out.append("  </g>")
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def outcome(call, *args) -> tuple:

@@ -11,8 +11,10 @@ import asmc
 import asmc.cells
 from asmc import (
     AsmMatrix,
+    InternalInvariantViolation,
     NegativeClass,
     NotOneMinus,
+    NotSquare,
     SignClass,
     cell_sums,
     charges,
@@ -113,9 +115,12 @@ class TestWriter:
         assert accepted == len(one_minus(3)) + len(one_minus(4))
 
     def test_every_one_pair_view_over_0_to_n_plus_1_up_to_order_3(self):
-        """An entry outside ``1..n`` is refused with an ``AsmcError``: it is
-        not written, at a wrapped index or at all, nor read past a row."""
-        views = out_of_range = 0
+        """An entry outside ``1..n`` is refused with an ``AsmcError`` that
+        names a law or an entry, never an internal fault: it is not written,
+        at a wrapped index or at all, nor read past a row.  Where the
+        entries in range are an ASM, the first one outside is named with
+        :class:`NotSquare`."""
+        views = out_of_range = unwritten = 0
         for n in range(1, 4):
             values = range(n + 2)
             for first in itertools.product(values, repeat=n):
@@ -124,11 +129,13 @@ class TestWriter:
                     got = outcome(_write, *view)
                     assert got == outcome(dense_write, *view), view
                     if not {*first, *extra} <= set(range(1, n + 1)):
-                        assert got[0] is not None, view
+                        assert got[0] not in (None, InternalInvariantViolation), view
                         out_of_range += 1
+                        unwritten += got[0] is NotSquare
                     views += 1
         assert views == 3 * 27 + 16 * 64 + 125 * 125
-        assert out_of_range == views - (1 + 32 + 729)
+        assert out_of_range == views - (1 + 32 + 729) == 15968
+        assert unwritten == 658
 
     def test_the_view_of_every_asm_and_of_every_grid_the_scan_reads(self):
         """``_write`` of the view the scan reads off an ASM is the matrix

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asmc
-from asmc.cli import build_parser, main
+from asmc.cli import _pipeline_bundle, build_parser, main
 
 DIAMOND_TEXT = "0 1 0\n1 -1 1\n0 1 0\n"
 TABLE12_TEXT = "10; 0 0 2 2 0 0 1 5 0 3 6 6; 4 5"
@@ -134,6 +134,17 @@ class TestPipelines:
         assert set(bundle) == {"matrix", "pair", "table", "paths", "params"}
         assert bundle["table"] == {"k": 3, "a": [0, 0, 1], "b": 0, "beta": 0}
         assert bundle["params"]["J"] == 1
+
+    @pytest.mark.parametrize("matrix_text", [DIAMOND_TEXT, None], ids=["diamond", "worked"])
+    def test_pipeline_bundle_is_one_line(self, monkeypatch, capsys, matrix_text):
+        """The bundle is written on one line by json's C encoder; its value is
+        that of the indented text of the same bundle."""
+        if matrix_text is None:
+            _, matrix_text, _ = run_cli(["from-table"], TABLE12_TEXT, monkeypatch, capsys)
+        code, out, _ = run_cli(["pipeline"], matrix_text, monkeypatch, capsys)
+        assert code == 0 and out.endswith("}\n") and out.count("\n") == 1
+        indented = json.dumps(_pipeline_bundle(asmc.matrix_from_text(matrix_text)), indent=2)
+        assert json.loads(out) == json.loads(indented)
 
     def test_pipeline_bundle_respects_duality(self, monkeypatch, capsys):
         from asmc import dual_table, table_from_json

@@ -20,6 +20,7 @@ from asmc import (
     PreconditionFailed,
     Region,
     SumViolation,
+    apply_in_region,
     charges,
     config_from_json,
     config_from_table,
@@ -27,9 +28,11 @@ from asmc import (
     dual_config,
     enumerate_asm,
     formula_count,
+    h_shift,
     matrix_from_json,
     matrix_from_text,
     pair_from_config,
+    perm_from_table,
     perm_matrix,
     perm_table,
     recharge,
@@ -38,6 +41,7 @@ from asmc import (
     table_from_text,
     table_valid,
     tuple_valid,
+    v_shift,
     validate_config,
     verify_suite,
 )
@@ -134,6 +138,24 @@ def test_matrix_without_rows_is_rejected(call):
 def test_integer_argument_is_not_coerced(call, args, kwargs, error):
     with pytest.raises(error):
         call(*args, **kwargs)
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (h_shift, (0,), PreconditionFailed),
+    (v_shift, (0,), PreconditionFailed),
+    (h_shift, ([1, 0],), PreconditionFailed),
+    (perm_from_table, (0,), InvalidTable),
+    (apply_in_region, ([[1, 0]], (1, 1, 1, 1), h_shift), PreconditionFailed),
+    (formula_count, (2**70,), BadArgument),
+], ids=["h-shift-int", "v-shift-int", "h-shift-rows-of-ints", "perm-from-table-int",
+        "region-of-a-tuple", "formula-past-factorials"])
+def test_argument_of_the_wrong_kind_is_refused_at_its_boundary(call, args, error):
+    """An argument of the wrong kind is refused with the boundary's own
+    class, not a raw ``TypeError``, ``AttributeError`` or ``OverflowError``."""
+    with pytest.raises(error) as info:
+        call(*args)
+    if error is InvalidTable:
+        assert info.value.condition == 0
 
 
 @pytest.mark.parametrize("call, arg", [

@@ -45,6 +45,7 @@ from conftest import (
     dense_config,
     junction_dual,
     one_minus,
+    pixel_svg,
     random_valid_table,
     strings_params,
     strings_table,
@@ -335,6 +336,26 @@ class TestRender:
         assert render_ascii(cfg) == ascii_art
         assert hashlib.sha256(render_svg(cfg).encode()).hexdigest() == svg_sha256
 
+    def test_svg_is_the_pixel_oracle_byte_for_byte(self):
+        """``render_svg``, which formats each coordinate once per order, writes
+        the bytes of the oracle that formats every coordinate where it is
+        drawn: every one-minus configuration up to order 6 and its dual,
+        every zero-N (permutation) configuration up to order 6, and sampled
+        tables at orders 25 to 60."""
+        cfgs = []
+        for n in range(1, 7):
+            for m in one_minus(n):
+                cfg = config_from_pair(neutralize(m))
+                cfgs += cfg, dual_config(cfg)
+            cfgs += (MixedConfiguration(tuple(MixedPath((0, i), "E" * x + "F" * (i - 1 - x))
+                                              for i, x in enumerate(a, start=1)))
+                     for a in product(*(range(i) for i in range(1, n + 1))))
+        rng = random.Random(25)
+        cfgs += (config_from_table(random_valid_table(rng, n)) for n in range(25, 61))
+        for cfg in cfgs:
+            assert render_svg(cfg) == pixel_svg(cfg)
+        assert len(cfgs) == 2 * 2617 + 873 + 36
+
 
 class TestJson:
     def test_roundtrip(self, pair12):
@@ -348,6 +369,23 @@ class TestJson:
             config_from_json({"paths": [{"start": [0, 1], "steps": "Q"}]})
         with pytest.raises(ParseError):
             config_from_json({"paths": "nope"})
+
+    def test_first_unknown_step_is_named(self):
+        from asmc import ParseError
+
+        paths = [{"start": [0, 1], "steps": ""}, {"start": [0, 2], "steps": "FQX"},
+                 {"start": [0, 3], "steps": "Z"}]
+        with pytest.raises(ParseError, match=r"^unknown step 'Q'$"):
+            config_from_json({"paths": paths})
+
+    @pytest.mark.parametrize("steps", [None, 5, ["E"], {"E": 1}], ids=["none", "int", "list", "dict"])
+    def test_steps_that_are_not_a_string_rejected(self, steps):
+        """Steps are not coerced with ``str``: ``None`` is not the string
+        ``"None"``, nor ``["E"]`` the step E."""
+        from asmc import ParseError
+
+        with pytest.raises(ParseError, match="steps must be a string"):
+            config_from_json({"paths": [{"start": [0, 1], "steps": steps}]})
 
     @pytest.mark.parametrize("start", [[0, True], [0.0, 1], [0, 1.5], ["0", 1], [0, 1, 2], [0]])
     def test_non_int_or_malformed_start_rejected(self, start):
