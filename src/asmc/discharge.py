@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cells import SignClass, _Cells, _cells
-from .displacement import Region, _displace, _targets
+from .displacement import _targets
 from .errors import (
     BadArgument,
     InternalInvariantViolation,
@@ -116,13 +116,8 @@ def _discharge_word(cells: _Cells) -> tuple[int, ...]:
     these cells (step 1 leaves the first 1 of every row, ``cells.first``);
     returns the word of the permutation matrix they leave."""
     g = cells.geometry
-    k, oc, cr, cc = g.opening_row, g.opening_col, g.closing_row, g.closing_col
-    word = list(cells.first)
-
-    # step 2: shift the extended closing cell right, relabelling columns
-    tail = word[cr:]
-    target = _targets([col for col in tail if oc <= col <= cc], oc, cc, columns=True, reverse=False)
-    word[cr:] = [target.get(col, col) for col in tail]
+    k, oc, cr = g.opening_row, g.opening_col, g.closing_row
+    word = _closing_shift(cells)
 
     # steps 3 and 4: each left 1 of rows k..cr moves up to the next left
     # row (the top one to row k) and drops one row; each right 1 of an
@@ -135,19 +130,30 @@ def _discharge_word(cells: _Cells) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _closing_shift(cells: _Cells) -> list[int]:
+    """Steps 1 and 2 on the one-line word: the extended closing cell
+    shifted right, relabelling the columns of the rows below the closing
+    row."""
+    g = cells.geometry
+    oc, cr, cc = g.opening_col, g.closing_row, g.closing_col
+    word = list(cells.first)
+    tail = word[cr:]
+    target = _targets([col for col in tail if oc <= col <= cc], oc, cc, columns=True, reverse=False)
+    word[cr:] = [target.get(col, col) for col in tail]
+    return word
+
+
 def _partial_discharge_neutral_shortcut(a: AsmMatrix) -> AsmMatrix:
     """Steps 1-2 only; valid for neutral inputs, where steps 3-4 cancel.
 
-    Kept as an independent oracle for the full four-step path.
+    Checked against the full four-step path: it shares step 2
+    (:func:`_closing_shift`) with :func:`_discharge_word`, so it tests
+    that steps 3 and 4 leave a neutral matrix's word as step 2 left it.
     """
     cells = _cells(a)
     if cells.sign is not SignClass.NEUTRAL:
         raise NegativeClass("shortcut applies to neutral matrices only")
-    g = cells.geometry
-    closing_cell = Region(g.closing_row + 1, a.n, g.opening_col, g.closing_col)
-    points = list(enumerate(cells.first, start=1))  # step 1
-    cols = dict(_displace(points, closing_cell, columns=True, inverse=False))
-    return _write(tuple([cols.get(q) for q in range(1, a.n + 1)]), ())
+    return _write(tuple(_closing_shift(cells)), ())
 
 
 def discharge(a: AsmMatrix) -> DischargeTuple:

@@ -11,27 +11,25 @@ Both primitives are injective and preserve the multiset of line
 contents.  ``apply_in_region`` lets them act on a rectangular window of
 a larger integer matrix, leaving the rest untouched.
 
-A shift only relabels the lines that hold a 1 (``_targets``, which
-checks its precondition), so it acts on the list of a window's 1s as
-``(row, column)`` points in time linear in their number.  That point
-core, ``_displace``, is the core of the dense primitives and of the
-neutral shortcut of ``discharge``; the discharge steps themselves run
-``_targets`` on the one-line word.  ``_shift_in`` is the one dense
-adapter: it reads the 1s of a window of a grid, shifts them and writes
-the window back.  The four whole-grid primitives call it on the window
-of the whole grid, and ``apply_in_region`` on the region.
+A shift only relabels the lines that hold a 1.  :func:`_targets` maps
+each occupied line to the next occupied slot and checks the
+precondition; it is the one displacement core.  The discharge steps run
+it on the one-line word of a matrix (``discharge._discharge_word`` and
+``_recharge``).  ``_shift_in`` is the one dense adapter: it relabels the
+occupied lines of a window of a grid (its columns through one
+transpose, its rows as they are) and writes the window back.  The two
+whole-grid primitives call it on the window of the whole grid, and
+``apply_in_region`` on the region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionFailed
 
 IntGrid = tuple[tuple[int, ...], ...]
-Point = tuple[int, int]  # 1-based (row, column) of a 1
 
 _ZERO_ONE = frozenset((0, 1))
 _INT = frozenset((int,))
@@ -74,57 +72,32 @@ def _targets(lines: Iterable[int], low: int, high: int, columns: bool, reverse: 
     return dict(zip(occupied, occupied[1:] + [last]))
 
 
-def _displace(points: list[Point], region: Region, columns: bool, inverse: bool) -> list[Point]:
-    """The displacement core on the 1s of a (0,1)-matrix.
-
-    The window's lines are slots in order: columns left to right, or
-    rows bottom to top, or (``inverse``) the same lines in the opposite
-    order (:func:`_targets`).  The points of each occupied slot move to
-    the next occupied slot, so slot 1 empties.  Points outside the
-    window are kept as they are, and the order of the list is kept.
-    """
-    top, bottom, left, right = region.top, region.bottom, region.left, region.right
-    inside = {p for p in points if top <= p[0] <= bottom and left <= p[1] <= right}
-    axis = 1 if columns else 0
-    low, high = (left, right) if columns else (top, bottom)
-    target = _targets({p[axis] for p in inside}, low, high, columns, reverse=columns == inverse)
-    if columns:
-        return [(i, target[j]) if (i, j) in inside else (i, j) for i, j in points]
-    return [(target[i], j) if (i, j) in inside else (i, j) for i, j in points]
-
-
-def _ones(rows: Sequence[Sequence[int]]) -> list[Point]:
-    """The points of the nonzero entries of (0,1) ``rows``."""
-    return [(i, j) for i, row in enumerate(rows, start=1) for j in compress(range(1, len(row) + 1), row)]
-
-
-def _dense(points: Iterable[Point], m: int, n: int) -> list[list[int]]:
-    """The m x n grid with a 1 at each point and 0 elsewhere."""
-    out = [[0] * n for _ in range(m)]
-    for i, j in points:
-        out[i - 1][j - 1] = 1
-    return out
-
-
-def _shift_in(rows: IntGrid, region: Region, columns: bool, inverse: bool) -> IntGrid:
-    """The one region shift: the 1s of the (0,1) window ``region`` of
-    ``rows`` displaced (:func:`_displace`) and written back."""
+def _shift_in(rows: IntGrid, region: Region, columns: bool) -> IntGrid:
+    """The one region shift: the occupied lines of the (0,1) window
+    ``region`` of ``rows`` relabelled (:func:`_targets`) and written
+    back."""
     top, bottom, left, right = region.top, region.bottom, region.left, region.right
     window = [row[left - 1 : right] for row in rows[top - 1 : bottom]]
     for row in window:
         if not _ZERO_ONE.issuperset(row):
             v = next(v for v in row if v not in _ZERO_ONE)
             raise PreconditionFailed(f"entry {v!r} is not 0 or 1")
-    m, n = bottom - top + 1, right - left + 1
-    shifted = _dense(_displace(_ones(window), Region(1, m, 1, n), columns, inverse), m, n)
+    lines = list(zip(*window)) if columns else window
+    # the slots run over columns left to right, over rows bottom to top
+    target = _targets([q for q, line in enumerate(lines) if any(line)], 0, len(lines) - 1, columns, reverse=not columns)
+    shifted = [(0,) * len(lines[0])] * len(lines)
+    for q, to in target.items():
+        shifted[to] = lines[q]
+    if columns:
+        shifted = zip(*shifted)
     middle = [row[: left - 1] + tuple(new) + row[right:] for row, new in zip(rows[top - 1 : bottom], shifted)]
     return (*rows[: top - 1], *middle, *rows[bottom:])
 
 
-def _shift(grid: Sequence[Sequence[int]], columns: bool, inverse: bool) -> IntGrid:
-    """The four primitives: the region shift over the whole grid."""
+def _shift(grid: Sequence[Sequence[int]], columns: bool) -> IntGrid:
+    """The two primitives: the region shift over the whole grid."""
     rows = _as_grid(grid)
-    return _shift_in(rows, Region(1, len(rows), 1, len(rows[0])), columns, inverse)
+    return _shift_in(rows, Region(1, len(rows), 1, len(rows[0])), columns)
 
 
 def h_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
@@ -133,12 +106,7 @@ def h_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
     Requires column 1 nonzero and the last column zero; raises
     :class:`PreconditionFailed` otherwise.
     """
-    return _shift(grid, columns=True, inverse=False)
-
-
-def h_unshift(grid: Sequence[Sequence[int]]) -> IntGrid:
-    """Inverse of :func:`h_shift` (last column nonzero, column 1 zero)."""
-    return _shift(grid, columns=True, inverse=True)
+    return _shift(grid, columns=True)
 
 
 def v_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
@@ -146,12 +114,7 @@ def v_shift(grid: Sequence[Sequence[int]]) -> IntGrid:
 
     Requires the last row nonzero and the first row zero.
     """
-    return _shift(grid, columns=False, inverse=False)
-
-
-def v_unshift(grid: Sequence[Sequence[int]]) -> IntGrid:
-    """Inverse of :func:`v_shift` (first row nonzero, last row zero)."""
-    return _shift(grid, columns=False, inverse=True)
+    return _shift(grid, columns=False)
 
 
 @dataclass(frozen=True)
@@ -200,6 +163,6 @@ def apply_in_region(
         raise PreconditionFailed(f"{exc} (host of region {region})") from exc
     region.check_within(len(rows), len(rows[0]))
     try:
-        return _shift_in(rows, region, columns=f is h_shift, inverse=False)
+        return _shift_in(rows, region, columns=f is h_shift)
     except PreconditionFailed as exc:
         raise PreconditionFailed(f"{exc} (in region {region})") from exc

@@ -36,12 +36,12 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .cells import SignClass, sign_class
-from .errors import BadArgument, CapExceeded
+from .errors import BadArgument, CapExceeded, InternalInvariantViolation
 from .inv_table import _table_space_distribution, _width
 from .matrix import AsmMatrix
 
@@ -62,20 +62,20 @@ _CHUNK = 64
 def formula_count(n: int) -> int:
     """Closed-form number of order-n alternating sign matrices; raises
     :class:`BadArgument` on an order that is not a non-negative ``int``,
-    or is past the factorials the interpreter takes (``3n - 2`` at most
-    ``sys.maxsize``).  The product of factorials grows fast: order 500
-    takes seconds, order 1000 minutes."""
+    or is past the factorials of the product formula (``3n - 2`` at most
+    ``sys.maxsize``).  Each order is reached from the last with one exact
+    division, ``A(k+1) = A(k) C(3k+1, k) / C(2k, k)``: order 300 takes a
+    hundredth of a second, order 1000 about a second."""
     if type(n) is not int or n < 0:
         raise BadArgument(f"order must be a non-negative int, got {n!r}")
     if 3 * n - 2 > sys.maxsize:
         raise BadArgument(f"order {n} is past the factorials this interpreter takes")
-    num = den = 1
-    for k in range(n):
-        num *= factorial(3 * k + 1)
-        den *= factorial(n + k)
-    if num % den:
-        raise ArithmeticError("product formula did not divide evenly")
-    return num // den
+    count = 1
+    for k in range(1, n):
+        count, rest = divmod(count * comb(3 * k + 1, k), comb(2 * k, k))
+        if rest:
+            raise InternalInvariantViolation(f"the ratio of orders {k + 1} and {k} did not divide evenly")
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -481,13 +481,12 @@ def matrix_from_text(text: str) -> AsmMatrix:
 
 
 def matrix_to_json(a: AsmMatrix) -> dict:
-    """``{"n": n, "rows": [...]}``; the rows of a matrix whose rows are not
-    written yet are written as lists straight from its view, and the
-    matrix is left unwritten."""
-    rows = vars(_matrix(a)).get("rows")
-    if rows is None:
-        return {"n": a.n, "rows": _rows(*a._view, list)}
-    return {"n": a.n, "rows": [list(row) for row in rows]}
+    """``{"n": n, "rows": [...]}``, the rows written as lists straight from
+    the sparse view (:func:`_sparse`), so a matrix whose rows are not
+    written yet is left unwritten, and rows that break the law raise what
+    :func:`validate_asm` raises on them."""
+    rows = _rows(*_sparse(a), list)
+    return {"n": len(rows), "rows": rows}
 
 
 def matrix_from_json(obj: dict | str) -> AsmMatrix:

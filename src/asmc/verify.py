@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import cells
 from . import enumeration as en
@@ -611,17 +611,13 @@ class _Tally:
         self.done = 0  # checks passed at the current order
 
 
-def _stream(n: int, cap: int, tallies: list[_Tally]) -> None:
-    """Run the per-matrix checks of ``tallies`` over one enumeration of
-    order ``n``, one record per matrix; the enumeration keeps only the
-    matrices with the ``s`` that every check shares, if they share one.
-    Each check is timed and charged to its property, so a record field is
-    charged to the first property that reads it; the enumeration is
-    charged to the first property."""
+def _stream(matrices: Iterator[AsmMatrix], tallies: list[_Tally]) -> None:
+    """Run the per-matrix checks of ``tallies`` over ``matrices``, one
+    record per matrix.  Each check is timed and charged to its property,
+    so a record field is charged to the first property that reads it;
+    drawing the matrices is charged to the first property."""
     clock = time.perf_counter
     first = tallies[0].result
-    shared = {tally.impl.s for tally in tallies}
-    matrices = enumerate_asm(n, s=shared.pop() if len(shared) == 1 else None, cap=cap)
     while True:
         start = clock()
         m = next(matrices, None)
@@ -664,7 +660,10 @@ def _sweep(
         live = [t for t in tallies if t.result.ok]
         streamed = [t for t in live if isinstance(t.impl, _Each)]
         if streamed:
-            _stream(n, cap, streamed)
+            # the enumeration keeps only the matrices with the s that every
+            # streamed check shares, if they share one
+            shared = {t.impl.s for t in streamed}
+            _stream(enumerate_asm(n, s=shared.pop() if len(shared) == 1 else None, cap=cap), streamed)
         for tally in live:
             each = isinstance(tally.impl, _Each)
             count = tally.impl.codomain if each else tally.impl

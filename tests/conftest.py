@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +31,8 @@ from asmc import (
     MixedPath,
     NotSquare,
     ParamVector,
+    PreconditionFailed,
+    Region,
     SignClass,
     enumerate_asm,
     pair_from_table,
@@ -39,7 +42,6 @@ from asmc import (
     validate_asm,
     validate_config,
 )
-from asmc.displacement import Region, _displace
 from asmc.enumeration import _row_moves
 from asmc.inv_table import _block_charges
 from asmc.paths import _SVG_STYLE, _special_k
@@ -282,9 +284,82 @@ def dense_inversions(a: AsmMatrix) -> int:
     return total
 
 
+def factorial_count(n: int) -> int:
+    """The number of order-n ASMs by the product of factorials
+    prod_{k<n} (3k+1)!/(n+k)!: the oracle of ``formula_count``."""
+    num = den = 1
+    for k in range(n):
+        num *= factorial(3 * k + 1)
+        den *= factorial(n + k)
+    assert num % den == 0
+    return num // den
+
+
+# ---------------------------------------------------------------------------
+# the displacement on the ``(row, column)`` points of the 1s of a window,
+# and its inverse: the library relabels whole lines (``displacement._targets``),
+# these move points and share none of its code
+
+
+def displace_points(points: list, region: Region, columns: bool, inverse: bool = False) -> list:
+    """The displacement on the 1-based ``(row, column)`` points of the 1s of
+    a (0,1)-matrix.  The window's lines are slots in order: columns left to
+    right, or rows bottom to top, or (``inverse``) the same lines in the
+    opposite order.  Slot 1 must hold a point and the last slot none, or the
+    shift's ``PreconditionFailed`` is raised.  The points of each occupied
+    slot move to the next occupied slot, the last to the final slot, so slot
+    1 empties.  Points outside the window are kept as they are, and the
+    order of the list is kept."""
+    top, bottom, left, right = region.top, region.bottom, region.left, region.right
+    inside = {p for p in points if top <= p[0] <= bottom and left <= p[1] <= right}
+    if columns:
+        slots, names = list(range(left, right + 1)), ("column 1", "last column")
+    else:
+        slots, names = list(range(bottom, top - 1, -1)), ("last row", "first row")
+    if inverse:
+        slots, names = slots[::-1], names[::-1]
+    used = {p[1] if columns else p[0] for p in inside}
+    occupied = [q for q in slots if q in used]
+    if not occupied:
+        raise PreconditionFailed(f"no nonzero {'column' if columns else 'row'}")
+    if occupied[0] != slots[0]:
+        raise PreconditionFailed(f"{names[0]} empty")
+    if occupied[-1] == slots[-1]:
+        raise PreconditionFailed(f"{names[1]} nonzero")
+    target = dict(zip(occupied, occupied[1:] + [slots[-1]]))
+    if columns:
+        return [(i, target[j]) if (i, j) in inside else (i, j) for i, j in points]
+    return [(target[i], j) if (i, j) in inside else (i, j) for i, j in points]
+
+
+def ones(rows) -> list:
+    """The points of the nonzero entries of (0,1) ``rows``."""
+    return [(i, j) for i, row in enumerate(rows, start=1) for j, v in enumerate(row, start=1) if v]
+
+
+def dense(points, m: int, n: int) -> list:
+    """The m x n grid with a 1 at each point and 0 elsewhere."""
+    out = [[0] * n for _ in range(m)]
+    for i, j in points:
+        out[i - 1][j - 1] = 1
+    return out
+
+
+def h_unshift(grid) -> tuple:
+    """The inverse of ``h_shift``, on points: last column nonzero, column 1 empty."""
+    m, n = len(grid), len(grid[0])
+    return tuple(map(tuple, dense(displace_points(ones(grid), Region(1, m, 1, n), True, inverse=True), m, n)))
+
+
+def v_unshift(grid) -> tuple:
+    """The inverse of ``v_shift``, on points: first row nonzero, last row empty."""
+    m, n = len(grid), len(grid[0])
+    return tuple(map(tuple, dense(displace_points(ones(grid), Region(1, m, 1, n), False, inverse=True), m, n)))
+
+
 # ---------------------------------------------------------------------------
 # the discharge steps one at a time on the n 1s of a matrix as ``(row,
-# column)`` points, through the displacement core: the oracles of the
+# column)`` points, through ``displace_points``: the oracles of the
 # fused word kernels ``discharge._discharge_word`` and ``_recharge``
 
 
@@ -297,11 +372,11 @@ def points_discharge_word(cells) -> tuple[int, ...]:
 
     # step 2: shift the extended closing cell right
     closing_cell = Region(g.closing_row + 1, n, g.opening_col, g.closing_col)
-    points = _displace(points, closing_cell, columns=True, inverse=False)
+    points = displace_points(points, closing_cell, columns=True)
 
     # step 3: shift the extended neutral cell up
     neutral_cell = Region(g.opening_row, g.closing_row, 1, g.opening_col - 1)
-    points = _displace(points, neutral_cell, columns=False, inverse=False)
+    points = displace_points(points, neutral_cell, columns=False)
 
     # step 4: lower the 1s of the extended neutral and charged cells
     top, bottom, j0 = g.opening_row, g.closing_row, g.opening_col
@@ -365,7 +440,7 @@ def points_recharge(n: int, word, k: int, c: int, e: int) -> tuple:
     points = [(q - 1 if k < q <= closing_row else q, col) for q, col in points]
 
     # reverse step 3: shift the extended neutral cell back down
-    points = _displace(points, Region(k, closing_row, 1, j - 1), columns=False, inverse=True)
+    points = displace_points(points, Region(k, closing_row, 1, j - 1), columns=False, inverse=True)
 
     # closing column: leftmost column right of j where the below-closing
     # cumulative count reaches c + 1
@@ -382,7 +457,7 @@ def points_recharge(n: int, word, k: int, c: int, e: int) -> tuple:
 
     # reverse step 2, then restore the erased entries
     closing_cell = Region(closing_row + 1, n, j, closing_col)
-    points = _displace(points, closing_cell, columns=True, inverse=True)
+    points = displace_points(points, closing_cell, columns=True, inverse=True)
     if {(closing_row, j), (closing_row, closing_col)} & set(points):
         raise InternalInvariantViolation("closing row positions are not free")
     # the points left are the first 1 of every row of the matrix

@@ -180,12 +180,15 @@ class TestRecharge:
 
 def kernels_match_oracles(cells) -> int:
     """Check the word kernels against the points oracles on the matrix
-    with these non-negative cells: its discharge word, and the recharge of
-    that word with each split of ``c + E`` into a closing sum and a charge,
-    as ``neutral`` makes them.  Returns the number of splits."""
+    with these non-negative cells: its discharge word (and on a neutral
+    matrix the word of the shortcut, steps 1 and 2 only), and the recharge
+    of that word with each split of ``c + E`` into a closing sum and a
+    charge, as ``neutral`` makes them.  Returns the number of splits."""
     n, k, total = len(cells.first), cells.geometry.opening_row, cells.sums.c + cells.e
     word = _discharge_word(cells)
     assert word == points_discharge_word(cells)
+    if cells.sign is SignClass.NEUTRAL:
+        assert perm_one_line(_partial_discharge_neutral_shortcut(_write(*cells.view))) == word
     assert _recharge(n, word, k, cells.sums.c, cells.e) == cells.view
     for e in range(total + 1):
         assert _recharge(n, word, k, total - e, e) == points_recharge(n, word, k, total - e, e)
@@ -193,19 +196,20 @@ def kernels_match_oracles(cells) -> int:
 
 
 class TestWordKernels:
-    """``_discharge_word`` and ``_recharge`` run the steps on the one-line
-    word; the oracles in ``conftest`` run them one at a time on points,
-    through the displacement core."""
+    """``_discharge_word``, ``_recharge`` and the neutral shortcut run the
+    steps on the one-line word; the oracles in ``conftest`` run them one at
+    a time on points, through its own point core (``displace_points``)."""
 
     def test_every_non_negative_matrix_up_to_order_7(self):
-        matrices = splits = 0
+        matrices = neutral = splits = 0
         for n in range(3, 8):
             for m in one_minus(n):
                 cells = _cells(m)
                 if cells.sign is not SignClass.NEGATIVE:
                     splits += kernels_match_oracles(cells)
                     matrices += 1
-        assert (matrices, splits) == (22975, 48991)
+                    neutral += cells.sign is SignClass.NEUTRAL
+        assert (matrices, neutral, splits) == (22975, 13933, 48991)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sampled_tables_at_large_n(self, seed):

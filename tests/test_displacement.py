@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asmc import PreconditionFailed, Region, apply_in_region, h_shift, v_shift
-from asmc.displacement import _dense, _displace, _ones, h_unshift, v_unshift
+from conftest import dense, displace_points, h_unshift, ones, v_unshift
 
 # the printed 6x4 vertical displacement example, byte for byte
 V_INPUT = (
@@ -259,9 +259,10 @@ class TestErrorsNameTheLine:
 
 
 class TestPointCore:
-    """The point core, reached through the dense adapters and directly on
-    the 1s of a host, against the dense oracle: same grids, same
-    messages."""
+    """Two independent implementations of the shifts against the dense
+    oracle, with the same grids and messages: the library's primitives,
+    which relabel whole lines, and the point core of ``conftest``, which
+    moves the 1s of a host as points (the unshifts are built on it)."""
 
     @pytest.mark.parametrize("func", [h_shift, h_unshift, v_shift, v_unshift])
     @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (3, 2), (3, 4)])
@@ -288,7 +289,7 @@ class TestPointCore:
                     row[left - 1 : region.right] = new
                 expected = rows
                 in_region = tuple(map(tuple, rows))
-            got = outcome(lambda: _dense(_displace(_ones(host), region, columns, inverse), m, n))
+            got = outcome(lambda: dense(displace_points(ones(host), region, columns, inverse), m, n))
             assert got == expected, (host, region)
             if not inverse:
                 assert outcome(apply_in_region, host, region, func) == in_region

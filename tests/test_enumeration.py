@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ import asmc
 from asmc import (
     AsmcError,
     CapExceeded,
+    InternalInvariantViolation,
     SignClass,
     charges,
     classical_params,
@@ -20,7 +22,7 @@ from asmc import (
 from asmc.enumeration import DISTRIBUTION_KEYS
 from asmc.errors import BadArgument
 from asmc.verify import run_property
-from conftest import DIAMOND_ROWS
+from conftest import DIAMOND_ROWS, factorial_count
 
 
 class TestTotals:
@@ -30,6 +32,15 @@ class TestTotals:
     def test_counts_match_formula(self, n, total):
         assert formula_count(n) == total
         assert sum(1 for _ in enumerate_asm(n)) == total
+
+    def test_formula_matches_the_factorial_product(self):
+        for n in [*range(61), 100, 200]:
+            assert formula_count(n) == factorial_count(n), n
+
+    def test_an_inexact_ratio_is_an_internal_fault(self, monkeypatch):
+        monkeypatch.setattr("asmc.enumeration.comb", lambda a, b: comb(a, b) + 1)
+        with pytest.raises(InternalInvariantViolation, match="did not divide evenly"):
+            formula_count(5)
 
     def test_diamond_is_the_only_one_minus_order_3(self):
         mats = list(enumerate_asm(3, s=1))

@@ -6,7 +6,9 @@ import pytest
 
 import asmc
 from asmc import (
+    AlternationViolation,
     AsmMatrix,
+    BadEntry,
     DischargeTuple,
     GenInvTable,
     InvalidPair,
@@ -31,6 +33,7 @@ from asmc import (
     h_shift,
     matrix_from_json,
     matrix_from_text,
+    matrix_to_json,
     pair_from_config,
     perm_from_table,
     perm_matrix,
@@ -42,6 +45,7 @@ from asmc import (
     table_valid,
     tuple_valid,
     v_shift,
+    validate_asm,
     validate_config,
     verify_suite,
 )
@@ -106,6 +110,20 @@ def test_a_table_over_a_list_is_frozen():
 def test_matrix_without_rows_is_rejected(call):
     with pytest.raises(NotSquare):
         call()
+
+
+@pytest.mark.parametrize("rows, error", [
+    (((2,),), BadEntry),
+    (((1, 0), (1, 0)), AlternationViolation),
+    (((0, 0), (1, 0)), SumViolation),
+], ids=["bad-entry", "alternation", "sum"])
+def test_json_of_an_unchecked_matrix_raises_what_validation_raises(rows, error):
+    """``matrix_to_json`` writes every matrix from its sparse view, so rows
+    that break the law raise the class ``validate_asm`` raises on them."""
+    with pytest.raises(error):
+        validate_asm(rows)
+    with pytest.raises(error):
+        matrix_to_json(AsmMatrix(rows))
 
 
 @pytest.mark.parametrize("call, args, kwargs, error", [
